@@ -28,8 +28,8 @@ from .diagnostics import (
 )
 from .errors import ConstructionError, DiscFluxError
 from .fluxes import get_flux, registry_names
-from .riemann import classical_riemann
-from .runio import read_run, save_transform_csv, write_run
+from .riemann import classical_riemann, steady_connection_state
+from .runio import load_transform_csv, read_run, save_transform_csv, write_run
 from .solver import SolverConfig, ladder, solve
 from .transforms import (
     Connection,
@@ -41,7 +41,6 @@ from .transforms import (
     identity_transform,
     verify_transform,
 )
-from .runio import load_transform_csv
 
 _CONFIG_KEYS = set(SolverConfig().to_dict())
 
@@ -87,7 +86,7 @@ def _resolve_transform(text: str, flux, conn: Connection | None) -> TransformPai
         return build_translation_transform(flux)
     if text == "connection":
         if conn is None:
-            raise click.UsageError("--transform connection requires --connection A:B")
+            raise click.UsageError("a connection transform requires --connection A:B")
         return build_connection_transform(flux, conn)
     path = Path(text)
     if path.exists():
@@ -103,7 +102,7 @@ def _initial_profile(text: str, flux, conn: Connection | None):
     if text == "steady":
         if conn is None:
             raise click.UsageError("--u0 steady requires --connection A:B")
-        return lambda x: np.where(np.asarray(x) <= 0.0, conn.A, conn.B)
+        return lambda x: steady_connection_state(flux, conn, x)
     if text.startswith("riemann:"):
         try:
             _, l, r = text.split(":")
@@ -194,13 +193,7 @@ def cli_build_transform(flux_name, mode, connection_text, out_path):
     """Construct a transform pair and write it to disk."""
     try:
         flux = get_flux(flux_name)
-        conn = _parse_connection(connection_text)
-        if mode == "connection":
-            if conn is None:
-                raise click.UsageError("--mode connection requires --connection A:B")
-            pair = build_connection_transform(flux, conn)
-        else:
-            pair = build_translation_transform(flux)
+        pair = _resolve_transform(mode, flux, _parse_connection(connection_text))
     except ConstructionError as exc:
         click.echo(f"construction failed: {exc}", err=True)
         sys.exit(1)

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError
-from .fluxes import FluxPair
 from .solver import SolutionField
-from .transforms import Connection, TransformPair
+from .transforms import Connection
 
 SIGN_BAND = 1e-12
 
@@ -27,11 +26,6 @@ def sgn(x, band: float = SIGN_BAND):
     arr = np.asarray(x, dtype=float)
     out = np.where(arr > band, 1.0, np.where(arr < -band, -1.0, 0.0))
     return out if arr.shape else float(out)
-
-
-def sgn_plus(x, band: float = SIGN_BAND):
-    """One-sided sign: 1 above the band, 0 below, 1/2 inside it."""
-    return 0.5 * (sgn(x, band) + 1.0)
 
 
 @dataclass(frozen=True)
@@ -141,8 +135,6 @@ def _check_support(field: SolutionField, hat: SpaceTimeHat):
 def _pair_residual(
     field: SolutionField,
     cstar: np.ndarray,
-    f_vals,
-    g_vals,
     delta_coeff: float,
     hat: SpaceTimeHat,
 ) -> float:
@@ -162,9 +154,10 @@ def _pair_residual(
     dX = hat.x(faces[1:]) - hat.x(faces[:-1])
 
     right = x > 0.0
+    f, g = field.flux.f, field.flux.g
     E = np.abs(U - cstar)
-    FU = np.where(right, f_vals(U), g_vals(U))
-    Fc = np.where(right, f_vals(cstar), g_vals(cstar))
+    FU = np.where(right, f(U), g(U))
+    Fc = np.where(right, f(cstar), g(cstar))
     Q = sgn(U - cstar) * (FU - Fc)
     term_t = float(dT @ (E @ Xint))
     term_x = float(Tint @ (Q @ dX))
@@ -191,6 +184,21 @@ def _auto_tolerance(field: SolutionField) -> float:
     return 0.5 * scale * (field.dx + field.eps + slab) + 1e-9 * scale
 
 
+def _entropy_report(
+    kind: str,
+    field: SolutionField,
+    cstar: np.ndarray,
+    delta: float,
+    tests: list[SpaceTimeHat],
+    tolerance: float | None,
+) -> EntropyReport:
+    """Residuals of every test function against cstar, judged on the worst one."""
+    tol = _auto_tolerance(field) if tolerance is None else float(tolerance)
+    res = tuple(_pair_residual(field, cstar, delta, h) for h in tests)
+    worst = max(res)
+    return EntropyReport(kind, res, tol, worst <= tol, worst)
+
+
 def entropy_residual_pair(
     field: SolutionField,
     xi: float,
@@ -207,17 +215,12 @@ def entropy_residual_pair(
     lo, hi = t.domain
     xi = float(np.clip(xi, lo, hi))
     tests = tests or default_test_functions(field)
-    tol = _auto_tolerance(field) if tolerance is None else float(tolerance)
     c_right = float(t.alpha.forward(xi))
     c_left = float(t.beta.forward(xi))
     cstar = np.where(field.x > 0.0, c_right, c_left)
     delta = float(field.flux.f(np.clip(c_right, field.flux.a, field.flux.b))
                   - field.flux.g(np.clip(c_left, field.flux.a, field.flux.b)))
-    res = tuple(
-        _pair_residual(field, cstar, field.flux.f, field.flux.g, delta, h) for h in tests
-    )
-    worst = max(res)
-    return EntropyReport("pair-kruzhkov", res, tol, worst <= tol, worst)
+    return _entropy_report("pair-kruzhkov", field, cstar, delta, tests, tolerance)
 
 
 def entropy_residual_side(
@@ -240,13 +243,8 @@ def entropy_residual_side(
         inside = x_hi <= 1e-12 if side == "left" else x_lo >= -1e-12
         if not inside:
             raise CoverageError(f"test function support must stay on the {side} side")
-    tol = _auto_tolerance(field) if tolerance is None else float(tolerance)
     cstar = np.full(field.x.shape, float(c))
-    res = tuple(
-        _pair_residual(field, cstar, field.flux.f, field.flux.g, 0.0, h) for h in tests
-    )
-    worst = max(res)
-    return EntropyReport(f"kruzhkov-{side}", res, tol, worst <= tol, worst)
+    return _entropy_report(f"kruzhkov-{side}", field, cstar, 0.0, tests, tolerance)
 
 
 def entropy_residual_connection(
@@ -262,13 +260,8 @@ def entropy_residual_connection(
     the solutions adapted to this connection.
     """
     tests = tests or default_test_functions(field)
-    tol = _auto_tolerance(field) if tolerance is None else float(tolerance)
     cstar = np.where(field.x > 0.0, float(conn.B), float(conn.A))
-    res = tuple(
-        _pair_residual(field, cstar, field.flux.f, field.flux.g, 0.0, h) for h in tests
-    )
-    worst = max(res)
-    return EntropyReport("adapted-connection", res, tol, worst <= tol, worst)
+    return _entropy_report("adapted-connection", field, cstar, 0.0, tests, tolerance)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,3 @@ class StabilityError(DiscFluxError):
 
 class CoverageError(DiscFluxError):
     """Requested data lies outside the sampled coverage of a field."""
-
-
-class ResolutionError(DiscFluxError):
-    """The grid is too coarse for the requested measurement."""

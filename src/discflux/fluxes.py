@@ -13,9 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .curves import MonotoneBijection, SampledCurve, merge_close
+from .curves import CLAMP_SLACK, MonotoneBijection, SampledCurve, merge_close
 from .errors import CompositionError
-from .curves import CLAMP_SLACK
 
 DEFAULT_SAMPLES = 4096
 TOL_ENDPOINT = 1e-12
@@ -74,38 +73,6 @@ class FluxPair:
         return cls(SampledCurve(u, np.asarray(fv, float)), SampledCurve(u, np.asarray(gv, float)))
 
 
-@dataclass(frozen=True)
-class ConstantIntervalSet:
-    """Maximal intervals on which a tagged branch is flat to ``TOL_FLAT``.
-
-    An empty set certifies that the branch is nowhere constant at the sample
-    resolution, which is the standing nondegeneracy hypothesis for uniqueness.
-    """
-
-    intervals: tuple[tuple[float, float], ...]
-    branch: str
-
-    def __post_init__(self):
-        prev_hi = -np.inf
-        for lo, hi in self.intervals:
-            if not lo < hi:
-                raise ValueError("each interval needs left < right")
-            if lo < prev_hi:
-                raise ValueError("intervals must be sorted and disjoint")
-            prev_hi = hi
-
-    @property
-    def empty(self) -> bool:
-        return len(self.intervals) == 0
-
-
-def truncate(u, lo: float, hi: float):
-    """Clamp state values into [lo, hi] (monotone, idempotent)."""
-    if not lo < hi:
-        raise ValueError("truncation needs lo < hi")
-    return np.minimum(np.maximum(u, lo), hi)
-
-
 def compose_flux(branch: SampledCurve, m: MonotoneBijection) -> SampledCurve:
     """Exact composition branch∘m, sampled on m's domain.
 
@@ -160,44 +127,6 @@ def find_local_maxima(branch: SampledCurve, tol_flat: float = TOL_FLAT) -> list[
             pos = 0.5 * (branch.x[s] + branch.x[e])
             maxima.append((float(pos), float(np.max(y[s : e + 1]))))
     return maxima
-
-
-def rear_left_maximum(branch: SampledCurve) -> tuple[float, float] | None:
-    """Left-most interior local maximum (the rear one seen from x = -inf)."""
-    maxima = find_local_maxima(branch)
-    return maxima[0] if maxima else None
-
-
-def rear_right_maximum(branch: SampledCurve) -> tuple[float, float] | None:
-    """Right-most interior local maximum."""
-    maxima = find_local_maxima(branch)
-    return maxima[-1] if maxima else None
-
-
-def detect_constant_intervals(
-    branch: SampledCurve, tag: str = "f", tol_flat: float = TOL_FLAT
-) -> ConstantIntervalSet:
-    """Maximal intervals where the branch varies by at most ``tol_flat``."""
-    x, y = branch.x, branch.y
-    intervals = []
-    i = 0
-    n = y.size
-    while i < n - 1:
-        ymin = ymax = y[i]
-        j = i
-        while j + 1 < n:
-            lo = min(ymin, y[j + 1])
-            hi = max(ymax, y[j + 1])
-            if hi - lo > tol_flat:
-                break
-            ymin, ymax = lo, hi
-            j += 1
-        if j > i:
-            intervals.append((float(x[i]), float(x[j])))
-            i = j + 1
-        else:
-            i += 1
-    return ConstantIntervalSet(tuple(intervals), tag)
 
 
 # ---------------------------------------------------------------------------

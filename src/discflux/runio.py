@@ -22,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .curves import MonotoneBijection, merge_close
+from .curves import MonotoneBijection
 from .errors import DiscFluxError
-from .fluxes import FluxPair, load_flux_csv, save_flux_csv
+from .fluxes import load_flux_csv, save_flux_csv
 from .solver import SolutionField, SolverConfig
 from .transforms import Connection, TransformPair
 
@@ -52,8 +52,7 @@ def _read_csv(path: Path, header: str) -> np.ndarray:
 
 
 def save_transform_csv(path: Path, t: TransformPair) -> None:
-    grid = merge_close(np.union1d(t.alpha.breakpoints, t.beta.breakpoints))
-    _write_csv(Path(path), "v,alpha,beta", (grid, t.alpha.forward(grid), t.beta.forward(grid)))
+    _write_csv(Path(path), "v,alpha,beta", t.table())
 
 
 def load_transform_csv(path: Path, meta: dict | None = None) -> TransformPair:
@@ -73,12 +72,7 @@ def load_transform_csv(path: Path, meta: dict | None = None) -> TransformPair:
 
 def run_hash(field: SolutionField, config: SolverConfig) -> str:
     flux_tab = np.column_stack([field.flux.f.x, field.flux.f.y, field.flux.g.y])
-    tgrid = merge_close(
-        np.union1d(field.transform.alpha.breakpoints, field.transform.beta.breakpoints)
-    )
-    t_tab = np.column_stack(
-        [tgrid, field.transform.alpha.forward(tgrid), field.transform.beta.forward(tgrid)]
-    )
+    t_tab = np.column_stack(field.transform.table())
     payload = {
         "config": config.to_dict(),
         "flux_sha": hashlib.sha256(flux_tab.tobytes()).hexdigest()[:12],

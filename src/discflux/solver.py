@@ -15,7 +15,7 @@ admissibility argument needs from the approximation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -29,22 +29,27 @@ _BUMP_NODES = 4097
 _BRACKET_SLACK = 1e-10
 
 
+def _bump(z: np.ndarray) -> np.ndarray:
+    """The standard bump exp(-1/(1-z^2)) on |z| < 1, zero elsewhere."""
+    out = np.zeros_like(z)
+    inside = np.abs(z) < 1.0
+    out[inside] = np.exp(-1.0 / (1.0 - z[inside] ** 2))
+    return out
+
+
 @lru_cache(maxsize=1)
 def _bump_tables():
-    """Symmetrised CDF table of the standard bump exp(-1/(1-z^2)) on [-1, 1]."""
+    """Symmetrised CDF table of the standard bump on [-1, 1]."""
     z = np.linspace(-1.0, 1.0, _BUMP_NODES)
-    w = np.zeros_like(z)
-    inside = np.abs(z) < 1.0
-    w[inside] = np.exp(-1.0 / (1.0 - z[inside] ** 2))
+    w = _bump(z)
     dz = z[1] - z[0]
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * dz)))
-    mass = cdf[-1]
-    cdf /= mass
+    cdf /= cdf[-1]
     # enforce the odd symmetry (and the exact half value at 0) to the last bit
     cdf = 0.5 * (cdf + 1.0 - cdf[::-1])
-    for arr in (z, w, cdf):
+    for arr in (z, cdf):
         arr.flags.writeable = False
-    return z, w, cdf, float(mass)
+    return z, cdf
 
 
 def smooth_heaviside(x, eps: float):
@@ -54,22 +59,9 @@ def smooth_heaviside(x, eps: float):
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    z, _, cdf, _ = _bump_tables()
+    z, cdf = _bump_tables()
     arr = np.asarray(x, dtype=float)
     out = np.interp(arr / eps, z, cdf)
-    return out if arr.shape else float(out)
-
-
-def mollifier_delta(x, eps: float):
-    """The bump kernel scaled to unit mass and support [-eps, eps]."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    _, _, _, mass = _bump_tables()
-    arr = np.asarray(x, dtype=float)
-    z = arr / eps
-    out = np.zeros_like(z)
-    inside = np.abs(z) < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - z[inside] ** 2)) / (eps * mass)
     return out if arr.shape else float(out)
 
 
@@ -88,10 +80,7 @@ def mollify_initial(u0: np.ndarray, x: np.ndarray, transform: TransformPair, eps
     r = int(math.floor(eps / dx - 1e-12))
     if r < 1:
         return v_raw
-    offsets = np.arange(-r, r + 1) * dx / eps
-    kernel = np.zeros_like(offsets)
-    inside = np.abs(offsets) < 1.0
-    kernel[inside] = np.exp(-1.0 / (1.0 - offsets[inside] ** 2))
+    kernel = _bump(np.arange(-r, r + 1) * dx / eps)
     kernel /= kernel.sum()
     padded = np.pad(v_raw, r, mode="edge")
     return np.convolve(padded, kernel, mode="valid")
@@ -138,15 +127,7 @@ class SolverConfig:
         return -self.half_width + np.arange(self.cells + 1) * self.dx
 
     def to_dict(self) -> dict:
-        return {
-            "half_width": self.half_width,
-            "cells": self.cells,
-            "eps": self.eps,
-            "t_end": self.t_end,
-            "cfl_hyperbolic": self.cfl_hyperbolic,
-            "cfl_parabolic": self.cfl_parabolic,
-            "snapshots": self.snapshots,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -183,7 +164,12 @@ class SolutionField:
         return self.v[-1]
 
     def range_excess(self) -> float:
-        """How far the stored u snapshots escape the flux interval [a, b]."""
+        """How far the stored u snapshots escape the flux interval [a, b].
+
+        A non-finite value anywhere counts as an infinite excess.
+        """
+        if not np.all(np.isfinite(self.u)):
+            return math.inf
         over = max(0.0, float(self.u.max()) - self.flux.b)
         under = max(0.0, self.flux.a - float(self.u.min()))
         return over + under
@@ -200,14 +186,11 @@ class _Stepper:
     """Precomputed tables and the update rule for one (flux, transform, grid)."""
 
     def __init__(self, flux: FluxPair, transform: TransformPair, cfg: SolverConfig):
-        self.flux = flux
-        self.transform = transform
         self.cfg = cfg
         self.dx = cfg.dx
         self.eps = cfg.resolved_eps()
 
         fa, gb = composed_fluxes(flux, transform)
-        self.fa, self.gb = fa, gb
         grid = merge_close(np.union1d(fa.x, gb.x))
         self.vgrid = grid
         self.fa_tab = np.asarray(fa(grid))
@@ -219,17 +202,10 @@ class _Stepper:
         self.speed_max = float(self.seg_speed.max()) if self.seg_speed.size else 0.0
 
         # transform tables on the shared breakpoint union, for m <-> v
-        ugrid = merge_close(
-            np.union1d(transform.alpha.breakpoints, transform.beta.breakpoints)
-        )
-        self.ugrid = ugrid
-        self.alpha_tab = transform.alpha.forward(ugrid)
-        self.beta_tab = transform.beta.forward(ugrid)
-        slopes = np.concatenate(
-            [np.diff(self.alpha_tab) / np.diff(ugrid), np.diff(self.beta_tab) / np.diff(ugrid)]
-        )
+        self.ugrid, self.alpha_tab, self.beta_tab = transform.table()
+        du = np.diff(self.ugrid)
+        slopes = np.concatenate([np.diff(self.alpha_tab) / du, np.diff(self.beta_tab) / du])
         self.slope_min = float(slopes.min())
-        self.slope_max = float(slopes.max())
 
         x_faces = cfg.faces()
         self.w_face = smooth_heaviside(x_faces, self.eps)
@@ -314,7 +290,7 @@ def solve(
     """Run the viscous scheme and return the stored snapshot record.
 
     ``u0`` is either a vectorised callable of x or an array of cell-centre
-    values; it must take values in the flux interval [a, b].  The transform
+    values; it must take finite values in the flux interval [a, b].  The transform
     pair is audited before use and rejected with a ValueError if it fails.
     """
     cfg = config or SolverConfig()
@@ -327,6 +303,8 @@ def solve(
     u0_vals = np.asarray(u0(x) if callable(u0) else u0, dtype=float)
     if u0_vals.shape != x.shape:
         raise ValueError("initial data must match the cell count")
+    if not np.all(np.isfinite(u0_vals)):
+        raise ValueError("initial data must be finite")
     span = flux.b - flux.a
     if np.any(u0_vals < flux.a - 1e-9 * span) or np.any(u0_vals > flux.b + 1e-9 * span):
         raise ValueError("initial data leaves the flux interval [a, b]")

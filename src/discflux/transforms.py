@@ -101,6 +101,15 @@ class TransformPair:
     def domain(self) -> tuple[float, float]:
         return self.alpha.domain
 
+    def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(v, alpha(v), beta(v)) on the union of both breakpoint sets.
+
+        Both maps are piecewise linear with their kinks on this lattice, so
+        the table represents the pair exactly.
+        """
+        v = merge_close(np.union1d(self.alpha.breakpoints, self.beta.breakpoints))
+        return v, self.alpha.forward(v), self.beta.forward(v)
+
     def meta(self) -> dict:
         return {
             "kind": self.kind,

@@ -23,7 +23,6 @@ def test_sgn_dead_band():
     assert dx.sgn(5.0) == 1.0
     assert dx.sgn(-5.0) == -1.0
     assert dx.sgn(1e-13) == 0.0
-    assert np.allclose(dx.sgn_plus(np.array([-1.0, 0.0, 1.0])), [0.0, 0.5, 1.0])
 
 
 def test_hat_function_closed_forms():

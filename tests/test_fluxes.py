@@ -4,7 +4,6 @@ import pytest
 import discflux as dx
 from discflux.curves import MonotoneBijection, SampledCurve
 from discflux.errors import CompositionError
-from discflux.fluxes import rear_left_maximum, rear_right_maximum
 
 
 def test_registry_contains_demo_pairs():
@@ -44,13 +43,6 @@ def test_lipschitz_estimate(burgers):
     assert burgers.lipschitz() == pytest.approx(1.0, abs=1e-3)
 
 
-def test_truncate():
-    u = np.linspace(0, 1, 5)
-    assert np.allclose(dx.truncate(u, 0.25, 0.75), [0.25, 0.25, 0.5, 0.75, 0.75])
-    with pytest.raises(ValueError):
-        dx.truncate(u, 0.5, 0.5)
-
-
 def test_compose_flux_is_exact_on_breakpoints(burgers):
     m = MonotoneBijection(np.array([0.0, 0.4, 1.0]), np.array([0.0, 0.7, 1.0]))
     comp = dx.compose_flux(burgers.f, m)
@@ -86,8 +78,6 @@ def test_local_maxima_two_humps_and_rear_selection():
     curve = SampledCurve(u, y)
     peaks = dx.find_local_maxima(curve)
     assert len(peaks) == 2
-    assert rear_left_maximum(curve)[0] == pytest.approx(peaks[0][0])
-    assert rear_right_maximum(curve)[0] == pytest.approx(peaks[-1][0])
     assert peaks[0][0] < 0.5 < peaks[-1][0]
 
 
@@ -99,19 +89,6 @@ def test_plateau_maximum_reports_midpoint():
     assert len(peaks) == 1
     assert peaks[0][0] == pytest.approx(0.5, abs=1e-3)
     assert peaks[0][1] == pytest.approx(0.3, abs=1e-12)
-
-
-def test_detect_constant_intervals_frozen_plateau():
-    u = np.linspace(0, 1, 4097)
-    f = np.where(u < 0.25, 0.3 * u / 0.25, np.where(u <= 0.75, 0.3, 0.3 * (1 - u) / 0.25))
-    pair = dx.FluxPair.from_arrays(u, f, u * (1 - u))
-    iv = dx.detect_constant_intervals(pair.f)
-    assert len(iv.intervals) == 1
-    lo, hi = iv.intervals[0]
-    assert lo == pytest.approx(0.25, abs=1e-3)
-    assert hi == pytest.approx(0.75, abs=1e-3)
-    # a strictly curved branch has none
-    assert dx.detect_constant_intervals(pair.g).empty
 
 
 def test_csv_roundtrip(tmp_path, demo_cross):

@@ -85,3 +85,29 @@ def test_csv_header_guard(tmp_path, burgers, demo_connection):
     path.write_text(text)
     with pytest.raises(DiscFluxError):
         dx.load_transform_csv(path)
+
+
+def _step(left, right):
+    return lambda x: np.where(np.asarray(x) <= 0.0, left, right)
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [
+        ("connection", "dcb021ec647c"),
+        ("identity", "d288ce9e099d"),
+        ("translation", "4612c485e80b"),
+    ],
+)
+def test_run_hash_golden(tmp_path, burgers, demo_swapped, demo_connection, case, expected):
+    # run-directory names are a fingerprint of the config and of the flux,
+    # transform and u0 tables; a refactor must leave them unchanged
+    if case == "connection":
+        flux, u0, pair = burgers, _step(0.8, 0.3), demo_connection[1]
+    elif case == "identity":
+        flux, u0, pair = burgers, _step(0.25, 0.75), dx.identity_transform(burgers)
+    else:
+        flux, u0, pair = demo_swapped, _step(0.3, 0.7), dx.build_translation_transform(demo_swapped)
+    cfg = dx.SolverConfig(cells=128, t_end=0.1, snapshots=5)
+    run_dir = dx.write_run(dx.solve(flux, u0, pair, cfg), cfg, tmp_path)
+    assert run_dir.name == expected

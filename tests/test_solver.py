@@ -1,5 +1,7 @@
 """Mollifier properties, scheme invariants, and refinement behaviour."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,15 +27,6 @@ def test_smooth_heaviside_symmetry():
 def test_smooth_heaviside_rejects_bad_eps():
     with pytest.raises(ValueError):
         dx.smooth_heaviside(0.0, 0.0)
-
-
-def test_mollifier_delta_mass_and_support():
-    for eps in (0.1, 0.5, 2.0):
-        x = np.linspace(-1.2 * eps, 1.2 * eps, 20001)
-        mass = np.trapezoid(dx.mollifier_delta(x, eps), x)
-        assert mass == pytest.approx(1.0, abs=1e-6)
-    assert dx.mollifier_delta(0.2, 0.1) == 0.0
-    assert dx.mollifier_delta(-0.05, 0.1) == dx.mollifier_delta(0.05, 0.1)
 
 
 def test_mollify_preserves_constants(burgers):
@@ -83,6 +76,22 @@ def test_solve_rejects_bad_initial_data(burgers):
         dx.solve(burgers, lambda x: np.full(np.shape(x), 1.5), config=cfg)
     with pytest.raises(ValueError):
         dx.solve(burgers, np.zeros(10), config=cfg)
+
+
+def test_solve_rejects_non_finite_initial_data(burgers):
+    cfg = dx.SolverConfig(cells=64, t_end=0.01)
+    u0 = np.full(64, 0.5)
+    u0[17] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        dx.solve(burgers, u0, config=cfg)
+
+
+def test_range_excess_is_infinite_for_non_finite_u(burgers):
+    field = dx.solve(burgers, np.full(64, 0.5), config=dx.SolverConfig(cells=64, t_end=0.01))
+    assert field.range_excess() == 0.0
+    u = field.u.copy()
+    u[-1, 5] = np.nan
+    assert replace(field, u=u).range_excess() == np.inf
 
 
 def test_solve_gates_on_transform_audit(demo_swapped):
