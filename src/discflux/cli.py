@@ -243,7 +243,7 @@ def cli_riemann(flux_name, branch, left, right, t_eval, out_path):
 @click.option("--run", "run_dir", type=click.Path(exists=True), required=True)
 @click.option("--tolerance", type=float, default=None)
 def cli_verify(run_dir, tolerance):
-    """Re-check a stored run: transform audit, ranges, entropy residuals."""
+    """Re-check a stored run: transform audit, ranges, mass balance, entropy residuals."""
     try:
         field, manifest = read_run(run_dir)
     except (DiscFluxError, ValueError, OSError) as exc:
@@ -258,6 +258,14 @@ def cli_verify(run_dir, tolerance):
     ok = rep.v_ok and rep.u_ok
     click.echo(f"{'PASS' if ok else 'FAIL'} ranges "
                f"(v in [{rep.v_min:.6g}, {rep.v_max:.6g}], u in [{rep.u_min:.6g}, {rep.u_max:.6g}])")
+    failed |= not ok
+
+    # stored mass changes only by what the two boundary faces let through
+    drift = field.mass - field.mass[0] + field.boundary_flux[:, 1] - field.boundary_flux[:, 0]
+    worst = float(np.max(np.abs(drift)))
+    tol = 1e-9 * max(1.0, abs(float(field.mass[0])))
+    ok = worst <= tol
+    click.echo(f"{'PASS' if ok else 'FAIL'} mass balance (worst {worst:.3e}, tol {tol:.3e})")
     failed |= not ok
 
     lo, hi = field.transform.domain

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError
-from .solver import SolutionField
+from .solver import SolutionField, conserved_density, smooth_heaviside
 from .transforms import Connection
 
 SIGN_BAND = 1e-12
@@ -309,14 +309,11 @@ def l1_distances(a: SolutionField, b: SolutionField, variable: str = "v") -> np.
         return np.sum(np.abs(a.v - b.v), axis=1) * a.dx
     if variable != "conserved":
         raise ValueError(f"unknown variable {variable!r}")
-    from .solver import smooth_heaviside
-
-    out = []
-    for fld in (a, b):
-        w = smooth_heaviside(fld.x, fld.eps)
-        m = w * fld.transform.alpha.forward(fld.v) + (1.0 - w) * fld.transform.beta.forward(fld.v)
-        out.append(m)
-    return np.sum(np.abs(out[0] - out[1]), axis=1) * a.dx
+    ma, mb = (
+        conserved_density(fld.v, smooth_heaviside(fld.x, fld.eps), fld.transform.table())
+        for fld in (a, b)
+    )
+    return np.sum(np.abs(ma - mb), axis=1) * a.dx
 
 
 def ordering_preserved(a: SolutionField, b: SolutionField, slack: float = 1e-10) -> bool:

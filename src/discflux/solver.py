@@ -10,6 +10,12 @@ dissipation in v, and a centred eps * v_xx viscosity.  The update is monotone
 in v under the stated time-step restriction, so the transformed variable obeys
 a discrete maximum principle and an L1 contraction, which is what the
 admissibility argument needs from the approximation.
+
+Each step recovers v from the updated density m cell by cell.  W is exactly
+0 left of the smoothing band and exactly 1 right of it, so there m is beta(v)
+or alpha(v) alone; only the few band cells have a genuinely blended map.  The
+stepper tabulates every cell's map on the transform's breakpoint lattice once,
+and the inversion is an exact table lookup plus one linear interpolation.
 """
 
 from __future__ import annotations
@@ -175,6 +181,18 @@ class SolutionField:
         return over + under
 
 
+def conserved_density(v, w, table) -> np.ndarray:
+    """The density w * alpha(v) + (1 - w) * beta(v) that the scheme conserves.
+
+    ``table`` is ``TransformPair.table()`` and ``w`` the smoothed interface
+    step at the cell centres; ``v`` may hold one row per snapshot.
+    """
+    ugrid, alpha_tab, beta_tab = table
+    a = np.interp(v, ugrid, alpha_tab)
+    b = np.interp(v, ugrid, beta_tab)
+    return w * a + (1.0 - w) * b
+
+
 def reconstruct_u(v: np.ndarray, x: np.ndarray, transform: TransformPair) -> np.ndarray:
     """Map the relabelled variable back: beta at x <= 0, alpha at x > 0."""
     v = np.asarray(v, dtype=float)
@@ -202,14 +220,32 @@ class _Stepper:
         self.speed_max = float(self.seg_speed.max()) if self.seg_speed.size else 0.0
 
         # transform tables on the shared breakpoint union, for m <-> v
-        self.ugrid, self.alpha_tab, self.beta_tab = transform.table()
-        du = np.diff(self.ugrid)
+        self.table = transform.table()
+        self.ugrid, self.alpha_tab, self.beta_tab = self.table
+        self.du = du = np.diff(self.ugrid)
         slopes = np.concatenate([np.diff(self.alpha_tab) / du, np.diff(self.beta_tab) / du])
         self.slope_min = float(slopes.min())
 
         x_faces = cfg.faces()
         self.w_face = smooth_heaviside(x_faces, self.eps)
-        self.w_cell = smooth_heaviside(cfg.centers(), self.eps)
+        self.w_cell = w = smooth_heaviside(cfg.centers(), self.eps)
+
+        # inversion tables.  w is non-decreasing in x and exactly 0 (1) left
+        # (right) of the smoothing band, where the blended map is beta (alpha)
+        # itself; only the band cells need their own blended row.
+        self.lo_val = w * self.alpha_tab[0] + (1.0 - w) * self.beta_tab[0]
+        self.hi_val = w * self.alpha_tab[-1] + (1.0 - w) * self.beta_tab[-1]
+        self.slack = _BRACKET_SLACK * max(float(np.max(self.hi_val - self.lo_val)), 1.0)
+        self.band = slice(int(np.searchsorted(w, 0.0, side="right")),
+                          int(np.searchsorted(w, 1.0, side="left")))
+        w_band = w[self.band, None]
+        rows = np.vstack([self.beta_tab, self.alpha_tab,
+                          w_band * self.alpha_tab + (1.0 - w_band) * self.beta_tab])
+        self.band_rows = rows[2:]
+        self.inv_table = rows.ravel()
+        row = np.where(w == 0.0, 0, 1)
+        row[self.band] = np.arange(2, len(rows))
+        self.row_offset = row * len(self.ugrid)
 
     def suggest_dt(self) -> float:
         hyp = np.inf
@@ -222,36 +258,36 @@ class _Stepper:
         return dt
 
     def conserved(self, v: np.ndarray) -> np.ndarray:
-        a = np.interp(v, self.ugrid, self.alpha_tab)
-        b = np.interp(v, self.ugrid, self.beta_tab)
-        return self.w_cell * a + (1.0 - self.w_cell) * b
+        return conserved_density(v, self.w_cell, self.table)
 
     def invert_conserved(self, m: np.ndarray) -> np.ndarray:
-        """Solve w*alpha(v) + (1-w)*beta(v) = m per cell (bisection on breakpoints)."""
-        w = self.w_cell
-        lo_val = w * self.alpha_tab[0] + (1.0 - w) * self.beta_tab[0]
-        hi_val = w * self.alpha_tab[-1] + (1.0 - w) * self.beta_tab[-1]
-        span = float(np.max(hi_val - lo_val))
-        slack = _BRACKET_SLACK * max(span, 1.0)
-        if np.any(m < lo_val - slack) or np.any(m > hi_val + slack):
+        """Solve w*alpha(v) + (1-w)*beta(v) = m per cell by exact table lookup.
+
+        Each cell's blended map is piecewise linear on ``ugrid`` with the
+        non-decreasing node values of its table row (beta left of the band,
+        alpha right of it, a precomputed blend inside).  The segment is the
+        last node at or below m, capped at the next-to-last node, and the
+        result interpolates linearly inside it.
+        """
+        lo_val, hi_val = self.lo_val, self.hi_val
+        if np.any(m < lo_val - self.slack) or np.any(m > hi_val + self.slack):
             worst = float(np.max(np.maximum(lo_val - m, m - hi_val)))
             raise StabilityError(
                 f"conserved density left the invertible range by {worst:.3e}; "
                 "reduce the time step or refine the grid"
             )
         m = np.clip(m, lo_val, hi_val)
-        lo = np.zeros(m.shape, dtype=np.intp)
-        hi = np.full(m.shape, len(self.ugrid) - 1, dtype=np.intp)
-        while np.any(hi - lo > 1):
-            mid = (lo + hi) // 2
-            val = w * self.alpha_tab[mid] + (1.0 - w) * self.beta_tab[mid]
-            take = val <= m
-            lo = np.where(take, mid, lo)
-            hi = np.where(take, hi, mid)
-        v0 = w * self.alpha_tab[lo] + (1.0 - w) * self.beta_tab[lo]
-        v1 = w * self.alpha_tab[hi] + (1.0 - w) * self.beta_tab[hi]
+        band = self.band
+        idx = np.empty(m.shape, dtype=np.intp)
+        idx[: band.start] = np.searchsorted(self.beta_tab, m[: band.start], side="right")
+        idx[band] = np.count_nonzero(self.band_rows <= m[band, None], axis=1)
+        idx[band.stop :] = np.searchsorted(self.alpha_tab, m[band.stop :], side="right")
+        lo = np.clip(idx - 1, 0, len(self.ugrid) - 2, out=idx)
+        at = self.row_offset + lo
+        v0 = self.inv_table[at]
+        v1 = self.inv_table[at + 1]
         frac = (m - v0) / (v1 - v0)
-        return self.ugrid[lo] + frac * (self.ugrid[hi] - self.ugrid[lo])
+        return self.ugrid[lo] + frac * self.du[lo]
 
     def face_fluxes(self, v: np.ndarray) -> np.ndarray:
         vx = np.concatenate(([v[0]], v, [v[-1]]))  # zero-gradient ghosts

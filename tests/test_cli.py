@@ -45,6 +45,22 @@ def test_solve_writes_run_and_verify_passes(tmp_path):
     ver = run_cli("verify", "--run", str(run_dirs[0]))
     assert ver.exit_code == 0, ver.output
     assert "FAIL" not in ver.output
+    assert "PASS mass balance" in ver.output
+
+
+def test_verify_fails_on_tampered_mass(tmp_path):
+    res = run_cli("solve", "--flux", "burgers-like", "--u0", "riemann:0.25:0.75",
+                  "--cells", "64", "--t-end", "0.05", "--out", str(tmp_path))
+    assert res.exit_code == 0, res.output
+    run_dir = next(p for p in tmp_path.iterdir() if p.is_dir())
+    manifest_path = run_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["mass"][-1] += 1e-6
+    manifest_path.write_text(json.dumps(manifest))
+
+    ver = run_cli("verify", "--run", str(run_dir))
+    assert ver.exit_code == 1, ver.output
+    assert "FAIL mass balance" in ver.output
 
 
 def test_solve_honours_env_output_root(tmp_path):

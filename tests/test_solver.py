@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 import discflux as dx
 from discflux.errors import StabilityError
@@ -138,6 +140,116 @@ def test_time_step_uses_transform_slope(burgers, demo_connection):
     # flattest transform segment of the demo connection pair
     assert st_conn.slope_min == pytest.approx(0.375, abs=5e-3)
     assert st_conn.suggest_dt() < st_ident.suggest_dt()
+
+
+def _bisection_inverse(st, m):
+    """The vectorised bisection the stepper used before its table lookup."""
+    w = st.w_cell
+    lo_val = w * st.alpha_tab[0] + (1.0 - w) * st.beta_tab[0]
+    hi_val = w * st.alpha_tab[-1] + (1.0 - w) * st.beta_tab[-1]
+    span = float(np.max(hi_val - lo_val))
+    slack = 1e-10 * max(span, 1.0)
+    if np.any(m < lo_val - slack) or np.any(m > hi_val + slack):
+        worst = float(np.max(np.maximum(lo_val - m, m - hi_val)))
+        raise StabilityError(
+            f"conserved density left the invertible range by {worst:.3e}; "
+            "reduce the time step or refine the grid"
+        )
+    m = np.clip(m, lo_val, hi_val)
+    lo = np.zeros(m.shape, dtype=np.intp)
+    hi = np.full(m.shape, len(st.ugrid) - 1, dtype=np.intp)
+    while np.any(hi - lo > 1):
+        mid = (lo + hi) // 2
+        val = w * st.alpha_tab[mid] + (1.0 - w) * st.beta_tab[mid]
+        take = val <= m
+        lo = np.where(take, mid, lo)
+        hi = np.where(take, hi, mid)
+    v0 = w * st.alpha_tab[lo] + (1.0 - w) * st.beta_tab[lo]
+    v1 = w * st.alpha_tab[hi] + (1.0 - w) * st.beta_tab[hi]
+    frac = (m - v0) / (v1 - v0)
+    return st.ugrid[lo] + frac * (st.ugrid[hi] - st.ugrid[lo])
+
+
+def _steppers(burgers, demo_swapped, demo_connection):
+    _, conn = demo_connection
+    cfg = dx.SolverConfig(cells=128, t_end=0.0)
+    return {
+        "connection": _Stepper(burgers, conn, cfg),
+        "identity": _Stepper(burgers, dx.identity_transform(burgers), cfg),
+        "translation": _Stepper(demo_swapped, dx.build_translation_transform(demo_swapped), cfg),
+        # eps below half a cell: no centre lies inside the smoothing band
+        "empty band": _Stepper(burgers, conn, dx.SolverConfig(cells=64, eps=0.01, t_end=0.0)),
+    }
+
+
+def test_inversion_lookup_matches_bisection(burgers, demo_swapped, demo_connection):
+    steppers = _steppers(burgers, demo_swapped, demo_connection)
+    assert steppers["connection"].band.stop > steppers["connection"].band.start
+    assert steppers["empty band"].band.start == steppers["empty band"].band.stop
+    rng = np.random.default_rng(43)
+    for name, st in steppers.items():
+        lo, hi, n = st.lo_val, st.hi_val, len(st.lo_val)
+        node = rng.integers(0, len(st.ugrid), size=n)
+        w = st.w_cell
+        at_nodes = w * st.alpha_tab[node] + (1.0 - w) * st.beta_tab[node]
+        cases = {
+            "random": lo + rng.uniform(0, 1, size=n) * (hi - lo),
+            "lo_val": lo.copy(),
+            "hi_val": hi.copy(),
+            "nodes": at_nodes,
+            "below in slack": lo - 0.5 * st.slack,
+            "above in slack": hi + 0.5 * st.slack,
+            "at the slack edge": np.where(rng.uniform(size=n) < 0.5, lo - st.slack, hi + st.slack),
+        }
+        for case, m in cases.items():
+            got = st.invert_conserved(m)
+            assert np.array_equal(got, _bisection_inverse(st, m)), (name, case)
+        assert np.array_equal(st.invert_conserved(cases["below in slack"]), np.full(n, st.ugrid[0]))
+        assert np.array_equal(st.invert_conserved(cases["above in slack"]), np.full(n, st.ugrid[-1]))
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_inversion_raises_just_beyond_the_slack(burgers, demo_swapped, demo_connection, side):
+    for st in _steppers(burgers, demo_swapped, demo_connection).values():
+        m = 0.5 * (st.lo_val + st.hi_val)
+        i = len(m) // 2 + 3   # right of the interface, inside the band when there is one
+        if side == "below":
+            m[i] = np.nextafter(st.lo_val[i] - st.slack, -np.inf)
+        else:
+            m[i] = np.nextafter(st.hi_val[i] + st.slack, np.inf)
+        with pytest.raises(StabilityError) as ref:
+            _bisection_inverse(st, m)
+        with pytest.raises(StabilityError, match="left the invertible range by") as got:
+            st.invert_conserved(m)
+        assert str(got.value) == str(ref.value)
+
+
+def _increasing_table(draw, size):
+    steps = draw(st_.lists(st_.floats(0.1, 1.0), min_size=size, max_size=size))
+    nodes = np.concatenate(([0.0], np.cumsum(steps)))
+    return nodes / nodes[-1]
+
+
+@st_.composite
+def _random_pair(draw):
+    """Strictly increasing piecewise-linear alpha, beta from [0, 1] onto [0, 1]."""
+    maps = []
+    for _ in range(2):
+        size = draw(st_.integers(1, 12))
+        maps.append(dx.MonotoneBijection(_increasing_table(draw, size), _increasing_table(draw, size)))
+    return dx.TransformPair(*maps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=_random_pair(), eps=st_.floats(0.01, 0.5), seed=st_.integers(0, 2**32 - 1))
+def test_inversion_property_random_tables(burgers, pair, eps, seed):
+    # the band width eps sets how many cells see a blend weight strictly inside (0, 1)
+    st = _Stepper(burgers, pair, dx.SolverConfig(cells=64, eps=eps, t_end=0.0))
+    v = np.random.default_rng(seed).uniform(0.0, 1.0, size=64)
+    m = st.conserved(v)
+    back = st.invert_conserved(m)
+    assert np.max(np.abs(back - v)) < 1e-12
+    assert np.array_equal(back, _bisection_inverse(st, m))
 
 
 def test_inversion_round_trips_and_brackets(burgers, demo_connection):
