@@ -381,7 +381,7 @@ def solve(
             bflux.append((cum_left, cum_right))
 
     v_arr = np.array(snaps_v)
-    u_arr = np.array([reconstruct_u(row, x, t) for row in v_arr])
+    u_arr = reconstruct_u(v_arr, x, t)
     return SolutionField(
         x=x,
         times=np.array(snap_times),

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 from click.testing import CliRunner
 
+import discflux as dx
 from discflux.cli import main
 
 
@@ -61,6 +62,22 @@ def test_verify_fails_on_tampered_mass(tmp_path):
     ver = run_cli("verify", "--run", str(run_dir))
     assert ver.exit_code == 1, ver.output
     assert "FAIL mass balance" in ver.output
+
+
+def test_verify_reports_uncomputable_residual_as_failure(tmp_path):
+    # translation plus mollification moves this constant state out of [0, 1],
+    # so the branch fluxes cannot be evaluated on the stored field
+    flux = dx.get_flux("demo-swapped")
+    cfg = dx.SolverConfig(cells=64, t_end=0.05)
+    field = dx.solve(flux, lambda x: np.zeros(np.shape(x)), dx.build_translation_transform(flux), cfg)
+    run_dir = dx.write_run(field, cfg, tmp_path)
+
+    ver = run_cli("verify", "--run", str(run_dir))
+    assert ver.exit_code == 1, ver.output
+    assert "FAIL ranges" in ver.output
+    assert "FAIL entropy residual at xi=" in ver.output
+    assert "evaluation point outside [0, 1]" in ver.output
+    assert "PASS entropy residual" not in ver.output
 
 
 def test_solve_honours_env_output_root(tmp_path):

@@ -64,6 +64,9 @@ def test_support_escape_detected(burgers):
     late = dx.SpaceTimeHat(dx.HatFunction(0.6, 0.1), dx.HatFunction(0.0, 0.5))
     with pytest.raises(CoverageError):
         dx.entropy_residual_pair(field, 0.5, tests=[late])
+    inside = dx.SpaceTimeHat(dx.HatFunction(0.25, 0.1), dx.HatFunction(0.0, 0.5))
+    with pytest.raises(CoverageError):
+        dx.entropy_residual_pair(field, 0.5, tests=[inside, wide])
 
 
 def test_side_restriction_enforced(burgers):
@@ -111,6 +114,60 @@ def test_adapted_residual_steady_connection(burgers, demo_connection):
     assert abs(rep.worst) < 1e-14
     rep2 = dx.entropy_residual_pair(field, pair.c)
     assert rep2.ok and abs(rep2.worst) < 1e-14
+
+
+def _per_hat_residual(field, cstar, delta, hat):
+    """The one-hat residual the reports computed before they shared the field terms."""
+    times, x, dx_ = field.times, field.x, field.dx
+    faces = np.concatenate((x - dx_ / 2.0, [x[-1] + dx_ / 2.0]))
+    U = field.u[:-1]
+    dT = hat.t(times[1:]) - hat.t(times[:-1])
+    Tint = hat.t.antiderivative(times[1:]) - hat.t.antiderivative(times[:-1])
+    Xint = hat.x.antiderivative(faces[1:]) - hat.x.antiderivative(faces[:-1])
+    dX = hat.x(faces[1:]) - hat.x(faces[:-1])
+    right = x > 0.0
+    f, g = field.flux.f, field.flux.g
+    E = np.abs(U - cstar)
+    FU = np.where(right, f(U), g(U))
+    Fc = np.where(right, f(cstar), g(cstar))
+    Q = dx.sgn(U - cstar) * (FU - Fc)
+    term_t = float(dT @ (E @ Xint))
+    term_x = float(Tint @ (Q @ dX))
+    term_d = abs(delta) * float(hat.x(0.0)) * float(np.sum(Tint))
+    return -(term_t + term_x + term_d)
+
+
+def _oracle_residuals(field, cstar, delta, hats):
+    return tuple(_per_hat_residual(field, cstar, delta, h) for h in hats)
+
+
+def test_reports_match_per_hat_oracle(burgers, demo_connection):
+    conn, pair = demo_connection
+    riemann = lambda ul, ur: (lambda x: np.where(np.asarray(x) <= 0.0, ul, ur))
+    cfg = dx.SolverConfig(cells=128, t_end=0.1)
+    fields = {
+        "connection": dx.solve(burgers, riemann(0.8, 0.4), pair, cfg),
+        "identity": dx.solve(burgers, riemann(0.75, 0.25), dx.identity_transform(burgers), cfg),
+    }
+    for name, field in fields.items():
+        x, t = field.x, field.transform
+        hats = dx.default_test_functions(field)
+        lo, hi = t.domain
+        for xi in np.linspace(lo, hi, 7)[1:-1]:
+            c_right, c_left = float(t.alpha.forward(xi)), float(t.beta.forward(xi))
+            delta = float(burgers.f(c_right) - burgers.g(c_left))
+            cstar = np.where(x > 0.0, c_right, c_left)
+            rep = dx.entropy_residual_pair(field, float(xi))
+            assert rep.residuals == _oracle_residuals(field, cstar, delta, hats), (name, xi)
+            assert any(r != 0.0 for r in rep.residuals)
+        for side, c in (("left", 0.6), ("right", 0.35)):
+            rep = dx.entropy_residual_side(field, c, side)
+            side_hats = dx.default_test_functions(field, side=side)
+            assert rep.residuals == _oracle_residuals(field, np.full(x.shape, c), 0.0, side_hats)
+        rep = dx.entropy_residual_connection(field, conn)
+        cstar = np.where(x > 0.0, conn.B, conn.A)
+        assert rep.residuals == _oracle_residuals(field, cstar, 0.0, hats), name
+        assert rep.worst == max(rep.residuals)
 
 
 def test_xi_outside_domain_is_clamped(burgers):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 import discflux as dx
 from discflux.errors import ConstructionError
@@ -59,6 +61,53 @@ def test_violation_amount_orders_candidates():
     assert _violation_amount(np.array([1.0, -0.5, 1.0])) == pytest.approx(0.5)
     assert _violation_amount(np.array([0.2, -0.6])) == pytest.approx(0.2)
     assert _violation_amount(np.array([])) == 0.0
+
+
+@st_.composite
+def _lattice(draw):
+    """A strictly increasing node lattice from 0 to 1 with 2 to 20 nodes."""
+    steps = draw(st_.lists(st_.floats(0.1, 1.0), min_size=1, max_size=19))
+    nodes = np.concatenate(([0.0], np.cumsum(steps)))
+    return nodes / nodes[-1]
+
+
+@st_.composite
+def _curves_with_clear_gaps(draw):
+    """fa, gb on one lattice whose differences are 0 or at least 1e-6 in size.
+
+    Gaps that size cannot be pushed across the 1e-10 dead band by the
+    rounding of a shift by a constant of magnitude at most 1.
+    """
+    x = draw(_lattice())
+    gap = st_.one_of(st_.just(0.0), st_.floats(1e-6, 1.0), st_.floats(-1.0, -1e-6))
+    y_g = np.array(draw(st_.lists(st_.floats(-1.0, 1.0), min_size=len(x), max_size=len(x))))
+    d = np.array(draw(st_.lists(gap, min_size=len(x), max_size=len(x))))
+    return dx.SampledCurve(x, y_g + d), dx.SampledCurve(x, y_g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(curves=_curves_with_clear_gaps(), shift=st_.floats(-1.0, 1.0))
+def test_crossing_verdict_invariant_under_common_shift(curves, shift):
+    fa, gb = curves
+    base = dx.check_crossing(fa, gb)
+    moved = dx.check_crossing(dx.SampledCurve(fa.x, fa.y + shift), dx.SampledCurve(gb.x, gb.y + shift))
+    assert moved.holds == base.holds
+    assert moved.witness == base.witness
+    assert len(moved.crossings) == len(base.crossings)
+    assert np.allclose(moved.crossings, base.crossings, rtol=0.0, atol=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st_.data(), dead_band=st_.sampled_from([0.0, 1e-10, 0.01, 0.3]))
+def test_violation_amount_decides_crossing_on_one_lattice(data, dead_band):
+    # the translation search screens shifts with _violation_amount before
+    # running check_crossing, so the two must agree on a shared lattice
+    x = data.draw(_lattice())
+    values = st_.lists(st_.floats(-1.0, 1.0), min_size=len(x), max_size=len(x))
+    fa = dx.SampledCurve(x, data.draw(values))
+    gb = dx.SampledCurve(x, data.draw(values))
+    fails = not dx.check_crossing(fa, gb, dead_band).holds
+    assert fails == (_violation_amount(fa.y - gb.y) > dead_band)
 
 
 # -------------------------------------------------------------- connections
