@@ -161,7 +161,11 @@ def cli_solve(flux_name, transform_arg, connection_text, u0_arg, config_path, ou
     run_dir = write_run(field, cfg, _out_root(out))
     click.echo(f"run written to {run_dir}")
     click.echo(f"steps={field.stats['steps']} dt={field.dt:.3e} eps={field.eps:.3e}")
-    traces = extract_traces(field)
+    try:
+        traces = extract_traces(field)
+    except DiscFluxError as exc:  # the run is written; its traces cannot be evaluated
+        click.echo(f"final traces: unavailable: {exc}")
+        sys.exit(1)
     click.echo(f"final traces: left={traces.left[-1]:.6g} right={traces.right[-1]:.6g} "
                f"flux mismatch={traces.final_mismatch:.3e}")
 

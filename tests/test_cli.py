@@ -80,6 +80,21 @@ def test_verify_reports_uncomputable_residual_as_failure(tmp_path):
     assert "PASS entropy residual" not in ver.output
 
 
+def test_solve_reports_unavailable_traces_and_exits_1(tmp_path):
+    # the same out-of-range translation run: solve writes it, then cannot
+    # evaluate the branch fluxes at its interface traces
+    res = run_cli("solve", "--flux", "demo-swapped", "--transform", "translation",
+                  "--u0", "constant:0.0", "--cells", "64", "--t-end", "0.05",
+                  "--out", str(tmp_path))
+    assert res.exit_code == 1, res.output
+    assert "run written to" in res.output
+    assert "final traces: unavailable: " in res.output
+    assert "evaluation point outside [0, 1]" in res.output
+    run_dirs = [p for p in tmp_path.iterdir() if p.is_dir()]
+    assert len(run_dirs) == 1
+    assert (run_dirs[0] / "manifest.json").exists()
+
+
 def test_solve_honours_env_output_root(tmp_path):
     res = run_cli(
         "solve", "--flux", "burgers-like", "--u0", "constant:0.5",

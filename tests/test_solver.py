@@ -1,5 +1,6 @@
 """Mollifier properties, scheme invariants, and refinement behaviour."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -142,6 +143,38 @@ def test_time_step_uses_transform_slope(burgers, demo_connection):
     assert st_conn.suggest_dt() < st_ident.suggest_dt()
 
 
+def test_time_step_is_the_sharp_monotone_bound(burgers, demo_swapped, demo_connection):
+    for name, st in _steppers(burgers, demo_swapped, demo_connection).items():
+        cfg = st.cfg
+        sharp = ((cfg.cfl_hyperbolic + cfg.cfl_parabolic) * st.slope_min
+                 / (st.speed_max / st.dx + 2.0 * st.eps / st.dx**2))
+        assert st.suggest_dt() == pytest.approx(sharp, rel=1e-14), name
+
+
+@pytest.mark.parametrize("kind, cells, steps", [
+    ("connection", 1024, 7465),     # benchmark workload connection-interface
+    ("identity", 1024, 2720),       # riemann-oracle
+    ("translation", 128, 360),      # cli-batch
+])
+def test_benchmark_step_counts(small_problems, kind, cells, steps):
+    flux, transform = small_problems[kind]
+    st = _Stepper(flux, transform, dx.SolverConfig(cells=cells, t_end=0.5))
+    assert math.ceil(0.5 / st.suggest_dt()) == steps
+
+
+def test_stats_record_the_step_rule(demo_swapped):
+    pair = dx.build_translation_transform(demo_swapped)
+    u0 = lambda x: np.where(np.asarray(x) <= 0, 0.3, 0.7)
+    field = dx.solve(demo_swapped, u0, pair, dx.SolverConfig(cells=128, t_end=0.5))
+    stats = field.stats
+    assert stats["steps"] == 360
+    assert field.dt == 0.5 / 360
+    assert stats["hyperbolic_rate"] == stats["speed_max"] / field.dx
+    assert stats["parabolic_rate"] == 2.0 * field.eps / field.dx**2
+    # the viscosity sets the step at the default eps = 8 dx
+    assert stats["parabolic_rate"] > 5 * stats["hyperbolic_rate"]
+
+
 def _bisection_inverse(st, m):
     """The vectorised bisection the stepper used before its table lookup."""
     w = st.w_cell
@@ -261,6 +294,119 @@ def test_inversion_round_trips_and_brackets(burgers, demo_connection):
     assert np.max(np.abs(back - v)) < 1e-12
     with pytest.raises(StabilityError):
         st.invert_conserved(np.full(128, 5.0))
+
+
+# ------------------------------------------------ monotonicity at suggest_dt
+
+@pytest.fixture(scope="module")
+def small_problems(burgers, demo_swapped, demo_connection):
+    return {
+        "connection": (burgers, demo_connection[1]),
+        "identity": (burgers, dx.identity_transform(burgers)),
+        "translation": (demo_swapped, dx.build_translation_transform(demo_swapped)),
+    }
+
+
+def _clustered_state(rng, lo, hi, cells):
+    """Random plateaus with small ripples, so that faces see states in the
+    same or neighbouring flux segments as well as far-apart ones."""
+    levels = rng.uniform(lo, hi, size=int(rng.integers(2, 8)))
+    v = levels[rng.integers(0, len(levels), size=cells)]
+    v = np.sort(v) if rng.uniform() < 0.5 else v
+    return np.clip(v + rng.normal(0.0, 1e-3 * (hi - lo), size=cells), lo, hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st_.sampled_from(["connection", "identity", "translation"]),
+       cells=st_.sampled_from([64, 96, 128]), seed=st_.integers(0, 2**32 - 1))
+def test_step_is_monotone_at_the_suggested_dt(small_problems, kind, cells, seed):
+    flux, transform = small_problems[kind]
+    st = _Stepper(flux, transform, dx.SolverConfig(cells=cells, t_end=0.0))
+    rng = np.random.default_rng(seed)
+    lo, hi = st.ugrid[0], st.ugrid[-1]
+    v = _clustered_state(rng, lo, hi, cells)
+    dt = st.suggest_dt()
+    # conserved(step) is the updated density m_new up to the inversion's rounding
+    m_new = st.conserved(st.step(v, dt)[0])
+    for j in rng.choice(cells, size=6, replace=False):
+        up = v.copy()
+        up[j] = min(hi, v[j] + (hi - lo) * 10.0 ** rng.uniform(-6, 0))
+        dm = st.conserved(st.step(up, dt)[0]) - m_new
+        assert dm.min() >= -1e-13, (j, float(dm.min()))
+
+
+def test_step_is_monotone_across_a_breakpoint(small_problems):
+    # v_j crosses a flux breakpoint next to a neighbour two segments away,
+    # where a dissipation speed picked per face from the two states would jump
+    flux, transform = small_problems["identity"]
+    st = _Stepper(flux, transform, dx.SolverConfig(cells=128, t_end=0.0))
+    g, k, j = st.vgrid, 3000, 64
+    v = np.full(128, 0.5 * (g[k] + g[k + 1]))
+    v[j + 1:] = 0.5 * (g[k + 2] + g[k + 3])
+    below, above = v.copy(), v.copy()
+    below[j], above[j] = g[k + 1] - 1e-9, g[k + 1] + 1e-9
+    dt = st.suggest_dt()
+    dm = st.conserved(st.step(above, dt)[0]) - st.conserved(st.step(below, dt)[0])
+    assert dm[j] > 0.0
+    assert dm.min() >= -1e-13
+
+
+def _invariant_interval(st, v0):
+    """A level interval [p, q] around v0 that no solution from v0 can leave.
+
+    A constant state rises where f∘alpha < g∘beta, because the blended face
+    flux then falls across every band cell, and falls where f∘alpha > g∘beta.
+    So a constant p with f∘alpha(p) <= g∘beta(p) stays below the solution and
+    a constant q with f∘alpha(q) >= g∘beta(q) stays above it; with one flux
+    both hold at every level and [p, q] = [min v0, max v0].
+    """
+    gap = st.fa_tab - st.gb_tab
+    p, q = float(v0.min()), float(v0.max())
+    if np.interp(p, st.vgrid, gap) > 0:
+        p = float(st.vgrid[(st.vgrid <= p) & (gap <= 0)].max())
+    if np.interp(q, st.vgrid, gap) < 0:
+        q = float(st.vgrid[(st.vgrid >= q) & (gap >= 0)].min())
+    return p, q
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st_.sampled_from(["connection", "identity", "translation"]),
+       seed=st_.integers(0, 2**32 - 1))
+def test_solve_obeys_the_discrete_maximum_principle(small_problems, kind, seed):
+    flux, transform = small_problems[kind]
+    cfg = dx.SolverConfig(cells=64, t_end=0.1)
+    rng = np.random.default_rng(seed)
+    lo, hi = np.sort(rng.uniform(flux.a, flux.b, size=2))
+    field = dx.solve(flux, random_step_profile(rng, lo, hi), transform, cfg)
+    p, q = _invariant_interval(_Stepper(flux, transform, cfg), field.v[0])
+    if kind == "identity":
+        assert (p, q) == (field.v[0].min(), field.v[0].max())
+    assert field.v.min() >= p - 1e-12
+    assert field.v.max() <= q + 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st_.sampled_from(["connection", "identity", "translation"]),
+       seed=st_.integers(0, 2**32 - 1))
+def test_solves_contract_in_conserved_l1(small_problems, kind, seed):
+    flux, transform = small_problems[kind]
+    # data differ only on |x| < 0.75, and the run is too short for the
+    # difference to reach the boundary cells, so no L1 enters from outside
+    cfg = dx.SolverConfig(cells=128, t_end=0.015)
+    rng = np.random.default_rng(seed)
+    base, other = random_step_profile(rng), random_step_profile(rng)
+    shift = float(rng.uniform(0.05, 0.3))
+    inner = lambda x: np.abs(np.asarray(x)) < 0.75
+    raised = lambda x: np.where(inner(x), np.minimum(base(x) + shift, flux.b), base(x))
+    low = dx.solve(flux, base, transform, cfg)
+    high = dx.solve(flux, raised, transform, cfg)
+    mixed = dx.solve(flux, lambda x: np.where(inner(x), other(x), base(x)), transform, cfg)
+    assert dx.ordering_preserved(low, high)
+    for run in (high, mixed):
+        assert np.array_equal(run.boundary_flux, low.boundary_flux)
+        dist = dx.l1_distances(low, run, variable="conserved")
+        assert dist[-1] > 0.0
+        assert np.all(np.diff(dist) <= 1e-13), dist
 
 
 def test_reconstruct_uses_left_branch_at_interface(demo_swapped):
