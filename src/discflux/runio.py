@@ -1,23 +1,30 @@
-"""On-disk layout for solver runs.
+"""On-disk layout for solver runs (format 2).
 
-A run directory is named by a short content hash and holds plain CSV plus one
-manifest:
+A run directory is named by a short content hash and holds four CSV tables
+plus one manifest:
 
-    <out>/<hash>/manifest.json        run metadata, config, snapshot times
+    <out>/<hash>/manifest.json        run metadata, config, stored times, sha256 per table
     <out>/<hash>/flux.csv             sampled flux pair, columns u,f,g
     <out>/<hash>/transform.csv        sampled transforms, columns v,alpha,beta
-    <out>/<hash>/initial.csv          first snapshot, columns x,u,v
-    <out>/<hash>/snapshots/snap_NNN.csv
+    <out>/<hash>/snapshots/u.csv      first row the cell centres x, then one row per stored time
+    <out>/<hash>/snapshots/v.csv      the same for the transformed variable
 
 All floats are written with %.17g so reloading reproduces the arrays bit for
 bit; reloading a transform is exact because the tables are piecewise linear
 with their breakpoints included in the written grid.
+
+A run is built in a temporary sibling directory and renamed into place, so a
+crash leaves no partial ``<hash>/``; ``read_run`` checks every table against
+its digest in the manifest before parsing it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +35,10 @@ from .fluxes import load_flux_csv, save_flux_csv
 from .solver import SolutionField, SolverConfig
 from .transforms import Connection, TransformPair
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _FMT = "%.17g"
+_VARIABLES = ("u", "v")
+_TABLES = ("flux.csv", "transform.csv", *(f"snapshots/{var}.csv" for var in _VARIABLES))
 
 
 def config_hash(payload: dict) -> str:
@@ -82,59 +91,88 @@ def run_hash(field: SolutionField, config: SolverConfig) -> str:
     return config_hash(payload)
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def write_run(field: SolutionField, config: SolverConfig, out_root) -> Path:
-    """Persist a run under <out_root>/<hash>/ and return the directory."""
-    run_dir = Path(out_root) / run_hash(field, config)
-    snap_dir = run_dir / "snapshots"
-    snap_dir.mkdir(parents=True, exist_ok=True)
+    """Persist a run as <out_root>/<hash>/ and return the directory.
 
-    save_flux_csv(field.flux, run_dir / "flux.csv")
-    save_transform_csv(run_dir / "transform.csv", field.transform)
-    _write_csv(run_dir / "initial.csv", "x,u,v", (field.x, field.u[0], field.v[0]))
-    names = []
-    for k in range(len(field.times)):
-        name = f"snap_{k:03d}.csv"
-        _write_csv(snap_dir / name, "x,u,v", (field.x, field.u[k], field.v[k]))
-        names.append(name)
-
-    manifest = {
-        "format": FORMAT_VERSION,
-        "hash": run_dir.name,
-        "config": config.to_dict(),
-        "cells": len(field.x),
-        "dx": field.dx,
-        "eps": field.eps,
-        "dt": field.dt,
-        "times": [float(t) for t in field.times],
-        "mass": [float(m) for m in field.mass],
-        "boundary_flux": [[float(l), float(r)] for l, r in field.boundary_flux],
-        "snapshots": names,
-        "transform": field.transform.meta(),
-        "stats": field.stats,
-    }
-    (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    The directory appears whole or not at all; an existing run with the same
+    hash is replaced.
+    """
+    out_root = Path(out_root)
+    out_root.mkdir(parents=True, exist_ok=True)
+    run_dir = out_root / run_hash(field, config)
+    tmp = Path(tempfile.mkdtemp(prefix=f".{run_dir.name}-", dir=out_root))
+    try:
+        (tmp / "snapshots").mkdir()
+        # mkdtemp makes the directory owner-only; publish it with the umask's mode like its subdirectory
+        shutil.copymode(tmp / "snapshots", tmp)
+        save_flux_csv(field.flux, tmp / "flux.csv")
+        save_transform_csv(tmp / "transform.csv", field.transform)
+        for var in _VARIABLES:
+            np.savetxt(tmp / "snapshots" / f"{var}.csv", np.vstack([field.x, getattr(field, var)]),
+                       fmt=_FMT, delimiter=",")
+        manifest = {
+            "format": FORMAT_VERSION,
+            "hash": run_dir.name,
+            "config": config.to_dict(),
+            "cells": len(field.x),
+            "dx": field.dx,
+            "eps": field.eps,
+            "dt": field.dt,
+            "times": [float(t) for t in field.times],
+            "mass": [float(m) for m in field.mass],
+            "boundary_flux": [[float(l), float(r)] for l, r in field.boundary_flux],
+            "sha256": {name: _sha256(tmp / name) for name in _TABLES},
+            "transform": field.transform.meta(),
+            "stats": field.stats,
+        }
+        (tmp / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        # os.replace cannot overwrite a non-empty directory
+        if run_dir.exists():
+            shutil.rmtree(run_dir)
+        os.replace(tmp, run_dir)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
     return run_dir
 
 
 def read_run(run_dir) -> tuple[SolutionField, dict]:
-    """Reload a persisted run; arrays round-trip exactly."""
+    """Reload a persisted run; arrays round-trip exactly.
+
+    Raises ``DiscFluxError`` for a run of another format, a table whose bytes
+    do not match the manifest's digest, or snapshot tables of the wrong shape
+    or with different cell centres.
+    """
     run_dir = Path(run_dir)
     manifest = json.loads((run_dir / "manifest.json").read_text())
     if manifest.get("format") != FORMAT_VERSION:
-        raise DiscFluxError(f"unsupported run format {manifest.get('format')!r}")
+        raise DiscFluxError(f"run format {manifest.get('format')!r} is not supported; "
+                            f"this version reads format {FORMAT_VERSION} only")
+    digests = manifest.get("sha256") or {}
+    for name in _TABLES:
+        if _sha256(run_dir / name) != digests.get(name):
+            raise DiscFluxError(f"{run_dir / name}: contents do not match the manifest's sha256")
     flux = load_flux_csv(run_dir / "flux.csv")
     transform = load_transform_csv(run_dir / "transform.csv", manifest.get("transform"))
-    xs, us, vs = [], [], []
-    for name in manifest["snapshots"]:
-        data = _read_csv(run_dir / "snapshots" / name, "x,u,v")
-        xs.append(data[:, 0])
-        us.append(data[:, 1])
-        vs.append(data[:, 2])
+    times = np.array(manifest["times"])
+    tables = {}
+    for var in _VARIABLES:
+        path = run_dir / "snapshots" / f"{var}.csv"
+        tables[var] = np.loadtxt(path, delimiter=",", ndmin=2)
+        if tables[var].shape != (len(times) + 1, manifest["cells"]):
+            raise DiscFluxError(f"{path}: expected {len(times) + 1} rows of {manifest['cells']} "
+                                f"values, found shape {tables[var].shape}")
+    if not np.array_equal(tables["u"][0], tables["v"][0]):
+        raise DiscFluxError(f"{run_dir}: the u and v snapshot tables disagree on the cell centres")
     field = SolutionField(
-        x=xs[0],
-        times=np.array(manifest["times"]),
-        v=np.array(vs),
-        u=np.array(us),
+        x=tables["u"][0],
+        times=times,
+        v=tables["v"][1:],
+        u=tables["u"][1:],
         mass=np.array(manifest["mass"]),
         boundary_flux=np.array(manifest["boundary_flux"]),
         dx=float(manifest["dx"]),

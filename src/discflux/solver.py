@@ -174,10 +174,6 @@ class SolutionField:
     def u_final(self) -> np.ndarray:
         return self.u[-1]
 
-    @property
-    def v_final(self) -> np.ndarray:
-        return self.v[-1]
-
     def range_excess(self) -> float:
         """How far the stored u snapshots escape the flux interval [a, b].
 

@@ -169,31 +169,29 @@ def check_crossing(fa: SampledCurve, gb: SampledCurve, dead_band: float = TOL_CR
     s = np.where(d > dead_band, 1, np.where(d < -dead_band, -1, 0))
 
     # runs of one sign over the nonzero samples; zeros inside a run are absorbed
-    runs: list[list] = []  # [sign, first_index, last_index]
-    for idx in np.flatnonzero(s):
-        sign = int(s[idx])
-        if runs and runs[-1][0] == sign:
-            runs[-1][2] = idx
-        else:
-            runs.append([sign, idx, idx])
+    nonzero = np.flatnonzero(s)
+    if nonzero.size == 0:
+        return CrossingReport(True, (), None)
+    signs = s[nonzero]
+    change = np.flatnonzero(signs[1:] != signs[:-1])
+    first = nonzero[np.concatenate(([0], change + 1))]  # first sample of each run
+    last = nonzero[np.concatenate((change, [nonzero.size - 1]))]
+    run_sign = s[first]
 
-    crossings = []
-    for r1, r2 in zip(runs, runs[1:]):
-        i1, i2 = r1[2], r2[1]
-        # chord root between the bracketing nonzero samples
-        crossings.append(float(grid[i1] + (-d[i1]) * (grid[i2] - grid[i1]) / (d[i2] - d[i1])))
+    # chord roots between the bracketing nonzero samples of consecutive runs
+    i1, i2 = last[:-1], first[1:]
+    crossings = tuple((grid[i1] + (-d[i1]) * (grid[i2] - grid[i1]) / (d[i2] - d[i1])).tolist())
 
-    first_pos = next((k for k, r in enumerate(runs) if r[0] == 1), None)
-    bad = [r for k, r in enumerate(runs) if r[0] == -1 and first_pos is not None and k > first_pos]
-    if bad:
-        pos_run = runs[first_pos]
-        neg_run = bad[-1]
+    pos = np.flatnonzero(run_sign == 1)
+    neg = np.flatnonzero(run_sign == -1)
+    if pos.size and neg.size and neg[-1] > pos[0]:
+        p, n = pos[0], neg[-1]
         witness = (
-            float(0.5 * (grid[neg_run[1]] + grid[neg_run[2]])),
-            float(0.5 * (grid[pos_run[1]] + grid[pos_run[2]])),
+            float(0.5 * (grid[first[n]] + grid[last[n]])),
+            float(0.5 * (grid[first[p]] + grid[last[p]])),
         )
-        return CrossingReport(False, tuple(crossings), witness)
-    return CrossingReport(True, tuple(crossings), None)
+        return CrossingReport(False, crossings, witness)
+    return CrossingReport(True, crossings, None)
 
 
 def is_connection(
@@ -402,14 +400,6 @@ class TransformAudit:
     failures: tuple[str, ...]
     crossing: CrossingReport | None
     round_trip_error: float
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "failures": list(self.failures),
-            "crossing": self.crossing.to_dict() if self.crossing else None,
-            "round_trip_error": self.round_trip_error,
-        }
 
 
 def verify_transform(flux: FluxPair, t: TransformPair, samples: int = 1000) -> TransformAudit:

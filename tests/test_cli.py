@@ -64,6 +64,22 @@ def test_verify_fails_on_tampered_mass(tmp_path):
     assert "FAIL mass balance" in ver.output
 
 
+def test_verify_rejects_edited_snapshot_table(tmp_path):
+    res = run_cli("solve", "--flux", "burgers-like", "--u0", "riemann:0.25:0.75",
+                  "--cells", "64", "--t-end", "0.05", "--out", str(tmp_path))
+    assert res.exit_code == 0, res.output
+    path = next(p for p in tmp_path.iterdir() if p.is_dir()) / "snapshots" / "v.csv"
+    text = path.read_text()
+    k = max(i for i, ch in enumerate(text) if ch.isdigit())
+    path.write_text(text[:k] + str((int(text[k]) + 1) % 10) + text[k + 1:])
+
+    # catch_exceptions=False: a traceback would fail the test here
+    ver = run_cli("verify", "--run", str(path.parent.parent))
+    assert ver.exit_code != 0
+    assert "snapshots/v.csv" in ver.output
+    assert "sha256" in ver.output
+
+
 def test_verify_reports_uncomputable_residual_as_failure(tmp_path):
     # translation plus mollification moves this constant state out of [0, 1],
     # so the branch fluxes cannot be evaluated on the stored field

@@ -4,7 +4,28 @@ import numpy as np
 import pytest
 
 import discflux as dx
+from discflux import runio
 from discflux.errors import DiscFluxError
+
+RUN_FILES = {"manifest.json", "flux.csv", "transform.csv", "snapshots/u.csv", "snapshots/v.csv"}
+
+
+def _contents(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _small_run(flux, out_root, **cfg):
+    cfg = dx.SolverConfig(**{"cells": 64, "t_end": 0.02, **cfg})
+    field = dx.solve(flux, lambda x: np.where(np.asarray(x) <= 0.0, 0.25, 0.75), config=cfg)
+    return field, cfg, dx.write_run(field, cfg, out_root)
+
+
+def _resign(run_dir):
+    """Recompute the manifest digests after a deliberate edit of a table."""
+    path = run_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["sha256"] = {name: runio._sha256(run_dir / name) for name in manifest["sha256"]}
+    path.write_text(json.dumps(manifest))
 
 
 def test_config_hash_is_stable_and_order_free():
@@ -39,19 +60,19 @@ def test_run_roundtrip_exact(tmp_path, burgers, demo_connection):
     cfg = dx.SolverConfig(cells=64, t_end=0.05, snapshots=5)
     field = dx.solve(burgers, lambda x: dx.steady_connection_state(burgers, conn, x), pair, cfg)
     run_dir = dx.write_run(field, cfg, tmp_path)
-    assert (run_dir / "manifest.json").exists()
-    assert (run_dir / "flux.csv").exists()
-    assert (run_dir / "transform.csv").exists()
-    assert (run_dir / "initial.csv").exists()
+    assert set(_contents(run_dir)) == RUN_FILES
 
     back, manifest = dx.read_run(run_dir)
-    assert np.array_equal(back.u, field.u)
-    assert np.array_equal(back.v, field.v)
-    assert np.array_equal(back.times, field.times)
-    assert np.array_equal(back.mass, field.mass)
+    for name in ("x", "times", "u", "v", "mass", "boundary_flux"):
+        assert np.array_equal(getattr(back, name), getattr(field, name)), name
+    assert (back.dx, back.eps, back.dt) == (field.dx, field.eps, field.dt)
     assert back.transform.kind == "connection"
     assert manifest["cells"] == 64
-    assert len(manifest["snapshots"]) == len(field.times)
+    assert sorted(manifest["sha256"]) == sorted(RUN_FILES - {"manifest.json"})
+    # one table per variable: the cell centres, then one row per stored time
+    table = np.loadtxt(run_dir / "snapshots" / "v.csv", delimiter=",")
+    assert table.shape == (len(field.times) + 1, 64)
+    assert np.array_equal(table[0], field.x)
 
     # entropy checks still work on the reloaded field
     rep = dx.entropy_residual_connection(back, conn)
@@ -72,9 +93,80 @@ def test_run_hash_depends_on_inputs(tmp_path, burgers):
 def test_read_rejects_wrong_format(tmp_path):
     bad = tmp_path / "r"
     bad.mkdir()
-    (bad / "manifest.json").write_text(json.dumps({"format": 99}))
+    for version in (1, 99):
+        (bad / "manifest.json").write_text(json.dumps({"format": version}))
+        with pytest.raises(DiscFluxError, match=f"run format {version} .* format 2"):
+            dx.read_run(bad)
+
+
+def test_read_rejects_edited_table(tmp_path, burgers):
+    # one digit changed, so the file still parses: only the digest catches it
+    _, _, run_dir = _small_run(burgers, tmp_path)
+    path = run_dir / "snapshots" / "v.csv"
+    text = path.read_text()
+    k = text.index("\n") + 3
+    assert text[k].isdigit()
+    path.write_text(text[:k] + str((int(text[k]) + 1) % 10) + text[k + 1:])
+    np.loadtxt(path, delimiter=",")
+    with pytest.raises(DiscFluxError, match="snapshots/v.csv"):
+        dx.read_run(run_dir)
+
+
+def test_read_checks_snapshot_table_shape_and_centres(tmp_path, burgers):
+    _, _, run_dir = _small_run(burgers, tmp_path)
+    u_path, v_path = run_dir / "snapshots" / "u.csv", run_dir / "snapshots" / "v.csv"
+    u_text, v_text = u_path.read_text(), v_path.read_text()
+
+    v_path.write_text(v_text[: v_text.rindex("\n", 0, -1) + 1])  # last stored time dropped
+    _resign(run_dir)
+    with pytest.raises(DiscFluxError, match="expected"):
+        dx.read_run(run_dir)
+
+    v_path.write_text(v_text)
+    lines = u_text.splitlines(keepends=True)
+    x = np.loadtxt(lines[:1], delimiter=",")
+    x[0] = np.nextafter(x[0], 0.0)
+    u_path.write_text(",".join(f"{c:.17g}" for c in x) + "\n" + "".join(lines[1:]))
+    _resign(run_dir)
+    with pytest.raises(DiscFluxError, match="cell centres"):
+        dx.read_run(run_dir)
+
+
+def test_failed_write_leaves_no_run(tmp_path, burgers, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(runio, "save_transform_csv", broken)
+    with pytest.raises(RuntimeError, match="disk full"):
+        _small_run(burgers, tmp_path / "runs")
+    assert list((tmp_path / "runs").iterdir()) == []
+
+
+def test_rewrite_gives_identical_run(tmp_path, burgers):
+    field, cfg, run_dir = _small_run(burgers, tmp_path, snapshots=33)
+    before = _contents(run_dir)
+    assert set(before) == RUN_FILES
+    assert dx.write_run(field, cfg, tmp_path) == run_dir
+    assert [p.name for p in tmp_path.iterdir()] == [run_dir.name]
+    assert _contents(run_dir) == before
+
+
+def test_write_replaces_stale_run_with_same_hash(tmp_path, burgers):
+    field, cfg, run_dir = _small_run(burgers, tmp_path)
+    fresh = _contents(run_dir)
+    # a format-1 directory of the same inputs: per-snapshot files, initial.csv
+    for name in fresh:
+        (run_dir / name).unlink()
+    (run_dir / "initial.csv").write_text("x,u,v\n")
+    (run_dir / "snapshots" / "snap_000.csv").write_text("x,u,v\n")
+    (run_dir / "manifest.json").write_text(json.dumps({"format": 1, "snapshots": ["snap_000.csv"]}))
     with pytest.raises(DiscFluxError):
-        dx.read_run(bad)
+        dx.read_run(run_dir)
+
+    assert dx.write_run(field, cfg, tmp_path) == run_dir
+    assert [p.name for p in tmp_path.iterdir()] == [run_dir.name]
+    assert _contents(run_dir) == fresh
+    dx.read_run(run_dir)
 
 
 def test_csv_header_guard(tmp_path, burgers, demo_connection):

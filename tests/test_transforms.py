@@ -7,7 +7,8 @@ from hypothesis import strategies as st_
 
 import discflux as dx
 from discflux.errors import ConstructionError
-from discflux.transforms import _violation_amount
+from discflux.curves import merge_close
+from discflux.transforms import TOL_CROSS, _violation_amount
 
 
 # ---------------------------------------------------------------- crossing
@@ -109,6 +110,63 @@ def test_violation_amount_decides_crossing_on_one_lattice(data, dead_band):
     fails = not dx.check_crossing(fa, gb, dead_band).holds
     assert fails == (_violation_amount(fa.y - gb.y) > dead_band)
 
+
+def _check_crossing_loop(fa, gb, dead_band):
+    """The run walk check_crossing used before it was vectorised; the test oracle."""
+    grid = merge_close(np.union1d(fa.x, gb.x))
+    d = np.asarray(fa(grid)) - np.asarray(gb(grid))
+    s = np.where(d > dead_band, 1, np.where(d < -dead_band, -1, 0))
+    runs = []  # [sign, first_index, last_index]
+    for idx in np.flatnonzero(s):
+        sign = int(s[idx])
+        if runs and runs[-1][0] == sign:
+            runs[-1][2] = idx
+        else:
+            runs.append([sign, idx, idx])
+    crossings = []
+    for r1, r2 in zip(runs, runs[1:]):
+        i1, i2 = r1[2], r2[1]
+        crossings.append(float(grid[i1] + (-d[i1]) * (grid[i2] - grid[i1]) / (d[i2] - d[i1])))
+    first_pos = next((k for k, r in enumerate(runs) if r[0] == 1), None)
+    bad = [r for k, r in enumerate(runs) if r[0] == -1 and first_pos is not None and k > first_pos]
+    if bad:
+        pos_run, neg_run = runs[first_pos], bad[-1]
+        witness = (
+            float(0.5 * (grid[neg_run[1]] + grid[neg_run[2]])),
+            float(0.5 * (grid[pos_run[1]] + grid[pos_run[2]])),
+        )
+        return dx.CrossingReport(False, tuple(crossings), witness)
+    return dx.CrossingReport(True, tuple(crossings), None)
+
+
+# values on the scale of the 1e-10 default dead band, exactly at it, and of order one
+_crossing_values = st_.one_of(
+    st_.floats(-1.0, 1.0),
+    st_.floats(-3e-10, 3e-10),
+    st_.sampled_from([0.0, 1e-10, -1e-10]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st_.data(), dead_band=st_.sampled_from([0.0, 1e-10, 0.01]))
+def test_check_crossing_matches_run_walk(data, dead_band):
+    xf, xg = data.draw(_lattice()), data.draw(_lattice())
+    fa = dx.SampledCurve(xf, data.draw(st_.lists(_crossing_values, min_size=len(xf), max_size=len(xf))))
+    gb = dx.SampledCurve(xg, data.draw(st_.lists(_crossing_values, min_size=len(xg), max_size=len(xg))))
+    assert dx.check_crossing(fa, gb, dead_band) == _check_crossing_loop(fa, gb, dead_band)
+
+
+
+def test_check_crossing_matches_run_walk_on_built_pairs(demo_cross, demo_swapped, demo_connection):
+    pairs = [
+        (demo_cross, dx.identity_transform(demo_cross)),
+        (demo_swapped, dx.identity_transform(demo_swapped)),
+        (demo_swapped, dx.build_translation_transform(demo_swapped)),
+        (dx.get_flux("burgers-like"), demo_connection[1]),
+    ]
+    for flux, pair in pairs:
+        fa, gb = dx.composed_fluxes(flux, pair)
+        assert dx.check_crossing(fa, gb) == _check_crossing_loop(fa, gb, TOL_CROSS)
 
 # -------------------------------------------------------------- connections
 
