@@ -250,8 +250,9 @@ def cli_verify(run_dir, tolerance):
     """Re-check a stored run: transform audit, ranges, mass balance, entropy residuals."""
     try:
         field, manifest = read_run(run_dir)
-    except (DiscFluxError, ValueError, OSError) as exc:
-        raise click.UsageError(str(exc))
+    except (DiscFluxError, ValueError, OSError) as exc:  # a run that fails its own checks
+        click.echo(f"FAIL run integrity: {exc}")
+        sys.exit(1)
     failed = False
 
     audit = verify_transform(field.flux, field.transform)

@@ -4,20 +4,24 @@ The scheme evolves the conserved density
 
     m(x, v) = W(x) * alpha(v) + (1 - W(x)) * beta(v)
 
-where W is a smoothed step of width ``eps`` centred on the interface, with the
-blended face flux W * (f∘alpha) + (1 - W) * (g∘beta), Lax-Friedrichs
-dissipation in v at the largest flux slope speed_max, and a centred
-eps * v_xx viscosity.  The update is monotone in v when
-dt * (speed_max / dx + 2 eps / dx^2) stays below the flattest slope of the
-transform tables (see ``_Stepper.suggest_dt``), so the transformed variable
-obeys a discrete maximum principle and an L1 contraction, which is what the
-admissibility argument needs from the approximation.
+where W is a smoothed step of width ``eps`` centred on the interface.  Each
+step first moves m explicitly with the blended face flux
+W * (f∘alpha) + (1 - W) * (g∘beta) and Lax-Friedrichs dissipation in v at the
+largest flux slope speed_max, then treats the eps * v_xx viscosity by
+backward Euler: it solves m(v) - eps * dt * v_xx = m* for the new v, with
+zero-gradient ghosts at the two ends.  The explicit half is monotone in v
+when dt * speed_max / dx stays below the flattest slope of the transform
+tables (see ``_Stepper.suggest_dt``); the implicit half preserves order at
+any step.  So the transformed variable obeys a discrete maximum principle and
+an L1 contraction, which is what the admissibility argument needs from the
+approximation, and the viscosity no longer limits the time step.
 
-Each step recovers v from the updated density m cell by cell.  W is exactly
-0 left of the smoothing band and exactly 1 right of it, so there m is beta(v)
-or alpha(v) alone; only the few band cells have a genuinely blended map.  The
-stepper tabulates every cell's map on the transform's breakpoint lattice once,
-and the inversion is an exact table lookup plus one linear interpolation.
+W is exactly 0 left of the smoothing band and exactly 1 right of it, so there
+m is beta(v) or alpha(v) alone; only the few band cells have a genuinely
+blended map.  The stepper tabulates every cell's map on the transform's
+breakpoint lattice once.  The implicit solve starts from the exact table
+inversion of m* and runs semismooth Newton on the table segments, one
+tridiagonal solve (``_solve_tridiagonal``) per iteration.
 """
 
 from __future__ import annotations
@@ -35,6 +39,9 @@ from .transforms import TransformPair, composed_fluxes, identity_transform, veri
 
 _BUMP_NODES = 4097
 _BRACKET_SLACK = 1e-10
+_NEWTON_MAX_ITER = 30
+# a Newton residual this many ulps of its terms' magnitude counts as solved
+_NEWTON_RTOL = 8 * np.finfo(float).eps
 
 
 def _bump(z: np.ndarray) -> np.ndarray:
@@ -100,7 +107,8 @@ class SolverConfig:
 
     ``cfl_hyperbolic`` and ``cfl_parabolic`` form one budget: the time step
     takes their sum (which must stay below 1) of the sharp monotone bound
-    slope_min / (speed_max / dx + 2 eps / dx^2), and only the sum matters.
+    slope_min / (speed_max / dx), and only the sum matters.  The viscosity is
+    implicit and sets no limit of its own.
     """
 
     half_width: float = 2.0
@@ -205,6 +213,40 @@ def reconstruct_u(v: np.ndarray, x: np.ndarray, transform: TransformPair) -> np.
     return np.where(left, transform.beta.forward(v), transform.alpha.forward(v))
 
 
+def _solve_tridiagonal(off, diag, rhs) -> np.ndarray:
+    """Solve the symmetric tridiagonal system T x = rhs.
+
+    T has ``diag`` on its diagonal and ``off`` (one shorter) beside it, so
+    off[i] couples x[i] and x[i+1].  Cyclic reduction: each level eliminates
+    the odd unknowns from the even rows and recurses on the half-size system,
+    which stays symmetric, so the work is log2(n) rounds of whole-array
+    operations with no loop over cells.  There is no pivoting; it is meant
+    for diagonally dominant systems such as the implicit viscosity's.
+    """
+    n = len(diag)
+    if n == 1:
+        return rhs / diag
+    half, inner = n // 2, (n - 1) // 2   # odd rows; those with an even row on either side
+    left, right = off[0::2], off[1::2]    # odd row 2k+1 couples to x[2k] and x[2k+2]
+    r = 1.0 / diag[1::2]
+    d_odd = rhs[1::2]
+    tl = left * r
+    tr = right * r[:inner]
+    b = diag[0::2].copy()
+    d = rhs[0::2].copy()
+    b[:half] -= tl * left
+    d[:half] -= tl * d_odd
+    b[1:] -= tr * right
+    d[1:] -= tr * d_odd[:inner]
+    x_even = _solve_tridiagonal(-tl[:inner] * right, b, d)
+    x_odd = d_odd - left * x_even[:half]
+    x_odd[:inner] -= right * x_even[1:]
+    x = np.empty(n)
+    x[0::2] = x_even
+    x[1::2] = x_odd * r
+    return x
+
+
 class _Stepper:
     """Precomputed tables and the update rule for one (flux, transform, grid)."""
 
@@ -222,9 +264,8 @@ class _Stepper:
             np.abs(np.diff(self.fa_tab)), np.abs(np.diff(self.gb_tab))
         ) / np.diff(grid)
         self.speed_max = float(seg_speed.max()) if seg_speed.size else 0.0
-        # the two terms of the monotone step bound (see suggest_dt)
+        # the rate of the monotone step bound (see suggest_dt)
         self.hyperbolic_rate = self.speed_max / self.dx
-        self.parabolic_rate = 2.0 * self.eps / self.dx**2
 
         # transform tables on the shared breakpoint union, for m <-> v
         self.table = transform.table()
@@ -242,7 +283,8 @@ class _Stepper:
         # itself; only the band cells need their own blended row.
         self.lo_val = w * self.alpha_tab[0] + (1.0 - w) * self.beta_tab[0]
         self.hi_val = w * self.alpha_tab[-1] + (1.0 - w) * self.beta_tab[-1]
-        self.slack = _BRACKET_SLACK * max(float(np.max(self.hi_val - self.lo_val)), 1.0)
+        self.scale = max(float(np.max(self.hi_val - self.lo_val)), 1.0)
+        self.slack = _BRACKET_SLACK * self.scale
         self.band = slice(int(np.searchsorted(w, 0.0, side="right")),
                           int(np.searchsorted(w, 1.0, side="left")))
         w_band = w[self.band, None]
@@ -254,34 +296,54 @@ class _Stepper:
         row[self.band] = np.arange(2, len(rows))
         self.row_offset = row * len(self.ugrid)
 
+        # for the implicit viscosity: the diagonal of the Neumann Laplacian
+        # stencil (-1, 2, -1), and the largest |v| (it scales Newton's tolerance)
+        self.lap_diag = np.full(cfg.cells, 2.0)
+        self.lap_diag[[0, -1]] = 1.0
+        self.v_mag = float(np.max(np.abs(self.ugrid[[0, -1]])))
+
     def suggest_dt(self) -> float:
         """The monotone time step, scaled by the CFL budget.
 
+        A step first moves the density explicitly,
+
+            m*_j = m_j(v_j) - dt / dx * (phi_{j+1/2} - phi_{j-1/2}),
+
+        then solves m_j(v) + kappa * (L v)_j = m*_j with kappa = eps dt / dx^2
+        and L the Neumann Laplacian stencil (-1, 2, -1).  Every m_j is
+        increasing and L is an M-matrix, so that solve preserves order at any
+        dt, and only the explicit half limits the step.
+
         Write w_-, w_+ for the blend weights at cell j's faces.  Every face
         dissipates at speed_max, so the face fluxes are Lipschitz in the
-        states and the update of m_j depends on v_j through
+        states and m*_j depends on v_j through
 
-            dm_new_j/dv_j = m_j'(v_j) - dt * (speed_max / dx + 2 eps / dx^2)
-                            - dt / (2 dx) * (w_+ - w_-) * (f∘alpha - g∘beta)'(v_j),
+            dm*_j/dv_j = m_j'(v_j) - dt * speed_max / dx
+                         - dt / (2 dx) * (w_+ - w_-) * (f∘alpha - g∘beta)'(v_j),
 
         and on v_{j-1}, v_{j+1} with non-negative weights, because speed_max
-        bounds every flux slope.  With m_j' >= slope_min the update is
-        monotone in v once
+        bounds every flux slope.  With m_j' >= slope_min, m* is monotone in
+        v once
 
-            dt * (speed_max / dx + 2 eps / dx^2) <= slope_min
+            dt * speed_max / dx <= slope_min
 
         holds with room for the last (blend) term.  ``cfl_hyperbolic +
         cfl_parabolic`` is the share of that bound the step takes; the share
         left must cover the blend term.  That term is at most
         max(w_+ - w_-) * speed_max / dx, and the steepest face jump of the
         smoothed step is about 0.83 * dx / eps.  At the default eps = 8 dx
-        the term is about 0.1 * speed_max / dx, about 1 % of the bound and
-        well inside the 20 % that the default budget of 0.8 leaves.  At eps
-        of a cell or less the face jump approaches 1, and the 20 % are no
-        longer guaranteed to cover it.
+        the term is about 0.1 * speed_max / dx, about 10 % of the bound and
+        inside the 20 % that the default budget of 0.8 leaves.  At eps of a
+        cell or less the face jump approaches 1, and the 20 % are no longer
+        guaranteed to cover it.
+
+        A flux pair with no slope at all transports nothing, so any step is
+        monotone; the step is then infinite and ``solve`` takes one step.
         """
+        if self.hyperbolic_rate == 0.0:
+            return math.inf
         cfl = self.cfg.cfl_hyperbolic + self.cfg.cfl_parabolic
-        dt = cfl * self.slope_min / (self.hyperbolic_rate + self.parabolic_rate)
+        dt = cfl * self.slope_min / self.hyperbolic_rate
         if not np.isfinite(dt) or dt <= 0:
             raise StabilityError("no admissible time step for this configuration")
         return dt
@@ -330,13 +392,68 @@ class _Stepper:
         # update is then not monotone at any time step (see suggest_dt)
         return 0.5 * (left + right) - 0.5 * self.speed_max * (vx[1:] - vx[:-1])
 
-    def step(self, v: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    def segments(self, v: np.ndarray):
+        """Each cell's table segment at v, with the density m(v) and its slope there."""
+        seg = np.searchsorted(self.ugrid, v, side="right") - 1
+        np.clip(seg, 0, len(self.ugrid) - 2, out=seg)
+        at = self.row_offset + seg
+        m0 = self.inv_table[at]
+        slope = (self.inv_table[at + 1] - m0) / self.du[seg]
+        return seg, m0 + slope * (v - self.ugrid[seg]), slope
+
+    def implicit_viscosity(self, m_star: np.ndarray, kappa: float) -> tuple[np.ndarray, int]:
+        """Solve m_j(v) + kappa * (L v)_j = m*_j for v by semismooth Newton.
+
+        On fixed table segments the system is linear with the tridiagonal
+        M-matrix diag(slope) + kappa * L.  Newton starts from the exact
+        inversion v0 of m* (so its first residual is kappa * L v0) and stops
+        when an iterate keeps the segments it was linearised on, where the
+        linear model is exact, or when the residual is at rounding level:
+        a state sitting on a node may otherwise flip between the segments on
+        either side for ever.  Returns v and the number of tridiagonal solves.
+        """
+        v = self.invert_conserved(m_star)
+        seg, _, slope = self.segments(v)
+        off = np.full(len(v) - 1, -kappa)
+        diag = kappa * self.lap_diag
+        tol = _NEWTON_RTOL * (self.scale + 4.0 * kappa * self.v_mag)
+        resid = kappa * self.neumann_stencil(v)
+        worst = float(np.max(np.abs(resid)))
+        iterations = 0
+        while worst > tol:
+            if iterations == _NEWTON_MAX_ITER:
+                raise StabilityError(
+                    f"implicit viscosity solve did not converge in {_NEWTON_MAX_ITER} Newton "
+                    f"iterations (worst residual {worst:.3e})"
+                )
+            iterations += 1
+            v = v - _solve_tridiagonal(off, slope + diag, resid)
+            new_seg, m_v, slope = self.segments(v)
+            resid = m_v - m_star + kappa * self.neumann_stencil(v)
+            worst = float(np.max(np.abs(resid)))
+            if np.array_equal(new_seg, seg):
+                break
+            seg = new_seg
+        return np.clip(v, self.ugrid[0], self.ugrid[-1], out=v), iterations
+
+    @staticmethod
+    def neumann_stencil(v: np.ndarray) -> np.ndarray:
+        """(L v)_j = -v_{j-1} + 2 v_j - v_{j+1} with zero-gradient ghosts; it sums to 0."""
+        out = 2.0 * v
+        out[1:] -= v[:-1]
+        out[:-1] -= v[1:]
+        out[[0, -1]] -= v[[0, -1]]
+        return out
+
+    def step(self, v: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, int]:
+        """Explicit Lax-Friedrichs transport, then the backward-Euler viscosity.
+
+        Returns the new state, the face fluxes and the Newton iteration count.
+        """
         phi = self.face_fluxes(v)
-        vx = np.concatenate(([v[0]], v, [v[-1]]))
-        lap = (vx[:-2] - 2.0 * vx[1:-1] + vx[2:]) / self.dx**2
-        m = self.conserved(v)
-        m_new = m - (dt / self.dx) * np.diff(phi) + self.eps * dt * lap
-        return self.invert_conserved(m_new), phi
+        m_star = self.conserved(v) - (dt / self.dx) * np.diff(phi)
+        v_new, iterations = self.implicit_viscosity(m_star, self.eps * dt / self.dx**2)
+        return v_new, phi, iterations
 
 
 def solve(
@@ -388,8 +505,11 @@ def solve(
     cum_left = cum_right = 0.0
     c1 = 0.0  # max L1 rate of change of v
     c2 = 0.0  # max viscous energy eps * sum (v_x)^2 dx
+    newton_iterations = newton_max = 0
     for n in range(1, nsteps + 1):
-        v_new, phi = stepper.step(v, dt)
+        v_new, phi, iterations = stepper.step(v, dt)
+        newton_iterations += iterations
+        newton_max = max(newton_max, iterations)
         c1 = max(c1, float(np.sum(np.abs(v_new - v))) * cfg.dx / dt)
         grad = np.diff(v) / cfg.dx
         c2 = max(c2, eps * float(np.sum(grad**2)) * cfg.dx)
@@ -423,7 +543,8 @@ def solve(
             "speed_max": stepper.speed_max,
             "slope_min": stepper.slope_min,
             "hyperbolic_rate": stepper.hyperbolic_rate,
-            "parabolic_rate": stepper.parabolic_rate,
+            "newton_iterations": newton_iterations,
+            "newton_max": newton_max,
         },
     )
 

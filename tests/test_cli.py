@@ -75,9 +75,16 @@ def test_verify_rejects_edited_snapshot_table(tmp_path):
 
     # catch_exceptions=False: a traceback would fail the test here
     ver = run_cli("verify", "--run", str(path.parent.parent))
-    assert ver.exit_code != 0
+    assert ver.exit_code == 1, ver.output
+    assert "FAIL run integrity" in ver.output
     assert "snapshots/v.csv" in ver.output
     assert "sha256" in ver.output
+
+
+def test_verify_missing_run_is_a_usage_error(tmp_path):
+    ver = run_cli("verify", "--run", str(tmp_path / "no-such-run"))
+    assert ver.exit_code == 2, ver.output
+    assert "FAIL" not in ver.output
 
 
 def test_verify_reports_uncomputable_residual_as_failure(tmp_path):
