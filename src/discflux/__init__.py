@@ -6,7 +6,7 @@ finite-volume solver in the relabelled variable, exact Riemann references for
 a single branch, entropy-residual diagnostics, and run persistence.
 """
 
-from .curves import MonotoneBijection, SampledCurve, lower_convex_envelope, upper_concave_envelope
+from .curves import MonotoneBijection, SampledCurve
 from .errors import (
     CompositionError,
     ConstructionError,
@@ -27,9 +27,7 @@ from .fluxes import (
 )
 from .transforms import (
     Connection,
-    ConnectionCheck,
     CrossingReport,
-    TransformAudit,
     TransformPair,
     build_connection_transform,
     build_translation_transform,
@@ -39,9 +37,8 @@ from .transforms import (
     is_connection,
     verify_transform,
 )
-from .riemann import RiemannSolution, Wave, classical_riemann, steady_connection_state
+from .riemann import Wave, classical_riemann, steady_connection_state
 from .solver import (
-    LadderResult,
     SolutionField,
     SolverConfig,
     ladder,
@@ -51,12 +48,8 @@ from .solver import (
     solve,
 )
 from .diagnostics import (
-    BoundsReport,
-    LadderBounds,
-    EntropyReport,
     HatFunction,
     SpaceTimeHat,
-    TraceReport,
     bounds_report,
     ladder_bounds,
     default_test_functions,
@@ -73,29 +66,21 @@ from .runio import config_hash, load_transform_csv, read_run, save_transform_csv
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundsReport",
-    "LadderBounds",
     "CompositionError",
     "Connection",
-    "ConnectionCheck",
     "ConstructionError",
     "CoverageError",
     "CrossingReport",
     "DiscFluxError",
     "DomainError",
-    "EntropyReport",
     "FluxPair",
     "HatFunction",
-    "LadderResult",
     "MonotoneBijection",
-    "RiemannSolution",
     "SampledCurve",
     "SolutionField",
     "SolverConfig",
     "SpaceTimeHat",
     "StabilityError",
-    "TraceReport",
-    "TransformAudit",
     "TransformPair",
     "Wave",
     "bounds_report",
@@ -121,7 +106,6 @@ __all__ = [
     "ladder",
     "load_flux_csv",
     "load_transform_csv",
-    "lower_convex_envelope",
     "mollify_initial",
     "ordering_preserved",
     "read_run",
@@ -133,7 +117,6 @@ __all__ = [
     "smooth_heaviside",
     "solve",
     "steady_connection_state",
-    "upper_concave_envelope",
     "verify_transform",
     "write_run",
 ]

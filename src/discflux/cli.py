@@ -49,6 +49,8 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise click.UsageError(f"config file {path} must be a JSON object")
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise click.UsageError(f"unknown config keys: {sorted(unknown)}")

@@ -31,12 +31,12 @@ def _as_nodes(values) -> np.ndarray:
     return arr
 
 
-def merge_close(x: np.ndarray, rel: float = MERGE_REL) -> np.ndarray:
-    """Drop entries of a sorted array closer than ``rel * span`` to a kept one."""
+def merge_close(x: np.ndarray) -> np.ndarray:
+    """Drop entries of a sorted array closer than ``MERGE_REL * span`` to a kept one."""
     x = np.asarray(x, dtype=float)
     if x.size <= 1:
         return x
-    tol = rel * max(x[-1] - x[0], 1.0)
+    tol = MERGE_REL * max(x[-1] - x[0], 1.0)
     keep = np.empty(x.size, dtype=bool)
     keep[0] = True
     keep[1:] = np.diff(x) > tol
@@ -96,19 +96,6 @@ class SampledCurve:
                 f"beyond the {CLAMP_SLACK:g} clamp slack"
             )
         return np.interp(np.clip(arr, self.lo, self.hi), self.x, self.y)
-
-    def max_slope(self) -> float:
-        return float(np.max(np.abs(np.diff(self.y) / np.diff(self.x))))
-
-    def restricted(self, lo: float, hi: float) -> "SampledCurve":
-        """Exact restriction to [lo, hi] (endpoints interpolated in)."""
-        if not (self.lo - CLAMP_SLACK <= lo < hi <= self.hi + CLAMP_SLACK):
-            raise DomainError("restriction window escapes the curve domain")
-        lo = min(max(lo, self.lo), self.hi)
-        hi = min(max(hi, self.lo), self.hi)
-        inner = self.x[(self.x > lo) & (self.x < hi)]
-        nodes = merge_close(np.concatenate(([lo], inner, [hi])))
-        return SampledCurve(nodes, self(nodes), outside=self.outside)
 
 
 @dataclass(frozen=True)
@@ -171,12 +158,6 @@ class MonotoneBijection:
         if np.any(arr < lo - slack) or np.any(arr > hi + slack):
             raise DomainError(f"argument outside bijection range [{lo:.6g}, {hi:.6g}]")
         return np.interp(np.clip(arr, lo, hi), self.values, self.breakpoints)
-
-    def min_slope(self) -> float:
-        return float(np.min(np.diff(self.values) / np.diff(self.breakpoints)))
-
-    def max_slope(self) -> float:
-        return float(np.max(np.diff(self.values) / np.diff(self.breakpoints)))
 
     def restricted(self, lo: float, hi: float) -> "MonotoneBijection":
         bp = self.breakpoints

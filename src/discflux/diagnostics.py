@@ -19,12 +19,16 @@ from .solver import SolutionField, conserved_density, smooth_heaviside
 from .transforms import Connection
 
 SIGN_BAND = 1e-12
+_ORDER_SLACK = 1e-10     # ordering_preserved: allowed excess of a over b
+_BOUNDS_SLACK = 1e-9     # bounds_report: range slack relative to the domain width
+_LADDER_RANGE_TOL = 1e-10  # ladder_bounds: largest range excess on any level
+_LADDER_SPREAD = 2.0       # ladder_bounds: largest max/min ratio of c1 and of c2
 
 
-def sgn(x, band: float = SIGN_BAND):
-    """Sign with a dead band: 0 within +-band of zero."""
+def sgn(x):
+    """Sign with a dead band: 0 within +-SIGN_BAND of zero."""
     arr = np.asarray(x, dtype=float)
-    out = np.where(arr > band, 1.0, np.where(arr < -band, -1.0, 0.0))
+    out = np.where(arr > SIGN_BAND, 1.0, np.where(arr < -SIGN_BAND, -1.0, 0.0))
     return out if arr.shape else float(out)
 
 
@@ -57,9 +61,6 @@ class HatFunction:
         out = xi**2 / (2.0 * r) + eta - eta**2 / (2.0 * r)
         return out if arr.shape else float(out)
 
-    def integral(self) -> float:
-        return self.radius
-
 
 @dataclass(frozen=True)
 class SpaceTimeHat:
@@ -67,9 +68,6 @@ class SpaceTimeHat:
 
     t: HatFunction
     x: HatFunction
-
-    def __call__(self, t, x):
-        return self.t(t) * self.x(x)
 
 
 def default_test_functions(
@@ -310,11 +308,11 @@ def l1_distances(a: SolutionField, b: SolutionField, variable: str = "v") -> np.
     return np.sum(np.abs(ma - mb), axis=1) * a.dx
 
 
-def ordering_preserved(a: SolutionField, b: SolutionField, slack: float = 1e-10) -> bool:
+def ordering_preserved(a: SolutionField, b: SolutionField) -> bool:
     """True when a <= b initially implies a <= b at every stored time."""
-    if not np.all(a.v[0] <= b.v[0] + slack):
+    if not np.all(a.v[0] <= b.v[0] + _ORDER_SLACK):
         raise ValueError("runs are not ordered at the initial time")
-    return bool(np.all(a.v <= b.v + slack))
+    return bool(np.all(a.v <= b.v + _ORDER_SLACK))
 
 
 @dataclass(frozen=True)
@@ -327,12 +325,12 @@ class BoundsReport:
     u_ok: bool
 
 
-def bounds_report(field: SolutionField, slack: float = 1e-9) -> BoundsReport:
+def bounds_report(field: SolutionField) -> BoundsReport:
     """Range check: v inside the transform domain, u inside the flux interval."""
     lo, hi = field.transform.domain
     vmin, vmax = float(field.v.min()), float(field.v.max())
     umin, umax = float(field.u.min()), float(field.u.max())
-    pad = slack * max(hi - lo, 1.0)
+    pad = _BOUNDS_SLACK * max(hi - lo, 1.0)
     return BoundsReport(
         vmin,
         vmax,
@@ -349,9 +347,9 @@ class LadderBounds:
 
     ``c0`` is the range excess beyond the state interval, ``c1`` the worst
     L1 rate of change per unit time and ``c2`` the worst viscous energy
-    integral.  ``ok`` means c0 stays below ``range_tol`` on every level and
-    c1, c2 each vary by less than the allowed spread factor, i.e. the
-    quantities the scheme is supposed to control stay O(1) under refinement.
+    integral.  ``ok`` means c0 stays below 1e-10 on every level and c1, c2
+    each vary by less than a factor 2, i.e. the quantities the scheme is
+    supposed to control stay O(1) under refinement.
     """
 
     c0: tuple
@@ -360,14 +358,14 @@ class LadderBounds:
     ok: bool
 
 
-def ladder_bounds(result, range_tol: float = 1e-10, spread: float = 2.0) -> LadderBounds:
+def ladder_bounds(result) -> LadderBounds:
     """Collect (c0, c1, c2) per ladder level and check they stay O(1)."""
     c0 = tuple(f.range_excess() for f in result.fields)
     c1 = tuple(f.stats["c1"] for f in result.fields)
     c2 = tuple(f.stats["c2"] for f in result.fields)
     ok = (
-        max(c0) <= range_tol
-        and max(c1) <= spread * min(c1) + range_tol
-        and max(c2) <= spread * min(c2) + range_tol
+        max(c0) <= _LADDER_RANGE_TOL
+        and max(c1) <= _LADDER_SPREAD * min(c1) + _LADDER_RANGE_TOL
+        and max(c2) <= _LADDER_SPREAD * min(c2) + _LADDER_RANGE_TOL
     )
     return LadderBounds(c0, c1, c2, ok)

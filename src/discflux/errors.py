@@ -28,7 +28,7 @@ class ConstructionError(DiscFluxError):
 class StabilityError(DiscFluxError):
     """The explicit update left the invertible range of the state map.
 
-    Almost always cured by a smaller time step (lower the CFL numbers).
+    Almost always cured by a smaller time step (lower ``cfl_hyperbolic``).
     """
 
 

@@ -57,14 +57,11 @@ class FluxPair:
             return self.g
         raise ValueError(f"unknown branch {name!r}")
 
-    def lipschitz(self) -> float:
-        return max(self.f.max_slope(), self.g.max_slope())
-
     @classmethod
-    def from_callables(cls, f, g, a: float, b: float, samples: int = DEFAULT_SAMPLES):
+    def from_callables(cls, f, g, a: float, b: float):
         if not a < b:
             raise ValueError("need a < b")
-        u = np.linspace(a, b, samples + 1)
+        u = np.linspace(a, b, DEFAULT_SAMPLES + 1)
         return cls(SampledCurve(u, np.asarray(f(u), float)), SampledCurve(u, np.asarray(g(u), float)))
 
     @classmethod
@@ -97,29 +94,29 @@ def clip_flux(branch: SampledCurve) -> SampledCurve:
     return SampledCurve(branch.x, branch.y, outside="zero")
 
 
-def _runs(y: np.ndarray, tol: float) -> list[tuple[int, int]]:
-    """Maximal runs of consecutive samples whose adjacent steps stay within tol."""
+def _runs(y: np.ndarray) -> list[tuple[int, int]]:
+    """Maximal runs of consecutive samples whose adjacent steps stay within TOL_FLAT."""
     out = []
     start = 0
     for i in range(1, y.size):
-        if abs(y[i] - y[i - 1]) > tol:
+        if abs(y[i] - y[i - 1]) > TOL_FLAT:
             out.append((start, i - 1))
             start = i
     out.append((start, y.size - 1))
     return out
 
 
-def find_local_maxima(branch: SampledCurve, tol_flat: float = TOL_FLAT) -> list[tuple[float, float]]:
+def find_local_maxima(branch: SampledCurve) -> list[tuple[float, float]]:
     """Interior sample-level local maxima, sorted by position.
 
     Plateau maxima are reported at the plateau midpoint.  A flat branch (no
-    interior value above the endpoints by more than ``tol_flat``) yields an
+    interior value above the endpoints by more than ``TOL_FLAT``) yields an
     empty list.
     """
     if branch.x.size < 9:
         raise ValueError("need at least 8 sampling intervals to locate maxima")
     y = branch.y
-    runs = _runs(y, tol_flat)
+    runs = _runs(y)
     maxima = []
     for k in range(1, len(runs) - 1):
         s, e = runs[k]
@@ -155,11 +152,11 @@ def registry_names() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def get_flux(spec: str, samples: int = DEFAULT_SAMPLES) -> FluxPair:
+def get_flux(spec: str) -> FluxPair:
     """Resolve a registry name or a CSV sample file into a FluxPair."""
     if spec in _REGISTRY:
         f, g = _REGISTRY[spec]
-        return FluxPair.from_callables(f, g, 0.0, 1.0, samples=samples)
+        return FluxPair.from_callables(f, g, 0.0, 1.0)
     path = Path(spec)
     if path.exists():
         return load_flux_csv(path)

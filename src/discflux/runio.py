@@ -39,6 +39,7 @@ FORMAT_VERSION = 2
 _FMT = "%.17g"
 _VARIABLES = ("u", "v")
 _TABLES = ("flux.csv", "transform.csv", *(f"snapshots/{var}.csv" for var in _VARIABLES))
+_MANIFEST_KEYS = ("cells", "dx", "eps", "dt", "times", "mass", "boundary_flux")
 
 
 def config_hash(payload: dict) -> str:
@@ -144,14 +145,20 @@ def read_run(run_dir) -> tuple[SolutionField, dict]:
     """Reload a persisted run; arrays round-trip exactly.
 
     Raises ``DiscFluxError`` for a run of another format, a table whose bytes
-    do not match the manifest's digest, or snapshot tables of the wrong shape
-    or with different cell centres.
+    do not match the manifest's digest, snapshot tables of the wrong shape
+    or with different cell centres, or a manifest whose own entries (which no
+    digest covers) are missing or do not fit the tables.
     """
     run_dir = Path(run_dir)
     manifest = json.loads((run_dir / "manifest.json").read_text())
+    if not isinstance(manifest, dict):
+        raise DiscFluxError(f"{run_dir / 'manifest.json'}: not a JSON object")
     if manifest.get("format") != FORMAT_VERSION:
         raise DiscFluxError(f"run format {manifest.get('format')!r} is not supported; "
                             f"this version reads format {FORMAT_VERSION} only")
+    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise DiscFluxError(f"{run_dir / 'manifest.json'}: missing {', '.join(missing)}")
     digests = manifest.get("sha256") or {}
     for name in _TABLES:
         if _sha256(run_dir / name) != digests.get(name):
@@ -168,18 +175,21 @@ def read_run(run_dir) -> tuple[SolutionField, dict]:
                                 f"values, found shape {tables[var].shape}")
     if not np.array_equal(tables["u"][0], tables["v"][0]):
         raise DiscFluxError(f"{run_dir}: the u and v snapshot tables disagree on the cell centres")
-    field = SolutionField(
-        x=tables["u"][0],
-        times=times,
-        v=tables["v"][1:],
-        u=tables["u"][1:],
-        mass=np.array(manifest["mass"]),
-        boundary_flux=np.array(manifest["boundary_flux"]),
-        dx=float(manifest["dx"]),
-        eps=float(manifest["eps"]),
-        dt=float(manifest["dt"]),
-        flux=flux,
-        transform=transform,
-        stats=manifest.get("stats", {}),
-    )
+    try:
+        field = SolutionField(
+            x=tables["u"][0],
+            times=times,
+            v=tables["v"][1:],
+            u=tables["u"][1:],
+            mass=np.array(manifest["mass"], dtype=float),
+            boundary_flux=np.array(manifest["boundary_flux"], dtype=float),
+            dx=float(manifest["dx"]),
+            eps=float(manifest["eps"]),
+            dt=float(manifest["dt"]),
+            flux=flux,
+            transform=transform,
+            stats=manifest.get("stats", {}),
+        )
+    except (TypeError, ValueError) as exc:
+        raise DiscFluxError(f"{run_dir / 'manifest.json'}: {exc}") from exc
     return field, manifest

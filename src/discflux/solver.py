@@ -105,27 +105,29 @@ def mollify_initial(u0: np.ndarray, x: np.ndarray, transform: TransformPair, eps
 class SolverConfig:
     """Grid, viscosity and time-step settings of one solve.
 
-    ``cfl_hyperbolic`` and ``cfl_parabolic`` form one budget: the time step
-    takes their sum (which must stay below 1) of the sharp monotone bound
-    slope_min / (speed_max / dx), and only the sum matters.  The viscosity is
-    implicit and sets no limit of its own.
+    ``cfl_hyperbolic`` is the share of the sharp monotone bound
+    slope_min / (speed_max / dx) that the time step takes; it must lie in
+    (0, 1).  The viscosity is implicit and sets no limit of its own.
     """
 
     half_width: float = 2.0
     cells: int = 512
     eps: float | None = None      # default: 8 * dx
     t_end: float = 0.5
-    cfl_hyperbolic: float = 0.4
-    cfl_parabolic: float = 0.4
+    cfl_hyperbolic: float = 0.8
     snapshots: int = 33
 
     def __post_init__(self):
+        for name in ("cells", "snapshots"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.half_width <= 0 or self.t_end < 0:
             raise ValueError("half_width must be positive and t_end non-negative")
         if self.cells < 8:
             raise ValueError("need at least 8 cells")
-        if self.cfl_hyperbolic + self.cfl_parabolic >= 1.0:
-            raise ValueError("cfl_hyperbolic + cfl_parabolic must stay below 1")
+        if not 0.0 < self.cfl_hyperbolic < 1.0:
+            raise ValueError("cfl_hyperbolic must lie strictly between 0 and 1")
         if self.snapshots < 2:
             raise ValueError("need at least 2 snapshots")
 
@@ -177,6 +179,8 @@ class SolutionField:
             object.__setattr__(self, name, arr)
         if self.v.shape != (len(self.times), len(self.x)):
             raise ValueError("snapshot array shape mismatch")
+        if self.mass.shape != self.times.shape or self.boundary_flux.shape != (len(self.times), 2):
+            raise ValueError("need one mass and one (left, right) boundary-flux pair per stored time")
 
     @property
     def u_final(self) -> np.ndarray:
@@ -327,9 +331,9 @@ class _Stepper:
 
             dt * speed_max / dx <= slope_min
 
-        holds with room for the last (blend) term.  ``cfl_hyperbolic +
-        cfl_parabolic`` is the share of that bound the step takes; the share
-        left must cover the blend term.  That term is at most
+        holds with room for the last (blend) term.  ``cfl_hyperbolic`` is the
+        share of that bound the step takes; the share left must cover the
+        blend term.  That term is at most
         max(w_+ - w_-) * speed_max / dx, and the steepest face jump of the
         smoothed step is about 0.83 * dx / eps.  At the default eps = 8 dx
         the term is about 0.1 * speed_max / dx, about 10 % of the bound and
@@ -342,8 +346,7 @@ class _Stepper:
         """
         if self.hyperbolic_rate == 0.0:
             return math.inf
-        cfl = self.cfg.cfl_hyperbolic + self.cfg.cfl_parabolic
-        dt = cfl * self.slope_min / self.hyperbolic_rate
+        dt = self.cfg.cfl_hyperbolic * self.slope_min / self.hyperbolic_rate
         if not np.isfinite(dt) or dt <= 0:
             raise StabilityError("no admissible time step for this configuration")
         return dt

@@ -26,6 +26,8 @@ from .fluxes import (
 TOL_CROSS = 1e-10  # dead band for sign decisions on flux differences
 TOL_CONN = 1e-8    # slack on the flux-matching equality f(B) = g(A)
 ROUND_TRIP_REL = 1e-12
+_ROUND_TRIP_SAMPLES = 1000   # probe points of the audit's round-trip check
+_COARSE_SAMPLES = 2049       # pre-screen lattice of the translation search
 
 
 @dataclass(frozen=True)
@@ -194,9 +196,7 @@ def check_crossing(fa: SampledCurve, gb: SampledCurve, dead_band: float = TOL_CR
     return CrossingReport(True, crossings, None)
 
 
-def is_connection(
-    flux: FluxPair, A: float, B: float, flavor: str = "classic", tol: float = TOL_CONN
-) -> ConnectionCheck:
+def is_connection(flux: FluxPair, A: float, B: float, flavor: str = "classic") -> ConnectionCheck:
     """Check the flux-matching equality and the side constraints of (A, B).
 
     ``u_star_f`` is the left-most interior maximum of f and ``u_star_g`` the
@@ -212,9 +212,9 @@ def is_connection(
     gap = float(abs(flux.f(B) - flux.g(A)))
     if usf is None or usg is None:
         return ConnectionCheck(False, gap, usf, usg, "a flux branch has no interior maximum")
-    if gap > tol:
+    if gap > TOL_CONN:
         return ConnectionCheck(
-            False, gap, usf, usg, f"flux mismatch |f(B)-g(A)| = {gap:.3e} exceeds {tol:g}"
+            False, gap, usf, usg, f"flux mismatch |f(B)-g(A)| = {gap:.3e} exceeds {TOL_CONN:g}"
         )
     eps = 1e-12
     if flavor == "classic":
@@ -244,12 +244,7 @@ def _translation_pair(flux: FluxPair, k_l: float, k_r: float) -> TransformPair:
     )
 
 
-def build_translation_transform(
-    flux: FluxPair,
-    grid_points: int = 101,
-    dead_band: float = TOL_CROSS,
-    coarse_samples: int = 2049,
-) -> TransformPair:
+def build_translation_transform(flux: FluxPair, grid_points: int = 101) -> TransformPair:
     """Search shifts (k_l, k_r), k_l >= k_r, making the clipped pair cross once.
 
     Candidates on a uniform grid over [-(b-a), b-a]^2 are tried in order of
@@ -268,13 +263,13 @@ def build_translation_transform(
     for k_l, k_r in pairs:
         lo = flux.a - k_l
         hi = flux.b - k_r
-        grid = np.linspace(lo, hi, coarse_samples)
+        grid = np.linspace(lo, hi, _COARSE_SAMPLES)
         amount = _violation_amount(fc(grid + k_r) - gc(grid + k_l))
         if amount < best[0]:
             best = (amount, (k_l, k_r))
-        if amount <= dead_band:
+        if amount <= TOL_CROSS:
             pair = _translation_pair(flux, k_l, k_r)
-            if check_crossing(*composed_fluxes(flux, pair), dead_band=dead_band).holds:
+            if check_crossing(*composed_fluxes(flux, pair)).holds:
                 return pair
     raise ConstructionError(
         f"no translation shifts pass the crossing check; best miss {best[0]:.3e} at {best[1]}",
@@ -402,7 +397,7 @@ class TransformAudit:
     round_trip_error: float
 
 
-def verify_transform(flux: FluxPair, t: TransformPair, samples: int = 1000) -> TransformAudit:
+def verify_transform(flux: FluxPair, t: TransformPair) -> TransformAudit:
     """Audit a transform pair: monotonicity, round trips, domains, crossing.
 
     This is the gate the solver applies before accepting a pair; anything a
@@ -428,7 +423,7 @@ def verify_transform(flux: FluxPair, t: TransformPair, samples: int = 1000) -> T
 
     rt_err = np.inf
     if monotone:
-        probe = np.linspace(alo, ahi, samples)
+        probe = np.linspace(alo, ahi, _ROUND_TRIP_SAMPLES)
         rt_err = 0.0
         for m in (t.alpha, t.beta):
             rt_err = max(rt_err, float(np.max(np.abs(m.inverse(m.forward(probe)) - probe))))

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 import discflux as dx
@@ -146,6 +147,48 @@ def test_solve_config_file_with_flag_override(tmp_path):
     res = run_cli("solve", "--flux", "burgers-like", "--u0", "constant:0.4",
                   "--config", str(bad))
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("content, message", [
+    (5, "must be a JSON object"),
+    ([1, 2], "must be a JSON object"),
+    ({"cfl_parabolic": 0.4}, "unknown config keys: ['cfl_parabolic']"),
+    ({"cells": 100.5}, "cells must be an integer"),
+    ({"cfl_hyperbolic": 1.0}, "cfl_hyperbolic must lie strictly between 0 and 1"),
+], ids=["number", "list", "removed-cfl-key", "fractional-cells", "cfl-one"])
+def test_solve_rejects_bad_config_file(tmp_path, content, message):
+    # catch_exceptions=False: a traceback would fail the test here
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(content))
+    res = run_cli("solve", "--flux", "burgers-like", "--u0", "constant:0.4",
+                  "--config", str(path), "--out", str(tmp_path / "o"))
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("snapshots, edit", [
+    ("33", lambda m: m.pop("cells")),
+    ("33", lambda m: m["mass"].pop()),
+    # with two stored times a one-entry mass list broadcasts against the
+    # boundary fluxes and the mass balance would pass
+    ("2", lambda m: m["mass"].pop()),
+    ("2", lambda m: m["boundary_flux"].pop()),
+], ids=["no-cells", "short-mass", "short-mass-two-snapshots", "short-boundary-flux"])
+def test_verify_rejects_inconsistent_manifest(tmp_path, snapshots, edit):
+    res = run_cli("solve", "--flux", "burgers-like", "--u0", "riemann:0.25:0.75",
+                  "--cells", "64", "--t-end", "0.05", "--snapshots", snapshots,
+                  "--out", str(tmp_path))
+    assert res.exit_code == 0, res.output
+    run_dir = next(p for p in tmp_path.iterdir() if p.is_dir())
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    edit(manifest)
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+
+    ver = run_cli("verify", "--run", str(run_dir))
+    assert ver.exit_code == 1, ver.output
+    assert "FAIL run integrity" in ver.output
+    assert "PASS" not in ver.output
 
 
 def test_build_transform_translation(tmp_path):

@@ -43,20 +43,6 @@ def test_zero_mode_extends_by_zero():
     assert c(0.5) == 1.0
 
 
-def test_max_slope():
-    c = SampledCurve(np.array([0.0, 1.0, 2.0]), np.array([0.0, 3.0, 2.0]))
-    assert c.max_slope() == pytest.approx(3.0)
-
-
-def test_restricted_keeps_values():
-    x = np.linspace(0, 1, 11)
-    c = SampledCurve(x, x**2)
-    r = c.restricted(0.25, 0.75)
-    assert r.domain == (0.25, 0.75)
-    probe = np.linspace(0.25, 0.75, 31)
-    assert np.allclose(r(probe), c(probe), atol=1e-15)
-
-
 def test_bijection_identity_and_translation():
     ident = MonotoneBijection.identity(0.0, 1.0)
     assert ident.forward(0.3) == pytest.approx(0.3)
@@ -77,7 +63,6 @@ def test_bijection_roundtrip_random():
         m = MonotoneBijection(bp, vals)
         probe = rng.uniform(bp[0], bp[-1], size=50)
         assert np.max(np.abs(m.inverse(m.forward(probe)) - probe)) < 1e-12
-        assert m.min_slope() > 0
 
 
 def test_bijection_rejects_non_monotone():

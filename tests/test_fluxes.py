@@ -38,11 +38,6 @@ def test_flux_pair_requires_common_interval():
         dx.FluxPair(f, g)
 
 
-def test_lipschitz_estimate(burgers):
-    # |f'| = |1 - 2u| <= 1
-    assert burgers.lipschitz() == pytest.approx(1.0, abs=1e-3)
-
-
 def test_compose_flux_is_exact_on_breakpoints(burgers):
     m = MonotoneBijection(np.array([0.0, 0.4, 1.0]), np.array([0.0, 0.7, 1.0]))
     comp = dx.compose_flux(burgers.f, m)

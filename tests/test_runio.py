@@ -132,6 +132,30 @@ def test_read_checks_snapshot_table_shape_and_centres(tmp_path, burgers):
         dx.read_run(run_dir)
 
 
+def test_read_checks_manifest_entries(tmp_path, burgers):
+    # no digest covers the manifest itself, so read_run checks its entries
+    _, _, run_dir = _small_run(burgers, tmp_path, snapshots=2)
+    path = run_dir / "manifest.json"
+    text = path.read_text()
+    edits = {
+        "missing dx": lambda m: m.pop("dx"),
+        "need one mass": lambda m: m["mass"].pop(),
+        "per stored time": lambda m: m["boundary_flux"].append([0.0, 0.0]),
+        "could not convert": lambda m: m.update(eps="wide"),
+    }
+    for message, edit in edits.items():
+        manifest = json.loads(text)
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DiscFluxError, match=message):
+            dx.read_run(run_dir)
+    path.write_text(json.dumps([1, 2]))
+    with pytest.raises(DiscFluxError, match="not a JSON object"):
+        dx.read_run(run_dir)
+    path.write_text(text)
+    dx.read_run(run_dir)
+
+
 def test_failed_write_leaves_no_run(tmp_path, burgers, monkeypatch):
     def broken(*args):
         raise RuntimeError("disk full")
@@ -186,9 +210,9 @@ def _step(left, right):
 @pytest.mark.parametrize(
     "case, expected",
     [
-        ("connection", "dcb021ec647c"),
-        ("identity", "d288ce9e099d"),
-        ("translation", "4612c485e80b"),
+        ("connection", "6e07e6f5090e"),
+        ("identity", "505f1587298b"),
+        ("translation", "8bd04817d3c3"),
     ],
 )
 def test_run_hash_golden(tmp_path, burgers, demo_swapped, demo_connection, case, expected):

@@ -66,8 +66,12 @@ def test_mollify_does_not_increase_variation(burgers):
 def test_config_validation():
     with pytest.raises(ValueError):
         dx.SolverConfig(cells=4)
-    with pytest.raises(ValueError):
-        dx.SolverConfig(cfl_hyperbolic=0.6, cfl_parabolic=0.5)
+    for cfl in (1.0, 0.0, -0.5):
+        with pytest.raises(ValueError, match="cfl_hyperbolic"):
+            dx.SolverConfig(cfl_hyperbolic=cfl)
+    for bad in ({"cells": 100.5}, {"snapshots": 3.5}, {"cells": True}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            dx.SolverConfig(**bad)
     with pytest.raises(ValueError):
         dx.SolverConfig(snapshots=1)
     with pytest.raises(ValueError):
@@ -162,7 +166,7 @@ def test_time_step_is_the_sharp_monotone_bound(burgers, demo_swapped, demo_conne
     for name, st in _steppers(burgers, demo_swapped, demo_connection).items():
         cfg = st.cfg
         # the viscosity is implicit, so only the hyperbolic rate limits the step
-        sharp = (cfg.cfl_hyperbolic + cfg.cfl_parabolic) * st.slope_min / (st.speed_max / st.dx)
+        sharp = cfg.cfl_hyperbolic * st.slope_min / (st.speed_max / st.dx)
         assert st.suggest_dt() == pytest.approx(sharp, rel=1e-14), name
 
 
