@@ -20,8 +20,13 @@ W is exactly 0 left of the smoothing band and exactly 1 right of it, so there
 m is beta(v) or alpha(v) alone; only the few band cells have a genuinely
 blended map.  The stepper tabulates every cell's map on the transform's
 breakpoint lattice once.  The implicit solve starts from the exact table
-inversion of m* and runs semismooth Newton on the table segments, one
-tridiagonal solve (``_solve_tridiagonal``) per iteration.
+inversion of m*, which also yields each cell's table segment, and runs
+semismooth Newton on the table segments, one tridiagonal solve
+(``_solve_tridiagonal``) per iteration.  That solver is a hybrid: whole-array
+cyclic-reduction levels halve the system while it has more than 64 rows, and
+a Thomas sweep over Python floats finishes it.  At a few hundred or thousand
+cells the cost of a solve is the count of numpy calls, not of flops, and a
+reduction level costs about as many calls at 100 rows as at 1000.
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ _BRACKET_SLACK = 1e-10
 _NEWTON_MAX_ITER = 30
 # a Newton residual this many ulps of its terms' magnitude counts as solved
 _NEWTON_RTOL = 8 * np.finfo(float).eps
+# _solve_tridiagonal sweeps systems of at most this many rows in Python
+_THOMAS_ROWS = 64
 
 
 def _bump(z: np.ndarray) -> np.ndarray:
@@ -221,15 +228,20 @@ def _solve_tridiagonal(off, diag, rhs) -> np.ndarray:
     """Solve the symmetric tridiagonal system T x = rhs.
 
     T has ``diag`` on its diagonal and ``off`` (one shorter) beside it, so
-    off[i] couples x[i] and x[i+1].  Cyclic reduction: each level eliminates
-    the odd unknowns from the even rows and recurses on the half-size system,
-    which stays symmetric, so the work is log2(n) rounds of whole-array
-    operations with no loop over cells.  There is no pivoting; it is meant
-    for diagonally dominant systems such as the implicit viscosity's.
+    off[i] couples x[i] and x[i+1].  While more than ``_THOMAS_ROWS`` rows
+    remain, a cyclic-reduction level eliminates the odd unknowns from the
+    even rows in whole-array operations and recurses on the half-size
+    system, which stays symmetric.  The last system is solved by a Thomas
+    sweep over Python floats.  At these sizes the cost is per numpy call,
+    not per flop: a reduction level costs about 25 calls whatever its size,
+    while a 64-row sweep costs about as much as one level, so reducing all
+    the way down to one row would pay six more levels for nothing.  There is
+    no pivoting; it is meant for diagonally dominant systems such as the
+    implicit viscosity's.
     """
     n = len(diag)
-    if n == 1:
-        return rhs / diag
+    if n <= _THOMAS_ROWS:
+        return np.array(_thomas(off.tolist(), diag.tolist(), rhs.tolist()))
     half, inner = n // 2, (n - 1) // 2   # odd rows; those with an even row on either side
     left, right = off[0::2], off[1::2]    # odd row 2k+1 couples to x[2k] and x[2k+2]
     r = 1.0 / diag[1::2]
@@ -248,6 +260,23 @@ def _solve_tridiagonal(off, diag, rhs) -> np.ndarray:
     x = np.empty(n)
     x[0::2] = x_even
     x[1::2] = x_odd * r
+    return x
+
+
+def _thomas(off: list, diag: list, rhs: list) -> list:
+    """Forward elimination and back substitution for ``_solve_tridiagonal``."""
+    n = len(diag)
+    ratio = [0.0] * (n - 1)   # ratio[i] = off[i] / (row i's pivot after elimination)
+    x = [0.0] * n
+    pivot = diag[0]
+    acc = x[0] = rhs[0] / pivot
+    for i in range(1, n):
+        o = off[i - 1]
+        c = ratio[i - 1] = o / pivot
+        pivot = diag[i] - o * c
+        acc = x[i] = (rhs[i] - o * acc) / pivot
+    for i in range(n - 2, -1, -1):
+        acc = x[i] = x[i] - ratio[i] * acc
     return x
 
 
@@ -289,6 +318,8 @@ class _Stepper:
         self.hi_val = w * self.alpha_tab[-1] + (1.0 - w) * self.beta_tab[-1]
         self.scale = max(float(np.max(self.hi_val - self.lo_val)), 1.0)
         self.slack = _BRACKET_SLACK * self.scale
+        self.lo_bound = self.lo_val - self.slack
+        self.hi_bound = self.hi_val + self.slack
         self.band = slice(int(np.searchsorted(w, 0.0, side="right")),
                           int(np.searchsorted(w, 1.0, side="left")))
         w_band = w[self.band, None]
@@ -354,7 +385,7 @@ class _Stepper:
     def conserved(self, v: np.ndarray) -> np.ndarray:
         return conserved_density(v, self.w_cell, self.table)
 
-    def invert_conserved(self, m: np.ndarray) -> np.ndarray:
+    def invert_conserved(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """Solve w*alpha(v) + (1-w)*beta(v) = m per cell by exact table lookup.
 
         Each cell's blended map is piecewise linear on ``ugrid`` with the
@@ -362,15 +393,23 @@ class _Stepper:
         alpha right of it, a precomputed blend inside).  The segment is the
         last node at or below m, capped at the next-to-last node, and the
         result interpolates linearly inside it.
+
+        Returns v, each cell's segment, the map's slope on that segment, and
+        the margin: the least distance of m inside [lo_val, hi_val], negative
+        when m lies outside but within ``slack``.  Beyond the slack, or for a
+        non-finite m, it raises StabilityError.
         """
-        lo_val, hi_val = self.lo_val, self.hi_val
-        if np.any(m < lo_val - self.slack) or np.any(m > hi_val + self.slack):
-            worst = float(np.max(np.maximum(lo_val - m, m - hi_val)))
+        # the difference to a bound has the exact sign of the comparison with
+        # it, so the test below accepts exactly the m in [lo_bound, hi_bound];
+        # a NaN makes room NaN and fails it too
+        room = min(float(np.min(m - self.lo_bound)), float(np.min(self.hi_bound - m)))
+        if not room >= 0.0:
+            worst = float(np.max(np.maximum(self.lo_val - m, m - self.hi_val)))
             raise StabilityError(
                 f"conserved density left the invertible range by {worst:.3e}; "
                 "reduce the time step or refine the grid"
             )
-        m = np.clip(m, lo_val, hi_val)
+        m = np.clip(m, self.lo_val, self.hi_val)
         band = self.band
         idx = np.empty(m.shape, dtype=np.intp)
         idx[: band.start] = np.searchsorted(self.beta_tab, m[: band.start], side="right")
@@ -379,9 +418,10 @@ class _Stepper:
         lo = np.clip(idx - 1, 0, len(self.ugrid) - 2, out=idx)
         at = self.row_offset + lo
         v0 = self.inv_table[at]
-        v1 = self.inv_table[at + 1]
-        frac = (m - v0) / (v1 - v0)
-        return self.ugrid[lo] + frac * self.du[lo]
+        rise = self.inv_table[at + 1] - v0
+        du = self.du[lo]
+        frac = (m - v0) / rise
+        return self.ugrid[lo] + frac * du, lo, rise / du, room - self.slack
 
     def face_fluxes(self, v: np.ndarray) -> np.ndarray:
         vx = np.concatenate(([v[0]], v, [v[-1]]))  # zero-gradient ghosts
@@ -404,26 +444,27 @@ class _Stepper:
         slope = (self.inv_table[at + 1] - m0) / self.du[seg]
         return seg, m0 + slope * (v - self.ugrid[seg]), slope
 
-    def implicit_viscosity(self, m_star: np.ndarray, kappa: float) -> tuple[np.ndarray, int]:
+    def implicit_viscosity(self, m_star: np.ndarray, kappa: float) -> tuple[np.ndarray, int, float]:
         """Solve m_j(v) + kappa * (L v)_j = m*_j for v by semismooth Newton.
 
         On fixed table segments the system is linear with the tridiagonal
         M-matrix diag(slope) + kappa * L.  Newton starts from the exact
-        inversion v0 of m* (so its first residual is kappa * L v0) and stops
-        when an iterate keeps the segments it was linearised on, where the
-        linear model is exact, or when the residual is at rounding level:
-        a state sitting on a node may otherwise flip between the segments on
-        either side for ever.  Returns v and the number of tridiagonal solves.
+        inversion v0 of m*, linearised on the segments that inversion found
+        (so its first residual is kappa * L v0), and stops when an iterate
+        keeps the segments it was linearised on, where the linear model is
+        exact, or when the residual is at rounding level: a state sitting on
+        a node may otherwise flip between the segments on either side for
+        ever.  Returns v, the number of tridiagonal solves and the inversion
+        margin of m* (see ``invert_conserved``).
         """
-        v = self.invert_conserved(m_star)
-        seg, _, slope = self.segments(v)
+        v, seg, slope, margin = self.invert_conserved(m_star)
         off = np.full(len(v) - 1, -kappa)
         diag = kappa * self.lap_diag
         tol = _NEWTON_RTOL * (self.scale + 4.0 * kappa * self.v_mag)
         resid = kappa * self.neumann_stencil(v)
         worst = float(np.max(np.abs(resid)))
         iterations = 0
-        while worst > tol:
+        while not worst <= tol:   # a NaN residual must not pass as converged
             if iterations == _NEWTON_MAX_ITER:
                 raise StabilityError(
                     f"implicit viscosity solve did not converge in {_NEWTON_MAX_ITER} Newton "
@@ -437,7 +478,7 @@ class _Stepper:
             if np.array_equal(new_seg, seg):
                 break
             seg = new_seg
-        return np.clip(v, self.ugrid[0], self.ugrid[-1], out=v), iterations
+        return np.clip(v, self.ugrid[0], self.ugrid[-1], out=v), iterations, margin
 
     @staticmethod
     def neumann_stencil(v: np.ndarray) -> np.ndarray:
@@ -448,15 +489,16 @@ class _Stepper:
         out[[0, -1]] -= v[[0, -1]]
         return out
 
-    def step(self, v: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, int]:
+    def step(self, v: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, int, float]:
         """Explicit Lax-Friedrichs transport, then the backward-Euler viscosity.
 
-        Returns the new state, the face fluxes and the Newton iteration count.
+        Returns the new state, the face fluxes, the Newton iteration count
+        and the inversion margin of the transported density.
         """
         phi = self.face_fluxes(v)
         m_star = self.conserved(v) - (dt / self.dx) * np.diff(phi)
-        v_new, iterations = self.implicit_viscosity(m_star, self.eps * dt / self.dx**2)
-        return v_new, phi, iterations
+        v_new, iterations, margin = self.implicit_viscosity(m_star, self.eps * dt / self.dx**2)
+        return v_new, phi, iterations, margin
 
 
 def solve(
@@ -509,10 +551,12 @@ def solve(
     c1 = 0.0  # max L1 rate of change of v
     c2 = 0.0  # max viscous energy eps * sum (v_x)^2 dx
     newton_iterations = newton_max = 0
+    invert_margin = math.inf
     for n in range(1, nsteps + 1):
-        v_new, phi, iterations = stepper.step(v, dt)
+        v_new, phi, iterations, margin = stepper.step(v, dt)
         newton_iterations += iterations
         newton_max = max(newton_max, iterations)
+        invert_margin = min(invert_margin, margin)
         c1 = max(c1, float(np.sum(np.abs(v_new - v))) * cfg.dx / dt)
         grad = np.diff(v) / cfg.dx
         c2 = max(c2, eps * float(np.sum(grad**2)) * cfg.dx)
@@ -548,6 +592,8 @@ def solve(
             "hyperbolic_rate": stepper.hyperbolic_rate,
             "newton_iterations": newton_iterations,
             "newton_max": newton_max,
+            # None when no step ran: the manifest is JSON, which has no inf
+            "invert_margin": invert_margin if nsteps else None,
         },
     )
 

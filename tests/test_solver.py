@@ -191,6 +191,9 @@ def test_stats_record_the_step_rule(demo_swapped):
     assert stats["hyperbolic_rate"] == stats["speed_max"] / field.dx
     assert "parabolic_rate" not in stats
     assert stats["steps"] <= stats["newton_iterations"] <= stats["steps"] * stats["newton_max"]
+    stepper = _Stepper(demo_swapped, pair, dx.SolverConfig(cells=128, t_end=0.5))
+    assert math.isfinite(stats["invert_margin"])
+    assert stats["invert_margin"] >= -stepper.slack
 
 
 def _bisection_inverse(st, m):
@@ -253,10 +256,44 @@ def test_inversion_lookup_matches_bisection(burgers, demo_swapped, demo_connecti
             "at the slack edge": np.where(rng.uniform(size=n) < 0.5, lo - st.slack, hi + st.slack),
         }
         for case, m in cases.items():
-            got = st.invert_conserved(m)
+            got = st.invert_conserved(m)[0]
             assert np.array_equal(got, _bisection_inverse(st, m)), (name, case)
-        assert np.array_equal(st.invert_conserved(cases["below in slack"]), np.full(n, st.ugrid[0]))
-        assert np.array_equal(st.invert_conserved(cases["above in slack"]), np.full(n, st.ugrid[-1]))
+        assert np.array_equal(st.invert_conserved(cases["below in slack"])[0], np.full(n, st.ugrid[0]))
+        assert np.array_equal(st.invert_conserved(cases["above in slack"])[0], np.full(n, st.ugrid[-1]))
+
+
+def test_inversion_returns_the_segment_and_its_slope(burgers, demo_swapped, demo_connection):
+    # Newton linearises on this segment and slope instead of searching for them again
+    rng = np.random.default_rng(47)
+    for name, st in _steppers(burgers, demo_swapped, demo_connection).items():
+        w, n = st.w_cell, len(st.w_cell)
+        cells = np.arange(n)
+        rows = w[:, None] * st.alpha_tab + (1.0 - w[:, None]) * st.beta_tab
+        node = rng.integers(0, len(st.ugrid), size=n)
+        for m in (st.lo_val + rng.uniform(0, 1, size=n) * (st.hi_val - st.lo_val),
+                  rows[cells, node], st.lo_val - 0.5 * st.slack, st.hi_val + 0.5 * st.slack):
+            v, seg, slope, margin = st.invert_conserved(m)
+            assert np.all(st.ugrid[seg] <= v) and np.all(v <= st.ugrid[seg + 1]), name
+            secant = (rows[cells, seg + 1] - rows[cells, seg]) / (st.ugrid[seg + 1] - st.ugrid[seg])
+            assert np.array_equal(slope, secant), name
+            direct = min(np.min(m - st.lo_val), np.min(st.hi_val - m))
+            assert margin == pytest.approx(direct, rel=0.0, abs=4 * np.finfo(float).eps * st.scale), name
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_density_raises(small_problems, bad):
+    # a NaN passes every "m < lo" test; it must fail the range check anyway,
+    # not reach Newton, whose "residual > tol" test it also passes
+    for kind, (flux, transform) in small_problems.items():
+        st = _Stepper(flux, transform, dx.SolverConfig(cells=64, t_end=0.0))
+        m = 0.5 * (st.lo_val + st.hi_val)
+        m[20] = bad
+        with pytest.raises(StabilityError, match="left the invertible range"):
+            st.invert_conserved(m)
+        v = np.full(64, 0.5 * (st.ugrid[0] + st.ugrid[-1]))
+        v[20] = bad
+        with pytest.raises(StabilityError, match="left the invertible range"):
+            st.step(v, st.suggest_dt())
 
 
 @pytest.mark.parametrize("side", ["below", "above"])
@@ -298,7 +335,7 @@ def test_inversion_property_random_tables(burgers, pair, eps, seed):
     st = _Stepper(burgers, pair, dx.SolverConfig(cells=64, eps=eps, t_end=0.0))
     v = np.random.default_rng(seed).uniform(0.0, 1.0, size=64)
     m = st.conserved(v)
-    back = st.invert_conserved(m)
+    back = st.invert_conserved(m)[0]
     assert np.max(np.abs(back - v)) < 1e-12
     assert np.array_equal(back, _bisection_inverse(st, m))
 
@@ -308,7 +345,7 @@ def test_inversion_round_trips_and_brackets(burgers, demo_connection):
     st = _Stepper(burgers, pair, dx.SolverConfig(cells=128, t_end=0.0))
     rng = np.random.default_rng(41)
     v = rng.uniform(0, 1, size=128)
-    back = st.invert_conserved(st.conserved(v))
+    back = st.invert_conserved(st.conserved(v))[0]
     assert np.max(np.abs(back - v)) < 1e-12
     with pytest.raises(StabilityError):
         st.invert_conserved(np.full(128, 5.0))
@@ -336,7 +373,7 @@ def _clustered_state(rng, lo, hi, cells):
 
 @settings(max_examples=60, deadline=None)
 @given(kind=st_.sampled_from(["connection", "identity", "translation"]),
-       cells=st_.sampled_from([64, 96, 128]), seed=st_.integers(0, 2**32 - 1))
+       cells=st_.sampled_from([64, 96, 128, 1024]), seed=st_.integers(0, 2**32 - 1))
 def test_step_is_monotone_at_the_suggested_dt(small_problems, kind, cells, seed):
     flux, transform = small_problems[kind]
     st = _Stepper(flux, transform, dx.SolverConfig(cells=cells, t_end=0.0))
@@ -378,6 +415,9 @@ def test_step_is_monotone_across_a_breakpoint(small_problems):
 @example(n=3, seed=2)
 @example(n=64, seed=3)
 @example(n=65, seed=4)
+@example(n=128, seed=5)
+@example(n=129, seed=6)
+@example(n=1024, seed=7)   # the benchmark's grid: four reduction levels, then a sweep
 def test_tridiagonal_solve_matches_dense(n, seed):
     # strictly diagonally dominant, by a margin of at least 1/200 of the
     # coupling, so the condition number stays below about 800
@@ -396,13 +436,13 @@ def test_tridiagonal_solve_matches_dense(n, seed):
 
 @settings(max_examples=30, deadline=None)
 @given(kind=st_.sampled_from(["connection", "identity", "translation"]),
-       cells=st_.sampled_from([64, 96, 128]), seed=st_.integers(0, 2**32 - 1))
+       cells=st_.sampled_from([64, 96, 128, 1024]), seed=st_.integers(0, 2**32 - 1))
 def test_step_solves_its_backward_euler_equation(small_problems, kind, cells, seed):
     flux, transform = small_problems[kind]
     st = _Stepper(flux, transform, dx.SolverConfig(cells=cells, t_end=0.0))
     v = _clustered_state(np.random.default_rng(seed), st.ugrid[0], st.ugrid[-1], cells)
     dt = st.suggest_dt()
-    v_new, phi, _ = st.step(v, dt)
+    v_new, phi, _, _ = st.step(v, dt)
     kappa = st.eps * dt / st.dx**2
     m_star = st.conserved(v) - (dt / st.dx) * np.diff(phi)
     lap = (np.concatenate((v_new[1:], v_new[-1:])) - 2.0 * v_new
@@ -428,7 +468,7 @@ def test_newton_stops_on_a_node(burgers, demo_connection):
     v = dx.mollify_initial(u0, x, pair, st.eps)
     assert pair.c in st.ugrid
     assert np.count_nonzero(v == pair.c) > 0
-    v_new, _, iterations = st.step(v, cfg.t_end / 24)
+    v_new, _, iterations, _ = st.step(v, cfg.t_end / 24)
     assert 1 <= iterations <= 3
     assert np.all(np.isfinite(v_new))
 
@@ -547,6 +587,7 @@ def test_zero_time_returns_initial_state(burgers):
     field = dx.solve(burgers, lambda x: np.full(np.shape(x), 0.5),
                      config=dx.SolverConfig(cells=64, t_end=0.0))
     assert len(field.times) == 1
+    assert field.stats["steps"] == 0 and field.stats["invert_margin"] is None
     assert np.max(np.abs(field.u[0] - 0.5)) < 1e-14
 
 
