@@ -66,18 +66,43 @@ def save_transform_csv(path: Path, t: TransformPair) -> None:
 
 
 def load_transform_csv(path: Path, meta: dict | None = None) -> TransformPair:
+    """Reload a transform table with its ``TransformPair.meta()``.
+
+    Raises ValueError when ``meta`` is not an object or one of its entries
+    has the wrong type or shape.
+    """
     data = _read_csv(Path(path), "v,alpha,beta")
-    meta = meta or {}
-    conn = meta.get("connection")
+    meta = {} if meta is None else meta
+    if not isinstance(meta, dict):
+        raise ValueError(f"transform metadata must be a JSON object, not {type(meta).__name__}")
+    conn, shifts, c = meta.get("connection"), meta.get("shifts"), meta.get("c")
+    try:
+        if shifts is not None:
+            shifts = tuple(float(s) for s in shifts)
+            if len(shifts) != 2:
+                raise ValueError(f"shifts must hold two numbers, not {len(shifts)}")
+        if conn is not None:
+            conn = Connection(float(conn["A"]), float(conn["B"]), conn.get("flavor", "classic"))
+        c = None if c is None else float(c)
+    except (TypeError, KeyError, AttributeError, ValueError) as exc:
+        raise ValueError(f"malformed transform metadata: {exc!r}") from exc
     return TransformPair(
         MonotoneBijection(data[:, 0], data[:, 1]),
         MonotoneBijection(data[:, 0], data[:, 2]),
-        c=meta.get("c"),
+        c=c,
         kind=meta.get("kind", "custom"),
         clip=bool(meta.get("clip", False)),
-        shifts=tuple(meta["shifts"]) if meta.get("shifts") else None,
-        connection=Connection(conn["A"], conn["B"], conn.get("flavor", "classic")) if conn else None,
+        shifts=shifts,
+        connection=conn,
     )
+
+
+def _numbers(value) -> np.ndarray:
+    """A manifest list of numbers as floats; strings, booleans and nulls fail."""
+    arr = np.array(value)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"expected numbers, found {value!r:.60}")
+    return arr.astype(float)
 
 
 def run_hash(field: SolutionField, config: SolverConfig) -> str:
@@ -147,7 +172,7 @@ def read_run(run_dir) -> tuple[SolutionField, dict]:
     Raises ``DiscFluxError`` for a run of another format, a table whose bytes
     do not match the manifest's digest, snapshot tables of the wrong shape
     or with different cell centres, or a manifest whose own entries (which no
-    digest covers) are missing or do not fit the tables.
+    digest covers) are missing, of the wrong type or do not fit the tables.
     """
     run_dir = Path(run_dir)
     manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -159,30 +184,32 @@ def read_run(run_dir) -> tuple[SolutionField, dict]:
     missing = [key for key in _MANIFEST_KEYS if key not in manifest]
     if missing:
         raise DiscFluxError(f"{run_dir / 'manifest.json'}: missing {', '.join(missing)}")
-    digests = manifest.get("sha256") or {}
+    for key in ("sha256", "transform"):
+        if not isinstance(manifest.get(key), dict):
+            raise DiscFluxError(f"{run_dir / 'manifest.json'}: {key} must be a JSON object")
     for name in _TABLES:
-        if _sha256(run_dir / name) != digests.get(name):
+        if _sha256(run_dir / name) != manifest["sha256"].get(name):
             raise DiscFluxError(f"{run_dir / name}: contents do not match the manifest's sha256")
     flux = load_flux_csv(run_dir / "flux.csv")
-    transform = load_transform_csv(run_dir / "transform.csv", manifest.get("transform"))
-    times = np.array(manifest["times"])
-    tables = {}
-    for var in _VARIABLES:
-        path = run_dir / "snapshots" / f"{var}.csv"
-        tables[var] = np.loadtxt(path, delimiter=",", ndmin=2)
-        if tables[var].shape != (len(times) + 1, manifest["cells"]):
-            raise DiscFluxError(f"{path}: expected {len(times) + 1} rows of {manifest['cells']} "
-                                f"values, found shape {tables[var].shape}")
-    if not np.array_equal(tables["u"][0], tables["v"][0]):
-        raise DiscFluxError(f"{run_dir}: the u and v snapshot tables disagree on the cell centres")
     try:
+        transform = load_transform_csv(run_dir / "transform.csv", manifest["transform"])
+        times = _numbers(manifest["times"])
+        tables = {}
+        for var in _VARIABLES:
+            path = run_dir / "snapshots" / f"{var}.csv"
+            tables[var] = np.loadtxt(path, delimiter=",", ndmin=2)
+            if tables[var].shape != (len(times) + 1, manifest["cells"]):
+                raise DiscFluxError(f"{path}: expected {len(times) + 1} rows of {manifest['cells']} "
+                                    f"values, found shape {tables[var].shape}")
+        if not np.array_equal(tables["u"][0], tables["v"][0]):
+            raise DiscFluxError(f"{run_dir}: the u and v snapshot tables disagree on the cell centres")
         field = SolutionField(
             x=tables["u"][0],
             times=times,
             v=tables["v"][1:],
             u=tables["u"][1:],
-            mass=np.array(manifest["mass"], dtype=float),
-            boundary_flux=np.array(manifest["boundary_flux"], dtype=float),
+            mass=_numbers(manifest["mass"]),
+            boundary_flux=_numbers(manifest["boundary_flux"]),
             dx=float(manifest["dx"]),
             eps=float(manifest["eps"]),
             dt=float(manifest["dt"]),

@@ -19,9 +19,11 @@ approximation, and the viscosity no longer limits the time step.
 W is exactly 0 left of the smoothing band and exactly 1 right of it, so there
 m is beta(v) or alpha(v) alone; only the few band cells have a genuinely
 blended map.  The stepper tabulates every cell's map on the transform's
-breakpoint lattice once.  The implicit solve starts from the exact table
-inversion of m*, which also yields each cell's table segment, and runs
-semismooth Newton on the table segments, one tridiagonal solve
+breakpoint lattice once, and looks it up in one direction only, v -> m: a
+search of v on the lattice gives each cell's density, table segment and
+slope.  The implicit solve starts from the state the step began with, whose
+lookup the explicit half already made, and runs semismooth Newton on the
+table segments with a backtracking safeguard, one tridiagonal solve
 (``_solve_tridiagonal``) per iteration.  That solver is a hybrid: whole-array
 cyclic-reduction levels halve the system while it has more than 64 rows, and
 a Thomas sweep over Python floats finishes it.  At a few hundred or thousand
@@ -45,6 +47,8 @@ from .transforms import TransformPair, composed_fluxes, identity_transform, veri
 _BUMP_NODES = 4097
 _BRACKET_SLACK = 1e-10
 _NEWTON_MAX_ITER = 30
+# the least share of a Newton step that the backtracking tries
+_BACKTRACK_FLOOR = 2.0**-10
 # a Newton residual this many ulps of its terms' magnitude counts as solved
 _NEWTON_RTOL = 8 * np.finfo(float).eps
 # _solve_tridiagonal sweeps systems of at most this many rows in Python
@@ -311,7 +315,7 @@ class _Stepper:
         self.w_face = smooth_heaviside(x_faces, self.eps)
         self.w_cell = w = smooth_heaviside(cfg.centers(), self.eps)
 
-        # inversion tables.  w is non-decreasing in x and exactly 0 (1) left
+        # density tables.  w is non-decreasing in x and exactly 0 (1) left
         # (right) of the smoothing band, where the blended map is beta (alpha)
         # itself; only the band cells need their own blended row.
         self.lo_val = w * self.alpha_tab[0] + (1.0 - w) * self.beta_tab[0]
@@ -320,15 +324,12 @@ class _Stepper:
         self.slack = _BRACKET_SLACK * self.scale
         self.lo_bound = self.lo_val - self.slack
         self.hi_bound = self.hi_val + self.slack
-        self.band = slice(int(np.searchsorted(w, 0.0, side="right")),
-                          int(np.searchsorted(w, 1.0, side="left")))
-        w_band = w[self.band, None]
-        rows = np.vstack([self.beta_tab, self.alpha_tab,
-                          w_band * self.alpha_tab + (1.0 - w_band) * self.beta_tab])
-        self.band_rows = rows[2:]
-        self.inv_table = rows.ravel()
+        band = (w > 0.0) & (w < 1.0)
+        w_band = w[band, None]
+        self.m_table = np.vstack([self.beta_tab, self.alpha_tab,
+                                  w_band * self.alpha_tab + (1.0 - w_band) * self.beta_tab]).ravel()
         row = np.where(w == 0.0, 0, 1)
-        row[self.band] = np.arange(2, len(rows))
+        row[band] = np.arange(2, 2 + len(w_band))
         self.row_offset = row * len(self.ugrid)
 
         # for the implicit viscosity: the diagonal of the Neumann Laplacian
@@ -382,46 +383,78 @@ class _Stepper:
             raise StabilityError("no admissible time step for this configuration")
         return dt
 
-    def conserved(self, v: np.ndarray) -> np.ndarray:
-        return conserved_density(v, self.w_cell, self.table)
+    def conserved(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each cell's density m(v), with its table segment and the slope there.
 
-    def invert_conserved(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """Solve w*alpha(v) + (1-w)*beta(v) = m per cell by exact table lookup.
+        The segment is the last ``ugrid`` node at or below v, capped at the
+        next-to-last node, so the map extends linearly past the table's ends.
+        """
+        seg = np.searchsorted(self.ugrid, v, side="right") - 1
+        np.clip(seg, 0, len(self.ugrid) - 2, out=seg)
+        at = self.row_offset + seg
+        m0 = self.m_table[at]
+        slope = (self.m_table[at + 1] - m0) / self.du[seg]
+        return m0 + slope * (v - self.ugrid[seg]), seg, slope
 
-        Each cell's blended map is piecewise linear on ``ugrid`` with the
-        non-decreasing node values of its table row (beta left of the band,
-        alpha right of it, a precomputed blend inside).  The segment is the
-        last node at or below m, capped at the next-to-last node, and the
-        result interpolates linearly inside it.
+    def invert_conserved(self, m_star: np.ndarray, kappa: float, v: np.ndarray, m: np.ndarray,
+                         seg: np.ndarray, slope: np.ndarray) -> tuple[np.ndarray, int, float]:
+        """Solve m_j(v) + kappa * (L v)_j = m*_j for v by semismooth Newton.
 
-        Returns v, each cell's segment, the map's slope on that segment, and
-        the margin: the least distance of m inside [lo_val, hi_val], negative
-        when m lies outside but within ``slack``.  Beyond the slack, or for a
-        non-finite m, it raises StabilityError.
+        On fixed table segments the system is linear with the tridiagonal
+        M-matrix diag(slope) + kappa * L.  Newton starts from the state ``v``
+        the step began with, whose density ``m``, segment ``seg`` and
+        ``slope`` the caller already looked up, so no m -> v search is needed.
+        A full step that keeps the segments it was linearised on solves the
+        linear model exactly and ends the iteration.  Otherwise the step is
+        halved, down to ``_BACKTRACK_FLOOR``, until the largest residual
+        falls: on a table with many kinks the full step can overshoot into
+        a cycle.  A rounding-level residual also ends the iteration, since a
+        state sitting on a node may flip between the segments on either side
+        for ever.
+
+        Returns v, the number of tridiagonal solves and the margin of m*: its
+        least distance inside [lo_val, hi_val], negative when it lies outside
+        but within ``slack``.  Beyond the slack, or for a non-finite m*, it
+        raises StabilityError.
         """
         # the difference to a bound has the exact sign of the comparison with
-        # it, so the test below accepts exactly the m in [lo_bound, hi_bound];
+        # it, so the test below accepts exactly the m* in [lo_bound, hi_bound];
         # a NaN makes room NaN and fails it too
-        room = min(float(np.min(m - self.lo_bound)), float(np.min(self.hi_bound - m)))
+        room = min(float(np.min(m_star - self.lo_bound)), float(np.min(self.hi_bound - m_star)))
         if not room >= 0.0:
-            worst = float(np.max(np.maximum(self.lo_val - m, m - self.hi_val)))
+            worst = float(np.max(np.maximum(self.lo_val - m_star, m_star - self.hi_val)))
             raise StabilityError(
                 f"conserved density left the invertible range by {worst:.3e}; "
                 "reduce the time step or refine the grid"
             )
-        m = np.clip(m, self.lo_val, self.hi_val)
-        band = self.band
-        idx = np.empty(m.shape, dtype=np.intp)
-        idx[: band.start] = np.searchsorted(self.beta_tab, m[: band.start], side="right")
-        idx[band] = np.count_nonzero(self.band_rows <= m[band, None], axis=1)
-        idx[band.stop :] = np.searchsorted(self.alpha_tab, m[band.stop :], side="right")
-        lo = np.clip(idx - 1, 0, len(self.ugrid) - 2, out=idx)
-        at = self.row_offset + lo
-        v0 = self.inv_table[at]
-        rise = self.inv_table[at + 1] - v0
-        du = self.du[lo]
-        frac = (m - v0) / rise
-        return self.ugrid[lo] + frac * du, lo, rise / du, room - self.slack
+        off = np.full(len(v) - 1, -kappa)
+        diag = kappa * self.lap_diag
+        tol = _NEWTON_RTOL * (self.scale + 4.0 * kappa * self.v_mag)
+        resid = m - m_star + kappa * self.neumann_stencil(v)
+        worst = float(np.max(np.abs(resid)))
+        iterations = 0
+        while not worst <= tol:   # a NaN residual must not pass as converged
+            if iterations == _NEWTON_MAX_ITER:
+                raise StabilityError(
+                    f"implicit viscosity solve did not converge in {_NEWTON_MAX_ITER} Newton "
+                    f"iterations (worst residual {worst:.3e})"
+                )
+            iterations += 1
+            delta = _solve_tridiagonal(off, slope + diag, resid)
+            share = 1.0
+            while True:
+                trial = v - share * delta
+                m, new_seg, new_slope = self.conserved(trial)
+                new_resid = m - m_star + kappa * self.neumann_stencil(trial)
+                new_worst = float(np.max(np.abs(new_resid)))
+                solved = share == 1.0 and np.array_equal(new_seg, seg)
+                if solved or new_worst < worst or share <= _BACKTRACK_FLOOR:
+                    break
+                share *= 0.5
+            v, seg, slope, resid, worst = trial, new_seg, new_slope, new_resid, new_worst
+            if solved:
+                break
+        return np.clip(v, self.ugrid[0], self.ugrid[-1], out=v), iterations, room - self.slack
 
     def face_fluxes(self, v: np.ndarray) -> np.ndarray:
         vx = np.concatenate(([v[0]], v, [v[-1]]))  # zero-gradient ghosts
@@ -435,51 +468,6 @@ class _Stepper:
         # update is then not monotone at any time step (see suggest_dt)
         return 0.5 * (left + right) - 0.5 * self.speed_max * (vx[1:] - vx[:-1])
 
-    def segments(self, v: np.ndarray):
-        """Each cell's table segment at v, with the density m(v) and its slope there."""
-        seg = np.searchsorted(self.ugrid, v, side="right") - 1
-        np.clip(seg, 0, len(self.ugrid) - 2, out=seg)
-        at = self.row_offset + seg
-        m0 = self.inv_table[at]
-        slope = (self.inv_table[at + 1] - m0) / self.du[seg]
-        return seg, m0 + slope * (v - self.ugrid[seg]), slope
-
-    def implicit_viscosity(self, m_star: np.ndarray, kappa: float) -> tuple[np.ndarray, int, float]:
-        """Solve m_j(v) + kappa * (L v)_j = m*_j for v by semismooth Newton.
-
-        On fixed table segments the system is linear with the tridiagonal
-        M-matrix diag(slope) + kappa * L.  Newton starts from the exact
-        inversion v0 of m*, linearised on the segments that inversion found
-        (so its first residual is kappa * L v0), and stops when an iterate
-        keeps the segments it was linearised on, where the linear model is
-        exact, or when the residual is at rounding level: a state sitting on
-        a node may otherwise flip between the segments on either side for
-        ever.  Returns v, the number of tridiagonal solves and the inversion
-        margin of m* (see ``invert_conserved``).
-        """
-        v, seg, slope, margin = self.invert_conserved(m_star)
-        off = np.full(len(v) - 1, -kappa)
-        diag = kappa * self.lap_diag
-        tol = _NEWTON_RTOL * (self.scale + 4.0 * kappa * self.v_mag)
-        resid = kappa * self.neumann_stencil(v)
-        worst = float(np.max(np.abs(resid)))
-        iterations = 0
-        while not worst <= tol:   # a NaN residual must not pass as converged
-            if iterations == _NEWTON_MAX_ITER:
-                raise StabilityError(
-                    f"implicit viscosity solve did not converge in {_NEWTON_MAX_ITER} Newton "
-                    f"iterations (worst residual {worst:.3e})"
-                )
-            iterations += 1
-            v = v - _solve_tridiagonal(off, slope + diag, resid)
-            new_seg, m_v, slope = self.segments(v)
-            resid = m_v - m_star + kappa * self.neumann_stencil(v)
-            worst = float(np.max(np.abs(resid)))
-            if np.array_equal(new_seg, seg):
-                break
-            seg = new_seg
-        return np.clip(v, self.ugrid[0], self.ugrid[-1], out=v), iterations, margin
-
     @staticmethod
     def neumann_stencil(v: np.ndarray) -> np.ndarray:
         """(L v)_j = -v_{j-1} + 2 v_j - v_{j+1} with zero-gradient ghosts; it sums to 0."""
@@ -492,12 +480,16 @@ class _Stepper:
     def step(self, v: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, int, float]:
         """Explicit Lax-Friedrichs transport, then the backward-Euler viscosity.
 
-        Returns the new state, the face fluxes, the Newton iteration count
-        and the inversion margin of the transported density.
+        One lookup of v serves both halves: its density moves to m*, and its
+        segments and slopes linearise Newton's first iterate.  Returns the new
+        state, the face fluxes, the Newton iteration count and the margin of
+        m* inside the density range (see ``invert_conserved``).
         """
         phi = self.face_fluxes(v)
-        m_star = self.conserved(v) - (dt / self.dx) * np.diff(phi)
-        v_new, iterations, margin = self.implicit_viscosity(m_star, self.eps * dt / self.dx**2)
+        m, seg, slope = self.conserved(v)
+        m_star = m - (dt / self.dx) * np.diff(phi)
+        v_new, iterations, margin = self.invert_conserved(
+            m_star, self.eps * dt / self.dx**2, v, m, seg, slope)
         return v_new, phi, iterations, margin
 
 
@@ -545,7 +537,7 @@ def solve(
 
     snaps_v = [v.copy()]
     snap_times = [0.0]
-    mass = [float(np.sum(stepper.conserved(v)) * cfg.dx)]
+    mass = [float(np.sum(stepper.conserved(v)[0]) * cfg.dx)]
     bflux = [(0.0, 0.0)]
     cum_left = cum_right = 0.0
     c1 = 0.0  # max L1 rate of change of v
@@ -566,7 +558,7 @@ def solve(
         if n in snap_at:
             snaps_v.append(v.copy())
             snap_times.append(n * dt)
-            mass.append(float(np.sum(stepper.conserved(v)) * cfg.dx))
+            mass.append(float(np.sum(stepper.conserved(v)[0]) * cfg.dx))
             bflux.append((cum_left, cum_right))
 
     v_arr = np.array(snaps_v)

@@ -174,7 +174,14 @@ def test_solve_rejects_bad_config_file(tmp_path, content, message):
     # boundary fluxes and the mass balance would pass
     ("2", lambda m: m["mass"].pop()),
     ("2", lambda m: m["boundary_flux"].pop()),
-], ids=["no-cells", "short-mass", "short-mass-two-snapshots", "short-boundary-flux"])
+    ("33", lambda m: m.update(sha256=list(m["sha256"].values()))),
+    ("33", lambda m: m.update(transform=list(m["transform"].values()))),
+    ("33", lambda m: m["transform"].update(connection={"B": 0.25})),
+    ("33", lambda m: m["transform"].update(shifts=0.5)),
+    # numeric strings: the values are right, the types are not
+    ("33", lambda m: m.update(times=[repr(t) for t in m["times"]])),
+], ids=["no-cells", "short-mass", "short-mass-two-snapshots", "short-boundary-flux",
+        "sha256-list", "transform-list", "connection-without-A", "shifts-number", "times-strings"])
 def test_verify_rejects_inconsistent_manifest(tmp_path, snapshots, edit):
     res = run_cli("solve", "--flux", "burgers-like", "--u0", "riemann:0.25:0.75",
                   "--cells", "64", "--t-end", "0.05", "--snapshots", snapshots,
@@ -201,6 +208,20 @@ def test_build_transform_translation(tmp_path):
     assert meta["kind"] == "translation"
     k_l, k_r = meta["shifts"]
     assert k_l > k_r
+
+
+def test_solve_rejects_malformed_transform_metadata(tmp_path):
+    out = tmp_path / "shift.csv"
+    assert run_cli("build-transform", "--flux", "demo-swapped", "--mode", "translation",
+                   "--out", str(out)).exit_code == 0
+    meta = json.loads(out.with_suffix(".json").read_text())
+    meta["shifts"] = 0.16
+    out.with_suffix(".json").write_text(json.dumps(meta))
+    res = run_cli("solve", "--flux", "demo-swapped", "--transform", str(out), "--u0", "constant:0.4",
+                  "--cells", "64", "--t-end", "0.05", "--out", str(tmp_path / "runs"))
+    assert res.exit_code == 2, res.output
+    assert "malformed transform metadata" in res.output
+    assert not (tmp_path / "runs").exists()
 
 
 def test_build_transform_requires_connection_states(tmp_path):

@@ -1,5 +1,6 @@
 """Mollifier properties, scheme invariants, and refinement behaviour."""
 
+import ast
 import math
 import os
 import subprocess
@@ -196,34 +197,6 @@ def test_stats_record_the_step_rule(demo_swapped):
     assert stats["invert_margin"] >= -stepper.slack
 
 
-def _bisection_inverse(st, m):
-    """The vectorised bisection the stepper used before its table lookup."""
-    w = st.w_cell
-    lo_val = w * st.alpha_tab[0] + (1.0 - w) * st.beta_tab[0]
-    hi_val = w * st.alpha_tab[-1] + (1.0 - w) * st.beta_tab[-1]
-    span = float(np.max(hi_val - lo_val))
-    slack = 1e-10 * max(span, 1.0)
-    if np.any(m < lo_val - slack) or np.any(m > hi_val + slack):
-        worst = float(np.max(np.maximum(lo_val - m, m - hi_val)))
-        raise StabilityError(
-            f"conserved density left the invertible range by {worst:.3e}; "
-            "reduce the time step or refine the grid"
-        )
-    m = np.clip(m, lo_val, hi_val)
-    lo = np.zeros(m.shape, dtype=np.intp)
-    hi = np.full(m.shape, len(st.ugrid) - 1, dtype=np.intp)
-    while np.any(hi - lo > 1):
-        mid = (lo + hi) // 2
-        val = w * st.alpha_tab[mid] + (1.0 - w) * st.beta_tab[mid]
-        take = val <= m
-        lo = np.where(take, mid, lo)
-        hi = np.where(take, hi, mid)
-    v0 = w * st.alpha_tab[lo] + (1.0 - w) * st.beta_tab[lo]
-    v1 = w * st.alpha_tab[hi] + (1.0 - w) * st.beta_tab[hi]
-    frac = (m - v0) / (v1 - v0)
-    return st.ugrid[lo] + frac * (st.ugrid[hi] - st.ugrid[lo])
-
-
 def _steppers(burgers, demo_swapped, demo_connection):
     _, conn = demo_connection
     cfg = dx.SolverConfig(cells=128, t_end=0.0)
@@ -236,80 +209,15 @@ def _steppers(burgers, demo_swapped, demo_connection):
     }
 
 
-def test_inversion_lookup_matches_bisection(burgers, demo_swapped, demo_connection):
-    steppers = _steppers(burgers, demo_swapped, demo_connection)
-    assert steppers["connection"].band.stop > steppers["connection"].band.start
-    assert steppers["empty band"].band.start == steppers["empty band"].band.stop
-    rng = np.random.default_rng(43)
-    for name, st in steppers.items():
-        lo, hi, n = st.lo_val, st.hi_val, len(st.lo_val)
-        node = rng.integers(0, len(st.ugrid), size=n)
-        w = st.w_cell
-        at_nodes = w * st.alpha_tab[node] + (1.0 - w) * st.beta_tab[node]
-        cases = {
-            "random": lo + rng.uniform(0, 1, size=n) * (hi - lo),
-            "lo_val": lo.copy(),
-            "hi_val": hi.copy(),
-            "nodes": at_nodes,
-            "below in slack": lo - 0.5 * st.slack,
-            "above in slack": hi + 0.5 * st.slack,
-            "at the slack edge": np.where(rng.uniform(size=n) < 0.5, lo - st.slack, hi + st.slack),
-        }
-        for case, m in cases.items():
-            got = st.invert_conserved(m)[0]
-            assert np.array_equal(got, _bisection_inverse(st, m)), (name, case)
-        assert np.array_equal(st.invert_conserved(cases["below in slack"])[0], np.full(n, st.ugrid[0]))
-        assert np.array_equal(st.invert_conserved(cases["above in slack"])[0], np.full(n, st.ugrid[-1]))
+@pytest.fixture(scope="module")
+def fixed_steppers(burgers, demo_swapped, demo_connection):
+    return _steppers(burgers, demo_swapped, demo_connection)
 
 
-def test_inversion_returns_the_segment_and_its_slope(burgers, demo_swapped, demo_connection):
-    # Newton linearises on this segment and slope instead of searching for them again
-    rng = np.random.default_rng(47)
-    for name, st in _steppers(burgers, demo_swapped, demo_connection).items():
-        w, n = st.w_cell, len(st.w_cell)
-        cells = np.arange(n)
-        rows = w[:, None] * st.alpha_tab + (1.0 - w[:, None]) * st.beta_tab
-        node = rng.integers(0, len(st.ugrid), size=n)
-        for m in (st.lo_val + rng.uniform(0, 1, size=n) * (st.hi_val - st.lo_val),
-                  rows[cells, node], st.lo_val - 0.5 * st.slack, st.hi_val + 0.5 * st.slack):
-            v, seg, slope, margin = st.invert_conserved(m)
-            assert np.all(st.ugrid[seg] <= v) and np.all(v <= st.ugrid[seg + 1]), name
-            secant = (rows[cells, seg + 1] - rows[cells, seg]) / (st.ugrid[seg + 1] - st.ugrid[seg])
-            assert np.array_equal(slope, secant), name
-            direct = min(np.min(m - st.lo_val), np.min(st.hi_val - m))
-            assert margin == pytest.approx(direct, rel=0.0, abs=4 * np.finfo(float).eps * st.scale), name
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_density_raises(small_problems, bad):
-    # a NaN passes every "m < lo" test; it must fail the range check anyway,
-    # not reach Newton, whose "residual > tol" test it also passes
-    for kind, (flux, transform) in small_problems.items():
-        st = _Stepper(flux, transform, dx.SolverConfig(cells=64, t_end=0.0))
-        m = 0.5 * (st.lo_val + st.hi_val)
-        m[20] = bad
-        with pytest.raises(StabilityError, match="left the invertible range"):
-            st.invert_conserved(m)
-        v = np.full(64, 0.5 * (st.ugrid[0] + st.ugrid[-1]))
-        v[20] = bad
-        with pytest.raises(StabilityError, match="left the invertible range"):
-            st.step(v, st.suggest_dt())
-
-
-@pytest.mark.parametrize("side", ["below", "above"])
-def test_inversion_raises_just_beyond_the_slack(burgers, demo_swapped, demo_connection, side):
-    for st in _steppers(burgers, demo_swapped, demo_connection).values():
-        m = 0.5 * (st.lo_val + st.hi_val)
-        i = len(m) // 2 + 3   # right of the interface, inside the band when there is one
-        if side == "below":
-            m[i] = np.nextafter(st.lo_val[i] - st.slack, -np.inf)
-        else:
-            m[i] = np.nextafter(st.hi_val[i] + st.slack, np.inf)
-        with pytest.raises(StabilityError) as ref:
-            _bisection_inverse(st, m)
-        with pytest.raises(StabilityError, match="left the invertible range by") as got:
-            st.invert_conserved(m)
-        assert str(got.value) == str(ref.value)
+def _invert(st, m_star):
+    """The implicit solve of ``m_star``, started from the middle of the table."""
+    v = np.full(len(m_star), 0.5 * (st.ugrid[0] + st.ugrid[-1]))
+    return st.invert_conserved(m_star, st.eps * st.suggest_dt() / st.dx**2, v, *st.conserved(v))
 
 
 def _increasing_table(draw, size):
@@ -330,25 +238,63 @@ def _random_pair(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(pair=_random_pair(), eps=st_.floats(0.01, 0.5), seed=st_.integers(0, 2**32 - 1))
-def test_inversion_property_random_tables(burgers, pair, eps, seed):
+def test_lookup_returns_the_segment_slope_and_density(burgers, fixed_steppers, pair, eps, seed):
     # the band width eps sets how many cells see a blend weight strictly inside (0, 1)
-    st = _Stepper(burgers, pair, dx.SolverConfig(cells=64, eps=eps, t_end=0.0))
-    v = np.random.default_rng(seed).uniform(0.0, 1.0, size=64)
-    m = st.conserved(v)
-    back = st.invert_conserved(m)[0]
-    assert np.max(np.abs(back - v)) < 1e-12
-    assert np.array_equal(back, _bisection_inverse(st, m))
+    steppers = dict(fixed_steppers, random=_Stepper(burgers, pair, dx.SolverConfig(cells=64, eps=eps, t_end=0.0)))
+    band = {name: np.count_nonzero((st.w_cell > 0.0) & (st.w_cell < 1.0)) for name, st in steppers.items()}
+    assert band["connection"] > 0 and band["empty band"] == 0
+    rng = np.random.default_rng(seed)
+    for name, st in steppers.items():
+        w, n = st.w_cell, len(st.w_cell)
+        cells = np.arange(n)
+        rows = w[:, None] * st.alpha_tab + (1.0 - w[:, None]) * st.beta_tab
+        lo, hi = st.ugrid[0], st.ugrid[-1]
+        for v in (rng.uniform(lo, hi, size=n), st.ugrid[rng.integers(0, len(st.ugrid), size=n)],
+                  np.full(n, lo), np.full(n, hi)):
+            m, seg, slope = st.conserved(v)
+            assert np.all(st.ugrid[seg] <= v) and np.all(v <= st.ugrid[seg + 1]), name
+            secant = (rows[cells, seg + 1] - rows[cells, seg]) / (st.ugrid[seg + 1] - st.ugrid[seg])
+            assert np.array_equal(slope, secant), name
+            # the blend of the two interpolants that l1_distances still uses
+            blended = dx.solver.conserved_density(v, w, st.table)
+            assert np.max(np.abs(m - blended)) <= 4 * np.finfo(float).eps * st.scale, name
 
 
-def test_inversion_round_trips_and_brackets(burgers, demo_connection):
-    _, pair = demo_connection
-    st = _Stepper(burgers, pair, dx.SolverConfig(cells=128, t_end=0.0))
-    rng = np.random.default_rng(41)
-    v = rng.uniform(0, 1, size=128)
-    back = st.invert_conserved(st.conserved(v))[0]
-    assert np.max(np.abs(back - v)) < 1e-12
-    with pytest.raises(StabilityError):
-        st.invert_conserved(np.full(128, 5.0))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_density_raises(small_problems, bad):
+    # a NaN passes every "m < lo" test; it must fail the range check anyway,
+    # not reach Newton, whose "residual > tol" test it also passes
+    for kind, (flux, transform) in small_problems.items():
+        st = _Stepper(flux, transform, dx.SolverConfig(cells=64, t_end=0.0))
+        m = 0.5 * (st.lo_val + st.hi_val)
+        m[20] = bad
+        with pytest.raises(StabilityError, match="left the invertible range"):
+            _invert(st, m)
+        v = np.full(64, 0.5 * (st.ugrid[0] + st.ugrid[-1]))
+        v[20] = bad
+        with pytest.raises(StabilityError, match="left the invertible range"):
+            st.step(v, st.suggest_dt())
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_inversion_raises_just_beyond_the_slack(fixed_steppers, side):
+    for name, st in fixed_steppers.items():
+        i = len(st.lo_val) // 2 + 3   # right of the interface, inside the band when there is one
+        m = 0.5 * (st.lo_val + st.hi_val)
+        # inside the range the margin is m*'s least distance to its bounds
+        direct = min(np.min(m - st.lo_val), np.min(st.hi_val - m))
+        assert _invert(st, m)[2] == pytest.approx(direct, rel=0.0, abs=4 * np.finfo(float).eps * st.scale)
+        # at the slack edge is accepted, with the margin -slack
+        m[i] = st.lo_val[i] - st.slack if side == "below" else st.hi_val[i] + st.slack
+        v, _, margin = _invert(st, m)
+        assert st.ugrid[0] <= v[i] <= st.ugrid[-1], name
+        assert margin == pytest.approx(-st.slack, rel=1e-6), name
+        m[i] = np.nextafter(m[i], -np.inf if side == "below" else np.inf)
+        worst = st.lo_val[i] - m[i] if side == "below" else m[i] - st.hi_val[i]
+        with pytest.raises(StabilityError) as got:
+            _invert(st, m)
+        assert str(got.value) == (f"conserved density left the invertible range by {worst:.3e}; "
+                                  "reduce the time step or refine the grid"), name
 
 
 # ------------------------------------------------ monotonicity at suggest_dt
@@ -381,12 +327,12 @@ def test_step_is_monotone_at_the_suggested_dt(small_problems, kind, cells, seed)
     lo, hi = st.ugrid[0], st.ugrid[-1]
     v = _clustered_state(rng, lo, hi, cells)
     dt = st.suggest_dt()
-    # conserved(step) is the updated density m_new up to the inversion's rounding
-    m_new = st.conserved(st.step(v, dt)[0])
+    # conserved(step) is the updated density m_new up to Newton's rounding
+    m_new = st.conserved(st.step(v, dt)[0])[0]
     for j in rng.choice(cells, size=6, replace=False):
         up = v.copy()
         up[j] = min(hi, v[j] + (hi - lo) * 10.0 ** rng.uniform(-6, 0))
-        dm = st.conserved(st.step(up, dt)[0]) - m_new
+        dm = st.conserved(st.step(up, dt)[0])[0] - m_new
         assert dm.min() >= -1e-13, (j, float(dm.min()))
 
 
@@ -401,7 +347,7 @@ def test_step_is_monotone_across_a_breakpoint(small_problems):
     below, above = v.copy(), v.copy()
     below[j], above[j] = g[k + 1] - 1e-9, g[k + 1] + 1e-9
     dt = st.suggest_dt()
-    dm = st.conserved(st.step(above, dt)[0]) - st.conserved(st.step(below, dt)[0])
+    dm = st.conserved(st.step(above, dt)[0])[0] - st.conserved(st.step(below, dt)[0])[0]
     assert dm[j] > 0.0
     assert dm.min() >= -1e-13
 
@@ -434,6 +380,22 @@ def test_tridiagonal_solve_matches_dense(n, seed):
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
 
+def _backward_euler_step(st, v, dt):
+    """One step, checked to solve its backward-Euler equation to rounding.
+
+    Returns the new state, the face fluxes and the residual's scale.
+    """
+    v_new, phi, _, _ = st.step(v, dt)
+    kappa = st.eps * dt / st.dx**2
+    m_star = st.conserved(v)[0] - (dt / st.dx) * np.diff(phi)
+    lap = (np.concatenate((v_new[1:], v_new[-1:])) - 2.0 * v_new
+           + np.concatenate((v_new[:1], v_new[:-1])))   # zero-gradient ghosts
+    scale = st.scale + 4.0 * kappa * st.v_mag
+    resid = st.conserved(v_new)[0] - kappa * lap - m_star
+    assert np.max(np.abs(resid)) <= 1e-13 * scale
+    return v_new, phi, scale
+
+
 @settings(max_examples=30, deadline=None)
 @given(kind=st_.sampled_from(["connection", "identity", "translation"]),
        cells=st_.sampled_from([64, 96, 128, 1024]), seed=st_.integers(0, 2**32 - 1))
@@ -442,17 +404,33 @@ def test_step_solves_its_backward_euler_equation(small_problems, kind, cells, se
     st = _Stepper(flux, transform, dx.SolverConfig(cells=cells, t_end=0.0))
     v = _clustered_state(np.random.default_rng(seed), st.ugrid[0], st.ugrid[-1], cells)
     dt = st.suggest_dt()
-    v_new, phi, _, _ = st.step(v, dt)
-    kappa = st.eps * dt / st.dx**2
-    m_star = st.conserved(v) - (dt / st.dx) * np.diff(phi)
-    lap = (np.concatenate((v_new[1:], v_new[-1:])) - 2.0 * v_new
-           + np.concatenate((v_new[:1], v_new[:-1])))   # zero-gradient ghosts
-    scale = st.scale + 4.0 * kappa * st.v_mag
-    resid = st.conserved(v_new) - kappa * lap - m_star
-    assert np.max(np.abs(resid)) <= 1e-13 * scale
+    v_new, phi, scale = _backward_euler_step(st, v, dt)
     # the viscous term sums to zero, so only the boundary faces move the mass
-    gap = np.sum(st.conserved(v_new)) - np.sum(st.conserved(v)) + (dt / st.dx) * (phi[-1] - phi[0])
+    gap = np.sum(st.conserved(v_new)[0]) - np.sum(st.conserved(v)[0]) + (dt / st.dx) * (phi[-1] - phi[0])
     assert abs(gap) <= 1e-13 * scale
+
+
+def test_newton_converges_on_kinked_tables(burgers):
+    # Tables with many kinks make an undamped Newton step overshoot into a
+    # cycle between segments; the backtracking must break every such cycle.
+    # A fixed seed, not hypothesis, so that a failure cannot shrink into
+    # a different case from run to run.
+    rng = np.random.default_rng(29)
+
+    def table(size):
+        nodes = np.concatenate(([0.0], np.cumsum(rng.uniform(0.1, 1.0, size))))
+        return nodes / nodes[-1]
+
+    for _ in range(60):
+        maps = [dx.MonotoneBijection(table(size), table(size))
+                for size in rng.integers(1, 41, size=2)]
+        cells = int(rng.choice([64, 96, 128, 1024]))
+        cfg = dx.SolverConfig(cells=cells, eps=float(rng.uniform(0.5, 8.0)) * 4.0 / cells, t_end=0.0)
+        st = _Stepper(burgers, dx.TransformPair(*maps), cfg)
+        v = _clustered_state(rng, st.ugrid[0], st.ugrid[-1], cells)
+        dt = st.suggest_dt()
+        for _ in range(5):
+            v = _backward_euler_step(st, v, dt)[0]
 
 
 def test_newton_stops_on_a_node(burgers, demo_connection):
@@ -481,6 +459,17 @@ def test_newton_iteration_cap_raises(monkeypatch, small_problems):
     monkeypatch.setattr(dx.solver, "_NEWTON_MAX_ITER", 1)
     with pytest.raises(StabilityError, match=r"did not converge in 1 Newton iterations \(worst residual"):
         st.step(v, st.suggest_dt())
+
+
+def test_tracer_wraps_methods_the_stepper_has():
+    # the benchmark's tracer wraps these _Stepper methods by name, through
+    # vars(_Stepper); a renamed or deleted one would break its traced runs
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    names = next(ast.literal_eval(node.value) for node in ast.walk(ast.parse(tracer.read_text()))
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["STEPPER_METHODS"])
+    assert names
+    assert [name for name in names if name not in vars(_Stepper)] == []
 
 
 def test_no_scipy_on_import_or_solve():
