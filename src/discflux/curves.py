@@ -50,15 +50,13 @@ def merge_close(x: np.ndarray) -> np.ndarray:
 class SampledCurve:
     """Piecewise-linear function on a strictly increasing node lattice.
 
-    ``outside`` controls evaluation beyond the node span: ``"clamp"``
-    tolerates ``CLAMP_SLACK`` of overshoot (and raises DomainError past it),
-    ``"zero"`` extends by zero, which keeps clipped fluxes continuous because
-    their endpoint samples vanish.
+    Evaluation tolerates ``CLAMP_SLACK`` of overshoot past the node span and
+    raises DomainError beyond it; a curve that must be read further out
+    carries the extra nodes as data (see ``fluxes.clip_flux``).
     """
 
     x: np.ndarray
     y: np.ndarray
-    outside: str = "clamp"
 
     def __post_init__(self):
         x = _as_nodes(self.x)
@@ -69,8 +67,6 @@ class SampledCurve:
             raise ValueError("nodes and values must be finite")
         if not np.all(np.diff(x) > 0):
             raise ValueError("nodes must be strictly increasing")
-        if self.outside not in ("clamp", "zero"):
-            raise ValueError(f"unknown outside mode {self.outside!r}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -88,8 +84,6 @@ class SampledCurve:
 
     def __call__(self, u):
         arr = np.asarray(u, dtype=float)
-        if self.outside == "zero":
-            return np.interp(arr, self.x, self.y, left=0.0, right=0.0)
         if np.any(arr < self.lo - CLAMP_SLACK) or np.any(arr > self.hi + CLAMP_SLACK):
             raise DomainError(
                 f"evaluation point outside [{self.lo:.6g}, {self.hi:.6g}] "

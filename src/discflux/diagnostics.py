@@ -85,7 +85,7 @@ def default_test_functions(
     """
     t0, t1 = float(field.times[0]), float(field.times[-1])
     if t1 - t0 <= 0:
-        raise ValueError("field must span a positive time interval")
+        raise CoverageError("field must span a positive time interval")
     x0, x1 = float(field.x[0] - field.dx / 2), float(field.x[-1] + field.dx / 2)
     rng = np.random.default_rng(seed)
     tspan = t1 - t0

@@ -75,23 +75,28 @@ def compose_flux(branch: SampledCurve, m: MonotoneBijection) -> SampledCurve:
 
     Breakpoints are the union of m's own breakpoints and the preimages of the
     branch nodes hit by m's range, so the result is the composition as a
-    function, not a resampling of it.
+    function, not a resampling of it.  m's range must lie in the branch's nodes.
     """
     rlo, rhi = m.range
-    if branch.outside != "zero":
-        if rlo < branch.lo - CLAMP_SLACK or rhi > branch.hi + CLAMP_SLACK:
-            raise CompositionError(
-                f"transform range [{rlo:.6g}, {rhi:.6g}] escapes flux domain "
-                f"[{branch.lo:.6g}, {branch.hi:.6g}]"
-            )
+    if rlo < branch.lo - CLAMP_SLACK or rhi > branch.hi + CLAMP_SLACK:
+        raise CompositionError(
+            f"transform range [{rlo:.6g}, {rhi:.6g}] escapes flux domain "
+            f"[{branch.lo:.6g}, {branch.hi:.6g}]"
+        )
     inner = branch.x[(branch.x > rlo) & (branch.x < rhi)]
     nodes = merge_close(np.union1d(m.breakpoints, m.inverse(inner)))
     return SampledCurve(nodes, branch(m.forward(nodes)))
 
 
 def clip_flux(branch: SampledCurve) -> SampledCurve:
-    """Extend a branch by zero outside its interval (continuous by hypothesis)."""
-    return SampledCurve(branch.x, branch.y, outside="zero")
+    """The branch with a zero node one interval width beyond each end.
+
+    Continuous because the branch vanishes at its endpoints; the width covers
+    every shift ``build_translation_transform`` returns.
+    """
+    width = branch.hi - branch.lo
+    x = np.concatenate(([branch.lo - width], branch.x, [branch.hi + width]))
+    return SampledCurve(x, np.concatenate(([0.0], branch.y, [0.0])))
 
 
 def _runs(y: np.ndarray) -> list[tuple[int, int]]:

@@ -34,6 +34,7 @@ reduction level costs about as many calls at 100 rows as at 1000.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 
@@ -133,6 +134,10 @@ class SolverConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("half_width", "t_end") + (() if self.eps is None else ("eps",)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.half_width <= 0 or self.t_end < 0:
             raise ValueError("half_width must be positive and t_end non-negative")
         if self.cells < 8:

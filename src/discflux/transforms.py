@@ -27,7 +27,7 @@ TOL_CROSS = 1e-10  # dead band for sign decisions on flux differences
 TOL_CONN = 1e-8    # slack on the flux-matching equality f(B) = g(A)
 ROUND_TRIP_REL = 1e-12
 _ROUND_TRIP_SAMPLES = 1000   # probe points of the audit's round-trip check
-_COARSE_SAMPLES = 2049       # pre-screen lattice of the translation search
+_SHIFT_NODES = 101           # nodes of the translation search's grid over [-(b-a), b-a]
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,8 @@ class TransformPair:
 
     ``c`` is the shared preimage of the connection states when the pair was
     built for one; ``clip`` records that the composed fluxes must use the
-    zero-extended branches (translation pairs move states outside [a, b]).
+    branches zero-extended by ``clip_flux`` (translation pairs map part of
+    their domain outside [a, b], by at most one interval width).
     """
 
     alpha: MonotoneBijection
@@ -132,7 +133,7 @@ def identity_transform(flux: FluxPair) -> TransformPair:
 
 
 def composed_fluxes(flux: FluxPair, t: TransformPair) -> tuple[SampledCurve, SampledCurve]:
-    """The pair (f∘alpha, g∘beta) on the transform domain, clip-aware."""
+    """(f∘alpha, g∘beta) on the transform domain; a clip pair composes clip_flux branches."""
     fb = clip_flux(flux.f) if t.clip else flux.f
     gb = clip_flux(flux.g) if t.clip else flux.g
     return compose_flux(fb, t.alpha), compose_flux(gb, t.beta)
@@ -233,8 +234,6 @@ def is_connection(flux: FluxPair, A: float, B: float, flavor: str = "classic") -
 def _translation_pair(flux: FluxPair, k_l: float, k_r: float) -> TransformPair:
     lo = flux.a - k_l
     hi = flux.b - k_r
-    if not lo < hi:
-        raise ValueError("degenerate shifted domain")
     return TransformPair(
         MonotoneBijection.translation(k_r, lo, hi),
         MonotoneBijection.translation(k_l, lo, hi),
@@ -244,33 +243,28 @@ def _translation_pair(flux: FluxPair, k_l: float, k_r: float) -> TransformPair:
     )
 
 
-def build_translation_transform(flux: FluxPair, grid_points: int = 101) -> TransformPair:
-    """Search shifts (k_l, k_r), k_l >= k_r, making the clipped pair cross once.
+def build_translation_transform(flux: FluxPair) -> TransformPair:
+    """Shifts (d, 0), d = k_l - k_r >= 0 least on a grid, making the clipped pair cross once.
 
-    Candidates on a uniform grid over [-(b-a), b-a]^2 are tried in order of
-    |k_l| + |k_r| (ties broken toward smaller k_l), pre-screened on a coarse
-    lattice and confirmed on the exact breakpoint union, so the first success
-    is the minimiser.  A pair that already satisfies the crossing condition
-    therefore comes back with zero shifts.
+    With s = v + k_l the composed difference is f(s - d) - g(s) on [a, b + d],
+    so the verdict depends on d alone and |k_l| + |k_r| >= d, with equality at
+    (d, 0).  The non-negative nodes of a grid over [-(b-a), b-a] are checked
+    upward, exactly on the composed breakpoint union; past d = b - a the
+    shifted branches overlap only where one vanishes, so the verdict stops
+    changing.  A compliant pair comes back with zero shifts.
     """
     width = flux.b - flux.a
-    ks = np.linspace(-width, width, grid_points)
-    pairs = [(float(kl), float(kr)) for kl in ks for kr in ks if kr <= kl]
-    pairs.sort(key=lambda p: (abs(p[0]) + abs(p[1]), p[0]))
-    fc = clip_flux(flux.f)
-    gc = clip_flux(flux.g)
+    shifts = np.linspace(-width, width, _SHIFT_NODES)
     best = (np.inf, None)
-    for k_l, k_r in pairs:
-        lo = flux.a - k_l
-        hi = flux.b - k_r
-        grid = np.linspace(lo, hi, _COARSE_SAMPLES)
-        amount = _violation_amount(fc(grid + k_r) - gc(grid + k_l))
-        if amount < best[0]:
-            best = (amount, (k_l, k_r))
+    for d in shifts[shifts >= 0.0]:
+        pair = _translation_pair(flux, d, 0.0)
+        fa, gb = composed_fluxes(flux, pair)
+        grid = merge_close(np.union1d(fa.x, gb.x))
+        amount = _violation_amount(fa(grid) - gb(grid))
         if amount <= TOL_CROSS:
-            pair = _translation_pair(flux, k_l, k_r)
-            if check_crossing(*composed_fluxes(flux, pair)).holds:
-                return pair
+            return pair
+        if amount < best[0]:
+            best = (amount, pair.shifts)
     raise ConstructionError(
         f"no translation shifts pass the crossing check; best miss {best[0]:.3e} at {best[1]}",
         payload={"violation": best[0], "shifts": best[1]},

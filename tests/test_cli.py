@@ -104,6 +104,32 @@ def test_verify_reports_uncomputable_residual_as_failure(tmp_path):
     assert "PASS entropy residual" not in ver.output
 
 
+def test_verify_fails_zero_length_run_without_traceback(tmp_path):
+    res = run_cli("solve", "--flux", "burgers-like", "--t-end", "0", "--cells", "64",
+                  "--out", str(tmp_path))
+    assert res.exit_code == 0, res.output
+    run_dir = next(p for p in tmp_path.iterdir() if p.is_dir())
+
+    # catch_exceptions=False: a traceback would fail the test here
+    ver = run_cli("verify", "--run", str(run_dir))
+    assert ver.exit_code == 1, ver.output
+    assert "PASS mass balance" in ver.output
+    assert ver.output.count("FAIL entropy residual at xi=") == 5
+    assert "field must span a positive time interval" in ver.output
+
+
+@pytest.mark.parametrize("option, value, name", [
+    ("--t-end", "inf", "t_end"),
+    ("--half-width", "nan", "half_width"),
+    ("--eps", "nan", "eps"),
+])
+def test_solve_rejects_non_finite_option(tmp_path, option, value, name):
+    res = run_cli("solve", "--cells", "64", option, value, "--out", str(tmp_path))
+    assert res.exit_code == 2, res.output
+    assert f"{name} must be a finite number" in res.output
+    assert not any(tmp_path.iterdir())
+
+
 def test_solve_reports_unavailable_traces_and_exits_1(tmp_path):
     # the same out-of-range translation run: solve writes it, then cannot
     # evaluate the branch fluxes at its interface traces

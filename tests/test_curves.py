@@ -36,13 +36,6 @@ def test_clamp_mode_raises_far_outside_but_tolerates_slack():
         c(1.5)
 
 
-def test_zero_mode_extends_by_zero():
-    c = SampledCurve(np.array([0.0, 1.0]), np.array([1.0, 1.0]), outside="zero")
-    assert c(-5.0) == 0.0
-    assert c(7.0) == 0.0
-    assert c(0.5) == 1.0
-
-
 def test_bijection_identity_and_translation():
     ident = MonotoneBijection.identity(0.0, 1.0)
     assert ident.forward(0.3) == pytest.approx(0.3)

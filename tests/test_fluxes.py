@@ -3,7 +3,7 @@ import pytest
 
 import discflux as dx
 from discflux.curves import MonotoneBijection, SampledCurve
-from discflux.errors import CompositionError
+from discflux.errors import CompositionError, DomainError
 
 
 def test_registry_contains_demo_pairs():
@@ -38,12 +38,60 @@ def test_flux_pair_requires_common_interval():
         dx.FluxPair(f, g)
 
 
+def _increasing_nodes(rng, lo, hi, n):
+    """n strictly increasing nodes from lo to hi with gaps within a factor 5."""
+    steps = np.cumsum(rng.uniform(0.2, 1.0, size=n - 1))
+    nodes = lo + (hi - lo) * np.concatenate(([0.0], steps / steps[-1]))
+    nodes[-1] = hi
+    return nodes
+
+
+def _random_composition_cases(rng, count):
+    """(branch, bijection) pairs whose bijection range stays in the branch's nodes.
+
+    Random branches vanish at both ends of a random [a, b].  Each comes once
+    with a random increasing bijection onto part of [a, b], and once clipped
+    with a translation whose range reaches up to one width outside [a, b],
+    the two extreme translations included.
+    """
+    cases = []
+    for k in range(count):
+        a = rng.uniform(-1.0, 1.0)
+        width = rng.uniform(0.5, 2.0)
+        b = a + width
+        x = _increasing_nodes(rng, a, b, int(rng.integers(3, 40)))
+        y = rng.uniform(-0.5, 1.0, size=x.size)
+        y[0] = y[-1] = 0.0
+        branch = SampledCurve(x, y)
+
+        lo = rng.uniform(-2.0, 2.0)
+        hi = lo + rng.uniform(0.1, 3.0)
+        r0, r1 = np.sort(rng.uniform(a, b, size=2))
+        n = int(rng.integers(2, 15))
+        m = MonotoneBijection(_increasing_nodes(rng, lo, hi, n), _increasing_nodes(rng, r0, r1, n))
+        cases.append((branch, m))
+
+        clipped = dx.clip_flux(branch)
+        if k == 0:
+            shifts = [(-width, a, b), (width, a, b)]
+        else:
+            r0 = rng.uniform(a - width, b)
+            shift = rng.uniform(-width, width)
+            shifts = [(shift, r0 - shift, rng.uniform(r0, b + width) - shift)]
+        cases.extend((clipped, MonotoneBijection.translation(*s)) for s in shifts)
+    return cases
+
+
 def test_compose_flux_is_exact_on_breakpoints(burgers):
-    m = MonotoneBijection(np.array([0.0, 0.4, 1.0]), np.array([0.0, 0.7, 1.0]))
-    comp = dx.compose_flux(burgers.f, m)
-    probe = np.linspace(0, 1, 257)
-    direct = np.asarray(burgers.f(m.forward(probe)))
-    assert np.max(np.abs(np.asarray(comp(probe)) - direct)) < 1e-14
+    rng = np.random.default_rng(20)
+    kinked = MonotoneBijection(np.array([0.0, 0.4, 1.0]), np.array([0.0, 0.7, 1.0]))
+    for branch, m in [(burgers.f, kinked), *_random_composition_cases(rng, 60)]:
+        comp = dx.compose_flux(branch, m)
+        assert comp.domain == m.domain
+        lo, hi = m.domain
+        probe = np.concatenate((np.linspace(lo, hi, 257), rng.uniform(lo, hi, size=500)))
+        direct = np.asarray(branch(m.forward(probe)))
+        assert np.max(np.abs(np.asarray(comp(probe)) - direct)) < 1e-12
 
 
 def test_compose_flux_rejects_range_escape(burgers):
@@ -57,6 +105,17 @@ def test_clip_flux_extends_by_zero(burgers):
     assert fc(-0.5) == 0.0
     assert fc(1.5) == 0.0
     assert fc(0.5) == pytest.approx(0.25, abs=1e-15)
+    # the extension is data: one interval width of zeros on each side, no further
+    assert fc.domain == (-1.0, 2.0)
+    assert np.array_equal(fc.x[1:-1], burgers.f.x) and np.array_equal(fc.y[1:-1], burgers.f.y)
+    with pytest.raises(DomainError):
+        fc(2.5)
+
+
+def test_compose_flux_rejects_range_escaping_clipped_branch(burgers):
+    m = MonotoneBijection.translation(1.25, 0.0, 1.0)
+    with pytest.raises(CompositionError):
+        dx.compose_flux(dx.clip_flux(burgers.f), m)
 
 
 def test_local_maxima_single_hump(burgers):

@@ -77,6 +77,11 @@ def test_config_validation():
         dx.SolverConfig(snapshots=1)
     with pytest.raises(ValueError):
         dx.SolverConfig(eps=1.5).resolved_eps()  # wider than a quarter domain
+    for bad in ({"t_end": np.inf}, {"half_width": np.nan}, {"half_width": np.inf},
+                {"eps": np.nan}, {"eps": -np.inf}, {"half_width": "2"}, {"t_end": None}):
+        (name,) = bad
+        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+            dx.SolverConfig(**bad)
     cfg = dx.SolverConfig(cells=128)
     assert cfg.resolved_eps() == pytest.approx(8 * cfg.dx)
     assert len(cfg.centers()) == 128 and len(cfg.faces()) == 129

@@ -8,7 +8,8 @@ from hypothesis import strategies as st_
 import discflux as dx
 from discflux.errors import ConstructionError
 from discflux.curves import merge_close
-from discflux.transforms import TOL_CROSS, _violation_amount
+from discflux import transforms
+from discflux.transforms import TOL_CROSS, _translation_pair, _violation_amount
 
 
 # ---------------------------------------------------------------- crossing
@@ -101,8 +102,8 @@ def test_crossing_verdict_invariant_under_common_shift(curves, shift):
 @settings(max_examples=200, deadline=None)
 @given(data=st_.data(), dead_band=st_.sampled_from([0.0, 1e-10, 0.01, 0.3]))
 def test_violation_amount_decides_crossing_on_one_lattice(data, dead_band):
-    # the translation search screens shifts with _violation_amount before
-    # running check_crossing, so the two must agree on a shared lattice
+    # the translation search decides each shift with _violation_amount on the
+    # composed breakpoint union, so it must agree with check_crossing there
     x = data.draw(_lattice())
     values = st_.lists(st_.floats(-1.0, 1.0), min_size=len(x), max_size=len(x))
     fa = dx.SampledCurve(x, data.draw(values))
@@ -222,10 +223,75 @@ def test_translation_reports_best_miss_when_unrepairable():
     hump = 0.1 * np.sin(2 * np.pi * u)
     pair = dx.FluxPair(dx.SampledCurve(u, hump), dx.SampledCurve(u, -hump))
     with pytest.raises(ConstructionError) as err:
-        dx.build_translation_transform(pair, grid_points=15)
+        dx.build_translation_transform(pair)
     assert err.value.payload is not None
     assert err.value.payload["violation"] > 0.05
     assert err.value.payload["shifts"] is not None
+
+
+def _translation_search_2d(flux, nodes):
+    """A norm-ordered search over both shifts; the oracle of the 1-D scan.
+
+    Every pair k_r <= k_l of the grid is checked exactly, in order of
+    |k_l| + |k_r| with ties toward smaller k_l.  Pairs with k_l - k_r > b - a
+    are skipped: such a pair passes only if (b - a, 0) does, which has the
+    smaller norm, so it cannot come before a success.  Returns k_l - k_r of
+    the first success, or None.
+    """
+    width = flux.b - flux.a
+    ks = np.linspace(-width, width, nodes)
+    pairs = [(float(kl), float(kr)) for kl in ks for kr in ks if kr <= kl and kl - kr <= width]
+    pairs.sort(key=lambda p: (abs(p[0]) + abs(p[1]), p[0]))
+    for k_l, k_r in pairs:
+        if dx.check_crossing(*dx.composed_fluxes(flux, _translation_pair(flux, k_l, k_r))).holds:
+            return k_l - k_r
+    return None
+
+
+def _random_flux_pair(rng):
+    """Tent-shaped branches on [0, 1] with noise; they vanish at both ends."""
+    u = np.linspace(0.0, 1.0, int(rng.integers(9, 40)))
+
+    def branch():
+        peak = rng.uniform(0.2, 0.8)
+        tent = np.where(u < peak, u / peak, (1.0 - u) / (1.0 - peak))
+        noise = rng.uniform(-1.0, 1.0, size=u.size) * rng.uniform(0.0, 0.04)
+        y = rng.uniform(0.1, 0.3) * tent + noise
+        y[0] = y[-1] = 0.0
+        return y
+
+    return dx.FluxPair.from_arrays(u, branch(), branch())
+
+
+def test_translation_search_matches_2d_oracle(monkeypatch):
+    rng = np.random.default_rng(41)
+    found = []
+    for k in range(15):
+        flux = _random_flux_pair(rng)
+        nodes = (15, 17, 19, 21)[k % 4]
+        monkeypatch.setattr(transforms, "_SHIFT_NODES", nodes)
+        expected = _translation_search_2d(flux, nodes)
+        try:
+            d, k_r = dx.build_translation_transform(flux).shifts
+            assert k_r == 0.0
+        except ConstructionError:
+            d = None
+        found.append(d)
+        if expected is None:
+            assert d is None
+            continue
+        assert d == pytest.approx(expected, abs=1e-12)
+        # the verdict depends on d alone: every split of d passes, and every
+        # split one grid step below fails
+        step = 2.0 * (flux.b - flux.a) / (nodes - 1)
+        for shift, holds in ((d, True), (d - step, False)):
+            if shift < 0.0:
+                continue
+            for k_r in np.linspace(-shift, 0.0, 5):
+                pair = _translation_pair(flux, shift + k_r, k_r)
+                assert dx.check_crossing(*dx.composed_fluxes(flux, pair)).holds == holds
+    # the sample must exercise compliant, repaired and unrepairable pairs
+    assert 0.0 in found and None in found and any(d for d in found)
 
 
 # ------------------------------------------------------ connection transform
