@@ -6,15 +6,19 @@ The scheme evolves the conserved density
 
 where W is a smoothed step of width ``eps`` centred on the interface.  Each
 step first moves m explicitly with the blended face flux
-W * (f∘alpha) + (1 - W) * (g∘beta) and Lax-Friedrichs dissipation in v at the
-largest flux slope speed_max, then treats the eps * v_xx viscosity by
-backward Euler: it solves m(v) - eps * dt * v_xx = m* for the new v, with
-zero-gradient ghosts at the two ends.  The explicit half is monotone in v
-when dt * speed_max / dx stays below the flattest slope of the transform
-tables (see ``_Stepper.suggest_dt``); the implicit half preserves order at
-any step.  So the transformed variable obeys a discrete maximum principle and
-an L1 contraction, which is what the admissibility argument needs from the
-approximation, and the viscosity no longer limits the time step.
+W * (f∘alpha) + (1 - W) * (g∘beta) and Lax-Friedrichs dissipation in each
+face's own density W * alpha + (1 - W) * beta, at the largest flux slope c
+in u (the Lax-Friedrichs scheme for discontinuous flux of Karlsen and
+Towers, written on the relabelled density).  It then treats the
+eps * v_xx viscosity by backward Euler: it solves m(v) - eps * dt * v_xx = m*
+for the new v, with zero-gradient ghosts at the two ends.  The explicit half
+is monotone in v when dt * c / dx stays below 1 off the smoothing band and
+below an exact bound computed from the tables on it (see
+``_Stepper.suggest_dt``), so the transform's slopes do not shrink the step;
+the implicit half preserves order at any step.  So the transformed variable
+obeys a discrete maximum principle and an L1 contraction, which is what the
+admissibility argument needs from the approximation, and the viscosity does
+not limit the time step.
 
 W is exactly 0 left of the smoothing band and exactly 1 right of it, so there
 m is beta(v) or alpha(v) alone; only the few band cells have a genuinely
@@ -117,9 +121,10 @@ def mollify_initial(u0: np.ndarray, x: np.ndarray, transform: TransformPair, eps
 class SolverConfig:
     """Grid, viscosity and time-step settings of one solve.
 
-    ``cfl_hyperbolic`` is the share of the sharp monotone bound
-    slope_min / (speed_max / dx) that the time step takes; it must lie in
-    (0, 1).  The viscosity is implicit and sets no limit of its own.
+    ``cfl_hyperbolic`` is the share of the monotone bound dx / c off the
+    smoothing band that the time step takes; it must lie in (0, 1).  The
+    band cells' exact bound and the implicit viscosity set no share of their
+    own (see ``_Stepper.suggest_dt``).
     """
 
     half_width: float = 2.0
@@ -302,22 +307,14 @@ class _Stepper:
         self.vgrid = grid
         self.fa_tab = np.asarray(fa(grid))
         self.gb_tab = np.asarray(gb(grid))
-        seg_speed = np.maximum(
-            np.abs(np.diff(self.fa_tab)), np.abs(np.diff(self.gb_tab))
-        ) / np.diff(grid)
-        self.speed_max = float(seg_speed.max()) if seg_speed.size else 0.0
-        # the rate of the monotone step bound (see suggest_dt)
-        self.hyperbolic_rate = self.speed_max / self.dx
 
-        # transform tables on the shared breakpoint union, for m <-> v
+        # transform tables on the shared breakpoint union, for the density m(v)
         self.table = transform.table()
         self.ugrid, self.alpha_tab, self.beta_tab = self.table
         self.du = du = np.diff(self.ugrid)
-        slopes = np.concatenate([np.diff(self.alpha_tab) / du, np.diff(self.beta_tab) / du])
-        self.slope_min = float(slopes.min())
+        self.d_tab = self.alpha_tab - self.beta_tab
 
-        x_faces = cfg.faces()
-        self.w_face = smooth_heaviside(x_faces, self.eps)
+        self.w_face = w_face = smooth_heaviside(cfg.faces(), self.eps)
         self.w_cell = w = smooth_heaviside(cfg.centers(), self.eps)
 
         # density tables.  w is non-decreasing in x and exactly 0 (1) left
@@ -337,6 +334,50 @@ class _Stepper:
         row[band] = np.arange(2, 2 + len(w_band))
         self.row_offset = row * len(self.ugrid)
 
+        # The face j+1/2 dissipates in its own density M_+ = w_+ alpha + (1 - w_+) beta.
+        # M_+ = m_j + (w_+ - w_j) * (alpha - beta), so off the band faces, where
+        # w_+ equals both cells' weights, that is the jump of m itself.  Face k
+        # lies between cells k - 1 and k; the gaps skip the two boundary faces.
+        right_gap = w_face[1:-1] - w[1:]
+        left_gap = w_face[1:-1] - w[:-1]
+        inner = np.flatnonzero((right_gap != 0.0) | (left_gap != 0.0))
+        k0, k1 = (inner[0], inner[-1] + 1) if inner.size else (0, 0)
+        self.band_faces = slice(k0 + 1, k1 + 1)
+        self.band_cells = slice(k0, k1 + 1)     # the cells beside those faces
+        self.right_gap, self.left_gap = right_gap[k0:k1], left_gap[k0:k1]
+
+        # Slopes per transform segment.  The composed fluxes bend inside a
+        # transform segment, so each takes the extreme slope of the flux
+        # segments that overlap it: from the one holding its left end to the
+        # last one starting left of its right end.
+        last_seg = len(grid) - 2
+        first = np.clip(np.searchsorted(grid, self.ugrid[:-1], side="right") - 1, 0, last_seg)
+        last = np.clip(np.searchsorted(grid, self.ugrid[1:], side="left") - 1, 0, last_seg)
+
+        def seg_max(s):
+            return np.maximum(np.maximum.reduceat(s, first), s[last])
+
+        dv = np.diff(grid)
+        fa_slope = np.diff(self.fa_tab) / dv
+        gb_slope = np.diff(self.gb_tab) / dv
+        alpha_slope = np.diff(self.alpha_tab) / du
+        beta_slope = np.diff(self.beta_tab) / du
+        # the dissipation speed: max |f'| and |g'| in u, so |F_+'| <= c * M_+'
+        self.speed_max = c = float(max(np.max(seg_max(np.abs(fa_slope)) / alpha_slope),
+                                       np.max(seg_max(np.abs(gb_slope)) / beta_slope)))
+
+        # the exact rate of the cells whose faces' weights differ (see
+        # suggest_dt), with the blended slopes written as beta' + w (alpha' - beta')
+        cells = np.flatnonzero(w_face[:-1] != w_face[1:])
+        w_lo, w_hi = w_face[cells], w_face[cells + 1]
+        spread = alpha_slope - beta_slope
+        num = (np.multiply.outer(w_hi + w_lo, c * spread) + (2.0 * c) * beta_slope
+               + np.multiply.outer(w_hi - w_lo, seg_max(fa_slope - gb_slope)))
+        rate = num / (2.0 * (np.multiply.outer(w[cells], spread) + beta_slope))
+        self.band_rate = float(np.max(rate, initial=0.0))
+        self.interior_dt = cfg.cfl_hyperbolic * self.dx / c if c > 0.0 else math.inf
+        self.band_dt = self.dx / self.band_rate if self.band_rate > 0.0 else math.inf
+
         # for the implicit viscosity: the diagonal of the Neumann Laplacian
         # stencil (-1, 2, -1), and the largest |v| (it scales Newton's tolerance)
         self.lap_diag = np.full(cfg.cells, 2.0)
@@ -344,7 +385,7 @@ class _Stepper:
         self.v_mag = float(np.max(np.abs(self.ugrid[[0, -1]])))
 
     def suggest_dt(self) -> float:
-        """The monotone time step, scaled by the CFL budget.
+        """The monotone time step: min(cfl_hyperbolic * dx / c, dx / band_rate).
 
         A step first moves the density explicitly,
 
@@ -355,38 +396,30 @@ class _Stepper:
         increasing and L is an M-matrix, so that solve preserves order at any
         dt, and only the explicit half limits the step.
 
-        Write w_-, w_+ for the blend weights at cell j's faces.  Every face
-        dissipates at speed_max, so the face fluxes are Lipschitz in the
-        states and m*_j depends on v_j through
+        Write w_-, w_+ for the blend weights at cell j's faces and
+        F_+ = w_+ f∘alpha + (1 - w_+) g∘beta, M_+ = w_+ alpha + (1 - w_+) beta
+        (F_-, M_- likewise).  The face j+1/2 dissipates
+        c/2 * (M_+(v_{j+1}) - M_+(v_j)), with c the largest |f'| and |g'| in
+        u, so |F_+'| <= c M_+' and m*_j depends on v_{j+1} and v_{j-1} with
+        non-negative weights.  It depends on v_j through
 
-            dm*_j/dv_j = m_j'(v_j) - dt * speed_max / dx
-                         - dt / (2 dx) * (w_+ - w_-) * (f∘alpha - g∘beta)'(v_j),
+            dm*_j/dv_j = m_j' - dt / (2 dx) * (c (M_+' + M_-') + (w_+ - w_-) (f∘alpha - g∘beta)'),
 
-        and on v_{j-1}, v_{j+1} with non-negative weights, because speed_max
-        bounds every flux slope.  With m_j' >= slope_min, m* is monotone in
-        v once
+        which is non-negative once dt <= dx / rate_j with
 
-            dt * speed_max / dx <= slope_min
+            rate_j = (c (M_+' + M_-') + (w_+ - w_-) (f∘alpha - g∘beta)') / (2 m_j').
 
-        holds with room for the last (blend) term.  ``cfl_hyperbolic`` is the
-        share of that bound the step takes; the share left must cover the
-        blend term.  That term is at most
-        max(w_+ - w_-) * speed_max / dx, and the steepest face jump of the
-        smoothed step is about 0.83 * dx / eps.  At the default eps = 8 dx
-        the term is about 0.1 * speed_max / dx, about 10 % of the bound and
-        inside the 20 % that the default budget of 0.8 leaves.  At eps of a
-        cell or less the face jump approaches 1, and the 20 % are no longer
-        guaranteed to cover it.
+        Off the smoothing band w_- = w_+ = w_j, so rate_j is c and the bound
+        is dx / c; ``cfl_hyperbolic`` is the share of it the step takes.  On
+        the band cells (w_- < w_+) the slopes are constant on each transform
+        segment except that of f∘alpha - g∘beta, whose largest value on the
+        segment is the worst case; ``band_rate`` is the largest rate_j over
+        those cells and segments, and the step takes all of dx / band_rate.
 
         A flux pair with no slope at all transports nothing, so any step is
         monotone; the step is then infinite and ``solve`` takes one step.
         """
-        if self.hyperbolic_rate == 0.0:
-            return math.inf
-        dt = self.cfg.cfl_hyperbolic * self.slope_min / self.hyperbolic_rate
-        if not np.isfinite(dt) or dt <= 0:
-            raise StabilityError("no admissible time step for this configuration")
-        return dt
+        return min(self.interior_dt, self.band_dt)
 
     def conserved(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each cell's density m(v), with its table segment and the slope there.
@@ -461,17 +494,28 @@ class _Stepper:
                 break
         return np.clip(v, self.ugrid[0], self.ugrid[-1], out=v), iterations, room - self.slack
 
-    def face_fluxes(self, v: np.ndarray) -> np.ndarray:
+    def face_fluxes(self, v: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """Lax-Friedrichs fluxes at every face, dissipating in the face's own density.
+
+        ``m`` is ``conserved(v)[0]``.  Its jumps are the dissipation except on
+        the band faces, which add (w_+ - w_{j+1}) D(v_{j+1}) - (w_+ - w_j) D(v_j)
+        with D = alpha - beta.  The ghosts repeat the end cells, so the two
+        boundary faces dissipate nothing.
+        """
         vx = np.concatenate(([v[0]], v, [v[-1]]))  # zero-gradient ghosts
         fa_v = np.interp(vx, self.vgrid, self.fa_tab)
         gb_v = np.interp(vx, self.vgrid, self.gb_tab)
         w = self.w_face
         left = w * fa_v[:-1] + (1.0 - w) * gb_v[:-1]
         right = w * fa_v[1:] + (1.0 - w) * gb_v[1:]
+        jump = np.zeros(len(v) + 1)
+        jump[1:-1] = np.diff(m)
+        d = np.interp(v[self.band_cells], self.ugrid, self.d_tab)
+        jump[self.band_faces] += self.right_gap * d[1:] - self.left_gap * d[:-1]
         # one dissipation speed for every face: a speed chosen per face from
         # the two states jumps when a state crosses a breakpoint, and the
-        # update is then not monotone at any time step (see suggest_dt)
-        return 0.5 * (left + right) - 0.5 * self.speed_max * (vx[1:] - vx[:-1])
+        # update is then not monotone at any time step
+        return 0.5 * (left + right) - 0.5 * self.speed_max * jump
 
     @staticmethod
     def neumann_stencil(v: np.ndarray) -> np.ndarray:
@@ -490,8 +534,8 @@ class _Stepper:
         state, the face fluxes, the Newton iteration count and the margin of
         m* inside the density range (see ``invert_conserved``).
         """
-        phi = self.face_fluxes(v)
         m, seg, slope = self.conserved(v)
+        phi = self.face_fluxes(v, m)
         m_star = m - (dt / self.dx) * np.diff(phi)
         v_new, iterations, margin = self.invert_conserved(
             m_star, self.eps * dt / self.dx**2, v, m, seg, slope)
@@ -585,8 +629,9 @@ def solve(
             "c2": c2,
             "steps": nsteps,
             "speed_max": stepper.speed_max,
-            "slope_min": stepper.slope_min,
-            "hyperbolic_rate": stepper.hyperbolic_rate,
+            "band_rate": stepper.band_rate,
+            # the constraint that set dt: dx / band_rate or the interior's
+            "dt_limit": "band" if stepper.band_dt < stepper.interior_dt else "interior",
             "newton_iterations": newton_iterations,
             "newton_max": newton_max,
             # None when no step ran: the manifest is JSON, which has no inf

@@ -157,12 +157,12 @@ def _violation_amount(d: np.ndarray) -> float:
 def check_crossing(fa: SampledCurve, gb: SampledCurve, dead_band: float = TOL_CROSS) -> CrossingReport:
     """Test that fa - gb changes sign at most once, from <= 0 to >= 0.
 
-    Equivalently: wherever fa < gb at u and fa > gb at v, necessarily v < u
-    never happens with v <= u (the left branch dominates left of any
-    crossing).  The witness, when present, is the pair (u, v) with
-    fa(u) < gb(u), fa(v) > gb(v) and u >= v, taken at the midpoints of the
-    offending sign regions.  Adding a common constant to both curves leaves
-    the verdict unchanged.
+    The check fails exactly when a sample where fa - gb exceeds the dead
+    band precedes one where it falls below minus the dead band; samples
+    within the dead band count as zero.  The witness, when present, is the
+    pair (u, v) with fa(u) < gb(u), fa(v) > gb(v) and u >= v, taken at the
+    midpoints of the offending sign regions.  Adding a common constant to
+    both curves leaves the verdict unchanged.
     """
     span = max(fa.hi - fa.lo, 1.0)
     if abs(fa.lo - gb.lo) > 1e-9 * span or abs(fa.hi - gb.hi) > 1e-9 * span:
