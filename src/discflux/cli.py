@@ -288,7 +288,8 @@ def cli_verify(run_dir, tolerance):
             click.echo(f"FAIL {label}: {exc}")
             failed = True
             continue
-        click.echo(f"{'PASS' if er.ok else 'FAIL'} {label} (worst {er.worst:.3e}, tol {er.tolerance:.3e})")
+        click.echo(f"{'PASS' if er.ok else 'FAIL'} {label} "
+                   f"(worst {er.worst:.3e}, tol {er.tolerance:.3e}; {er.where()})")
         failed |= not er.ok
 
     sys.exit(1 if failed else 0)

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,10 @@ def test_solve_writes_run_and_verify_passes(tmp_path):
     assert ver.exit_code == 0, ver.output
     assert "FAIL" not in ver.output
     assert "PASS mass balance" in ver.output
+    # five pair residuals and the adapted one, each naming its worst hat
+    residuals = [line for line in ver.output.splitlines() if " residual" in line]
+    assert len(residuals) == 6
+    assert all(re.search(r"; hat \d+: t=\S+ r=\S+, x=\S+ r=\S+\)$", line) for line in residuals)
 
 
 def test_verify_fails_on_tampered_mass(tmp_path):

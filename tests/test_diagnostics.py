@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 import discflux as dx
+from discflux.diagnostics import _hat_columns, _hat_integrals
 from discflux.errors import CoverageError
+
+from conftest import random_step_profile
 
 
 def _frozen_field(burgers, u_profile, times=None, cells=256, eps=0.0625):
@@ -140,21 +145,28 @@ def _oracle_residuals(field, cstar, delta, hats):
     return tuple(_per_hat_residual(field, cstar, delta, h) for h in hats)
 
 
-def test_reports_match_per_hat_oracle(burgers, demo_connection):
+def test_reports_match_per_hat_oracle(burgers, demo_cross, demo_connection):
     conn, pair = demo_connection
     riemann = lambda ul, ur: (lambda x: np.where(np.asarray(x) <= 0.0, ul, ur))
     cfg = dx.SolverConfig(cells=128, t_end=0.1)
+    # odd: a cell centre sits exactly on x = 0 and must take g, which differs
+    # from f on demo-cross; benchmark: the 1024-cell, 33-snapshot shape
+    odd = dx.SolverConfig(cells=129, t_end=0.1)
     fields = {
         "connection": dx.solve(burgers, riemann(0.8, 0.4), pair, cfg),
         "identity": dx.solve(burgers, riemann(0.75, 0.25), dx.identity_transform(burgers), cfg),
+        "odd": dx.solve(demo_cross, riemann(0.3, 0.7), dx.identity_transform(demo_cross), odd),
+        "benchmark": dx.solve(burgers, riemann(0.8, 0.4), pair, dx.SolverConfig(cells=1024, t_end=0.5)),
     }
+    assert 0.0 in fields["odd"].x
+    assert fields["benchmark"].u.shape == (33, 1024)
     for name, field in fields.items():
         x, t = field.x, field.transform
         hats = dx.default_test_functions(field)
         lo, hi = t.domain
         for xi in np.linspace(lo, hi, 7)[1:-1]:
             c_right, c_left = float(t.alpha.forward(xi)), float(t.beta.forward(xi))
-            delta = float(burgers.f(c_right) - burgers.g(c_left))
+            delta = float(field.flux.f(c_right) - field.flux.g(c_left))
             cstar = np.where(x > 0.0, c_right, c_left)
             rep = dx.entropy_residual_pair(field, float(xi))
             assert rep.residuals == _oracle_residuals(field, cstar, delta, hats), (name, xi)
@@ -167,6 +179,71 @@ def test_reports_match_per_hat_oracle(burgers, demo_connection):
         cstar = np.where(x > 0.0, conn.B, conn.A)
         assert rep.residuals == _oracle_residuals(field, cstar, 0.0, hats), name
         assert rep.worst == max(rep.residuals)
+
+
+@st_.composite
+def _hats_within(draw, nodes):
+    """A hat supported inside [nodes[0], nodes[-1]]: its support ends on two
+    nodes (a face, a snapshot time or the window edge) or between them."""
+    i, j = sorted(draw(st_.lists(st_.integers(0, len(nodes) - 1), min_size=2, max_size=2, unique=True)))
+    lo, hi = float(nodes[i]), float(nodes[j])
+    if draw(st_.booleans()):
+        a, b = (draw(st_.floats(lo, hi)) for _ in range(2))
+        if a != b:
+            lo, hi = min(a, b), max(a, b)
+    return dx.HatFunction(0.5 * (lo + hi), 0.5 * (hi - lo))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cells=st_.sampled_from([64, 129]), snapshots=st_.sampled_from([2, 5, 33]),
+       side=st_.sampled_from([None, "left", "right"]), seed=st_.integers(0, 2**32 - 1),
+       data=st_.data())
+def test_broadcast_hat_integrals_match_each_hat(burgers, cells, snapshots, side, seed, data):
+    field = _frozen_field(burgers, random_step_profile(np.random.default_rng(seed)),
+                          times=np.linspace(0.0, 0.5, snapshots), cells=cells)
+    times, x = field.times, field.x
+    faces = np.concatenate((x - field.dx / 2.0, [x[-1] + field.dx / 2.0]))
+    drawn = data.draw(st_.lists(st_.builds(dx.SpaceTimeHat, _hats_within(times), _hats_within(faces)),
+                                max_size=8))
+    count = data.draw(st_.integers(0 if drawn else 1, 12))
+    hats = drawn + dx.default_test_functions(field, count=count, seed=seed, side=side)
+    dT, Tint, dX, Xint, at_zero = _hat_integrals(times, faces, _hat_columns(hats))
+    for k, h in enumerate(hats):
+        # bit for bit: array_equal on the arrays, == on the scalar
+        assert np.array_equal(dT[k], h.t(times[1:]) - h.t(times[:-1]))
+        assert np.array_equal(Tint[k], h.t.antiderivative(times[1:]) - h.t.antiderivative(times[:-1]))
+        assert np.array_equal(dX[k], h.x(faces[1:]) - h.x(faces[:-1]))
+        assert np.array_equal(Xint[k], h.x.antiderivative(faces[1:]) - h.x.antiderivative(faces[:-1]))
+        assert at_zero[k] == h.x(0.0)
+    # and so the whole report equals the per-hat residuals
+    rep = dx.entropy_residual_pair(field, 0.4, tests=hats)
+    cstar = np.full(x.shape, 0.4)
+    assert rep.residuals == _oracle_residuals(field, cstar, 0.0, hats)
+
+
+@pytest.mark.parametrize("report", ["pair", "side", "connection"])
+def test_empty_family_is_rejected_and_arrays_are_accepted(burgers, demo_connection, report):
+    field = _frozen_field(burgers, lambda x: np.where(np.asarray(x) <= 0, 0.75, 0.25))
+    run = {
+        "pair": lambda tests: dx.entropy_residual_pair(field, 0.5, tests=tests),
+        "side": lambda tests: dx.entropy_residual_side(field, 0.5, "left", tests=tests),
+        "connection": lambda tests: dx.entropy_residual_connection(field, demo_connection[0], tests=tests),
+    }[report]
+    with pytest.raises(ValueError, match="test-function family is empty"):
+        run([])
+    hats = [dx.SpaceTimeHat(dx.HatFunction(0.25, 0.2), dx.HatFunction(-1.0, 0.5))]
+    assert run(np.array(hats, dtype=object)).residuals == run(hats).residuals
+    assert len(run(hats).residuals) == 1   # not the 12-hat default family
+
+
+def test_report_names_its_worst_hat(burgers):
+    field = _frozen_field(burgers, lambda x: np.where(np.asarray(x) <= 0, 0.75, 0.25))
+    calm = dx.SpaceTimeHat(dx.HatFunction(0.25, 0.2), dx.HatFunction(-1.0, 0.5))
+    shock = dx.SpaceTimeHat(dx.HatFunction(0.25, 0.2), dx.HatFunction(0.0, 0.5))
+    rep = dx.entropy_residual_pair(field, 0.5, tests=[calm, shock, calm], tolerance=1e-3)
+    assert rep.worst_index == 1 and rep.worst_hat is shock
+    assert rep.residuals[rep.worst_index] == rep.worst
+    assert rep.summary().endswith("[VIOLATED]; hat 1: t=0.25 r=0.2, x=0 r=0.5")
 
 
 def test_xi_outside_domain_is_clamped(burgers):

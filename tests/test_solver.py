@@ -366,18 +366,38 @@ def _clustered_state(rng, lo, hi, cells):
 
 
 def _assert_monotone_step(st, rng):
-    """Raising one cell of a random state lowers no cell after one step."""
+    """Raising one cell of a random state lowers no cell's density, neither
+    after the step's explicit half (the part ``suggest_dt`` bounds) nor
+    after the whole step.
+
+    Three random cells are raised, and then every band cell, where the two
+    faces' blend weights differ and so ``band_rate`` can bind, from four
+    states in which the band cells take values drawn across the table.
+    """
     cells = st.cfg.cells
     lo, hi = st.ugrid[0], st.ugrid[-1]
     v = _clustered_state(rng, lo, hi, cells)
     dt = st.suggest_dt()
-    # conserved(step) is the updated density m_new up to Newton's rounding
-    m_new = st.conserved(st.step(v, dt)[0])[0]
-    for j in rng.choice(cells, size=6, replace=False):
-        up = v.copy()
-        up[j] = min(hi, v[j] + (hi - lo) * 10.0 ** rng.uniform(-6, 0))
-        dm = st.conserved(st.step(up, dt)[0])[0] - m_new
-        assert dm.min() >= -1e-13, (j, float(dm.min()))
+
+    def densities(v):
+        v_new, phi = st.step(v, dt)[:2]
+        # m* before the implicit solve, then m_new up to Newton's rounding
+        return st.conserved(v)[0] - (dt / st.dx) * np.diff(phi), st.conserved(v_new)[0]
+
+    def assert_raising_is_monotone(v, raised):
+        before = densities(v)
+        for j in raised:
+            up = v.copy()
+            up[j] = min(hi, v[j] + (hi - lo) * 10.0 ** rng.uniform(-6, 0))
+            for half, new, old in zip(("explicit", "step"), densities(up), before):
+                dm = new - old
+                assert dm.min() >= -1e-13, (half, j, float(dm.min()))
+
+    assert_raising_is_monotone(v, rng.choice(cells, size=3, replace=False))
+    band = np.flatnonzero(st.w_face[:-1] != st.w_face[1:])
+    for _ in range(4):
+        v[band] = rng.uniform(lo, hi, size=band.size)
+        assert_raising_is_monotone(v, band)
 
 
 @settings(max_examples=60, deadline=None)
@@ -385,6 +405,7 @@ def _assert_monotone_step(st, rng):
        cells=st_.sampled_from([64, 96, 128, 1024]),
        eps_cells=st_.sampled_from([None, 1.0, 2.0]),   # None: the default 8 dx
        seed=st_.integers(0, 2**32 - 1))
+@example(kind="connection", cells=64, eps_cells=1.0, seed=0)   # band_rate binds here
 def test_step_is_monotone_at_the_suggested_dt(small_problems, kind, cells, eps_cells, seed):
     flux, transform = small_problems[kind]
     eps = None if eps_cells is None else eps_cells * 4.0 / cells
