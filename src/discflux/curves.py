@@ -2,7 +2,7 @@
 
 Everything downstream (flux branches, admissibility transforms, envelopes,
 Riemann constructions) is carried by dense piecewise-linear data.  That class
-of functions is closed under composition, clipping, convex envelopes and
+of functions is closed under composition, zero extension, convex envelopes and
 inversion, and each of those operations is exact on the breakpoint lattice,
 so verification checks do not have to fight discretisation noise.
 """
@@ -24,11 +24,29 @@ CLAMP_SLACK = 1e-9
 MERGE_REL = 1e-12
 
 
-def _as_nodes(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
+def _table(x, y, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+    """Float node and value arrays: 1-d, same shape, finite, at least two strictly increasing nodes."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.size < 2:
         raise ValueError("need a 1-d array with at least two entries")
-    return arr
+    if y.shape != x.shape:
+        raise ValueError(f"{names[0]} and {names[1]} must have matching shape")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError(f"{names[0]} and {names[1]} must be finite")
+    if not np.all(np.diff(x) > 0):
+        raise ValueError(f"{names[0]} must be strictly increasing")
+    return x, y
+
+
+def _lookup(u, xp: np.ndarray, fp: np.ndarray, slack: float, what: str):
+    """np.interp on (xp, fp), which clamps to the end values; DomainError beyond ``slack``, NaN passes."""
+    arr = np.asarray(u, dtype=float)
+    lo, hi = xp[0], xp[-1]
+    if arr.size and (np.fmin.reduce(arr, axis=None) < lo - slack
+                     or np.fmax.reduce(arr, axis=None) > hi + slack):
+        raise DomainError(f"{what} outside [{lo:.6g}, {hi:.6g}] beyond the {slack:g} clamp slack")
+    return np.interp(arr, xp, fp)
 
 
 def merge_close(x: np.ndarray) -> np.ndarray:
@@ -59,14 +77,7 @@ class SampledCurve:
     y: np.ndarray
 
     def __post_init__(self):
-        x = _as_nodes(self.x)
-        y = np.asarray(self.y, dtype=float)
-        if y.shape != x.shape:
-            raise ValueError("node and value arrays must have matching shape")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise ValueError("nodes and values must be finite")
-        if not np.all(np.diff(x) > 0):
-            raise ValueError("nodes must be strictly increasing")
+        x, y = _table(self.x, self.y, ("nodes", "values"))
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -83,13 +94,7 @@ class SampledCurve:
         return self.lo, self.hi
 
     def __call__(self, u):
-        arr = np.asarray(u, dtype=float)
-        if np.any(arr < self.lo - CLAMP_SLACK) or np.any(arr > self.hi + CLAMP_SLACK):
-            raise DomainError(
-                f"evaluation point outside [{self.lo:.6g}, {self.hi:.6g}] "
-                f"beyond the {CLAMP_SLACK:g} clamp slack"
-            )
-        return np.interp(np.clip(arr, self.lo, self.hi), self.x, self.y)
+        return _lookup(u, self.x, self.y, CLAMP_SLACK, "evaluation point")
 
 
 @dataclass(frozen=True)
@@ -105,12 +110,7 @@ class MonotoneBijection:
     values: np.ndarray
 
     def __post_init__(self):
-        bp = _as_nodes(self.breakpoints)
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != bp.shape:
-            raise ValueError("breakpoints and values must have matching shape")
-        if not np.all(np.diff(bp) > 0):
-            raise ValueError("breakpoints must be strictly increasing")
+        bp, vals = _table(self.breakpoints, self.values, ("breakpoints", "values"))
         if not np.all(np.diff(vals) > 0):
             raise ValueError("values must be strictly increasing")
         object.__setattr__(self, "breakpoints", bp)
@@ -133,25 +133,13 @@ class MonotoneBijection:
     def range(self) -> tuple[float, float]:
         return float(self.values[0]), float(self.values[-1])
 
-    def _slack(self) -> float:
-        lo, hi = self.domain
-        return CLAMP_SLACK * max(hi - lo, 1.0)
-
     def forward(self, u):
-        arr = np.asarray(u, dtype=float)
-        lo, hi = self.domain
-        slack = self._slack()
-        if np.any(arr < lo - slack) or np.any(arr > hi + slack):
-            raise DomainError(f"argument outside bijection domain [{lo:.6g}, {hi:.6g}]")
-        return np.interp(np.clip(arr, lo, hi), self.breakpoints, self.values)
+        bp, val = self.breakpoints, self.values
+        return _lookup(u, bp, val, CLAMP_SLACK * max(bp[-1] - bp[0], 1.0), "bijection argument")
 
     def inverse(self, y):
-        arr = np.asarray(y, dtype=float)
-        lo, hi = self.range
-        slack = CLAMP_SLACK * max(hi - lo, 1.0)
-        if np.any(arr < lo - slack) or np.any(arr > hi + slack):
-            raise DomainError(f"argument outside bijection range [{lo:.6g}, {hi:.6g}]")
-        return np.interp(np.clip(arr, lo, hi), self.values, self.breakpoints)
+        bp, val = self.breakpoints, self.values
+        return _lookup(y, val, bp, CLAMP_SLACK * max(val[-1] - val[0], 1.0), "inverse-bijection argument")
 
     def restricted(self, lo: float, hi: float) -> "MonotoneBijection":
         bp = self.breakpoints

@@ -327,7 +327,7 @@ class TraceReport:
 def extract_traces(field: SolutionField, offset: float | None = None) -> TraceReport:
     """Sample u just outside the smoothing band on both sides of the interface.
 
-    ``offset`` is the sampling distance from 0 (default 1.5 * eps, clipped to
+    ``offset`` is the sampling distance from 0 (default 1.5 * eps, limited to
     the grid); the mismatch column measures how far the run is from the
     flux-matching condition a steady interface requires.
     """

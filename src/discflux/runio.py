@@ -66,35 +66,24 @@ def save_transform_csv(path: Path, t: TransformPair) -> None:
 
 
 def load_transform_csv(path: Path, meta: dict | None = None) -> TransformPair:
-    """Reload a transform table with its ``TransformPair.meta()``.
+    """Reload a transform table with the ``shifts`` and ``connection`` of its ``TransformPair.meta()``.
 
-    Raises ValueError when ``meta`` is not an object or one of its entries
-    has the wrong type or shape.
+    Other keys, ``kind`` and ``c`` among them, are ignored: the pair derives them.
+    Raises ValueError when ``meta`` is not an object or either entry is malformed.
     """
     data = _read_csv(Path(path), "v,alpha,beta")
     meta = {} if meta is None else meta
     if not isinstance(meta, dict):
         raise ValueError(f"transform metadata must be a JSON object, not {type(meta).__name__}")
-    conn, shifts, c = meta.get("connection"), meta.get("shifts"), meta.get("c")
+    alpha = MonotoneBijection(data[:, 0], data[:, 1])
+    beta = MonotoneBijection(data[:, 0], data[:, 2])
+    conn = meta.get("connection")
     try:
-        if shifts is not None:
-            shifts = tuple(float(s) for s in shifts)
-            if len(shifts) != 2:
-                raise ValueError(f"shifts must hold two numbers, not {len(shifts)}")
         if conn is not None:
             conn = Connection(float(conn["A"]), float(conn["B"]), conn.get("flavor", "classic"))
-        c = None if c is None else float(c)
+        return TransformPair(alpha, beta, shifts=meta.get("shifts"), connection=conn)
     except (TypeError, KeyError, AttributeError, ValueError) as exc:
         raise ValueError(f"malformed transform metadata: {exc!r}") from exc
-    return TransformPair(
-        MonotoneBijection(data[:, 0], data[:, 1]),
-        MonotoneBijection(data[:, 0], data[:, 2]),
-        c=c,
-        kind=meta.get("kind", "custom"),
-        clip=bool(meta.get("clip", False)),
-        shifts=shifts,
-        connection=conn,
-    )
 
 
 def _numbers(value) -> np.ndarray:

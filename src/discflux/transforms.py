@@ -10,12 +10,12 @@ the one-crossing condition that the relabelled theory requires.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .curves import CLAMP_SLACK, MonotoneBijection, SampledCurve, lower_convex_envelope, merge_close
-from .errors import ConstructionError
+from .errors import ConstructionError, DomainError
 from .fluxes import (
     FluxPair,
     clip_flux,
@@ -79,17 +79,14 @@ class ConnectionCheck:
 class TransformPair:
     """Side transforms alpha (x > 0) and beta (x < 0) on a common domain.
 
-    ``c`` is the shared preimage of the connection states when the pair was
-    built for one; ``clip`` records that the composed fluxes must use the
-    branches zero-extended by ``clip_flux`` (translation pairs map part of
-    their domain outside [a, b], by at most one interval width).
+    ``shifts`` (k_l, k_r) marks the translation pair of those shifts, whose
+    composed fluxes use the zero-extended branches; ``connection`` marks a
+    pair built for the interface states (A, B).  At most one of the two is
+    set; ``kind`` and ``c`` are derived from them and from the maps.
     """
 
     alpha: MonotoneBijection
     beta: MonotoneBijection
-    c: float | None = None
-    kind: str = "custom"
-    clip: bool = False
     shifts: tuple[float, float] | None = None
     connection: Connection | None = None
 
@@ -99,6 +96,27 @@ class TransformPair:
         span = max(ahi - alo, 1.0)
         if abs(alo - blo) > CLAMP_SLACK * span or abs(ahi - bhi) > CLAMP_SLACK * span:
             raise ValueError("alpha and beta must share a domain")
+        if self.shifts is not None:
+            object.__setattr__(self, "shifts", tuple(float(s) for s in self.shifts))
+            if len(self.shifts) != 2 or not np.all(np.isfinite(self.shifts)):
+                raise ValueError(f"shifts must be two finite numbers, not {self.shifts!r}")
+        if not isinstance(self.connection, (Connection, type(None))):
+            raise TypeError(f"connection must be a Connection, not {type(self.connection).__name__}")
+        if self.shifts is not None and self.connection is not None:
+            raise ValueError("a pair sets shifts or a connection, not both")
+
+    @property
+    def kind(self) -> str:
+        """'translation', 'connection', 'identity' (both maps the identity) or 'custom'."""
+        if self.shifts is not None or self.connection is not None:
+            return "translation" if self.connection is None else "connection"
+        identity = all(np.array_equal(m.breakpoints, m.values) for m in (self.alpha, self.beta))
+        return "identity" if identity else "custom"
+
+    @property
+    def c(self) -> float | None:
+        """beta^{-1}(A), the shared preimage of the connection states; None without a connection."""
+        return None if self.connection is None else float(self.beta.inverse(self.connection.A))
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -114,29 +132,20 @@ class TransformPair:
         return v, self.alpha.forward(v), self.beta.forward(v)
 
     def meta(self) -> dict:
-        return {
-            "kind": self.kind,
-            "c": self.c,
-            "clip": self.clip,
-            "shifts": list(self.shifts) if self.shifts else None,
-            "connection": (
-                {"A": self.connection.A, "B": self.connection.B, "flavor": self.connection.flavor}
-                if self.connection
-                else None
-            ),
-        }
+        """JSON metadata; ``shifts`` and ``connection`` are read back, ``kind`` and ``c`` are for readers."""
+        return {"kind": self.kind, "c": self.c, "shifts": self.shifts,
+                "connection": asdict(self.connection) if self.connection else None}
 
 
 def identity_transform(flux: FluxPair) -> TransformPair:
     ident = MonotoneBijection.identity(flux.a, flux.b)
-    return TransformPair(ident, ident, kind="identity")
+    return TransformPair(ident, ident)
 
 
 def composed_fluxes(flux: FluxPair, t: TransformPair) -> tuple[SampledCurve, SampledCurve]:
-    """(f∘alpha, g∘beta) on the transform domain; a clip pair composes clip_flux branches."""
-    fb = clip_flux(flux.f) if t.clip else flux.f
-    gb = clip_flux(flux.g) if t.clip else flux.g
-    return compose_flux(fb, t.alpha), compose_flux(gb, t.beta)
+    """(f∘alpha, g∘beta) on the transform domain; with ``t.shifts`` set, of the ``clip_flux`` branches."""
+    f, g = (clip_flux(flux.f), clip_flux(flux.g)) if t.shifts is not None else (flux.f, flux.g)
+    return compose_flux(f, t.alpha), compose_flux(g, t.beta)
 
 
 def _violation_amount(d: np.ndarray) -> float:
@@ -237,14 +246,23 @@ def _translation_pair(flux: FluxPair, k_l: float, k_r: float) -> TransformPair:
     return TransformPair(
         MonotoneBijection.translation(k_r, lo, hi),
         MonotoneBijection.translation(k_l, lo, hi),
-        kind="translation",
-        clip=True,
-        shifts=(float(k_l), float(k_r)),
+        shifts=(k_l, k_r),
     )
 
 
+def _translation_gap(flux: FluxPair, t: TransformPair) -> float:
+    """Largest distance of t's domain and maps from those of ``_translation_pair(flux, *t.shifts)``."""
+    try:
+        ref = _translation_pair(flux, *t.shifts)
+        v, alpha, beta = t.table()
+        return float(max(np.max(np.abs(np.subtract(t.domain, ref.domain))),
+                         np.max(np.abs(alpha - ref.alpha.forward(v))), np.max(np.abs(beta - ref.beta.forward(v)))))
+    except (ValueError, DomainError):  # the shifts leave no domain, or t's lies elsewhere
+        return np.inf
+
+
 def build_translation_transform(flux: FluxPair) -> TransformPair:
-    """Shifts (d, 0), d = k_l - k_r >= 0 least on a grid, making the clipped pair cross once.
+    """Shifts (d, 0), d = k_l - k_r >= 0 least on a grid, making the zero-extended pair cross once.
 
     With s = v + k_l the composed difference is f(s - d) - g(s) on [a, b + d],
     so the verdict depends on d alone and |k_l| + |k_r| >= d, with equality at
@@ -372,9 +390,7 @@ def build_connection_transform(flux: FluxPair, conn: Connection) -> TransformPai
     except ValueError as exc:
         raise ConstructionError(f"beta table degenerate: {exc}") from exc
 
-    pair = TransformPair(
-        alpha, beta, c=float(c), kind="connection", connection=conn
-    )
+    pair = TransformPair(alpha, beta, connection=conn)
     report = check_crossing(*composed_fluxes(flux, pair))
     if not report.holds:
         raise ConstructionError(
@@ -396,7 +412,8 @@ def verify_transform(flux: FluxPair, t: TransformPair) -> TransformAudit:
 
     This is the gate the solver applies before accepting a pair; anything a
     file or a hand-built pair might get wrong is re-checked here rather than
-    trusted from construction.
+    trusted from construction.  A pair with ``shifts`` must be the translation
+    pair of those shifts, and a pair with a connection must cross at ``c``.
     """
     failures: list[str] = []
     monotone = True
@@ -423,6 +440,11 @@ def verify_transform(flux: FluxPair, t: TransformPair) -> TransformAudit:
             rt_err = max(rt_err, float(np.max(np.abs(m.inverse(m.forward(probe)) - probe))))
         if rt_err > ROUND_TRIP_REL * max(ahi - alo, 1.0):
             failures.append(f"round-trip error {rt_err:.3e} exceeds tolerance")
+
+    if t.shifts is not None:
+        gap = _translation_gap(flux, t)
+        if gap > ROUND_TRIP_REL * span:
+            failures.append(f"maps are not the translation pair of shifts {t.shifts} (gap {gap:.3e})")
 
     crossing = None
     if monotone:

@@ -255,6 +255,55 @@ def test_solve_rejects_malformed_transform_metadata(tmp_path):
     assert not (tmp_path / "runs").exists()
 
 
+# alpha maps [0, 0.3] onto [-0.3, 0]: outside the flux interval, which only
+# the zero-extended branches of a translation pair may be read on
+RANGE_ESCAPING_TABLE = "v,alpha,beta\n0,-0.3,0\n0.5,0.2,0.5\n1,1,1\n"
+
+
+@pytest.mark.parametrize("sidecar, message", [
+    ({"clip": True}, "composition failed: transform range [-0.3, 1] escapes flux domain [0, 1]"),
+    ({"shifts": [0.0, 0.0]}, "maps are not the translation pair of shifts (0.0, 0.0)"),
+], ids=["old-clip-flag", "zero-shifts"])
+def test_range_escaping_table_fails_the_audit(tmp_path, sidecar, message):
+    path = tmp_path / "t.csv"
+    path.write_text(RANGE_ESCAPING_TABLE)
+    path.with_suffix(".json").write_text(json.dumps(sidecar))
+    flux = dx.get_flux("demo-cross")
+    audit = dx.verify_transform(flux, dx.load_transform_csv(path, sidecar))
+    assert not audit.ok
+    assert any(message in msg for msg in audit.failures), audit.failures
+
+    res = run_cli("solve", "--flux", "demo-cross", "--transform", str(path), "--cells", "64",
+                  "--t-end", "0.05", "--out", str(tmp_path / "runs"))
+    assert res.exit_code == 2, res.output
+    assert "transform failed verification" in res.output
+    assert message in res.output
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("args, old", [
+    (("--flux", "burgers-like", "--transform", "connection", "--connection", "0.75:0.25",
+      "--u0", "riemann:0.8:0.4"), {"kind": "identity", "c": 0.1, "clip": True}),
+    (("--flux", "demo-swapped", "--transform", "translation", "--u0", "riemann:0.3:0.7"),
+     {"kind": "custom", "c": 0.5, "clip": False}),
+], ids=["connection", "translation"])
+def test_manifest_keys_the_pair_derives_are_ignored(tmp_path, args, old):
+    res = run_cli("solve", *args, "--cells", "64", "--t-end", "0.05", "--out", str(tmp_path))
+    assert res.exit_code == 0, res.output
+    run_dir = next(p for p in tmp_path.iterdir() if p.is_dir())
+    before = run_cli("verify", "--run", str(run_dir)).output
+    kind = json.loads((run_dir / "manifest.json").read_text())["transform"]["kind"]
+
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    manifest["transform"].update(old)
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+    field, _ = dx.read_run(run_dir)
+    assert field.transform.kind == kind != old["kind"]
+    ver = run_cli("verify", "--run", str(run_dir))
+    assert ver.output == before
+    assert ver.exit_code == 0, ver.output
+
+
 def test_build_transform_requires_connection_states(tmp_path):
     res = run_cli("build-transform", "--flux", "burgers-like",
                   "--mode", "connection", "--out", str(tmp_path / "c.csv"))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from discflux.curves import (
+    CLAMP_SLACK,
     MonotoneBijection,
     SampledCurve,
     lower_convex_envelope,
@@ -63,6 +64,46 @@ def test_bijection_rejects_non_monotone():
         MonotoneBijection(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
         MonotoneBijection(np.array([0.0, 1.0, 1.0]), np.array([0.0, 1.0, 2.0]))
+    # the same node checks as SampledCurve: non-finite entries are rejected
+    for bp, vals in (([0.0, 0.5, 1.0], [0.0, 0.5, np.inf]), ([0.0, 0.5, np.nan], [0.0, 0.5, 1.0])):
+        with pytest.raises(ValueError, match="finite"):
+            MonotoneBijection(np.array(bp), np.array(vals))
+        with pytest.raises(ValueError, match="finite"):
+            SampledCurve(np.array(vals), np.array(bp))
+
+
+def _clipped_interp(u, xp, fp):
+    """Reference lookup: clip to the node span, then interpolate."""
+    return np.interp(np.clip(np.asarray(u, dtype=float), xp[0], xp[-1]), xp, fp)
+
+
+def test_lookups_share_slack_edges_nan_and_empty_input():
+    x = np.array([-2.0, -0.1, 0.3, 2.0])
+    curve = SampledCurve(x, np.array([0.0, 1.0, -1.0, 0.5]))
+    bij = MonotoneBijection(x, np.array([0.0, 1.0, 5.0, 10.0]))
+    # each evaluation keeps its own slack: absolute for curves, relative to
+    # the span (here 4 and 10) for the bijection's domain and range
+    cases = [
+        (curve, curve.x, curve.y, CLAMP_SLACK),
+        (bij.forward, bij.breakpoints, bij.values, CLAMP_SLACK * 4.0),
+        (bij.inverse, bij.values, bij.breakpoints, CLAMP_SLACK * 10.0),
+    ]
+    rng = np.random.default_rng(7)
+    for evaluate, xp, fp, slack in cases:
+        lo, hi = xp[0] - slack, xp[-1] + slack
+        inside = np.concatenate(([lo, hi, xp[0], xp[-1]], xp, rng.uniform(lo, hi, 200)))
+        assert np.array_equal(evaluate(inside), _clipped_interp(inside, xp, fp))
+        assert evaluate(lo) == fp[0] and evaluate(hi) == fp[-1]
+        for beyond in (np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)):
+            with pytest.raises(DomainError):
+                evaluate(beyond)
+            with pytest.raises(DomainError):   # a NaN beside it does not hide it
+                evaluate([np.nan, beyond])
+        out = evaluate(np.array([np.nan, xp[1]]))
+        assert np.isnan(out[0]) and out[1] == fp[1]
+        assert np.isnan(evaluate(np.nan))
+        assert evaluate(np.array([])).shape == (0,)
+        assert evaluate(np.empty((0, 3))).shape == (0, 3)
 
 
 def test_lower_convex_envelope_hand_case():

@@ -36,23 +36,41 @@ def test_config_hash_is_stable_and_order_free():
     assert h1 != dx.config_hash({"a": 1, "b": [1, 3]})
 
 
-def test_transform_csv_roundtrip(tmp_path, burgers, demo_connection):
-    _, pair = demo_connection
+@pytest.mark.parametrize("case, flux_name, kind", [
+    ("identity", "burgers", "identity"),
+    ("translation", "demo_swapped", "translation"),
+    ("connection", "burgers", "connection"),
+], ids=["identity", "translation", "connection"])
+def test_transform_csv_roundtrip(tmp_path, request, case, flux_name, kind):
+    flux = request.getfixturevalue(flux_name)
+    pair = {
+        "identity": lambda: dx.identity_transform(flux),
+        "translation": lambda: dx.build_translation_transform(flux),
+        "connection": lambda: request.getfixturevalue("demo_connection")[1],
+    }[case]()
     path = tmp_path / "t.csv"
     dx.save_transform_csv(path, pair)
-    back = dx.load_transform_csv(path, pair.meta())
+    # through JSON, as a sidecar or manifest stores it
+    back = dx.load_transform_csv(path, json.loads(json.dumps(pair.meta())))
     # bit-exact on the stored lattice; the loaded tables hold the union of the
     # alpha and beta breakpoints, so off-lattice evaluation may differ by an
     # ulp where a segment gained an interior (collinear) node
     nodes = back.alpha.breakpoints
     assert np.max(np.abs(back.alpha.forward(nodes) - pair.alpha.forward(nodes))) == 0.0
     assert np.max(np.abs(back.beta.forward(nodes) - pair.beta.forward(nodes))) == 0.0
-    probe = np.linspace(0, 1, 777)
+    probe = np.linspace(*pair.domain, 777)
     assert np.max(np.abs(back.alpha.forward(probe) - pair.alpha.forward(probe))) <= 1e-15
     assert np.max(np.abs(back.beta.forward(probe) - pair.beta.forward(probe))) <= 1e-15
-    assert back.kind == "connection"
+    assert back.kind == pair.kind == kind
     assert back.c == pair.c
+    assert back.shifts == pair.shifts
     assert back.connection == pair.connection
+    # the composed fluxes, zero extension included, are the same functions;
+    # a connection table gains beta's breakpoints in alpha, so compose_flux
+    # places some nodes elsewhere and values move by an ulp or two there
+    tol = 4 * np.finfo(float).eps if case == "connection" else 0.0
+    for built, loaded in zip(dx.composed_fluxes(flux, pair), dx.composed_fluxes(flux, back)):
+        assert np.max(np.abs(loaded(nodes) - built(nodes))) <= tol
 
 
 def test_run_roundtrip_exact(tmp_path, burgers, demo_connection):

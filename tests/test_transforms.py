@@ -1,5 +1,7 @@
 """Crossing checks, connection validation, and the two transform builders."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -200,7 +202,7 @@ def test_connection_endpoints_classic_only(burgers):
 def test_translation_zero_shift_for_compliant_pair(demo_cross):
     pair = dx.build_translation_transform(demo_cross)
     assert pair.shifts == (0.0, 0.0)
-    assert pair.kind == "translation" and pair.clip
+    assert pair.kind == "translation"
 
 
 def test_translation_fixes_swapped_pair(demo_swapped):
@@ -365,6 +367,60 @@ def test_transform_pair_requires_common_domain():
     b = dx.MonotoneBijection.identity(0.0, 2.0)
     with pytest.raises(ValueError):
         dx.TransformPair(a, b)
+
+
+@pytest.mark.parametrize("extra, error", [
+    ({"shifts": 0.16}, TypeError),
+    ({"shifts": (0.16,)}, ValueError),
+    ({"shifts": (0.16, 0.0, 0.0)}, ValueError),
+    ({"shifts": (np.inf, 0.0)}, ValueError),
+    ({"shifts": (0.0, np.nan)}, ValueError),
+    ({"connection": {"A": 0.75, "B": 0.25}}, TypeError),
+    ({"shifts": (0.0, 0.0), "connection": dx.Connection(0.75, 0.25)}, ValueError),
+], ids=["number", "one", "three", "inf", "nan", "dict-connection", "both"])
+def test_transform_pair_rejects_malformed_metadata(extra, error):
+    ident = dx.MonotoneBijection.identity(0.0, 1.0)
+    with pytest.raises(error):
+        dx.TransformPair(ident, ident, **extra)
+
+
+def test_kind_and_c_are_derived(burgers, demo_connection):
+    ident = dx.MonotoneBijection.identity(0.0, 1.0)
+    ramp = dx.MonotoneBijection(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.25, 1.0]))
+    conn, pair = demo_connection
+    assert dx.TransformPair(ident, ident).kind == "identity"
+    assert dx.TransformPair(ramp, ident).kind == "custom"
+    assert dx.TransformPair(ident, ident, shifts=[0, 0]).shifts == (0.0, 0.0)
+    assert _translation_pair(burgers, 0.0, 0.0).kind == "translation"
+    assert pair.kind == "connection"
+    assert dx.TransformPair(ramp, ident).c is None
+    assert pair.alpha.forward(pair.c) == pytest.approx(conn.B, abs=1e-12)
+
+
+@pytest.mark.parametrize("A, B", [(0.75, 0.25), (0.8, 0.2), (0.9, 0.1), (0.6, 0.4), (0.5, 0.5)])
+def test_connection_c_is_the_builders_knot(tmp_path, burgers, A, B):
+    # c = (v1 + v2) / 2 with v1, v2 a third of the domain in from each end,
+    # bit for bit, before and after a trip through the CSV table
+    a, b = burgers.a, burgers.b
+    knot = 0.5 * ((a + (b - a) / 3.0) + (b - (b - a) / 3.0))
+    pair = dx.build_connection_transform(burgers, dx.Connection(A, B))
+    dx.save_transform_csv(tmp_path / "t.csv", pair)
+    back = dx.load_transform_csv(tmp_path / "t.csv", json.loads(json.dumps(pair.meta())))
+    assert pair.c == back.c == knot
+    assert pair.beta.forward(knot) == back.beta.forward(knot) == A
+
+
+def test_verify_flags_maps_that_are_not_the_translation_of_their_shifts(demo_swapped):
+    built = dx.build_translation_transform(demo_swapped)
+    k_l, k_r = built.shifts
+    assert dx.verify_transform(demo_swapped, built).ok
+    # the pair of other shifts, or the same maps relabelled, fail the audit
+    for pair in (dx.TransformPair(built.alpha, built.beta, shifts=(k_l, k_r + 0.01)),
+                 dx.TransformPair(built.alpha, built.beta, shifts=(k_r, k_l)),
+                 dx.TransformPair(built.alpha, built.beta, shifts=(0.0, 5.0))):
+        audit = dx.verify_transform(demo_swapped, pair)
+        assert not audit.ok
+        assert any("not the translation pair of shifts" in msg for msg in audit.failures)
 
 
 def test_verify_flags_non_crossing_pair(demo_swapped):
