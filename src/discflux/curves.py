@@ -64,6 +64,17 @@ def merge_close(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def run_bounds(breaks) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of each maximal run of an array.
+
+    ``breaks[i]`` marks that entries i and i + 1 lie in different runs, so an
+    array of n entries takes n - 1 marks and has one run more than it has
+    marks set.
+    """
+    cut = np.flatnonzero(breaks)
+    return np.concatenate(([0], cut + 1)), np.concatenate((cut, [len(breaks)]))
+
+
 @dataclass(frozen=True)
 class SampledCurve:
     """Piecewise-linear function on a strictly increasing node lattice.

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .curves import CLAMP_SLACK, MonotoneBijection, SampledCurve, merge_close
+from .curves import CLAMP_SLACK, MonotoneBijection, SampledCurve, merge_close, run_bounds
 from .errors import CompositionError
 
 DEFAULT_SAMPLES = 4096
@@ -99,36 +99,23 @@ def clip_flux(branch: SampledCurve) -> SampledCurve:
     return SampledCurve(x, np.concatenate(([0.0], branch.y, [0.0])))
 
 
-def _runs(y: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal runs of consecutive samples whose adjacent steps stay within TOL_FLAT."""
-    out = []
-    start = 0
-    for i in range(1, y.size):
-        if abs(y[i] - y[i - 1]) > TOL_FLAT:
-            out.append((start, i - 1))
-            start = i
-    out.append((start, y.size - 1))
-    return out
-
-
 def find_local_maxima(branch: SampledCurve) -> list[tuple[float, float]]:
     """Interior sample-level local maxima, sorted by position.
 
-    Plateau maxima are reported at the plateau midpoint.  A flat branch (no
-    interior value above the endpoints by more than ``TOL_FLAT``) yields an
-    empty list.
+    Samples whose adjacent steps stay within ``TOL_FLAT`` form one run; an
+    interior run that starts above the end of the run before it and above
+    the start of the run after it is a maximum, reported at its midpoint with
+    its largest value.  A flat branch (no interior value above the endpoints
+    by more than ``TOL_FLAT``) yields an empty list.
     """
     if branch.x.size < 9:
         raise ValueError("need at least 8 sampling intervals to locate maxima")
-    y = branch.y
-    runs = _runs(y)
-    maxima = []
-    for k in range(1, len(runs) - 1):
-        s, e = runs[k]
-        if y[runs[k - 1][1]] < y[s] and y[runs[k + 1][0]] < y[s]:
-            pos = 0.5 * (branch.x[s] + branch.x[e])
-            maxima.append((float(pos), float(np.max(y[s : e + 1]))))
-    return maxima
+    x, y = branch.x, branch.y
+    first, last = run_bounds(np.abs(np.diff(y)) > TOL_FLAT)
+    top = y[first[1:-1]]
+    peak = 1 + np.flatnonzero((y[last[:-2]] < top) & (y[first[2:]] < top))
+    pos = 0.5 * (x[first[peak]] + x[last[peak]])
+    return list(zip(pos.tolist(), np.maximum.reduceat(y, first)[peak].tolist()))
 
 
 # ---------------------------------------------------------------------------

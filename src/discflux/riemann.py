@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import SampledCurve, lower_convex_envelope, merge_close, upper_concave_envelope
+from .curves import SampledCurve, lower_convex_envelope, merge_close, run_bounds, upper_concave_envelope
 from .fluxes import FluxPair
 from .transforms import Connection
 
@@ -89,58 +89,28 @@ def classical_riemann(flux: SampledCurve, u_left: float, u_right: float) -> Riem
         vx, vy = upper_concave_envelope(nodes, vals)
     slopes = np.diff(vy) / np.diff(vx)
 
-    # classify each envelope segment: on the graph -> fan piece, below/above -> shock
-    kinds = []
-    for k in range(len(vx) - 1):
-        mask = (nodes > vx[k]) & (nodes < vx[k + 1])
-        if np.any(mask):
-            chord = vy[k] + slopes[k] * (nodes[mask] - vx[k])
-            dev = float(np.max(np.abs(vals[mask] - chord)))
-        else:
-            dev = 0.0
-        kinds.append("rarefaction" if dev <= _FLAT_TOL * scale else "shock")
+    # classify each envelope segment by the largest distance from its chord of
+    # the nodes strictly inside it: on the graph -> fan piece, off it -> shock
+    starts = np.searchsorted(nodes, vx[:-1])  # the vertices are nodes
+    seg = np.searchsorted(vx, nodes[:-1], side="right") - 1  # segment each node starts or lies in
+    dev = np.abs(vals[:-1] - (vy[seg] + slopes[seg] * (nodes[:-1] - vx[seg])))
+    dev[starts] = 0.0  # a segment's start is not inside it
+    shock = np.maximum.reduceat(dev, starts) > _FLAT_TOL * scale
 
     # orient from the left state to the right one (speeds then non-decreasing)
     if u_left < u_right:
-        states = vx
-        order = range(len(slopes))
+        states, speeds = vx, slopes
     else:
-        states = vx[::-1]
-        order = range(len(slopes) - 1, -1, -1)
-    seq_states = np.asarray(states, dtype=float)
-    seq_speeds = np.array([slopes[k] for k in order], dtype=float)
-    seq_kinds = [kinds[k] for k in order]
+        states, speeds, shock = vx[::-1], slopes[::-1], shock[::-1]
 
-    waves: list[Wave] = []
-    i = 0
-    while i < len(seq_speeds):
-        if seq_kinds[i] == "rarefaction":
-            j = i
-            while j + 1 < len(seq_speeds) and seq_kinds[j + 1] == "rarefaction":
-                j += 1
-            waves.append(
-                Wave(
-                    "rarefaction",
-                    float(seq_states[i]),
-                    float(seq_states[j + 1]),
-                    float(seq_speeds[i]),
-                    float(seq_speeds[j]),
-                )
-            )
-            i = j + 1
-        else:
-            waves.append(
-                Wave(
-                    "shock",
-                    float(seq_states[i]),
-                    float(seq_states[i + 1]),
-                    float(seq_speeds[i]),
-                    float(seq_speeds[i]),
-                )
-            )
-            i += 1
-
-    return RiemannSolution(u_left, u_right, tuple(waves), seq_states, seq_speeds)
+    # one wave per shock segment and per run of fan segments
+    first, last = run_bounds(shock[1:] | shock[:-1])
+    waves = tuple(
+        Wave("shock" if shock[i] else "rarefaction",
+             float(states[i]), float(states[j + 1]), float(speeds[i]), float(speeds[j]))
+        for i, j in zip(first.tolist(), last.tolist())
+    )
+    return RiemannSolution(u_left, u_right, waves, states, speeds)
 
 
 def steady_connection_state(flux: FluxPair, conn: Connection, x) -> np.ndarray:

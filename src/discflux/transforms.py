@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .curves import CLAMP_SLACK, MonotoneBijection, SampledCurve, lower_convex_envelope, merge_close
+from .curves import CLAMP_SLACK, MonotoneBijection, SampledCurve, lower_convex_envelope, merge_close, run_bounds
 from .errors import ConstructionError, DomainError
 from .fluxes import (
     FluxPair,
@@ -185,9 +185,7 @@ def check_crossing(fa: SampledCurve, gb: SampledCurve, dead_band: float = TOL_CR
     if nonzero.size == 0:
         return CrossingReport(True, (), None)
     signs = s[nonzero]
-    change = np.flatnonzero(signs[1:] != signs[:-1])
-    first = nonzero[np.concatenate(([0], change + 1))]  # first sample of each run
-    last = nonzero[np.concatenate((change, [nonzero.size - 1]))]
+    first, last = (nonzero[k] for k in run_bounds(signs[1:] != signs[:-1]))  # each run's end samples
     run_sign = s[first]
 
     # chord roots between the bracketing nonzero samples of consecutive runs
@@ -413,7 +411,8 @@ def verify_transform(flux: FluxPair, t: TransformPair) -> TransformAudit:
     This is the gate the solver applies before accepting a pair; anything a
     file or a hand-built pair might get wrong is re-checked here rather than
     trusted from construction.  A pair with ``shifts`` must be the translation
-    pair of those shifts, and a pair with a connection must cross at ``c``.
+    pair of those shifts, and a pair with a connection (A, B) must map ``c``
+    to B and cross there.
     """
     failures: list[str] = []
     monotone = True
@@ -457,6 +456,10 @@ def verify_transform(flux: FluxPair, t: TransformPair) -> TransformAudit:
                 gap = float(abs(fa(t.c) - gb(t.c)))
                 if gap > TOL_CONN:
                     failures.append(f"composed fluxes disagree at c: |f_a(c)-g_b(c)| = {gap:.3e}")
+                # beta(c) = A by the definition of c; alpha must carry c to B
+                gap = abs(float(t.alpha.forward(t.c)) - t.connection.B)
+                if gap > ROUND_TRIP_REL * span:
+                    failures.append(f"alpha(c) misses the connection's B = {t.connection.B:g} (gap {gap:.3e})")
         except Exception as exc:  # composition errors count as audit failures
             failures.append(f"composition failed: {exc}")
 

@@ -281,6 +281,17 @@ def test_range_escaping_table_fails_the_audit(tmp_path, sidecar, message):
     assert not (tmp_path / "runs").exists()
 
 
+def test_connection_sidecar_the_maps_do_not_realise_fails_the_audit(tmp_path):
+    path = tmp_path / "ident.csv"
+    path.write_text("v,alpha,beta\n0,0,0\n1,1,1\n")
+    path.with_suffix(".json").write_text(json.dumps({"connection": {"A": 0.75, "B": 0.25}}))
+    res = run_cli("solve", "--flux", "burgers-like", "--transform", str(path), "--cells", "64",
+                  "--t-end", "0.05", "--out", str(tmp_path / "runs"))
+    assert res.exit_code == 2, res.output
+    assert "transform failed verification: alpha(c) misses the connection's B = 0.25" in res.output
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("args, old", [
     (("--flux", "burgers-like", "--transform", "connection", "--connection", "0.75:0.25",
       "--u0", "riemann:0.8:0.4"), {"kind": "identity", "c": 0.1, "clip": True}),

@@ -7,6 +7,7 @@ from discflux.curves import (
     SampledCurve,
     lower_convex_envelope,
     merge_close,
+    run_bounds,
     upper_concave_envelope,
 )
 from discflux.errors import DomainError
@@ -143,6 +144,17 @@ def test_envelopes_random_properties():
         # mirror identity with the concave version
         cx, cy = upper_concave_envelope(x, -y)
         assert np.allclose(cx, ex) and np.allclose(cy, -ey)
+
+
+@pytest.mark.parametrize("breaks, first, last", [
+    ([False, False, False], [0], [3]),
+    ([True, True, True], [0, 1, 2, 3], [0, 1, 2, 3]),
+    ([], [0], [0]),
+    ([False, True, False, False, True], [0, 2, 5], [1, 4, 5]),
+], ids=["no-breaks", "all-breaks", "single-entry", "mixed"])
+def test_run_bounds(breaks, first, last):
+    got_first, got_last = run_bounds(np.array(breaks, dtype=bool))
+    assert got_first.tolist() == first and got_last.tolist() == last
 
 
 def test_merge_close_dedupes():

@@ -4,6 +4,7 @@ import pytest
 import discflux as dx
 from discflux.curves import MonotoneBijection, SampledCurve
 from discflux.errors import CompositionError, DomainError
+from discflux.fluxes import TOL_FLAT
 
 
 def test_registry_contains_demo_pairs():
@@ -143,6 +144,30 @@ def test_plateau_maximum_reports_midpoint():
     assert len(peaks) == 1
     assert peaks[0][0] == pytest.approx(0.5, abs=1e-3)
     assert peaks[0][1] == pytest.approx(0.3, abs=1e-12)
+
+
+def _with_middle_step(step):
+    """Unit-spaced samples rising to 0 at node 4, then ``step`` at node 5, then falling.
+
+    Both peak values are exact, so the step between them is ``step`` to the bit.
+    """
+    y = np.array([-0.4, -0.3, -0.2, -0.1, 0.0, step, -0.1, -0.2, -0.3, -0.4])
+    return SampledCurve(np.arange(y.size, dtype=float), y)
+
+
+def test_local_maxima_dead_band_edge():
+    # a step of exactly TOL_FLAT joins the plateau, twice that starts a new run
+    assert dx.find_local_maxima(_with_middle_step(TOL_FLAT)) == [(4.5, TOL_FLAT)]
+    assert dx.find_local_maxima(_with_middle_step(2 * TOL_FLAT)) == [(5.0, 2 * TOL_FLAT)]
+
+
+@pytest.mark.parametrize("y", [
+    np.zeros(9),                                   # one run
+    np.linspace(0.0, 1.0, 9),                      # every step a break, but rising
+    np.concatenate((np.zeros(5), np.ones(4))),     # two runs
+], ids=["flat", "rising", "two-runs"])
+def test_local_maxima_need_an_interior_run_above_both_neighbours(y):
+    assert dx.find_local_maxima(SampledCurve(np.linspace(0, 1, y.size), y)) == []
 
 
 def test_csv_roundtrip(tmp_path, demo_cross):

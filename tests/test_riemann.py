@@ -3,6 +3,7 @@ import pytest
 
 import discflux as dx
 from discflux.curves import SampledCurve
+from discflux.riemann import _FLAT_TOL
 
 
 def test_stationary_shock(burgers):
@@ -83,6 +84,43 @@ def test_random_fluxes_satisfy_jump_conditions():
                 continue
             chord = (float(curve(s2)) - float(curve(s1))) / (s2 - s1)
             assert chord == pytest.approx(speeds[k], abs=1e-9)
+
+
+def _chord_distance(curve, s1, s2):
+    """Largest distance of the curve's nodes strictly between s1 and s2 from their chord (0 if none)."""
+    inside = (curve.x > min(s1, s2)) & (curve.x < max(s1, s2))
+    y1, y2 = float(curve(s1)), float(curve(s2))
+    chord = y1 + (y2 - y1) / (s2 - s1) * (curve.x[inside] - s1)
+    return float(np.max(np.abs(curve.y[inside] - chord), initial=0.0))
+
+
+def test_wave_kinds_match_their_definition(burgers):
+    rng = np.random.default_rng(23)
+    for trial in range(150):
+        n = int(rng.integers(5, 60))
+        u = np.linspace(0, 1, n)
+        y = rng.normal(size=n)
+        for _ in range(int(rng.integers(0, 4))):  # plateaus
+            s = int(rng.integers(0, n - 1))
+            y[s:s + int(rng.integers(2, 6))] = y[s]
+        curve = SampledCurve(u, y)
+        tol = _FLAT_TOL * max(np.abs(y).max(), 1.0)
+        ul, ur = rng.choice(u, 2) if trial % 3 == 0 else rng.uniform(0, 1, 2)
+        sol = dx.classical_riemann(curve, ul, ur)
+        states = sol.states.tolist()
+        for w in sol.waves:
+            i, j = states.index(w.left), states.index(w.right)
+            gaps = [_chord_distance(curve, states[k], states[k + 1]) for k in range(i, j)]
+            if w.kind == "rarefaction":
+                assert max(gaps) <= tol
+            else:
+                assert j == i + 1 and gaps[0] > tol
+        kinds = [w.kind for w in sol.waves]
+        assert ("rarefaction", "rarefaction") not in zip(kinds, kinds[1:])
+
+    fan = dx.classical_riemann(burgers.f, 1.0, 0.0)
+    assert [w.kind for w in fan.waves] == ["rarefaction"]
+    assert fan.states.size == 4097
 
 
 def test_steady_connection_state(burgers):

@@ -332,7 +332,7 @@ def test_connection_transform_asymmetric_branches(demo_cross):
     pair = dx.build_connection_transform(demo_cross, conn)
     fa, gb = dx.composed_fluxes(demo_cross, pair)
     assert abs(float(fa(pair.c)) - float(gb(pair.c))) < 1e-8
-    assert abs(pair.alpha.forward(pair.c) - B) < 1e-6
+    assert abs(pair.alpha.forward(pair.c) - B) <= 1e-16
     assert abs(pair.beta.forward(pair.c) - A) < 1e-12
     assert dx.verify_transform(demo_cross, pair).ok
 
@@ -408,6 +408,10 @@ def test_connection_c_is_the_builders_knot(tmp_path, burgers, A, B):
     back = dx.load_transform_csv(tmp_path / "t.csv", json.loads(json.dumps(pair.meta())))
     assert pair.c == back.c == knot
     assert pair.beta.forward(knot) == back.beta.forward(knot) == A
+    # the audit holds alpha(c) to B within 1e-12; the built pairs meet it to a few ulps
+    for p in (pair, back):
+        assert abs(p.alpha.forward(knot) - B) <= 1e-16
+        assert dx.verify_transform(burgers, p).ok
 
 
 def test_verify_flags_maps_that_are_not_the_translation_of_their_shifts(demo_swapped):
@@ -421,6 +425,15 @@ def test_verify_flags_maps_that_are_not_the_translation_of_their_shifts(demo_swa
         audit = dx.verify_transform(demo_swapped, pair)
         assert not audit.ok
         assert any("not the translation pair of shifts" in msg for msg in audit.failures)
+
+
+def test_verify_flags_a_connection_its_maps_do_not_realise(burgers):
+    # c = beta^-1(0.75) = 0.75 and f(0.75) = f(0.25), so the composed fluxes
+    # agree at c; but alpha carries c to 0.75, not to B
+    ident = dx.MonotoneBijection.identity(0.0, 1.0)
+    audit = dx.verify_transform(burgers, dx.TransformPair(ident, ident, connection=dx.Connection(0.75, 0.25)))
+    assert not audit.ok
+    assert audit.failures == ("alpha(c) misses the connection's B = 0.25 (gap 5.000e-01)",)
 
 
 def test_verify_flags_non_crossing_pair(demo_swapped):
