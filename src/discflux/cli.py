@@ -27,7 +27,7 @@ from .diagnostics import (
     extract_traces,
 )
 from .errors import ConstructionError, DiscFluxError
-from .fluxes import get_flux, registry_names
+from .fluxes import get_flux, registry_names, write_csv
 from .riemann import classical_riemann, steady_connection_state
 from .runio import load_transform_csv, read_run, save_transform_csv, write_run
 from .solver import SolverConfig, ladder, solve
@@ -240,8 +240,7 @@ def cli_riemann(flux_name, branch, left, right, t_eval, out_path):
     if out_path:
         span = max(1.0, max(abs(s) for s in [*sol.speeds, 1.0]) * t_eval * 1.5)
         x = np.linspace(-span, span, 801)
-        np.savetxt(out_path, np.column_stack([x, sol.profile(x, t_eval)]),
-                   fmt="%.17g", delimiter=",", header="x,u", comments="")
+        write_csv(out_path, np.column_stack([x, sol.profile(x, t_eval)]), header="x,u")
         click.echo(f"profile written to {out_path}")
 
 

@@ -19,6 +19,8 @@ from .errors import CompositionError
 DEFAULT_SAMPLES = 4096
 TOL_ENDPOINT = 1e-12
 TOL_FLAT = 1e-10
+# write_csv formats about this many values per %-operation
+_CSV_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -155,10 +157,28 @@ def get_flux(spec: str) -> FluxPair:
     raise ValueError(f"unknown flux {spec!r}: not a registry name or readable file")
 
 
+def write_csv(path, table, header: str | None = None) -> None:
+    """Write a 2-D table as comma-separated ``%.17g`` rows, after an optional header line.
+
+    The bytes are those of ``np.savetxt(path, table, fmt="%.17g",
+    delimiter=",", header=header or "", comments="")``, but one %-operation
+    formats a block of whole rows of about ``_CSV_BLOCK`` values instead of
+    one row; the block bounds the text held in memory at once.
+    """
+    table = np.asarray(table, dtype=float)
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    step = max(1, _CSV_BLOCK // table.shape[1])
+    with open(path, "w") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        for start in range(0, len(table), step):
+            block = table[start:start + step]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+
+
 def save_flux_csv(flux: FluxPair, path) -> None:
     u = np.union1d(flux.f.x, flux.g.x)
-    rows = np.column_stack([u, flux.f(u), flux.g(u)])
-    np.savetxt(path, rows, delimiter=",", header="u,f,g", comments="", fmt="%.17g")
+    write_csv(path, np.column_stack([u, flux.f(u), flux.g(u)]), header="u,f,g")
 
 
 def load_flux_csv(path) -> FluxPair:

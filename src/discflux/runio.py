@@ -31,12 +31,11 @@ import numpy as np
 
 from .curves import MonotoneBijection
 from .errors import DiscFluxError
-from .fluxes import load_flux_csv, save_flux_csv
+from .fluxes import load_flux_csv, save_flux_csv, write_csv
 from .solver import SolutionField, SolverConfig
 from .transforms import Connection, TransformPair
 
 FORMAT_VERSION = 2
-_FMT = "%.17g"
 _VARIABLES = ("u", "v")
 _TABLES = ("flux.csv", "transform.csv", *(f"snapshots/{var}.csv" for var in _VARIABLES))
 _MANIFEST_KEYS = ("cells", "dx", "eps", "dt", "times", "mass", "boundary_flux")
@@ -48,11 +47,6 @@ def config_hash(payload: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
-def _write_csv(path: Path, header: str, columns) -> None:
-    arr = np.column_stack(columns)
-    np.savetxt(path, arr, fmt=_FMT, delimiter=",", header=header, comments="")
-
-
 def _read_csv(path: Path, header: str) -> np.ndarray:
     with open(path) as fh:
         first = fh.readline().strip()
@@ -62,7 +56,7 @@ def _read_csv(path: Path, header: str) -> np.ndarray:
 
 
 def save_transform_csv(path: Path, t: TransformPair) -> None:
-    _write_csv(Path(path), "v,alpha,beta", t.table())
+    write_csv(path, np.column_stack(t.table()), header="v,alpha,beta")
 
 
 def load_transform_csv(path: Path, meta: dict | None = None) -> TransformPair:
@@ -127,8 +121,7 @@ def write_run(field: SolutionField, config: SolverConfig, out_root) -> Path:
         save_flux_csv(field.flux, tmp / "flux.csv")
         save_transform_csv(tmp / "transform.csv", field.transform)
         for var in _VARIABLES:
-            np.savetxt(tmp / "snapshots" / f"{var}.csv", np.vstack([field.x, getattr(field, var)]),
-                       fmt=_FMT, delimiter=",")
+            write_csv(tmp / "snapshots" / f"{var}.csv", np.vstack([field.x, getattr(field, var)]))
         manifest = {
             "format": FORMAT_VERSION,
             "hash": run_dir.name,

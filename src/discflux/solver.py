@@ -27,12 +27,18 @@ breakpoint lattice once, and looks it up in one direction only, v -> m: a
 search of v on the lattice gives each cell's density, table segment and
 slope.  The implicit solve starts from the state the step began with, whose
 lookup the explicit half already made, and runs semismooth Newton on the
-table segments with a backtracking safeguard, one tridiagonal solve
-(``_solve_tridiagonal``) per iteration.  That solver is a hybrid: whole-array
-cyclic-reduction levels halve the system while it has more than 64 rows, and
-a Thomas sweep over Python floats finishes it.  At a few hundred or thousand
-cells the cost of a solve is the count of numpy calls, not of flops, and a
-reduction level costs about as many calls at 100 rows as at 1000.
+table segments with a backtracking safeguard, one tridiagonal solve per
+iteration.  That solver is a hybrid: whole-array cyclic-reduction levels
+halve the system while it has more than 64 rows, and a Thomas sweep over
+Python floats finishes it.  At a few hundred or thousand cells the cost of a
+solve is the count of numpy calls, not of flops, and a reduction level costs
+about as many calls at 100 rows as at 1000.  The solve comes in two halves,
+the matrix's factorization (``_factor_tridiagonal``) and its application to
+a right-hand side (``_apply_factors``).  The stepper factors each distinct
+matrix diag(slope) + kappa * L once and reuses the factors while kappa and
+the diagonal stay exactly equal: an identity transform has one matrix for
+the whole solve, and a step on a connection table usually starts on the
+matrix its previous step ended on.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ _NEWTON_MAX_ITER = 30
 _BACKTRACK_FLOOR = 2.0**-10
 # a Newton residual this many ulps of its terms' magnitude counts as solved
 _NEWTON_RTOL = 8 * np.finfo(float).eps
-# _solve_tridiagonal sweeps systems of at most this many rows in Python
+# _factor_tridiagonal sweeps systems of at most this many rows in Python
 _THOMAS_ROWS = 64
 
 
@@ -139,9 +145,10 @@ class SolverConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("half_width", "t_end") + (() if self.eps is None else ("eps",)):
+        # bool is a numbers.Real, but true is no width, time or share
+        for name in ("half_width", "t_end", "cfl_hyperbolic") + (() if self.eps is None else ("eps",)):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.half_width <= 0 or self.t_end < 0:
             raise ValueError("half_width must be positive and t_end non-negative")
@@ -242,55 +249,80 @@ def _solve_tridiagonal(off, diag, rhs) -> np.ndarray:
     """Solve the symmetric tridiagonal system T x = rhs.
 
     T has ``diag`` on its diagonal and ``off`` (one shorter) beside it, so
-    off[i] couples x[i] and x[i+1].  While more than ``_THOMAS_ROWS`` rows
-    remain, a cyclic-reduction level eliminates the odd unknowns from the
-    even rows in whole-array operations and recurses on the half-size
-    system, which stays symmetric.  The last system is solved by a Thomas
-    sweep over Python floats.  At these sizes the cost is per numpy call,
-    not per flop: a reduction level costs about 25 calls whatever its size,
-    while a 64-row sweep costs about as much as one level, so reducing all
-    the way down to one row would pay six more levels for nothing.  There is
-    no pivoting; it is meant for diagonally dominant systems such as the
-    implicit viscosity's.
+    off[i] couples x[i] and x[i+1].  It is ``_factor_tridiagonal`` followed
+    by ``_apply_factors``; a caller that solves with one matrix several
+    times factors it once and applies the factors to each right-hand side.
     """
-    n = len(diag)
-    if n <= _THOMAS_ROWS:
-        return np.array(_thomas(off.tolist(), diag.tolist(), rhs.tolist()))
-    half, inner = n // 2, (n - 1) // 2   # odd rows; those with an even row on either side
-    left, right = off[0::2], off[1::2]    # odd row 2k+1 couples to x[2k] and x[2k+2]
-    r = 1.0 / diag[1::2]
-    d_odd = rhs[1::2]
-    tl = left * r
-    tr = right * r[:inner]
-    b = diag[0::2].copy()
-    d = rhs[0::2].copy()
-    b[:half] -= tl * left
-    d[:half] -= tl * d_odd
-    b[1:] -= tr * right
-    d[1:] -= tr * d_odd[:inner]
-    x_even = _solve_tridiagonal(-tl[:inner] * right, b, d)
-    x_odd = d_odd - left * x_even[:half]
-    x_odd[:inner] -= right * x_even[1:]
-    x = np.empty(n)
-    x[0::2] = x_even
-    x[1::2] = x_odd * r
-    return x
+    return _apply_factors(_factor_tridiagonal(off, diag), rhs)
 
 
-def _thomas(off: list, diag: list, rhs: list) -> list:
-    """Forward elimination and back substitution for ``_solve_tridiagonal``."""
-    n = len(diag)
-    ratio = [0.0] * (n - 1)   # ratio[i] = off[i] / (row i's pivot after elimination)
-    x = [0.0] * n
-    pivot = diag[0]
-    acc = x[0] = rhs[0] / pivot
-    for i in range(1, n):
+def _factor_tridiagonal(off, diag) -> tuple:
+    """The matrix half of ``_solve_tridiagonal``: everything that does not read rhs.
+
+    While more than ``_THOMAS_ROWS`` rows remain, a cyclic-reduction level
+    eliminates the odd unknowns from the even rows in whole-array operations
+    and leaves a half-size system, which stays symmetric.  The last system
+    is eliminated by a Thomas sweep over Python floats.  At these sizes the
+    cost is per numpy call, not per flop: a reduction level costs about 25
+    calls whatever its size, while a 64-row sweep costs about as much as one
+    level, so reducing all the way down to one row would pay six more levels
+    for nothing.  There is no pivoting; it is meant for diagonally dominant
+    systems such as the implicit viscosity's.
+
+    Returns each level's couplings ``left`` and ``right`` of the odd rows to
+    their even neighbours, the odd rows' reciprocal pivots ``r`` and the
+    multipliers ``tl``, ``tr``; then the last system's couplings, Thomas
+    ratios and pivots.  The factors hold views of ``off``: neither array
+    may change while they are in use.
+    """
+    levels = []
+    while len(diag) > _THOMAS_ROWS:
+        # odd rows; those with an even row on either side
+        half, inner = len(diag) // 2, (len(diag) - 1) // 2
+        left, right = off[0::2], off[1::2]    # odd row 2k+1 couples to x[2k] and x[2k+2]
+        r = 1.0 / diag[1::2]
+        tl = left * r
+        tr = right * r[:inner]
+        b = diag[0::2].copy()
+        b[:half] -= tl * left
+        b[1:] -= tr * right
+        levels.append((left, right, r, tl, tr))
+        off, diag = -tl[:inner] * right, b
+    off, diag = off.tolist(), diag.tolist()
+    ratio = [0.0] * len(off)   # ratio[i] = off[i] / (row i's pivot after elimination)
+    pivots = [0.0] * len(diag)
+    pivot = pivots[0] = diag[0]
+    for i in range(1, len(diag)):
         o = off[i - 1]
         c = ratio[i - 1] = o / pivot
-        pivot = diag[i] - o * c
-        acc = x[i] = (rhs[i] - o * acc) / pivot
-    for i in range(n - 2, -1, -1):
+        pivot = pivots[i] = diag[i] - o * c
+    return levels, off, ratio, pivots
+
+
+def _apply_factors(factors: tuple, rhs) -> np.ndarray:
+    """The right-hand-side half of ``_solve_tridiagonal``: reduce rhs, sweep, substitute back."""
+    levels, off, ratio, pivots = factors
+    odd_rhs = []
+    for left, right, r, tl, tr in levels:
+        d_odd = rhs[1::2]
+        rhs = rhs[0::2].copy()
+        rhs[:len(tl)] -= tl * d_odd
+        rhs[1:] -= tr * d_odd[:len(tr)]
+        odd_rhs.append(d_odd)
+    rhs = rhs.tolist()
+    x = [0.0] * len(rhs)
+    acc = x[0] = rhs[0] / pivots[0]
+    for i in range(1, len(rhs)):
+        acc = x[i] = (rhs[i] - off[i - 1] * acc) / pivots[i]
+    for i in range(len(rhs) - 2, -1, -1):
         acc = x[i] = x[i] - ratio[i] * acc
+    x = np.array(x)
+    for (left, right, r, tl, tr), d_odd in zip(reversed(levels), reversed(odd_rhs)):
+        x_odd = d_odd - left * x[:len(left)]
+        x_odd[:len(right)] -= right * x[1:]
+        x_even, x = x, np.empty(len(x) + len(left))
+        x[0::2] = x_even
+        x[1::2] = x_odd * r
     return x
 
 
@@ -311,7 +343,7 @@ class _Stepper:
         # transform tables on the shared breakpoint union, for the density m(v)
         self.table = transform.table()
         self.ugrid, self.alpha_tab, self.beta_tab = self.table
-        self.du = du = np.diff(self.ugrid)
+        du = np.diff(self.ugrid)
         self.d_tab = self.alpha_tab - self.beta_tab
 
         self.w_face = w_face = smooth_heaviside(cfg.faces(), self.eps)
@@ -328,11 +360,17 @@ class _Stepper:
         self.hi_bound = self.hi_val + self.slack
         band = (w > 0.0) & (w < 1.0)
         w_band = w[band, None]
-        self.m_table = np.vstack([self.beta_tab, self.alpha_tab,
-                                  w_band * self.alpha_tab + (1.0 - w_band) * self.beta_tab]).ravel()
+        m_rows = np.vstack([self.beta_tab, self.alpha_tab,
+                            w_band * self.alpha_tab + (1.0 - w_band) * self.beta_tab])
+        self.m_table = m_rows.ravel()
+        # each row's slope per segment, padded with a NaN column so that a
+        # cell's segment indexes both tables at the same place
+        slopes = np.diff(m_rows, axis=1) / du
+        self.slope_table = np.hstack([slopes, np.full((len(m_rows), 1), np.nan)]).ravel()
         row = np.where(w == 0.0, 0, 1)
         row[band] = np.arange(2, 2 + len(w_band))
         self.row_offset = row * len(self.ugrid)
+        self.inner_nodes = self.ugrid[1:-1]
 
         # The face j+1/2 dissipates in its own density M_+ = w_+ alpha + (1 - w_+) beta.
         # M_+ = m_j + (w_+ - w_j) * (alpha - beta), so off the band faces, where
@@ -360,8 +398,7 @@ class _Stepper:
         dv = np.diff(grid)
         fa_slope = np.diff(self.fa_tab) / dv
         gb_slope = np.diff(self.gb_tab) / dv
-        alpha_slope = np.diff(self.alpha_tab) / du
-        beta_slope = np.diff(self.beta_tab) / du
+        beta_slope, alpha_slope = slopes[0], slopes[1]   # the first two rows of the density table
         # the dissipation speed: max |f'| and |g'| in u, so |F_+'| <= c * M_+'
         self.speed_max = c = float(max(np.max(seg_max(np.abs(fa_slope)) / alpha_slope),
                                        np.max(seg_max(np.abs(gb_slope)) / beta_slope)))
@@ -383,6 +420,10 @@ class _Stepper:
         self.lap_diag = np.full(cfg.cells, 2.0)
         self.lap_diag[[0, -1]] = 1.0
         self.v_mag = float(np.max(np.abs(self.ugrid[[0, -1]])))
+        # the implicit matrix last factored, as (kappa, diagonal, factors),
+        # and the number of factorizations this stepper has made
+        self._factored = (None, None, None)
+        self.factorizations = 0
 
     def suggest_dt(self) -> float:
         """The monotone time step: min(cfl_hyperbolic * dx / c, dx / band_rate).
@@ -426,13 +467,28 @@ class _Stepper:
 
         The segment is the last ``ugrid`` node at or below v, capped at the
         next-to-last node, so the map extends linearly past the table's ends.
+        That is the count of interior nodes at or below v; a NaN counts them
+        all and lands on the last segment.
         """
-        seg = np.searchsorted(self.ugrid, v, side="right") - 1
-        np.clip(seg, 0, len(self.ugrid) - 2, out=seg)
+        seg = np.searchsorted(self.inner_nodes, v, side="right")
         at = self.row_offset + seg
-        m0 = self.m_table[at]
-        slope = (self.m_table[at + 1] - m0) / self.du[seg]
-        return m0 + slope * (v - self.ugrid[seg]), seg, slope
+        slope = self.slope_table[at]
+        return self.m_table[at] + slope * (v - self.ugrid[seg]), seg, slope
+
+    def _factors(self, kappa: float, diag: np.ndarray) -> tuple:
+        """``_apply_factors``' factors of the matrix with ``diag`` on its diagonal, -kappa beside it.
+
+        That is diag(slope) + kappa * L for diag = slope + kappa * lap_diag.
+        The last factorization is reused while kappa and the diagonal are
+        exactly equal to the ones it was made for, so the result is the same
+        as factoring anew.
+        """
+        last_kappa, last_diag, factors = self._factored
+        if kappa != last_kappa or not np.array_equal(diag, last_diag):
+            factors = _factor_tridiagonal(np.full(len(diag) - 1, -kappa), diag)
+            self._factored = (kappa, diag, factors)
+            self.factorizations += 1
+        return factors
 
     def invert_conserved(self, m_star: np.ndarray, kappa: float, v: np.ndarray, m: np.ndarray,
                          seg: np.ndarray, slope: np.ndarray) -> tuple[np.ndarray, int, float]:
@@ -465,8 +521,7 @@ class _Stepper:
                 f"conserved density left the invertible range by {worst:.3e}; "
                 "reduce the time step or refine the grid"
             )
-        off = np.full(len(v) - 1, -kappa)
-        diag = kappa * self.lap_diag
+        viscous_diag = kappa * self.lap_diag
         tol = _NEWTON_RTOL * (self.scale + 4.0 * kappa * self.v_mag)
         resid = m - m_star + kappa * self.neumann_stencil(v)
         worst = float(np.max(np.abs(resid)))
@@ -478,7 +533,7 @@ class _Stepper:
                     f"iterations (worst residual {worst:.3e})"
                 )
             iterations += 1
-            delta = _solve_tridiagonal(off, slope + diag, resid)
+            delta = _apply_factors(self._factors(kappa, slope + viscous_diag), resid)
             share = 1.0
             while True:
                 trial = v - share * delta
@@ -523,7 +578,8 @@ class _Stepper:
         out = 2.0 * v
         out[1:] -= v[:-1]
         out[:-1] -= v[1:]
-        out[[0, -1]] -= v[[0, -1]]
+        out[0] -= v[0]
+        out[-1] -= v[-1]
         return out
 
     def step(self, v: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, int, float]:
@@ -582,7 +638,7 @@ def solve(
         dt_raw = stepper.suggest_dt()
         nsteps = max(1, math.ceil(cfg.t_end / dt_raw))
         dt = cfg.t_end / nsteps
-    snap_at = np.unique(np.round(np.linspace(0, nsteps, cfg.snapshots)).astype(int))
+    snap_at = set(np.round(np.linspace(0, nsteps, cfg.snapshots)).astype(int).tolist())
 
     snaps_v = [v.copy()]
     snap_times = [0.0]
@@ -634,6 +690,8 @@ def solve(
             "dt_limit": "band" if stepper.band_dt < stepper.interior_dt else "interior",
             "newton_iterations": newton_iterations,
             "newton_max": newton_max,
+            # tridiagonal factorizations: one per distinct implicit matrix
+            "factorizations": stepper.factorizations,
             # None when no step ran: the manifest is JSON, which has no inf
             "invert_margin": invert_margin if nsteps else None,
         },

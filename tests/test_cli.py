@@ -186,7 +186,13 @@ def test_solve_config_file_with_flag_override(tmp_path):
     ({"cfl_parabolic": 0.4}, "unknown config keys: ['cfl_parabolic']"),
     ({"cells": 100.5}, "cells must be an integer"),
     ({"cfl_hyperbolic": 1.0}, "cfl_hyperbolic must lie strictly between 0 and 1"),
-], ids=["number", "list", "removed-cfl-key", "fractional-cells", "cfl-one"])
+    ({"cfl_hyperbolic": "0.5"}, "cfl_hyperbolic must be a finite number, got '0.5'"),
+    ({"half_width": True}, "half_width must be a finite number, got True"),
+    ({"t_end": True}, "t_end must be a finite number, got True"),
+    ({"eps": False}, "eps must be a finite number, got False"),
+    ({"cfl_hyperbolic": True}, "cfl_hyperbolic must be a finite number, got True"),
+], ids=["number", "list", "removed-cfl-key", "fractional-cells", "cfl-one", "cfl-string",
+        "half-width-true", "t-end-true", "eps-false", "cfl-true"])
 def test_solve_rejects_bad_config_file(tmp_path, content, message):
     # catch_exceptions=False: a traceback would fail the test here
     path = tmp_path / "cfg.json"

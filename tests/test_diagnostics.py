@@ -189,7 +189,9 @@ def _hats_within(draw, nodes):
     lo, hi = float(nodes[i]), float(nodes[j])
     if draw(st_.booleans()):
         a, b = (draw(st_.floats(lo, hi)) for _ in range(2))
-        if a != b:
+        # a != b is not enough: half the gap of two neighbouring subnormals
+        # (0 and 5e-324, say) rounds to a radius of 0, which HatFunction rejects
+        if 0.5 * abs(a - b) > 0.0:
             lo, hi = min(a, b), max(a, b)
     return dx.HatFunction(0.5 * (lo + hi), 0.5 * (hi - lo))
 

@@ -6,6 +6,7 @@ import pytest
 import discflux as dx
 from discflux import runio
 from discflux.errors import DiscFluxError
+from discflux.fluxes import write_csv
 
 RUN_FILES = {"manifest.json", "flux.csv", "transform.csv", "snapshots/u.csv", "snapshots/v.csv"}
 
@@ -219,6 +220,25 @@ def test_csv_header_guard(tmp_path, burgers, demo_connection):
     path.write_text(text)
     with pytest.raises(DiscFluxError):
         dx.load_transform_csv(path)
+
+
+# a block of whole rows per %-operation: one block, several with a short last one, one row each
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 5), (7, 1), (4097, 3), (34, 128), (3, 5000)])
+@pytest.mark.parametrize("header", [None, "u,f,g"])
+def test_write_csv_matches_savetxt(tmp_path, rows, cols, header):
+    # write_csv formats many rows at once; its bytes must stay those of
+    # np.savetxt, which the stored digests and golden hashes were made with
+    rng = np.random.default_rng(rows * cols)
+    table = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-320, 300, size=(rows, cols))
+    specials = [-0.0, 0.0, 5e-324, -2.5e-310, np.finfo(float).tiny, np.finfo(float).max, 1.0, -1.0 / 3.0]
+    flat = table.reshape(-1)
+    flat[:len(specials)] = specials[:flat.size]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_csv(got, table, header=header)
+    np.savetxt(want, table, fmt="%.17g", delimiter=",", header=header or "", comments="")
+    assert got.read_bytes() == want.read_bytes()
+    reread = np.loadtxt(got, delimiter=",", skiprows=int(header is not None), ndmin=2)
+    assert np.array_equal(reread, table)
 
 
 def _step(left, right):

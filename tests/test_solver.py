@@ -15,7 +15,7 @@ from hypothesis import strategies as st_
 
 import discflux as dx
 from discflux.errors import StabilityError
-from discflux.solver import _Stepper, _solve_tridiagonal
+from discflux.solver import _apply_factors, _factor_tridiagonal, _Stepper, _solve_tridiagonal
 
 from conftest import random_step_profile
 
@@ -77,14 +77,22 @@ def test_config_validation():
         dx.SolverConfig(snapshots=1)
     with pytest.raises(ValueError):
         dx.SolverConfig(eps=1.5).resolved_eps()  # wider than a quarter domain
-    for bad in ({"t_end": np.inf}, {"half_width": np.nan}, {"half_width": np.inf},
-                {"eps": np.nan}, {"eps": -np.inf}, {"half_width": "2"}, {"t_end": None}):
-        (name,) = bad
-        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
-            dx.SolverConfig(**bad)
     cfg = dx.SolverConfig(cells=128)
     assert cfg.resolved_eps() == pytest.approx(8 * cfg.dx)
     assert len(cfg.centers()) == 128 and len(cfg.faces()) == 129
+
+
+@pytest.mark.parametrize("bad", [
+    {"t_end": np.inf}, {"half_width": np.nan}, {"half_width": np.inf}, {"eps": np.nan},
+    {"eps": -np.inf}, {"half_width": "2"}, {"t_end": None}, {"cfl_hyperbolic": np.nan},
+    {"cfl_hyperbolic": "0.5"}, {"cfl_hyperbolic": None},
+    # bool is a numbers.Real; True must not pass as a width of 1
+    {"half_width": True}, {"t_end": True}, {"t_end": False}, {"eps": True}, {"cfl_hyperbolic": True},
+], ids=repr)
+def test_config_rejects_non_numbers(bad):
+    (name,) = bad
+    with pytest.raises(ValueError, match=f"{name} must be a finite number, got {bad[name]!r}"):
+        dx.SolverConfig(**bad)
 
 
 def test_solve_rejects_bad_initial_data(burgers):
@@ -233,6 +241,7 @@ def test_stats_record_the_step_rule(demo_swapped):
     assert stats["dt_limit"] == "interior"
     assert not {"parabolic_rate", "slope_min", "hyperbolic_rate"} & set(stats)
     assert stats["steps"] <= stats["newton_iterations"] <= stats["steps"] * stats["newton_max"]
+    assert 1 <= stats["factorizations"] <= stats["newton_iterations"]
     assert math.isfinite(stats["invert_margin"])
     assert stats["invert_margin"] >= -stepper.slack
 
@@ -461,6 +470,15 @@ def test_tridiagonal_solve_matches_dense(n, seed):
     want = np.linalg.solve(dense, rhs)
     assert got.shape == (n,)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+    # one factorization serves every right-hand side, bit for bit, and
+    # applying it leaves the factors, the matrix and the rhs as they were
+    factors = _factor_tridiagonal(off, diag)
+    matrix = (off.copy(), diag.copy())
+    for rhs in [rhs, *rng.normal(size=(3, n)) * 10.0 ** rng.uniform(-3, 3, size=(3, 1)), rhs]:
+        before = rhs.copy()
+        assert np.array_equal(_apply_factors(factors, rhs), _solve_tridiagonal(off, diag, rhs))
+        assert np.array_equal(rhs, before)
+    assert np.array_equal(off, matrix[0]) and np.array_equal(diag, matrix[1])
 
 
 def _backward_euler_step(st, v, dt):
@@ -512,6 +530,76 @@ def _kinked_problems(burgers):
         cfg = dx.SolverConfig(cells=cells, eps=float(rng.uniform(0.5, 8.0)) * 4.0 / cells, t_end=0.0)
         st = _Stepper(burgers, dx.TransformPair(*maps), cfg)
         yield st, _clustered_state(rng, st.ugrid[0], st.ugrid[-1], cells)
+
+
+def test_reused_factors_match_a_fresh_stepper(small_problems):
+    # A stepper keeps its last factorization.  Stepped through unrelated
+    # states of every problem at two time steps, each in turn, it must give
+    # exactly what a fresh stepper gives for each call alone.
+    rng = np.random.default_rng(17)
+    for kind, (flux, transform) in small_problems.items():
+        cfg = dx.SolverConfig(cells=128, t_end=0.0)
+        kept = _Stepper(flux, transform, cfg)
+        lo, hi = kept.ugrid[0], kept.ugrid[-1]
+        states = [_clustered_state(rng, lo, hi, cfg.cells) for _ in range(4)]
+        states += [np.full(cfg.cells, 0.5 * (lo + hi)), np.where(cfg.centers() <= 0, hi, lo)]
+        dts = (kept.suggest_dt(), kept.suggest_dt() / 3.0)
+        fresh_count = 0
+        for i, state in enumerate(states * 2):
+            v = state
+            for dt in (dts[i % 2], dts[i % 2], dts[(i + 1) % 2]):
+                fresh = _Stepper(flux, transform, cfg)
+                want = fresh.step(v, dt)
+                got = kept.step(v, dt)
+                fresh_count += fresh.factorizations
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b), kind
+                v = got[0]
+        # the comparison means something only if the reuse happened
+        assert 0 < kept.factorizations < fresh_count, kind
+        # the same diagonal at another kappa is another matrix
+        diag, rhs = rng.uniform(1.0, 2.0, cfg.cells), rng.normal(size=cfg.cells)
+        for kappa in (0.5, 0.25, 0.25, 0.5):
+            want = _solve_tridiagonal(np.full(cfg.cells - 1, -kappa), diag, rhs)
+            assert np.array_equal(_apply_factors(kept._factors(kappa, diag.copy()), rhs), want), kind
+
+
+def test_solve_counts_its_factorizations(small_problems):
+    # one matrix for a whole identity solve; on the connection table a step
+    # usually starts on the matrix its previous step ended on.  Both counts
+    # are exact, so they change only when the scheme's iterates do.
+    riemann = lambda ul, ur: lambda x: np.where(np.asarray(x) <= 0, ul, ur)
+    cfg = dx.SolverConfig(cells=1024, t_end=0.5)
+    flux, ident = small_problems["identity"]
+    stats = dx.solve(flux, riemann(0.7, 0.2), ident, cfg).stats
+    assert (stats["steps"], stats["newton_iterations"], stats["factorizations"]) == (160, 160, 1)
+    flux, conn = small_problems["connection"]
+    stats = dx.solve(flux, riemann(0.8, 0.4), conn, cfg).stats
+    assert (stats["steps"], stats["newton_iterations"], stats["factorizations"]) == (160, 326, 167)
+
+
+@pytest.mark.parametrize("kind", ["identity", "translation", "connection"])
+def test_segment_search_on_interior_nodes(small_problems, kind):
+    # conserved() counts the interior nodes at or below v; that is the last
+    # node at or below v, capped to a segment of the table, NaN included
+    flux, transform = small_problems[kind]
+    st = _Stepper(flux, transform, dx.SolverConfig(cells=64, t_end=0.0))
+    ugrid = st.ugrid
+    span = ugrid[-1] - ugrid[0]
+    v = np.concatenate((ugrid, np.nextafter(ugrid, -np.inf), np.nextafter(ugrid, np.inf),
+                        0.5 * (ugrid[1:] + ugrid[:-1]),
+                        [ugrid[0] - span, ugrid[0] - 1e-300, ugrid[-1] + 1e-9, ugrid[-1] + span,
+                         -np.inf, np.inf, np.nan]))
+    v = np.resize(v, -(-len(v) // 64) * 64).reshape(-1, 64)
+    for row in v:
+        old = np.clip(np.searchsorted(ugrid, row, side="right") - 1, 0, len(ugrid) - 2)
+        _, seg, slope = st.conserved(row)
+        assert np.array_equal(seg, old), kind
+        # the slope table's NaN padding column is never read
+        assert np.all(np.isfinite(slope)), kind
+    assert len(st.inner_nodes) == len(ugrid) - 2
+    if kind == "identity":
+        assert len(ugrid) == 2
 
 
 def test_newton_converges_on_kinked_tables(burgers):
@@ -671,6 +759,7 @@ def test_zero_time_returns_initial_state(burgers):
                      config=dx.SolverConfig(cells=64, t_end=0.0))
     assert len(field.times) == 1
     assert field.stats["steps"] == 0 and field.stats["invert_margin"] is None
+    assert field.stats["factorizations"] == 0
     assert np.max(np.abs(field.u[0] - 0.5)) < 1e-14
 
 
