@@ -21,18 +21,22 @@ admissibility argument needs from the approximation, and the viscosity does
 not limit the time step.
 
 W is exactly 0 left of the smoothing band and exactly 1 right of it, so there
-m is beta(v) or alpha(v) alone; only the few band cells have a genuinely
-blended map.  The stepper tabulates every cell's map on the transform's
-breakpoint lattice once, and looks it up in one direction only, v -> m: a
-search of v on the lattice gives each cell's density, table segment and
-slope.  The implicit solve starts from the state the step began with, whose
-lookup the explicit half already made, and runs semismooth Newton on the
-table segments with a backtracking safeguard, one tridiagonal solve per
-iteration.  That solver is a hybrid: whole-array cyclic-reduction levels
-halve the system while it has more than 64 rows, and a Thomas sweep over
-Python floats finishes it.  At a few hundred or thousand cells the cost of a
-solve is the count of numpy calls, not of flops, and a reduction level costs
-about as many calls at 100 rows as at 1000.  The solve comes in two halves,
+m is beta(v) or alpha(v) alone, and a face there reads g∘beta or f∘alpha
+alone; only the few band cells and faces blend both.  The stepper tabulates
+every cell's map on the transform's breakpoint lattice once, and looks it up
+in one direction only, v -> m: a search of v on the lattice gives each
+cell's density, table segment and slope.  The implicit solve starts from the
+state the step began with, whose lookup the explicit half already used, and
+runs semismooth Newton on the table segments with a backtracking safeguard:
+one segment search and one tridiagonal solve per iteration.  An iterate that
+keeps the segments it was linearised on has solved the step, so it forms no
+density or residual; the converged state's lookup is taken once and starts
+the next step, so no step opens with a search.  The tridiagonal solver is
+a hybrid: whole-array cyclic-reduction levels halve the system while it has
+more than 64 rows, and a Thomas sweep over Python floats finishes it.  At a
+few hundred or thousand cells the cost of a solve is the count of numpy
+calls, not of flops, and a reduction level costs about as many calls at 100
+rows as at 1000.  The solve comes in two halves,
 the matrix's factorization (``_factor_tridiagonal``) and its application to
 a right-hand side (``_apply_factors``).  The stepper factors each distinct
 matrix diag(slope) + kappa * L once and reuses the factors while kappa and
@@ -143,8 +147,11 @@ class SolverConfig:
     def __post_init__(self):
         for name in ("cells", "snapshots"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
+            # a numpy integer counts too, stored as an int so that to_dict()
+            # stays JSON; a bool (numpy's too) is no count
+            if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         # bool is a numbers.Real, but true is no width, time or share
         for name in ("half_width", "t_end", "cfl_hyperbolic") + (() if self.eps is None else ("eps",)):
             value = getattr(self, name)
@@ -283,8 +290,11 @@ def _factor_tridiagonal(off, diag) -> tuple:
         r = 1.0 / diag[1::2]
         tl = left * r
         tr = right * r[:inner]
-        b = diag[0::2].copy()
-        b[:half] -= tl * left
+        if 2 * half == len(diag):   # as many even rows as odd ones
+            b = diag[0::2] - tl * left
+        else:
+            b = diag[0::2].copy()
+            b[:half] -= tl * left
         b[1:] -= tr * right
         levels.append((left, right, r, tl, tr))
         off, diag = -tl[:inner] * right, b
@@ -305,8 +315,11 @@ def _apply_factors(factors: tuple, rhs) -> np.ndarray:
     odd_rhs = []
     for left, right, r, tl, tr in levels:
         d_odd = rhs[1::2]
-        rhs = rhs[0::2].copy()
-        rhs[:len(tl)] -= tl * d_odd
+        if 2 * len(d_odd) == len(rhs):   # as many even rows as odd ones
+            rhs = rhs[0::2] - tl * d_odd
+        else:
+            rhs = rhs[0::2].copy()
+            rhs[:len(tl)] -= tl * d_odd
         rhs[1:] -= tr * d_odd[:len(tr)]
         odd_rhs.append(d_odd)
     rhs = rhs.tolist()
@@ -322,7 +335,7 @@ def _apply_factors(factors: tuple, rhs) -> np.ndarray:
         x_odd[:len(right)] -= right * x[1:]
         x_even, x = x, np.empty(len(x) + len(left))
         x[0::2] = x_even
-        x[1::2] = x_odd * r
+        np.multiply(x_odd, r, out=x[1::2])
     return x
 
 
@@ -383,6 +396,15 @@ class _Stepper:
         self.band_faces = slice(k0 + 1, k1 + 1)
         self.band_cells = slice(k0, k1 + 1)     # the cells beside those faces
         self.right_gap, self.left_gap = right_gap[k0:k1], left_gap[k0:k1]
+        # Faces before f0 have w_+ = 0 and read g∘beta alone, faces from f1
+        # on have w_+ = 1 and read f∘alpha alone; only those between blend.
+        # eps is at most a quarter of the half width, so the end faces lie
+        # off the band: w_+ is 0 at the first and 1 at the last.
+        f0 = int(np.flatnonzero(w_face != 0.0)[0])
+        f1 = int(np.flatnonzero(w_face != 1.0)[-1]) + 1
+        self.flux_band = (f0, f1)
+        self.w_blend = w_face[f0:f1]
+        self.w_blend_c = 1.0 - self.w_blend
 
         # Slopes per transform segment.  The composed fluxes bend inside a
         # transform segment, so each takes the extreme slope of the flux
@@ -470,7 +492,10 @@ class _Stepper:
         That is the count of interior nodes at or below v; a NaN counts them
         all and lands on the last segment.
         """
-        seg = np.searchsorted(self.inner_nodes, v, side="right")
+        return self._density(v, np.searchsorted(self.inner_nodes, v, side="right"))
+
+    def _density(self, v: np.ndarray, seg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``conserved(v)`` for a v whose segments ``seg`` are already known."""
         at = self.row_offset + seg
         slope = self.slope_table[at]
         return self.m_table[at] + slope * (v - self.ugrid[seg]), seg, slope
@@ -491,25 +516,28 @@ class _Stepper:
         return factors
 
     def invert_conserved(self, m_star: np.ndarray, kappa: float, v: np.ndarray, m: np.ndarray,
-                         seg: np.ndarray, slope: np.ndarray) -> tuple[np.ndarray, int, float]:
+                         seg: np.ndarray, slope: np.ndarray) -> tuple[np.ndarray, int, float, tuple]:
         """Solve m_j(v) + kappa * (L v)_j = m*_j for v by semismooth Newton.
 
         On fixed table segments the system is linear with the tridiagonal
         M-matrix diag(slope) + kappa * L.  Newton starts from the state ``v``
         the step began with, whose density ``m``, segment ``seg`` and
         ``slope`` the caller already looked up, so no m -> v search is needed.
-        A full step that keeps the segments it was linearised on solves the
-        linear model exactly and ends the iteration.  Otherwise the step is
-        halved, down to ``_BACKTRACK_FLOOR``, until the largest residual
-        falls: on a table with many kinks the full step can overshoot into
-        a cycle.  A rounding-level residual also ends the iteration, since a
-        state sitting on a node may flip between the segments on either side
-        for ever.
+        Each iterate costs one segment search.  A full step that keeps the
+        segments it was linearised on solves the linear model exactly and
+        ends the iteration, so its density and residual are never formed.
+        Otherwise the step is halved, down to ``_BACKTRACK_FLOOR``, until the
+        largest residual falls: on a table with many kinks the full step can
+        overshoot into a cycle.  A rounding-level residual also ends the
+        iteration, since a state sitting on a node may flip between the
+        segments on either side for ever.
 
-        Returns v, the number of tridiagonal solves and the margin of m*: its
-        least distance inside [lo_val, hi_val], negative when it lies outside
-        but within ``slack``.  Beyond the slack, or for a non-finite m*, it
-        raises StabilityError.
+        Returns v, clipped to the table; the number of tridiagonal solves; the
+        margin of m*: its least distance inside [lo_val, hi_val], negative
+        when it lies outside but within ``slack``; and ``conserved(v)``, which
+        the next step starts from.  The clip moves no v across an interior
+        node, so the last iterate's segments serve the clipped v.  Beyond the
+        slack, or for a non-finite m*, it raises StabilityError.
         """
         # the difference to a bound has the exact sign of the comparison with
         # it, so the test below accepts exactly the m* in [lo_bound, hi_bound];
@@ -534,35 +562,47 @@ class _Stepper:
                 )
             iterations += 1
             delta = _apply_factors(self._factors(kappa, slope + viscous_diag), resid)
+            trial = v - delta
+            new_seg = np.searchsorted(self.inner_nodes, trial, side="right")
+            if np.array_equal(new_seg, seg):   # solved: the linear model held
+                v = trial
+                break
             share = 1.0
             while True:
-                trial = v - share * delta
-                m, new_seg, new_slope = self.conserved(trial)
+                m, _, new_slope = self._density(trial, new_seg)
                 new_resid = m - m_star + kappa * self.neumann_stencil(trial)
                 new_worst = float(np.max(np.abs(new_resid)))
-                solved = share == 1.0 and np.array_equal(new_seg, seg)
-                if solved or new_worst < worst or share <= _BACKTRACK_FLOOR:
+                if new_worst < worst or share <= _BACKTRACK_FLOOR:
                     break
                 share *= 0.5
+                trial = v - share * delta
+                new_seg = np.searchsorted(self.inner_nodes, trial, side="right")
             v, seg, slope, resid, worst = trial, new_seg, new_slope, new_resid, new_worst
-            if solved:
-                break
-        return np.clip(v, self.ugrid[0], self.ugrid[-1], out=v), iterations, room - self.slack
+        v = np.clip(v, self.ugrid[0], self.ugrid[-1], out=v)
+        return v, iterations, room - self.slack, self._density(v, seg)
 
     def face_fluxes(self, v: np.ndarray, m: np.ndarray) -> np.ndarray:
         """Lax-Friedrichs fluxes at every face, dissipating in the face's own density.
+
+        A face with w_+ = 0 reads g∘beta alone and one with w_+ = 1 f∘alpha
+        alone, so each branch is interpolated only at the states beside a
+        face that reads it: g∘beta at those up to the last blended face
+        (``flux_band``), f∘alpha from the first one on.  0 * x + 1 * y is y,
+        so that equals blending both branches at every face.
 
         ``m`` is ``conserved(v)[0]``.  Its jumps are the dissipation except on
         the band faces, which add (w_+ - w_{j+1}) D(v_{j+1}) - (w_+ - w_j) D(v_j)
         with D = alpha - beta.  The ghosts repeat the end cells, so the two
         boundary faces dissipate nothing.
         """
+        f0, f1 = self.flux_band
+        nb = f1 - f0
         vx = np.concatenate(([v[0]], v, [v[-1]]))  # zero-gradient ghosts
-        fa_v = np.interp(vx, self.vgrid, self.fa_tab)
-        gb_v = np.interp(vx, self.vgrid, self.gb_tab)
-        w = self.w_face
-        left = w * fa_v[:-1] + (1.0 - w) * gb_v[:-1]
-        right = w * fa_v[1:] + (1.0 - w) * gb_v[1:]
+        gb_v = np.interp(vx[:f1 + 1], self.vgrid, self.gb_tab)   # states 0 .. f1
+        fa_v = np.interp(vx[f0:], self.vgrid, self.fa_tab)       # states f0 .. the last
+        w, w_c = self.w_blend, self.w_blend_c
+        left = np.concatenate((gb_v[:f0], w * fa_v[:nb] + w_c * gb_v[f0:f1], fa_v[nb:-1]))
+        right = np.concatenate((gb_v[1:f0 + 1], w * fa_v[1:nb + 1] + w_c * gb_v[f0 + 1:], fa_v[nb + 1:]))
         jump = np.zeros(len(v) + 1)
         jump[1:-1] = np.diff(m)
         d = np.interp(v[self.band_cells], self.ugrid, self.d_tab)
@@ -582,20 +622,22 @@ class _Stepper:
         out[-1] -= v[-1]
         return out
 
-    def step(self, v: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, int, float]:
+    def step(self, v: np.ndarray, dt: float, lookup: tuple) -> tuple[np.ndarray, np.ndarray, int, float, tuple]:
         """Explicit Lax-Friedrichs transport, then the backward-Euler viscosity.
 
-        One lookup of v serves both halves: its density moves to m*, and its
-        segments and slopes linearise Newton's first iterate.  Returns the new
-        state, the face fluxes, the Newton iteration count and the margin of
-        m* inside the density range (see ``invert_conserved``).
+        ``lookup`` is ``conserved(v)``, which the previous step returns for
+        its new state.  It serves both halves: its density moves to m*, and
+        its segments and slopes linearise Newton's first iterate.  Returns the
+        new state, the face fluxes, the Newton iteration count, the margin of
+        m* inside the density range and the new state's lookup (see
+        ``invert_conserved``).
         """
-        m, seg, slope = self.conserved(v)
+        m, seg, slope = lookup
         phi = self.face_fluxes(v, m)
         m_star = m - (dt / self.dx) * np.diff(phi)
-        v_new, iterations, margin = self.invert_conserved(
+        v_new, iterations, margin, lookup = self.invert_conserved(
             m_star, self.eps * dt / self.dx**2, v, m, seg, slope)
-        return v_new, phi, iterations, margin
+        return v_new, phi, iterations, margin, lookup
 
 
 def solve(
@@ -642,7 +684,8 @@ def solve(
 
     snaps_v = [v.copy()]
     snap_times = [0.0]
-    mass = [float(np.sum(stepper.conserved(v)[0]) * cfg.dx)]
+    lookup = stepper.conserved(v)
+    mass = [float(np.sum(lookup[0]) * cfg.dx)]
     bflux = [(0.0, 0.0)]
     cum_left = cum_right = 0.0
     c1 = 0.0  # max L1 rate of change of v
@@ -650,7 +693,7 @@ def solve(
     newton_iterations = newton_max = 0
     invert_margin = math.inf
     for n in range(1, nsteps + 1):
-        v_new, phi, iterations, margin = stepper.step(v, dt)
+        v_new, phi, iterations, margin, lookup = stepper.step(v, dt, lookup)
         newton_iterations += iterations
         newton_max = max(newton_max, iterations)
         invert_margin = min(invert_margin, margin)
@@ -663,7 +706,7 @@ def solve(
         if n in snap_at:
             snaps_v.append(v.copy())
             snap_times.append(n * dt)
-            mass.append(float(np.sum(stepper.conserved(v)[0]) * cfg.dx))
+            mass.append(float(np.sum(lookup[0]) * cfg.dx))
             bflux.append((cum_left, cum_right))
 
     v_arr = np.array(snaps_v)

@@ -70,7 +70,8 @@ def test_config_validation():
     for cfl in (1.0, 0.0, -0.5):
         with pytest.raises(ValueError, match="cfl_hyperbolic"):
             dx.SolverConfig(cfl_hyperbolic=cfl)
-    for bad in ({"cells": 100.5}, {"snapshots": 3.5}, {"cells": True}):
+    for bad in ({"cells": 100.5}, {"snapshots": 3.5}, {"cells": True}, {"cells": np.float64(128.0)},
+                {"cells": np.bool_(True)}, {"snapshots": np.bool_(True)}):
         with pytest.raises(ValueError, match="must be an integer"):
             dx.SolverConfig(**bad)
     with pytest.raises(ValueError):
@@ -93,6 +94,17 @@ def test_config_rejects_non_numbers(bad):
     (name,) = bad
     with pytest.raises(ValueError, match=f"{name} must be a finite number, got {bad[name]!r}"):
         dx.SolverConfig(**bad)
+
+
+def test_config_takes_numpy_integers():
+    # a cell count computed with numpy is a count; it is stored as an int,
+    # so the config and its run hash are those of the plain int
+    cfg = dx.SolverConfig(cells=np.int64(128), snapshots=np.int32(9))
+    plain = dx.SolverConfig(cells=128, snapshots=9)
+    assert cfg == plain
+    assert type(cfg.cells) is int and type(cfg.snapshots) is int
+    assert dx.runio.config_hash(cfg.to_dict()) == dx.runio.config_hash(plain.to_dict())
+    assert replace(cfg, cells=np.uint16(256)).cells == 256
 
 
 def test_solve_rejects_bad_initial_data(burgers):
@@ -330,7 +342,7 @@ def test_non_finite_density_raises(small_problems, bad):
         v = np.full(64, 0.5 * (st.ugrid[0] + st.ugrid[-1]))
         v[20] = bad
         with pytest.raises(StabilityError, match="left the invertible range"):
-            st.step(v, st.suggest_dt())
+            st.step(v, st.suggest_dt(), st.conserved(v))
 
 
 @pytest.mark.parametrize("side", ["below", "above"])
@@ -343,7 +355,7 @@ def test_inversion_raises_just_beyond_the_slack(fixed_steppers, side):
         assert _invert(st, m)[2] == pytest.approx(direct, rel=0.0, abs=4 * np.finfo(float).eps * st.scale)
         # at the slack edge is accepted, with the margin -slack
         m[i] = st.lo_val[i] - st.slack if side == "below" else st.hi_val[i] + st.slack
-        v, _, margin = _invert(st, m)
+        v, _, margin, _ = _invert(st, m)
         assert st.ugrid[0] <= v[i] <= st.ugrid[-1], name
         assert margin == pytest.approx(-st.slack, rel=1e-6), name
         m[i] = np.nextafter(m[i], -np.inf if side == "below" else np.inf)
@@ -352,6 +364,86 @@ def test_inversion_raises_just_beyond_the_slack(fixed_steppers, side):
             _invert(st, m)
         assert str(got.value) == (f"conserved density left the invertible range by {worst:.3e}; "
                                   "reduce the time step or refine the grid"), name
+
+
+def _states(st, rng):
+    """States on flux and table nodes, at both table ends, across the interface and in between."""
+    n, lo, hi = st.cfg.cells, st.ugrid[0], st.ugrid[-1]
+    nodes = np.concatenate((st.vgrid, st.ugrid))
+    yield _clustered_state(rng, lo, hi, n)
+    yield nodes[rng.integers(0, len(nodes), size=n)]
+    yield np.where(st.cfg.centers() <= 0.0, hi, lo)
+    yield np.full(n, lo)
+    yield np.full(n, hi)
+
+
+@pytest.mark.parametrize("name", ["connection", "identity", "translation", "empty band", "no blended face"])
+def test_face_fluxes_read_one_branch_off_the_band(fixed_steppers, burgers, demo_connection, name):
+    # A face with w_+ = 0 or 1 reads one branch only; the fluxes must equal,
+    # bit for bit, blending both branches at every face.
+    if name == "no blended face":
+        # odd cells put the interface at a centre; eps below half a cell keeps every face off the band
+        cfg = dx.SolverConfig(cells=129, eps=0.3 * 4.0 / 129, t_end=0.0)
+        st = _Stepper(burgers, demo_connection[1], cfg)
+        assert np.all((st.w_face == 0.0) | (st.w_face == 1.0))
+    else:
+        st = fixed_steppers[name]
+    f0, f1 = st.flux_band
+    assert np.all(st.w_face[:f0] == 0.0) and np.all(st.w_face[f1:] == 1.0)
+    assert (f1 > f0) == (name != "no blended face")
+    w = st.w_face
+    rng = np.random.default_rng(5)
+    for v in _states(st, rng):
+        m = st.conserved(v)[0]
+        vx = np.concatenate(([v[0]], v, [v[-1]]))
+        fa_v = np.interp(vx, st.vgrid, st.fa_tab)
+        gb_v = np.interp(vx, st.vgrid, st.gb_tab)
+        left = w * fa_v[:-1] + (1.0 - w) * gb_v[:-1]
+        right = w * fa_v[1:] + (1.0 - w) * gb_v[1:]
+        jump = np.zeros(len(v) + 1)
+        jump[1:-1] = np.diff(m)
+        d = np.interp(v[st.band_cells], st.ugrid, st.d_tab)
+        jump[st.band_faces] += st.right_gap * d[1:] - st.left_gap * d[:-1]
+        want = 0.5 * (left + right) - 0.5 * st.speed_max * jump
+        assert np.array_equal(st.face_fluxes(v, m), want), name
+
+
+def test_inversion_returns_the_lookup_of_its_result(fixed_steppers):
+    # The lookup that invert_conserved returns for the next step must be
+    # conserved(v) of its clipped result, bit for bit: from Newton iterates
+    # that leave the table at either end, that land on nodes, and from a
+    # start that is already solved but lies just outside the table.
+    rng = np.random.default_rng(23)
+    for name, st in fixed_steppers.items():
+        n, lo, hi = st.cfg.cells, st.ugrid[0], st.ugrid[-1]
+        kappa = st.eps * st.suggest_dt() / st.dx**2
+        mid = np.full(n, 0.5 * (lo + hi))
+        # m* just past both ends of its range, within the slack
+        m = np.where(st.cfg.centers() <= 0.0, st.lo_val - st.slack, st.hi_val + st.slack)
+        problems = [(m, mid)]
+        # the equations that states on the nodes solve, their m* held in the range
+        for v in _states(st, rng):
+            m_star = st.conserved(v)[0] + kappa * st.neumann_stencil(v)
+            problems.append((np.clip(m_star, st.lo_val, st.hi_val), mid))
+        # a constant start has no viscous term, so when it solves its own
+        # equation there is no Newton step: just past an end it is only
+        # clipped, and on a node it stays there
+        for edge, sign in ((lo, -1.0), (hi, 1.0)):
+            v = np.full(n, edge + sign * 1e-13 * (hi - lo))
+            problems.append((st.conserved(v)[0], v))
+        for node in st.inner_nodes[::max(1, len(st.inner_nodes) // 8)]:
+            v = np.full(n, node)
+            problems += [(st.conserved(v)[0], v), (st.conserved(v)[0], mid)]
+        clipped = on_node = 0
+        for m_star, v0 in problems:
+            v, _, _, lookup = st.invert_conserved(m_star, kappa, v0.copy(), *st.conserved(v0))
+            assert np.all((lo <= v) & (v <= hi)), name
+            clipped += int(np.any((v == lo) | (v == hi)))
+            on_node += int(np.count_nonzero(np.isin(v, st.inner_nodes)))
+            for got, want in zip(lookup, st.conserved(v)):
+                assert np.array_equal(got, want), name
+        assert clipped >= 3, name
+        assert on_node >= n * min(8, len(st.inner_nodes)), name
 
 
 # ------------------------------------------------ monotonicity at suggest_dt
@@ -389,7 +481,7 @@ def _assert_monotone_step(st, rng):
     dt = st.suggest_dt()
 
     def densities(v):
-        v_new, phi = st.step(v, dt)[:2]
+        v_new, phi = st.step(v, dt, st.conserved(v))[:2]
         # m* before the implicit solve, then m_new up to Newton's rounding
         return st.conserved(v)[0] - (dt / st.dx) * np.diff(phi), st.conserved(v_new)[0]
 
@@ -439,7 +531,8 @@ def test_step_is_monotone_across_a_breakpoint(small_problems):
     below, above = v.copy(), v.copy()
     below[j], above[j] = g[k + 1] - 1e-9, g[k + 1] + 1e-9
     dt = st.suggest_dt()
-    dm = st.conserved(st.step(above, dt)[0])[0] - st.conserved(st.step(below, dt)[0])[0]
+    dm = (st.conserved(st.step(above, dt, st.conserved(above))[0])[0]
+          - st.conserved(st.step(below, dt, st.conserved(below))[0])[0])
     assert dm[j] > 0.0
     assert dm.min() >= -1e-13
 
@@ -484,9 +577,12 @@ def test_tridiagonal_solve_matches_dense(n, seed):
 def _backward_euler_step(st, v, dt):
     """One step, checked to solve its backward-Euler equation to rounding.
 
-    Returns the new state, the face fluxes and the residual's scale.
+    Returns the new state, the face fluxes and the residual's scale.  The
+    step also returns the new state's lookup, which must be ``conserved``'s.
     """
-    v_new, phi, _, _ = st.step(v, dt)
+    v_new, phi, _, _, lookup = st.step(v, dt, st.conserved(v))
+    for got, want in zip(lookup, st.conserved(v_new)):
+        assert np.array_equal(got, want)
     kappa = st.eps * dt / st.dx**2
     m_star = st.conserved(v)[0] - (dt / st.dx) * np.diff(phi)
     lap = (np.concatenate((v_new[1:], v_new[-1:])) - 2.0 * v_new
@@ -549,10 +645,10 @@ def test_reused_factors_match_a_fresh_stepper(small_problems):
             v = state
             for dt in (dts[i % 2], dts[i % 2], dts[(i + 1) % 2]):
                 fresh = _Stepper(flux, transform, cfg)
-                want = fresh.step(v, dt)
-                got = kept.step(v, dt)
+                want = fresh.step(v, dt, fresh.conserved(v))
+                got = kept.step(v, dt, kept.conserved(v))
                 fresh_count += fresh.factorizations
-                for a, b in zip(got, want):
+                for a, b in zip((*got[:4], *got[4]), (*want[:4], *want[4])):
                     assert np.array_equal(a, b), kind
                 v = got[0]
         # the comparison means something only if the reuse happened
@@ -624,19 +720,21 @@ def test_newton_stops_on_a_node(burgers, demo_connection):
     v = dx.mollify_initial(u0, x, pair, st.eps)
     assert pair.c in st.ugrid
     assert np.count_nonzero(v == pair.c) > 0
-    v_new, _, iterations, _ = st.step(v, cfg.t_end / 24)
+    v_new, _, iterations, _, lookup = st.step(v, cfg.t_end / 24, st.conserved(v))
     assert 1 <= iterations <= 3
     assert np.all(np.isfinite(v_new))
+    for got, want in zip(lookup, st.conserved(v_new)):
+        assert np.array_equal(got, want)
 
 
 def test_newton_iteration_cap_raises(monkeypatch, small_problems):
     flux, transform = small_problems["connection"]
     st = _Stepper(flux, transform, dx.SolverConfig(cells=64, t_end=0.0))
     v = np.linspace(0.1, 0.9, 64)
-    assert st.step(v, st.suggest_dt())[2] >= 2
+    assert st.step(v, st.suggest_dt(), st.conserved(v))[2] >= 2
     monkeypatch.setattr(dx.solver, "_NEWTON_MAX_ITER", 1)
     with pytest.raises(StabilityError, match=r"did not converge in 1 Newton iterations \(worst residual"):
-        st.step(v, st.suggest_dt())
+        st.step(v, st.suggest_dt(), st.conserved(v))
 
 
 def test_tracer_wraps_methods_the_stepper_has():
