@@ -12,6 +12,7 @@ failed, 2 bad usage or invalid inputs.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -244,9 +245,16 @@ def cli_riemann(flux_name, branch, left, right, t_eval, out_path):
         click.echo(f"profile written to {out_path}")
 
 
+def _entropy_tolerance(ctx, param, value):
+    # inf would pass every residual and NaN or a negative value fail every one
+    if value is not None and not (math.isfinite(value) and value >= 0.0):
+        raise click.BadParameter(f"must be a finite number >= 0, got {value}")
+    return value
+
+
 @main.command("verify")
 @click.option("--run", "run_dir", type=click.Path(exists=True), required=True)
-@click.option("--tolerance", type=float, default=None)
+@click.option("--tolerance", type=float, default=None, callback=_entropy_tolerance)
 def cli_verify(run_dir, tolerance):
     """Re-check a stored run: transform audit, ranges, mass balance, entropy residuals."""
     try:

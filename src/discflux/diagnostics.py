@@ -13,10 +13,22 @@ integrals on all slabs and cells in a few array operations.  Only the two
 matrix-vector products that close each residual run per hat, on the same
 1-D operands a single hat would use, so a residual does not depend on which
 family it was computed in.
+
+A field keeps the report terms that no comparison state enters: the default
+hat family of each ``side`` with its support check and hat integrals, the
+branch fluxes g(u) left of the interface and f(u) right of it on every slab,
+the cell faces and the automatic tolerance.  They are computed on the first
+report that needs them and kept in a private attribute of the field, so the
+five pair reports and the adapted report of one verification build them once
+and they die with the field.  They hold no reference to the field and assume
+its arrays are never changed, as the arrays' read-only flags state.  An
+explicit ``tests`` family is integrated on each call but shares the branch
+fluxes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,39 +210,93 @@ def _auto_tolerance(field: SolutionField) -> float:
     return 0.5 * scale * (field.dx + field.eps + slab) + 1e-9 * scale
 
 
+class _FieldTerms:
+    """The terms of an entropy report that depend on the field alone.
+
+    Built by ``_field_terms`` and kept on the field; every method takes the
+    field as an argument, so the terms hold no reference to it.
+    """
+
+    def __init__(self, field: SolutionField):
+        x, dx = field.x, field.dx
+        self.faces = np.concatenate((x - dx / 2.0, [x[-1] + dx / 2.0]))
+        self.split = int(np.searchsorted(x, 0.0, side="right"))   # x is sorted: g left of it, f from it on
+        self.tolerance = _auto_tolerance(field)
+        self._families: dict = {}
+        self._branch = None
+
+    def family(self, field: SolutionField, tests, side: str | None = None) -> tuple:
+        """The hats and their ``_hat_integrals``, after the support check.
+
+        With ``tests`` None this is the default family of ``side``, built on
+        the first call and kept; an explicit family is integrated anew.
+        """
+        if tests is not None:
+            return tests, self._integrals(field, tests)
+        family = self._families.get(side)
+        if family is None:
+            hats = tuple(default_test_functions(field, side=side))
+            family = self._families[side] = (hats, self._integrals(field, hats))
+        return family
+
+    def _integrals(self, field: SolutionField, tests) -> tuple[np.ndarray, ...]:
+        columns = _hat_columns(tests)
+        _check_support(field, columns)
+        return _hat_integrals(field.times, self.faces, columns)
+
+    def branch_fluxes(self, field: SolutionField) -> np.ndarray:
+        """g(u) on the cells before ``split`` and f(u) from it on, every slab."""
+        if self._branch is None:
+            U, k = field.u[:-1], self.split
+            self._branch = np.concatenate((field.flux.g(U[:, :k]), field.flux.f(U[:, k:])), axis=1)
+        return self._branch
+
+
+def _field_terms(field: SolutionField) -> _FieldTerms:
+    """The field's kept report terms, built on the first call."""
+    terms = getattr(field, "_entropy_terms", None)
+    if terms is None:
+        terms = _FieldTerms(field)
+        object.__setattr__(field, "_entropy_terms", terms)   # the field is frozen
+    return terms
+
+
 def _entropy_report(
     kind: str,
     field: SolutionField,
     cstar: np.ndarray,
     delta: float,
-    tests: list[SpaceTimeHat],
+    tests: list[SpaceTimeHat] | None,
     tolerance: float | None,
+    side: str | None = None,
 ) -> EntropyReport:
     """Residuals of every test function against cstar, judged on the worst one.
 
     Each residual is -(time term + space term + interface term) for one hat
     pair, exact.  The field is read as constant on each slab [t_n, t_{n+1}) x
     cell; the entropy is |u - cstar_i| with the cell's own branch flux, g on
-    x <= 0 and f on x > 0, each evaluated on its own cells only.  The hats'
-    increments come from ``_hat_integrals`` in one broadcast; each residual
-    then takes its own two matrix-vector products, as a lone hat would.  A
-    negative or tiny value means the inequality holds for that test function.
+    x <= 0 and f on x > 0, each evaluated on its own cells only.  ``tests``
+    None takes the default family of ``side``.  The field's kept terms
+    (``_field_terms``) supply the family's hat increments and integrals, the
+    branch fluxes and the automatic tolerance; only the terms cstar enters
+    are computed here, and each residual then takes its own two
+    matrix-vector products, as a lone hat would.  A negative or tiny value
+    means the inequality holds for that test function.
     """
-    if len(tests) == 0:
+    # inf would pass every residual and NaN or a negative value fail every one
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"{kind}: tolerance must be a finite number >= 0, got {tolerance!r}")
+    if tests is not None and len(tests) == 0:
         raise ValueError(f"{kind}: the test-function family is empty")
-    columns = _hat_columns(tests)
-    _check_support(field, columns)
-    tol = _auto_tolerance(field) if tolerance is None else float(tolerance)
-    x, dx = field.x, field.dx
-    faces = np.concatenate((x - dx / 2.0, [x[-1] + dx / 2.0]))
-    dT, Tint, dX, Xint, at_zero = _hat_integrals(field.times, faces, columns)
+    terms = _field_terms(field)
+    tests, (dT, Tint, dX, Xint, at_zero) = terms.family(field, tests, side)
+    tol = terms.tolerance if tolerance is None else float(tolerance)
 
     U = field.u[:-1]
-    split = int(np.searchsorted(x, 0.0, side="right"))   # x is sorted: g left of it, f from it on
+    split = terms.split
     f, g = field.flux.f, field.flux.g
     D = U - cstar
-    Q = np.concatenate((g(U[:, :split]) - g(cstar[:split]),
-                        f(U[:, split:]) - f(cstar[split:])), axis=1)
+    Q = terms.branch_fluxes(field) - np.concatenate((g(cstar[:split]), f(cstar[split:])))
     Q *= sgn(D)
     E = np.abs(D, out=D)   # the entropy |u - cstar| takes the difference's place
     res = []
@@ -254,13 +320,14 @@ def entropy_residual_pair(
 
     The comparison state is alpha(xi) on the right of the interface and
     beta(xi) on the left; the interface defect |f(alpha(xi)) - g(beta(xi))|
-    enters as an allowance concentrated at x = 0.
+    enters as an allowance concentrated at x = 0.  An xi outside the domain,
+    +-inf included, is clamped to its nearer end; NaN raises ValueError.
     """
     t = field.transform
     lo, hi = t.domain
+    if math.isnan(xi):
+        raise ValueError("pair-kruzhkov: xi must be a number, got nan")
     xi = float(np.clip(xi, lo, hi))
-    if tests is None:
-        tests = default_test_functions(field)
     c_right = float(t.alpha.forward(xi))
     c_left = float(t.beta.forward(xi))
     cstar = np.where(field.x > 0.0, c_right, c_left)
@@ -283,15 +350,14 @@ def entropy_residual_side(
     """
     if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}")
-    if tests is None:
-        tests = default_test_functions(field, side=side)
-    for h in tests:
+    # the default family of a side is drawn inside it, so only given tests are checked
+    for h in () if tests is None else tests:
         x_lo, x_hi = h.x.support
         inside = x_hi <= 1e-12 if side == "left" else x_lo >= -1e-12
         if not inside:
             raise CoverageError(f"test function support must stay on the {side} side")
     cstar = np.full(field.x.shape, float(c))
-    return _entropy_report(f"kruzhkov-{side}", field, cstar, 0.0, tests, tolerance)
+    return _entropy_report(f"kruzhkov-{side}", field, cstar, 0.0, tests, tolerance, side)
 
 
 def entropy_residual_connection(
@@ -306,8 +372,6 @@ def entropy_residual_connection(
     f(B) = g(A) no interface allowance is needed, which is what singles out
     the solutions adapted to this connection.
     """
-    if tests is None:
-        tests = default_test_functions(field)
     cstar = np.where(field.x > 0.0, float(conn.B), float(conn.A))
     return _entropy_report("adapted-connection", field, cstar, 0.0, tests, tolerance)
 

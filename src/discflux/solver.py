@@ -604,7 +604,7 @@ class _Stepper:
         left = np.concatenate((gb_v[:f0], w * fa_v[:nb] + w_c * gb_v[f0:f1], fa_v[nb:-1]))
         right = np.concatenate((gb_v[1:f0 + 1], w * fa_v[1:nb + 1] + w_c * gb_v[f0 + 1:], fa_v[nb + 1:]))
         jump = np.zeros(len(v) + 1)
-        jump[1:-1] = np.diff(m)
+        np.subtract(m[1:], m[:-1], out=jump[1:-1])
         d = np.interp(v[self.band_cells], self.ugrid, self.d_tab)
         jump[self.band_faces] += self.right_gap * d[1:] - self.left_gap * d[:-1]
         # one dissipation speed for every face: a speed chosen per face from
@@ -634,7 +634,7 @@ class _Stepper:
         """
         m, seg, slope = lookup
         phi = self.face_fluxes(v, m)
-        m_star = m - (dt / self.dx) * np.diff(phi)
+        m_star = m - (dt / self.dx) * (phi[1:] - phi[:-1])
         v_new, iterations, margin, lookup = self.invert_conserved(
             m_star, self.eps * dt / self.dx**2, v, m, seg, slope)
         return v_new, phi, iterations, margin, lookup
@@ -698,7 +698,7 @@ def solve(
         newton_max = max(newton_max, iterations)
         invert_margin = min(invert_margin, margin)
         c1 = max(c1, float(np.sum(np.abs(v_new - v))) * cfg.dx / dt)
-        grad = np.diff(v) / cfg.dx
+        grad = (v[1:] - v[:-1]) / cfg.dx
         c2 = max(c2, eps * float(np.sum(grad**2)) * cfg.dx)
         cum_left += dt * float(phi[0])
         cum_right += dt * float(phi[-1])

@@ -93,6 +93,22 @@ def test_verify_missing_run_is_a_usage_error(tmp_path):
     assert "FAIL" not in ver.output
 
 
+@pytest.mark.parametrize("tolerance", ["inf", "nan", "-1"])
+def test_verify_rejects_a_tolerance_that_switches_the_gate_off(tmp_path, tolerance):
+    # inf used to pass every residual, NaN and -1 to fail every one on hat 0
+    res = run_cli("solve", "--flux", "burgers-like", "--u0", "riemann:0.25:0.75",
+                  "--cells", "64", "--t-end", "0.05", "--out", str(tmp_path))
+    assert res.exit_code == 0, res.output
+    run_dir = next(p for p in tmp_path.iterdir() if p.is_dir())
+    ver = run_cli("verify", "--run", str(run_dir), "--tolerance", tolerance)
+    assert ver.exit_code == 2, ver.output
+    assert "Invalid value for '--tolerance': must be a finite number >= 0" in ver.output
+    assert "PASS" not in ver.output and "FAIL" not in ver.output
+    ver = run_cli("verify", "--run", str(run_dir), "--tolerance", "0.5")
+    assert ver.exit_code == 0, ver.output
+    assert ver.output.count("tol 5.000e-01;") == 5
+
+
 def test_verify_reports_uncomputable_residual_as_failure(tmp_path):
     # translation plus mollification moves this constant state out of [0, 1],
     # so the branch fluxes cannot be evaluated on the stored field

@@ -1,9 +1,14 @@
+import gc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 import discflux as dx
+import discflux.diagnostics as diagnostics
 from discflux.diagnostics import _hat_columns, _hat_integrals
 from discflux.errors import CoverageError
 
@@ -252,6 +257,109 @@ def test_xi_outside_domain_is_clamped(burgers):
     field = _frozen_field(burgers, lambda x: np.full(np.shape(x), 0.5))
     rep = dx.entropy_residual_pair(field, 42.0)
     assert rep.kind == "pair-kruzhkov"
+
+
+@pytest.mark.parametrize("tolerance", [np.inf, -np.inf, np.nan, -1.0, -5e-324])
+@pytest.mark.parametrize("report", ["pair", "side", "connection"])
+def test_tolerance_that_switches_the_gate_off_is_rejected(burgers, demo_connection, report, tolerance):
+    # inf passes every residual; NaN and a negative tolerance fail every one
+    field = _frozen_field(burgers, lambda x: np.where(np.asarray(x) <= 0, 0.75, 0.25))
+    run = {
+        "pair": lambda tol: dx.entropy_residual_pair(field, 0.5, tolerance=tol),
+        "side": lambda tol: dx.entropy_residual_side(field, 0.5, "left", tolerance=tol),
+        "connection": lambda tol: dx.entropy_residual_connection(field, demo_connection[0], tolerance=tol),
+    }[report]
+    with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+        run(tolerance)
+    assert run(0.0).tolerance == 0.0
+    assert run(np.float64(2.5)).tolerance == 2.5
+
+
+def test_nan_xi_is_rejected_and_infinite_xi_clamped(burgers):
+    field = _frozen_field(burgers, lambda x: np.where(np.asarray(x) <= 0, 0.75, 0.25))
+    with pytest.raises(ValueError, match="xi must be a number"):
+        dx.entropy_residual_pair(field, np.nan)
+    lo, hi = field.transform.domain
+    for xi, end in ((-np.inf, lo), (np.inf, hi)):
+        assert dx.entropy_residual_pair(field, xi).residuals == dx.entropy_residual_pair(field, end).residuals
+
+
+def _report_bits(rep):
+    """Everything a report states, its residuals as raw bytes (so -0.0 != 0.0)."""
+    return (rep.kind, np.array(rep.residuals).tobytes(), rep.tolerance, rep.ok,
+            rep.worst_index, rep.worst_hat)
+
+
+@pytest.mark.parametrize("problem", ["identity", "connection", "translation"])
+def test_kept_terms_match_a_fresh_field(burgers, demo_swapped, demo_connection, problem):
+    conn, conn_pair = demo_connection
+    riemann = lambda ul, ur: (lambda x: np.where(np.asarray(x) <= 0.0, ul, ur))
+    flux, pair, data = {
+        "identity": (burgers, dx.identity_transform(burgers), [(0.75, 0.25), (0.3, 0.8)]),
+        "connection": (burgers, conn_pair, [(0.8, 0.4), (0.9, 0.1)]),
+        "translation": (demo_swapped, dx.build_translation_transform(demo_swapped), [(0.3, 0.7), (0.6, 0.4)]),
+    }[problem]
+    cfg = dx.SolverConfig(cells=128, t_end=0.1)
+    a, b = (dx.solve(flux, riemann(*d), pair, cfg) for d in data)
+    six = [dx.SpaceTimeHat(dx.HatFunction(0.05, r), dx.HatFunction(c, 0.4))
+           for r, c in ((0.02, -1.0), (0.03, -0.5), (0.04, 0.0), (0.02, 0.3), (0.03, 0.8), (0.04, 1.2))]
+    lo, hi = pair.domain
+    reports = [lambda f, xi=xi: dx.entropy_residual_pair(f, float(xi)) for xi in np.linspace(lo, hi, 7)[1:-1]]
+    reports += [
+        lambda f: dx.entropy_residual_side(f, 0.6, "left"),
+        lambda f: dx.entropy_residual_side(f, 0.35, "right"),
+        lambda f: dx.entropy_residual_connection(f, conn),
+        lambda f: dx.entropy_residual_pair(f, 0.5, tests=six),
+        lambda f: dx.entropy_residual_connection(f, conn, tests=six, tolerance=1e-4),
+        lambda f: dx.entropy_residual_pair(f, 0.4),   # the default family again, after the explicit one
+    ]
+    # interleaved fields: each keeps its own terms
+    for report in reports:
+        for field in (a, b, a):
+            assert _report_bits(report(field)) == _report_bits(report(replace(field)))
+
+
+def test_default_family_is_built_once_per_side(burgers, demo_connection, monkeypatch):
+    conn, pair = demo_connection
+    field = dx.solve(burgers, lambda x: np.where(np.asarray(x) <= 0.0, 0.8, 0.4), pair,
+                     dx.SolverConfig(cells=128, t_end=0.1))
+    built = []
+    default = diagnostics.default_test_functions
+
+    def counted(fld, *args, side=None, **kwargs):
+        built.append(side)
+        return default(fld, *args, side=side, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "default_test_functions", counted)
+    for xi in (0.2, 0.5, 0.8):
+        dx.entropy_residual_pair(field, xi)
+    dx.entropy_residual_connection(field, conn)
+    dx.entropy_residual_side(field, 0.6, "left")
+    dx.entropy_residual_side(field, 0.3, "right")
+    assert sorted(built, key=str) == [None, "left", "right"]
+    dx.entropy_residual_side(field, 0.2, "left")
+    dx.entropy_residual_pair(field, 0.1)
+    assert len(built) == 3
+    dx.entropy_residual_pair(replace(field), 0.1)   # a new object keeps nothing
+    assert built[3:] == [None]
+
+
+def test_kept_terms_die_with_the_field(burgers, demo_connection):
+    conn, pair = demo_connection
+    field = dx.solve(burgers, lambda x: np.where(np.asarray(x) <= 0.0, 0.8, 0.4), pair,
+                     dx.SolverConfig(cells=64, t_end=0.05))
+    dx.entropy_residual_pair(field, 0.5)
+    dx.entropy_residual_side(field, 0.5, "left")
+    ref = weakref.ref(field)
+    gc.disable()
+    try:
+        del field
+        # freed by its reference count alone: the kept terms form no cycle with it
+        assert ref() is None
+    finally:
+        gc.enable()
+    gc.collect()
+    assert ref() is None
 
 
 def test_trace_extraction(burgers, demo_connection):
