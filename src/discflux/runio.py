@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import shutil
 import tempfile
@@ -108,7 +109,9 @@ def write_run(field: SolutionField, config: SolverConfig, out_root) -> Path:
     """Persist a run as <out_root>/<hash>/ and return the directory.
 
     The directory appears whole or not at all; an existing run with the same
-    hash is replaced.
+    hash is replaced.  The manifest is strict JSON: an infinite dt is written
+    as null, and any other non-finite value raises ValueError before the run
+    appears.
     """
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
@@ -129,7 +132,9 @@ def write_run(field: SolutionField, config: SolverConfig, out_root) -> Path:
             "cells": len(field.x),
             "dx": field.dx,
             "eps": field.eps,
-            "dt": field.dt,
+            # JSON has no inf: a zero-length solve of a flux with no slope
+            # has an infinite step, stored as null
+            "dt": field.dt if math.isfinite(field.dt) else None,
             "times": [float(t) for t in field.times],
             "mass": [float(m) for m in field.mass],
             "boundary_flux": [[float(l), float(r)] for l, r in field.boundary_flux],
@@ -137,7 +142,8 @@ def write_run(field: SolutionField, config: SolverConfig, out_root) -> Path:
             "transform": field.transform.meta(),
             "stats": field.stats,
         }
-        (tmp / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        # any other non-finite value fails here, before the run is published
+        (tmp / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False))
         # os.replace cannot overwrite a non-empty directory
         if run_dir.exists():
             shutil.rmtree(run_dir)
@@ -150,6 +156,9 @@ def write_run(field: SolutionField, config: SolverConfig, out_root) -> Path:
 
 def read_run(run_dir) -> tuple[SolutionField, dict]:
     """Reload a persisted run; arrays round-trip exactly.
+
+    A ``null`` dt reads as inf, and so does the ``Infinity`` that older
+    runs wrote for it.
 
     Raises ``DiscFluxError`` for a run of another format, a table whose bytes
     do not match the manifest's digest, snapshot tables of the wrong shape
@@ -194,7 +203,7 @@ def read_run(run_dir) -> tuple[SolutionField, dict]:
             boundary_flux=_numbers(manifest["boundary_flux"]),
             dx=float(manifest["dx"]),
             eps=float(manifest["eps"]),
-            dt=float(manifest["dt"]),
+            dt=math.inf if manifest["dt"] is None else float(manifest["dt"]),
             flux=flux,
             transform=transform,
             stats=manifest.get("stats", {}),

@@ -28,11 +28,13 @@ in one direction only, v -> m: a search of v on the lattice gives each
 cell's density, table segment and slope.  The implicit solve starts from the
 state the step began with, whose lookup the explicit half already used, and
 runs semismooth Newton on the table segments with a backtracking safeguard:
-one segment search and one tridiagonal solve per iteration.  An iterate that
-keeps the segments it was linearised on has solved the step, so it forms no
-density or residual; the converged state's lookup is taken once and starts
-the next step, so no step opens with a search.  The tridiagonal solver is
-a hybrid: whole-array cyclic-reduction levels halve the system while it has
+one tridiagonal solve per iteration.  An iterate that keeps the segments it
+was linearised on has solved the step, so it forms no density or residual.
+Whether it kept them is a bracket test, each cell's v against the two nodes
+of its segment, so such an iterate makes no segment search either; only an
+iterate that fails the test searches.  The converged state's lookup is taken
+once and starts the next step, so no step opens with a search.  The
+tridiagonal solver is a hybrid: whole-array cyclic-reduction levels halve the system while it has
 more than 64 rows, and a Thomas sweep over Python floats finishes it.  At a
 few hundred or thousand cells the cost of a solve is the count of numpy
 calls, not of flops, and a reduction level costs about as many calls at 100
@@ -40,9 +42,13 @@ rows as at 1000.  The solve comes in two halves,
 the matrix's factorization (``_factor_tridiagonal``) and its application to
 a right-hand side (``_apply_factors``).  The stepper factors each distinct
 matrix diag(slope) + kappa * L once and reuses the factors while kappa and
-the diagonal stay exactly equal: an identity transform has one matrix for
-the whole solve, and a step on a connection table usually starts on the
-matrix its previous step ended on.
+the diagonal stay exactly equal.  The slopes are those of the segments, so
+while kappa is equal and the segment array is the very one the factors were
+made for, the factors are reused with no diagonal formed or compared: an
+identity transform has one matrix for the whole solve, and a step on a
+connection table usually starts on the matrix its previous step ended on.
+``solve`` keeps its a-priori statistics c1 and c2 per block of steps: it
+stores each block's states and reduces them at the block's end.
 """
 
 from __future__ import annotations
@@ -68,6 +74,8 @@ _BACKTRACK_FLOOR = 2.0**-10
 _NEWTON_RTOL = 8 * np.finfo(float).eps
 # _factor_tridiagonal sweeps systems of at most this many rows in Python
 _THOMAS_ROWS = 64
+# solve reduces its c1 / c2 bookkeeping once per this many steps
+_BLOCK_STEPS = 16
 
 
 def _bump(z: np.ndarray) -> np.ndarray:
@@ -384,6 +392,13 @@ class _Stepper:
         row[band] = np.arange(2, 2 + len(w_band))
         self.row_offset = row * len(self.ugrid)
         self.inner_nodes = self.ugrid[1:-1]
+        # segment s holds the v with seg_lower[s] <= v < seg_upper[s]
+        self.seg_lower = np.concatenate(([-np.inf], self.inner_nodes))
+        self.seg_upper = np.concatenate((self.inner_nodes, [np.inf]))
+        # the brackets of the segment array last tested, as (seg, lower, upper)
+        self._brackets = (None, None, None)
+        # face_fluxes' states with their zero-gradient ghosts
+        self._ghosts = np.empty(cfg.cells + 2)
 
         # The face j+1/2 dissipates in its own density M_+ = w_+ alpha + (1 - w_+) beta.
         # M_+ = m_j + (w_+ - w_j) * (alpha - beta), so off the band faces, where
@@ -442,9 +457,9 @@ class _Stepper:
         self.lap_diag = np.full(cfg.cells, 2.0)
         self.lap_diag[[0, -1]] = 1.0
         self.v_mag = float(np.max(np.abs(self.ugrid[[0, -1]])))
-        # the implicit matrix last factored, as (kappa, diagonal, factors),
-        # and the number of factorizations this stepper has made
-        self._factored = (None, None, None)
+        # the implicit matrix last factored, as (kappa, segments, diagonal,
+        # factors), and the number of factorizations this stepper has made
+        self._factored = (None, None, None, None)
         self.factorizations = 0
 
     def suggest_dt(self) -> float:
@@ -500,20 +515,48 @@ class _Stepper:
         slope = self.slope_table[at]
         return self.m_table[at] + slope * (v - self.ugrid[seg]), seg, slope
 
-    def _factors(self, kappa: float, diag: np.ndarray) -> tuple:
-        """``_apply_factors``' factors of the matrix with ``diag`` on its diagonal, -kappa beside it.
+    def _factors(self, kappa: float, slope: np.ndarray, seg: np.ndarray) -> tuple:
+        """``_apply_factors``' factors of diag(slope) + kappa * L.
 
-        That is diag(slope) + kappa * L for diag = slope + kappa * lap_diag.
-        The last factorization is reused while kappa and the diagonal are
-        exactly equal to the ones it was made for, so the result is the same
-        as factoring anew.
+        ``slope`` is the slope of the segments ``seg``, so the matrix is the
+        one of the last factorization when kappa is equal and ``seg`` is the
+        very array that factorization was made for; its factors are then
+        returned with no diagonal formed.  Otherwise the diagonal
+        slope + kappa * lap_diag is compared with the last one, and the
+        factors are reused while kappa and the diagonal are exactly equal.
+        Either way the result is the same as factoring anew.  The segment
+        arrays a stepper makes are never written to.
         """
-        last_kappa, last_diag, factors = self._factored
+        last_kappa, last_seg, last_diag, factors = self._factored
+        if kappa == last_kappa and seg is last_seg:
+            return factors
+        diag = slope + kappa * self.lap_diag
         if kappa != last_kappa or not np.array_equal(diag, last_diag):
             factors = _factor_tridiagonal(np.full(len(diag) - 1, -kappa), diag)
-            self._factored = (kappa, diag, factors)
             self.factorizations += 1
+        self._factored = (kappa, seg, diag, factors)
         return factors
+
+    def _moved_segments(self, v: np.ndarray, seg: np.ndarray) -> np.ndarray | None:
+        """The segments of v, as ``conserved`` finds them, or None while they are ``seg``.
+
+        Each v is first tested against its segment's nodes,
+        seg_lower[seg] <= v < seg_upper[seg], which for a finite or -inf v
+        holds exactly when the search would give ``seg`` back; so v that keep
+        their segments cost no search.  Only when the test fails is v
+        searched.  A +inf or NaN v fails the test although the search puts
+        it on the last segment, so a search that gives ``seg`` back still
+        counts as no move.  The brackets of the last segment array tested
+        are kept.
+        """
+        last_seg, lower, upper = self._brackets
+        if seg is not last_seg:
+            lower, upper = self.seg_lower[seg], self.seg_upper[seg]
+            self._brackets = (seg, lower, upper)
+        if (lower <= v).all() and (v < upper).all():
+            return None
+        new_seg = np.searchsorted(self.inner_nodes, v, side="right")
+        return None if np.array_equal(new_seg, seg) else new_seg
 
     def invert_conserved(self, m_star: np.ndarray, kappa: float, v: np.ndarray, m: np.ndarray,
                          seg: np.ndarray, slope: np.ndarray) -> tuple[np.ndarray, int, float, tuple]:
@@ -523,14 +566,19 @@ class _Stepper:
         M-matrix diag(slope) + kappa * L.  Newton starts from the state ``v``
         the step began with, whose density ``m``, segment ``seg`` and
         ``slope`` the caller already looked up, so no m -> v search is needed.
-        Each iterate costs one segment search.  A full step that keeps the
-        segments it was linearised on solves the linear model exactly and
-        ends the iteration, so its density and residual are never formed.
+        A full step that keeps the segments it was linearised on solves the
+        linear model exactly and ends the iteration, so its density and
+        residual are never formed.  Whether it kept them is a test of each v
+        against its segment's two nodes, so such an iterate makes no search
+        either; one that fails the test makes one (``_moved_segments``).
         Otherwise the step is halved, down to ``_BACKTRACK_FLOOR``, until the
-        largest residual falls: on a table with many kinks the full step can
-        overshoot into a cycle.  A rounding-level residual also ends the
-        iteration, since a state sitting on a node may flip between the
-        segments on either side for ever.
+        largest residual falls, with one search per share tried: on a table
+        with many kinks the full step can overshoot into a cycle.  A
+        rounding-level residual also ends the iteration, since a state
+        sitting on a node may flip between the segments on either side for
+        ever.  A step's first iterate usually has the segments, and so the
+        matrix, that the previous step ended on; its factors are then reused
+        with no diagonal formed (see ``_factors``).
 
         Returns v, clipped to the table; the number of tridiagonal solves; the
         margin of m*: its least distance inside [lo_val, hi_val], negative
@@ -542,17 +590,16 @@ class _Stepper:
         # the difference to a bound has the exact sign of the comparison with
         # it, so the test below accepts exactly the m* in [lo_bound, hi_bound];
         # a NaN makes room NaN and fails it too
-        room = min(float(np.min(m_star - self.lo_bound)), float(np.min(self.hi_bound - m_star)))
+        room = min(float((m_star - self.lo_bound).min()), float((self.hi_bound - m_star).min()))
         if not room >= 0.0:
-            worst = float(np.max(np.maximum(self.lo_val - m_star, m_star - self.hi_val)))
+            worst = float(np.maximum(self.lo_val - m_star, m_star - self.hi_val).max())
             raise StabilityError(
                 f"conserved density left the invertible range by {worst:.3e}; "
                 "reduce the time step or refine the grid"
             )
-        viscous_diag = kappa * self.lap_diag
         tol = _NEWTON_RTOL * (self.scale + 4.0 * kappa * self.v_mag)
         resid = m - m_star + kappa * self.neumann_stencil(v)
-        worst = float(np.max(np.abs(resid)))
+        worst = float(np.abs(resid).max())
         iterations = 0
         while not worst <= tol:   # a NaN residual must not pass as converged
             if iterations == _NEWTON_MAX_ITER:
@@ -561,24 +608,26 @@ class _Stepper:
                     f"iterations (worst residual {worst:.3e})"
                 )
             iterations += 1
-            delta = _apply_factors(self._factors(kappa, slope + viscous_diag), resid)
+            delta = _apply_factors(self._factors(kappa, slope, seg), resid)
             trial = v - delta
-            new_seg = np.searchsorted(self.inner_nodes, trial, side="right")
-            if np.array_equal(new_seg, seg):   # solved: the linear model held
+            new_seg = self._moved_segments(trial, seg)
+            if new_seg is None:   # solved: the linear model held
                 v = trial
                 break
             share = 1.0
             while True:
                 m, _, new_slope = self._density(trial, new_seg)
                 new_resid = m - m_star + kappa * self.neumann_stencil(trial)
-                new_worst = float(np.max(np.abs(new_resid)))
+                new_worst = float(np.abs(new_resid).max())
                 if new_worst < worst or share <= _BACKTRACK_FLOOR:
                     break
                 share *= 0.5
                 trial = v - share * delta
                 new_seg = np.searchsorted(self.inner_nodes, trial, side="right")
             v, seg, slope, resid, worst = trial, new_seg, new_slope, new_resid, new_worst
-        v = np.clip(v, self.ugrid[0], self.ugrid[-1], out=v)
+        # np.clip's bits, NaN and signed zeros included: the bound goes first
+        np.maximum(self.ugrid[0], v, out=v)
+        np.minimum(self.ugrid[-1], v, out=v)
         return v, iterations, room - self.slack, self._density(v, seg)
 
     def face_fluxes(self, v: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -597,12 +646,18 @@ class _Stepper:
         """
         f0, f1 = self.flux_band
         nb = f1 - f0
-        vx = np.concatenate(([v[0]], v, [v[-1]]))  # zero-gradient ghosts
+        vx = self._ghosts
+        vx[1:-1] = v
+        vx[0], vx[-1] = v[0], v[-1]   # zero-gradient ghosts
         gb_v = np.interp(vx[:f1 + 1], self.vgrid, self.gb_tab)   # states 0 .. f1
         fa_v = np.interp(vx[f0:], self.vgrid, self.fa_tab)       # states f0 .. the last
         w, w_c = self.w_blend, self.w_blend_c
-        left = np.concatenate((gb_v[:f0], w * fa_v[:nb] + w_c * gb_v[f0:f1], fa_v[nb:-1]))
-        right = np.concatenate((gb_v[1:f0 + 1], w * fa_v[1:nb + 1] + w_c * gb_v[f0 + 1:], fa_v[nb + 1:]))
+        # each face's flux of the state on its left plus that on its right
+        total = np.empty(len(v) + 1)
+        np.add(gb_v[:f0], gb_v[1:f0 + 1], out=total[:f0])
+        np.add(w * fa_v[:nb] + w_c * gb_v[f0:f1], w * fa_v[1:nb + 1] + w_c * gb_v[f0 + 1:],
+               out=total[f0:f1])
+        np.add(fa_v[nb:-1], fa_v[nb + 1:], out=total[f1:])
         jump = np.zeros(len(v) + 1)
         np.subtract(m[1:], m[:-1], out=jump[1:-1])
         d = np.interp(v[self.band_cells], self.ugrid, self.d_tab)
@@ -610,7 +665,7 @@ class _Stepper:
         # one dissipation speed for every face: a speed chosen per face from
         # the two states jumps when a state crosses a breakpoint, and the
         # update is then not monotone at any time step
-        return 0.5 * (left + right) - 0.5 * self.speed_max * jump
+        return 0.5 * total - 0.5 * self.speed_max * jump
 
     @staticmethod
     def neumann_stencil(v: np.ndarray) -> np.ndarray:
@@ -640,6 +695,22 @@ class _Stepper:
         return v_new, phi, iterations, margin, lookup
 
 
+def _block_rates(states: np.ndarray, dx: float, dt: float, eps: float) -> tuple[list, list]:
+    """Per step of a block, the L1 rate of change and the viscous energy.
+
+    ``states`` holds the state a block starts from and the state after each
+    of its steps, one per row.  Step k's rate is sum |v_k - v_{k-1}| * dx / dt,
+    and its energy eps * sum ((v_{k-1})_x)^2 * dx, of the state it started
+    from.  A row sum over the contiguous axis is the same pairwise sum as
+    ``np.sum`` of that row alone, so each value is the one a step would
+    compute for itself, to the bit.
+    """
+    change = np.abs(states[1:] - states[:-1]).sum(axis=1)
+    grad = (states[:-1, 1:] - states[:-1, :-1]) / dx
+    energy = (grad**2).sum(axis=1)
+    return (change * dx / dt).tolist(), (eps * energy * dx).tolist()
+
+
 def solve(
     flux: FluxPair,
     u0,
@@ -651,6 +722,12 @@ def solve(
     ``u0`` is either a vectorised callable of x or an array of cell-centre
     values; it must take finite values in the flux interval [a, b].  The transform
     pair is audited before use and rejected with a ValueError if it fails.
+
+    ``cfg.snapshots`` evenly spaced steps are stored, rounded to whole steps;
+    a request for more than the nsteps + 1 states of a solve stores every
+    state once.  ``stats`` records the largest L1 rate of change ``c1`` and
+    viscous energy ``c2`` over the steps; they are reduced once per block
+    of ``_BLOCK_STEPS`` steps, to the values a per-step reduction gives.
     """
     cfg = config or SolverConfig()
     t = transform or identity_transform(flux)
@@ -680,7 +757,9 @@ def solve(
         dt_raw = stepper.suggest_dt()
         nsteps = max(1, math.ceil(cfg.t_end / dt_raw))
         dt = cfg.t_end / nsteps
-    snap_at = set(np.round(np.linspace(0, nsteps, cfg.snapshots)).astype(int).tolist())
+    # at most nsteps + 1 times can be stored; the rounded points already
+    # hit every step when there are that many
+    snap_at = set(np.round(np.linspace(0, nsteps, min(cfg.snapshots, nsteps + 1))).astype(int).tolist())
 
     snaps_v = [v.copy()]
     snap_times = [0.0]
@@ -690,6 +769,13 @@ def solve(
     cum_left = cum_right = 0.0
     c1 = 0.0  # max L1 rate of change of v
     c2 = 0.0  # max viscous energy eps * sum (v_x)^2 dx
+    # the states of the current block of steps: row 0 the one it starts
+    # from, row k the one after its k-th step.  v is a view of its row, so a
+    # step that changes its input in place changes the row too.
+    block = np.empty((min(_BLOCK_STEPS, nsteps) + 1, cfg.cells))
+    block[0] = v
+    v = block[0]
+    k = 0
     newton_iterations = newton_max = 0
     invert_margin = math.inf
     for n in range(1, nsteps + 1):
@@ -697,17 +783,24 @@ def solve(
         newton_iterations += iterations
         newton_max = max(newton_max, iterations)
         invert_margin = min(invert_margin, margin)
-        c1 = max(c1, float(np.sum(np.abs(v_new - v))) * cfg.dx / dt)
-        grad = (v[1:] - v[:-1]) / cfg.dx
-        c2 = max(c2, eps * float(np.sum(grad**2)) * cfg.dx)
         cum_left += dt * float(phi[0])
         cum_right += dt * float(phi[-1])
-        v = v_new
+        k += 1
+        block[k] = v_new
+        v = block[k]
+        if k == len(block) - 1 or n == nsteps:
+            change, energy = _block_rates(block[:k + 1], cfg.dx, dt, eps)
+            c1 = max(c1, *change)
+            c2 = max(c2, *energy)
+            block[0] = v
+            v = block[0]
+            k = 0
         if n in snap_at:
             snaps_v.append(v.copy())
             snap_times.append(n * dt)
             mass.append(float(np.sum(lookup[0]) * cfg.dx))
             bflux.append((cum_left, cum_right))
+    del block, v   # free the block before the snapshot arrays are built
 
     v_arr = np.array(snaps_v)
     u_arr = reconstruct_u(v_arr, x, t)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -182,6 +183,51 @@ def test_failed_write_leaves_no_run(tmp_path, burgers, monkeypatch):
     monkeypatch.setattr(runio, "save_transform_csv", broken)
     with pytest.raises(RuntimeError, match="disk full"):
         _small_run(burgers, tmp_path / "runs")
+    assert list((tmp_path / "runs").iterdir()) == []
+
+
+def _strict_json(text):
+    def no_constant(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=no_constant)
+
+
+def test_infinite_dt_round_trips_through_strict_json(tmp_path):
+    # a zero-length solve of a flux with no slope has an infinite step
+    zero = dx.get_flux("zero")
+    cfg = dx.SolverConfig(cells=64, t_end=0.0)
+    field = dx.solve(zero, lambda x: np.where(np.asarray(x) <= 0.0, 0.25, 0.75), config=cfg)
+    assert field.dt == np.inf and field.stats["speed_max"] == 0.0
+    run_dir = dx.write_run(field, cfg, tmp_path)
+    manifest = _strict_json((run_dir / "manifest.json").read_text())
+    assert manifest["dt"] is None and manifest["stats"]["invert_margin"] is None
+    back, _ = dx.read_run(run_dir)
+    assert back.dt == np.inf
+    for name in ("x", "times", "u", "v", "mass", "boundary_flux"):
+        assert np.array_equal(getattr(back, name), getattr(field, name)), name
+    # a finite step is stored as itself
+    field, cfg, run_dir = _small_run(zero, tmp_path / "finite")
+    assert _strict_json((run_dir / "manifest.json").read_text())["dt"] == field.dt
+    assert dx.read_run(run_dir)[0].dt == field.dt
+
+
+def test_manifest_of_an_older_run_with_infinity_still_loads(tmp_path):
+    zero = dx.get_flux("zero")
+    field, cfg, run_dir = _small_run(zero, tmp_path, t_end=0.0)
+    path = run_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["dt"] = float("inf")
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    assert '"dt": Infinity' in path.read_text()
+    assert dx.read_run(run_dir)[0].dt == np.inf
+
+
+def test_non_finite_manifest_value_fails_before_the_run_appears(tmp_path, burgers):
+    field, cfg, _ = _small_run(burgers, tmp_path / "first")
+    bad = replace(field, stats={**field.stats, "c1": float("nan")})
+    with pytest.raises(ValueError, match="JSON compliant"):
+        dx.write_run(bad, cfg, tmp_path / "runs")
     assert list((tmp_path / "runs").iterdir()) == []
 
 

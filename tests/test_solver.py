@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st_
 
 import discflux as dx
 from discflux.errors import StabilityError
-from discflux.solver import _apply_factors, _factor_tridiagonal, _Stepper, _solve_tridiagonal
+from discflux.solver import _BLOCK_STEPS, _apply_factors, _factor_tridiagonal, _Stepper, _solve_tridiagonal
 
 from conftest import random_step_profile
 
@@ -653,11 +654,12 @@ def test_reused_factors_match_a_fresh_stepper(small_problems):
                 v = got[0]
         # the comparison means something only if the reuse happened
         assert 0 < kept.factorizations < fresh_count, kind
-        # the same diagonal at another kappa is another matrix
-        diag, rhs = rng.uniform(1.0, 2.0, cfg.cells), rng.normal(size=cfg.cells)
+        # the same segments at another kappa are another matrix
+        slope, rhs = rng.uniform(1.0, 2.0, cfg.cells), rng.normal(size=cfg.cells)
+        seg = np.zeros(cfg.cells, dtype=np.intp)
         for kappa in (0.5, 0.25, 0.25, 0.5):
-            want = _solve_tridiagonal(np.full(cfg.cells - 1, -kappa), diag, rhs)
-            assert np.array_equal(_apply_factors(kept._factors(kappa, diag.copy()), rhs), want), kind
+            want = _solve_tridiagonal(np.full(cfg.cells - 1, -kappa), slope + kappa * kept.lap_diag, rhs)
+            assert np.array_equal(_apply_factors(kept._factors(kappa, slope.copy(), seg), rhs), want), kind
 
 
 def test_solve_counts_its_factorizations(small_problems):
@@ -696,6 +698,70 @@ def test_segment_search_on_interior_nodes(small_problems, kind):
     assert len(st.inner_nodes) == len(ugrid) - 2
     if kind == "identity":
         assert len(ugrid) == 2
+
+
+@pytest.mark.parametrize("kind", ["identity", "translation", "connection"])
+def test_bracket_test_agrees_with_the_segment_search(small_problems, kind):
+    # _moved_segments tests each v against its segment's nodes before it
+    # searches; its verdict and segments must be the search's, on nodes,
+    # beside them, off both table ends, at +-inf and NaN
+    flux, transform = small_problems[kind]
+    st = _Stepper(flux, transform, dx.SolverConfig(cells=64, t_end=0.0))
+    ugrid, last = st.ugrid, len(st.inner_nodes)
+    span = ugrid[-1] - ugrid[0]
+    v = np.concatenate((ugrid, np.nextafter(ugrid, -np.inf), np.nextafter(ugrid, np.inf),
+                        0.5 * (ugrid[1:] + ugrid[:-1]),
+                        [ugrid[0] - span, ugrid[-1] + span, -np.inf, np.inf, np.nan]))
+    seg = np.searchsorted(st.inner_nodes, v, side="right")
+    assert seg[-2] == seg[-1] == last   # the search puts +inf and NaN on the last segment
+    assert st._moved_segments(v, seg) is None
+    assert st._moved_segments(v, seg.copy()) is None
+    # the brackets alone hold for every v but +inf and NaN
+    held = (st.seg_lower[seg] <= v) & (v < st.seg_upper[seg])
+    assert np.array_equal(held, np.arange(len(v)) < len(v) - 2), kind
+    rng = np.random.default_rng(3)
+    whole = set(rng.choice(len(v), size=min(len(v), 24), replace=False).tolist()) | {len(v) - 2, len(v) - 1}
+    for i in range(len(v)):
+        lone, lone_seg = v[i:i + 1], seg[i:i + 1]
+        assert st._moved_segments(lone, lone_seg) is None, (kind, v[i])
+        # any other segment of this v moves to the search's; so it does
+        # while every other v keeps its own
+        for other in {0, last, max(seg[i] - 1, 0), min(seg[i] + 1, last)} - {seg[i]}:
+            moved = st._moved_segments(lone, np.array([other]))
+            assert moved is not None and np.array_equal(moved, lone_seg), (kind, v[i], other)
+            if i in whole:
+                wrong = seg.copy()
+                wrong[i] = other
+                moved = st._moved_segments(v, wrong)
+                assert moved is not None and np.array_equal(moved, seg), (kind, v[i], other)
+
+
+@pytest.mark.parametrize("kind", ["identity", "translation", "connection"])
+def test_block_bookkeeping_matches_a_per_step_loop(small_problems, kind):
+    # solve reduces c1 and c2 once per block of steps; every value must be
+    # what a loop that computes them after each step gives, to the bit
+    flux, transform = small_problems[kind]
+    base = dx.SolverConfig(cells=128, t_end=0.0)
+    dt_raw = _Stepper(flux, transform, base).suggest_dt()
+    x = base.centers()
+    u0 = np.where(x <= 0.0, 0.7, 0.3) + 0.05 * np.sin(7.0 * x)
+    for nsteps in (0, 1, _BLOCK_STEPS - 1, _BLOCK_STEPS, _BLOCK_STEPS + 1, 160):
+        cfg = replace(base, t_end=(nsteps - 0.5) * dt_raw if nsteps else 0.0)
+        field = dx.solve(flux, u0, transform, cfg)
+        assert field.stats["steps"] == nsteps
+        st = _Stepper(flux, transform, cfg)
+        v = dx.mollify_initial(u0, x, transform, st.eps)
+        lookup = st.conserved(v)
+        c1 = c2 = 0.0
+        for _ in range(nsteps):
+            v_new, _, _, _, lookup = st.step(v, field.dt, lookup)
+            c1 = max(c1, float(np.sum(np.abs(v_new - v))) * cfg.dx / field.dt)
+            grad = (v[1:] - v[:-1]) / cfg.dx
+            c2 = max(c2, st.eps * float(np.sum(grad**2)) * cfg.dx)
+            v = v_new
+        assert (field.stats["c1"], field.stats["c2"]) == (c1, c2), (kind, nsteps)
+        assert np.array_equal(field.v[-1], v), (kind, nsteps)
+        assert (c1 > 0.0 and c2 > 0.0) == (nsteps > 0)
 
 
 def test_newton_converges_on_kinked_tables(burgers):
@@ -850,6 +916,38 @@ def test_snapshots_cover_endpoints(burgers):
     assert field.times[-1] == pytest.approx(0.07, abs=1e-14)
     assert len(field.times) <= 9
     assert field.u.shape == (len(field.times), 64)
+
+
+def test_snapshot_times_do_not_depend_on_the_clamp(burgers):
+    # solve draws at most nsteps + 1 snapshot points; the stored times are
+    # those of the whole request
+    cfg = dx.SolverConfig(cells=64, t_end=0.0)
+    dt_raw = _Stepper(burgers, dx.identity_transform(burgers), cfg).suggest_dt()
+    cfg = replace(cfg, t_end=11.5 * dt_raw)
+    nsteps = 12
+    for snapshots in (2, 33, nsteps, nsteps + 1, nsteps + 2, 10**4):
+        field = dx.solve(burgers, lambda x: np.where(np.asarray(x) <= 0, 0.7, 0.2),
+                         config=replace(cfg, snapshots=snapshots))
+        assert field.stats["steps"] == nsteps
+        want = sorted(set(np.round(np.linspace(0, nsteps, snapshots)).astype(int).tolist()))
+        assert np.array_equal(field.times, [n * field.dt for n in want]), snapshots
+        assert len(field.times) == min(snapshots, nsteps + 1)
+
+
+def test_snapshot_request_does_not_set_the_memory(burgers):
+    # a one-step solve stores two states, however many snapshots it is asked for
+    cfg = dx.SolverConfig(cells=64, t_end=0.0)
+    dt_raw = _Stepper(burgers, dx.identity_transform(burgers), cfg).suggest_dt()
+    cfg = replace(cfg, t_end=0.5 * dt_raw, snapshots=10**6)
+    u0 = lambda x: np.where(np.asarray(x) <= 0, 0.7, 0.2)
+    tracemalloc.start()
+    try:
+        field = dx.solve(burgers, u0, config=cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert field.stats["steps"] == 1 and len(field.times) == 2
+    assert peak < 5 * 2**20, peak
 
 
 def test_zero_time_returns_initial_state(burgers):
