@@ -40,13 +40,12 @@ few hundred or thousand cells the cost of a solve is the count of numpy
 calls, not of flops, and a reduction level costs about as many calls at 100
 rows as at 1000.  The solve comes in two halves,
 the matrix's factorization (``_factor_tridiagonal``) and its application to
-a right-hand side (``_apply_factors``).  The stepper factors each distinct
-matrix diag(slope) + kappa * L once and reuses the factors while kappa and
-the diagonal stay exactly equal.  The slopes are those of the segments, so
-while kappa is equal and the segment array is the very one the factors were
-made for, the factors are reused with no diagonal formed or compared: an
-identity transform has one matrix for the whole solve, and a step on a
-connection table usually starts on the matrix its previous step ended on.
+a right-hand side (``_apply_factors``).  The stepper linearises on a
+segment array once: it factors diag(slope) + kappa * L and gathers the
+segments' nodes for the bracket test, and keeps both while kappa is equal
+and the segment array is the very one they were made for.  An identity
+transform has one segment array for the whole solve, and a step on a
+connection table usually starts on the one its previous step ended on.
 ``solve`` keeps its a-priori statistics c1 and c2 per block of steps: it
 stores each block's states and reduces them at the block's end.
 """
@@ -260,19 +259,13 @@ def reconstruct_u(v: np.ndarray, x: np.ndarray, transform: TransformPair) -> np.
     return np.where(left, transform.beta.forward(v), transform.alpha.forward(v))
 
 
-def _solve_tridiagonal(off, diag, rhs) -> np.ndarray:
-    """Solve the symmetric tridiagonal system T x = rhs.
+def _factor_tridiagonal(off, diag) -> tuple:
+    """Factor the symmetric tridiagonal matrix T for ``_apply_factors``.
 
     T has ``diag`` on its diagonal and ``off`` (one shorter) beside it, so
-    off[i] couples x[i] and x[i+1].  It is ``_factor_tridiagonal`` followed
-    by ``_apply_factors``; a caller that solves with one matrix several
-    times factors it once and applies the factors to each right-hand side.
-    """
-    return _apply_factors(_factor_tridiagonal(off, diag), rhs)
-
-
-def _factor_tridiagonal(off, diag) -> tuple:
-    """The matrix half of ``_solve_tridiagonal``: everything that does not read rhs.
+    off[i] couples x[i] and x[i+1].  The factors hold everything a solve
+    T x = rhs does that does not read rhs, so one factorization serves any
+    number of right-hand sides.
 
     While more than ``_THOMAS_ROWS`` rows remain, a cyclic-reduction level
     eliminates the odd unknowns from the even rows in whole-array operations
@@ -318,7 +311,7 @@ def _factor_tridiagonal(off, diag) -> tuple:
 
 
 def _apply_factors(factors: tuple, rhs) -> np.ndarray:
-    """The right-hand-side half of ``_solve_tridiagonal``: reduce rhs, sweep, substitute back."""
+    """Solve T x = rhs with T's ``_factor_tridiagonal`` factors: reduce rhs, sweep, substitute back."""
     levels, off, ratio, pivots = factors
     odd_rhs = []
     for left, right, r, tl, tr in levels:
@@ -369,18 +362,34 @@ class _Stepper:
 
         self.w_face = w_face = smooth_heaviside(cfg.faces(), self.eps)
         self.w_cell = w = smooth_heaviside(cfg.centers(), self.eps)
+        self.w_face_c = 1.0 - w_face
 
-        # density tables.  w is non-decreasing in x and exactly 0 (1) left
-        # (right) of the smoothing band, where the blended map is beta (alpha)
-        # itself; only the band cells need their own blended row.
+        # The smoothing band: the faces where a weight differs from a
+        # neighbour's, and the cells beside them.  w is non-decreasing in x,
+        # and eps is at most a quarter of the half width, so w is exactly 0 at
+        # the first cell and 1 at the last: every cell and face left of the
+        # band has weight 0 and every one right of it weight 1.  Face k lies
+        # between cells k - 1 and k; the gaps skip the two boundary faces.
+        right_gap = w_face[1:-1] - w[1:]
+        left_gap = w_face[1:-1] - w[:-1]
+        inner = np.flatnonzero((right_gap != 0.0) | (left_gap != 0.0))
+        k0, k1 = inner[0], inner[-1] + 1
+        self.band_faces = slice(k0 + 1, k1 + 1)
+        self.band_cells = slice(k0, k1 + 1)
+        # The face j+1/2 dissipates in its own density M_+ = w_+ alpha + (1 - w_+) beta.
+        # M_+ = m_j + (w_+ - w_j) * (alpha - beta), so off the band faces, where
+        # w_+ equals both cells' weights, that is the jump of m itself.
+        self.right_gap, self.left_gap = right_gap[k0:k1], left_gap[k0:k1]
+
+        # density tables: off the band a cell's blended map is beta (w = 0)
+        # or alpha (w = 1) itself; each band cell has its own blended row
         self.lo_val = w * self.alpha_tab[0] + (1.0 - w) * self.beta_tab[0]
         self.hi_val = w * self.alpha_tab[-1] + (1.0 - w) * self.beta_tab[-1]
         self.scale = max(float(np.max(self.hi_val - self.lo_val)), 1.0)
         self.slack = _BRACKET_SLACK * self.scale
         self.lo_bound = self.lo_val - self.slack
         self.hi_bound = self.hi_val + self.slack
-        band = (w > 0.0) & (w < 1.0)
-        w_band = w[band, None]
+        w_band = w[self.band_cells, None]
         m_rows = np.vstack([self.beta_tab, self.alpha_tab,
                             w_band * self.alpha_tab + (1.0 - w_band) * self.beta_tab])
         self.m_table = m_rows.ravel()
@@ -389,37 +398,14 @@ class _Stepper:
         slopes = np.diff(m_rows, axis=1) / du
         self.slope_table = np.hstack([slopes, np.full((len(m_rows), 1), np.nan)]).ravel()
         row = np.where(w == 0.0, 0, 1)
-        row[band] = np.arange(2, 2 + len(w_band))
+        row[self.band_cells] = np.arange(2, 2 + len(w_band))
         self.row_offset = row * len(self.ugrid)
         self.inner_nodes = self.ugrid[1:-1]
         # segment s holds the v with seg_lower[s] <= v < seg_upper[s]
         self.seg_lower = np.concatenate(([-np.inf], self.inner_nodes))
         self.seg_upper = np.concatenate((self.inner_nodes, [np.inf]))
-        # the brackets of the segment array last tested, as (seg, lower, upper)
-        self._brackets = (None, None, None)
         # face_fluxes' states with their zero-gradient ghosts
         self._ghosts = np.empty(cfg.cells + 2)
-
-        # The face j+1/2 dissipates in its own density M_+ = w_+ alpha + (1 - w_+) beta.
-        # M_+ = m_j + (w_+ - w_j) * (alpha - beta), so off the band faces, where
-        # w_+ equals both cells' weights, that is the jump of m itself.  Face k
-        # lies between cells k - 1 and k; the gaps skip the two boundary faces.
-        right_gap = w_face[1:-1] - w[1:]
-        left_gap = w_face[1:-1] - w[:-1]
-        inner = np.flatnonzero((right_gap != 0.0) | (left_gap != 0.0))
-        k0, k1 = (inner[0], inner[-1] + 1) if inner.size else (0, 0)
-        self.band_faces = slice(k0 + 1, k1 + 1)
-        self.band_cells = slice(k0, k1 + 1)     # the cells beside those faces
-        self.right_gap, self.left_gap = right_gap[k0:k1], left_gap[k0:k1]
-        # Faces before f0 have w_+ = 0 and read g∘beta alone, faces from f1
-        # on have w_+ = 1 and read f∘alpha alone; only those between blend.
-        # eps is at most a quarter of the half width, so the end faces lie
-        # off the band: w_+ is 0 at the first and 1 at the last.
-        f0 = int(np.flatnonzero(w_face != 0.0)[0])
-        f1 = int(np.flatnonzero(w_face != 1.0)[-1]) + 1
-        self.flux_band = (f0, f1)
-        self.w_blend = w_face[f0:f1]
-        self.w_blend_c = 1.0 - self.w_blend
 
         # Slopes per transform segment.  The composed fluxes bend inside a
         # transform segment, so each takes the extreme slope of the flux
@@ -457,9 +443,9 @@ class _Stepper:
         self.lap_diag = np.full(cfg.cells, 2.0)
         self.lap_diag[[0, -1]] = 1.0
         self.v_mag = float(np.max(np.abs(self.ugrid[[0, -1]])))
-        # the implicit matrix last factored, as (kappa, segments, diagonal,
-        # factors), and the number of factorizations this stepper has made
-        self._factored = (None, None, None, None)
+        # the last linearization, as (kappa, segments, its (lower, upper,
+        # factors)), and the number of linearizations this stepper has made
+        self._linearized = (None, None, None)
         self.factorizations = 0
 
     def suggest_dt(self) -> float:
@@ -515,48 +501,25 @@ class _Stepper:
         slope = self.slope_table[at]
         return self.m_table[at] + slope * (v - self.ugrid[seg]), seg, slope
 
-    def _factors(self, kappa: float, slope: np.ndarray, seg: np.ndarray) -> tuple:
-        """``_apply_factors``' factors of diag(slope) + kappa * L.
+    def _linearization(self, kappa: float, seg: np.ndarray, slope: np.ndarray) -> tuple:
+        """Newton's linear model on the segments ``seg``, as (lower, upper, factors).
 
-        ``slope`` is the slope of the segments ``seg``, so the matrix is the
-        one of the last factorization when kappa is equal and ``seg`` is the
-        very array that factorization was made for; its factors are then
-        returned with no diagonal formed.  Otherwise the diagonal
-        slope + kappa * lap_diag is compared with the last one, and the
-        factors are reused while kappa and the diagonal are exactly equal.
-        Either way the result is the same as factoring anew.  The segment
-        arrays a stepper makes are never written to.
+        ``lower`` and ``upper`` are seg_lower[seg] and seg_upper[seg], the
+        nodes that bracket each v keeping its segment; ``factors`` are
+        ``_apply_factors``' factors of diag(slope) + kappa * L, with ``slope``
+        the slope of the segments ``seg``.  The last linearization is kept
+        and returned again while kappa is equal and ``seg`` is the very array
+        it was made for; the segment arrays a stepper makes are never
+        written to.
         """
-        last_kappa, last_seg, last_diag, factors = self._factored
-        if kappa == last_kappa and seg is last_seg:
-            return factors
-        diag = slope + kappa * self.lap_diag
-        if kappa != last_kappa or not np.array_equal(diag, last_diag):
-            factors = _factor_tridiagonal(np.full(len(diag) - 1, -kappa), diag)
+        last_kappa, last_seg, model = self._linearized
+        if kappa != last_kappa or seg is not last_seg:
+            diag = slope + kappa * self.lap_diag
+            model = (self.seg_lower[seg], self.seg_upper[seg],
+                     _factor_tridiagonal(np.full(len(diag) - 1, -kappa), diag))
             self.factorizations += 1
-        self._factored = (kappa, seg, diag, factors)
-        return factors
-
-    def _moved_segments(self, v: np.ndarray, seg: np.ndarray) -> np.ndarray | None:
-        """The segments of v, as ``conserved`` finds them, or None while they are ``seg``.
-
-        Each v is first tested against its segment's nodes,
-        seg_lower[seg] <= v < seg_upper[seg], which for a finite or -inf v
-        holds exactly when the search would give ``seg`` back; so v that keep
-        their segments cost no search.  Only when the test fails is v
-        searched.  A +inf or NaN v fails the test although the search puts
-        it on the last segment, so a search that gives ``seg`` back still
-        counts as no move.  The brackets of the last segment array tested
-        are kept.
-        """
-        last_seg, lower, upper = self._brackets
-        if seg is not last_seg:
-            lower, upper = self.seg_lower[seg], self.seg_upper[seg]
-            self._brackets = (seg, lower, upper)
-        if (lower <= v).all() and (v < upper).all():
-            return None
-        new_seg = np.searchsorted(self.inner_nodes, v, side="right")
-        return None if np.array_equal(new_seg, seg) else new_seg
+            self._linearized = (kappa, seg, model)
+        return model
 
     def invert_conserved(self, m_star: np.ndarray, kappa: float, v: np.ndarray, m: np.ndarray,
                          seg: np.ndarray, slope: np.ndarray) -> tuple[np.ndarray, int, float, tuple]:
@@ -570,15 +533,14 @@ class _Stepper:
         linear model exactly and ends the iteration, so its density and
         residual are never formed.  Whether it kept them is a test of each v
         against its segment's two nodes, so such an iterate makes no search
-        either; one that fails the test makes one (``_moved_segments``).
-        Otherwise the step is halved, down to ``_BACKTRACK_FLOOR``, until the
-        largest residual falls, with one search per share tried: on a table
-        with many kinks the full step can overshoot into a cycle.  A
-        rounding-level residual also ends the iteration, since a state
-        sitting on a node may flip between the segments on either side for
-        ever.  A step's first iterate usually has the segments, and so the
-        matrix, that the previous step ended on; its factors are then reused
-        with no diagonal formed (see ``_factors``).
+        either; one that fails the test makes one.  Otherwise the step is
+        halved, down to ``_BACKTRACK_FLOOR``, until the largest residual
+        falls, with one search per share tried: on a table with many kinks
+        the full step can overshoot into a cycle.  A rounding-level residual
+        also ends the iteration, since a state sitting on a node may flip
+        between the segments on either side for ever.  A step's first
+        iterate usually has the segment array that the previous step ended
+        on, and reuses its linearization (see ``_linearization``).
 
         Returns v, clipped to the table; the number of tridiagonal solves; the
         margin of m*: its least distance inside [lo_val, hi_val], negative
@@ -608,10 +570,19 @@ class _Stepper:
                     f"iterations (worst residual {worst:.3e})"
                 )
             iterations += 1
-            delta = _apply_factors(self._factors(kappa, slope, seg), resid)
+            lower, upper, factors = self._linearization(kappa, seg, slope)
+            delta = _apply_factors(factors, resid)
             trial = v - delta
-            new_seg = self._moved_segments(trial, seg)
-            if new_seg is None:   # solved: the linear model held
+            # for a finite or -inf v the bracket test holds exactly when the
+            # search would give seg back, so a trial that keeps its segments
+            # costs no search.  A +inf or NaN v fails it although the search
+            # puts it on the last segment, so a search that gives seg back
+            # still counts as no move.
+            kept = (lower <= trial).all() and (trial < upper).all()
+            if not kept:
+                new_seg = np.searchsorted(self.inner_nodes, trial, side="right")
+                kept = np.array_equal(new_seg, seg)
+            if kept:   # solved: the linear model held
                 v = trial
                 break
             share = 1.0
@@ -633,25 +604,27 @@ class _Stepper:
     def face_fluxes(self, v: np.ndarray, m: np.ndarray) -> np.ndarray:
         """Lax-Friedrichs fluxes at every face, dissipating in the face's own density.
 
-        A face with w_+ = 0 reads g∘beta alone and one with w_+ = 1 f∘alpha
-        alone, so each branch is interpolated only at the states beside a
-        face that reads it: g∘beta at those up to the last blended face
-        (``flux_band``), f∘alpha from the first one on.  0 * x + 1 * y is y,
-        so that equals blending both branches at every face.
+        A face left of the band faces has w_+ = 0 and reads g∘beta alone, one
+        right of them has w_+ = 1 and reads f∘alpha alone, so each branch is
+        interpolated only at the states beside a face that reads it: g∘beta
+        at those up to the last band face, f∘alpha from the first one on.
+        0 * x + 1 * y is y, so that equals blending both branches at every
+        face.
 
         ``m`` is ``conserved(v)[0]``.  Its jumps are the dissipation except on
         the band faces, which add (w_+ - w_{j+1}) D(v_{j+1}) - (w_+ - w_j) D(v_j)
         with D = alpha - beta.  The ghosts repeat the end cells, so the two
         boundary faces dissipate nothing.
         """
-        f0, f1 = self.flux_band
+        band = self.band_faces
+        f0, f1 = band.start, band.stop
         nb = f1 - f0
         vx = self._ghosts
         vx[1:-1] = v
         vx[0], vx[-1] = v[0], v[-1]   # zero-gradient ghosts
         gb_v = np.interp(vx[:f1 + 1], self.vgrid, self.gb_tab)   # states 0 .. f1
         fa_v = np.interp(vx[f0:], self.vgrid, self.fa_tab)       # states f0 .. the last
-        w, w_c = self.w_blend, self.w_blend_c
+        w, w_c = self.w_face[band], self.w_face_c[band]
         # each face's flux of the state on its left plus that on its right
         total = np.empty(len(v) + 1)
         np.add(gb_v[:f0], gb_v[1:f0 + 1], out=total[:f0])
@@ -661,7 +634,7 @@ class _Stepper:
         jump = np.zeros(len(v) + 1)
         np.subtract(m[1:], m[:-1], out=jump[1:-1])
         d = np.interp(v[self.band_cells], self.ugrid, self.d_tab)
-        jump[self.band_faces] += self.right_gap * d[1:] - self.left_gap * d[:-1]
+        jump[band] += self.right_gap * d[1:] - self.left_gap * d[:-1]
         # one dissipation speed for every face: a speed chosen per face from
         # the two states jumps when a state crosses a breakpoint, and the
         # update is then not monotone at any time step
@@ -826,7 +799,7 @@ def solve(
             "dt_limit": "band" if stepper.band_dt < stepper.interior_dt else "interior",
             "newton_iterations": newton_iterations,
             "newton_max": newton_max,
-            # tridiagonal factorizations: one per distinct implicit matrix
+            # tridiagonal factorizations: one per segment array Newton linearises on
             "factorizations": stepper.factorizations,
             # None when no step ran: the manifest is JSON, which has no inf
             "invert_margin": invert_margin if nsteps else None,

@@ -16,7 +16,7 @@ from hypothesis import strategies as st_
 
 import discflux as dx
 from discflux.errors import StabilityError
-from discflux.solver import _BLOCK_STEPS, _apply_factors, _factor_tridiagonal, _Stepper, _solve_tridiagonal
+from discflux.solver import _BLOCK_STEPS, _apply_factors, _factor_tridiagonal, _Stepper
 
 from conftest import random_step_profile
 
@@ -95,6 +95,20 @@ def test_config_rejects_non_numbers(bad):
     (name,) = bad
     with pytest.raises(ValueError, match=f"{name} must be a finite number, got {bad[name]!r}"):
         dx.SolverConfig(**bad)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"half_width": 0.0}, "half_width must be positive and t_end non-negative"),
+    ({"half_width": -2.0}, "half_width must be positive and t_end non-negative"),
+    ({"t_end": -0.1}, "half_width must be positive and t_end non-negative"),
+    ({"eps": 0.0}, "eps must be positive"),
+    ({"eps": -0.1}, "eps must be positive"),
+    # a quarter of the half width, but eps * half_width = 4
+    ({"half_width": 8.0, "eps": 0.5}, r"eps \* half_width must stay at or below 1"),
+], ids=repr)
+def test_config_rejects_out_of_range_numbers(bad, message):
+    with pytest.raises(ValueError, match=message):
+        dx.SolverConfig(**bad).resolved_eps()
 
 
 def test_config_takes_numpy_integers():
@@ -389,9 +403,11 @@ def test_face_fluxes_read_one_branch_off_the_band(fixed_steppers, burgers, demo_
         assert np.all((st.w_face == 0.0) | (st.w_face == 1.0))
     else:
         st = fixed_steppers[name]
-    f0, f1 = st.flux_band
-    assert np.all(st.w_face[:f0] == 0.0) and np.all(st.w_face[f1:] == 1.0)
-    assert (f1 > f0) == (name != "no blended face")
+    # every cell and face left of the band has weight exactly 0, every one right of it 1
+    for weights, band in ((st.w_face, st.band_faces), (st.w_cell, st.band_cells)):
+        assert band.stop > band.start, name
+        assert np.all(weights[:band.start] == 0.0) and np.all(weights[band.stop:] == 1.0), name
+    assert np.any((st.w_face > 0.0) & (st.w_face < 1.0)) == (name != "no blended face")
     w = st.w_face
     rng = np.random.default_rng(5)
     for v in _states(st, rng):
@@ -560,7 +576,7 @@ def test_tridiagonal_solve_matches_dense(n, seed):
     diag = (coupling + rng.uniform(0.01, 2.0, n) * scale) * rng.choice([-1.0, 1.0])
     rhs = rng.normal(size=n)
     dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    got = _solve_tridiagonal(off, diag, rhs)
+    got = _apply_factors(_factor_tridiagonal(off, diag), rhs)
     want = np.linalg.solve(dense, rhs)
     assert got.shape == (n,)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
@@ -570,7 +586,7 @@ def test_tridiagonal_solve_matches_dense(n, seed):
     matrix = (off.copy(), diag.copy())
     for rhs in [rhs, *rng.normal(size=(3, n)) * 10.0 ** rng.uniform(-3, 3, size=(3, 1)), rhs]:
         before = rhs.copy()
-        assert np.array_equal(_apply_factors(factors, rhs), _solve_tridiagonal(off, diag, rhs))
+        assert np.array_equal(_apply_factors(factors, rhs), _apply_factors(_factor_tridiagonal(off, diag), rhs))
         assert np.array_equal(rhs, before)
     assert np.array_equal(off, matrix[0]) and np.array_equal(diag, matrix[1])
 
@@ -630,9 +646,10 @@ def _kinked_problems(burgers):
 
 
 def test_reused_factors_match_a_fresh_stepper(small_problems):
-    # A stepper keeps its last factorization.  Stepped through unrelated
-    # states of every problem at two time steps, each in turn, it must give
-    # exactly what a fresh stepper gives for each call alone.
+    # A stepper keeps its last linearization.  Stepped through unrelated
+    # states of every problem at two time steps, each in turn, and carrying
+    # each step's lookup into the next as solve does, it must give exactly
+    # what a fresh stepper gives for each call alone.
     rng = np.random.default_rng(17)
     for kind, (flux, transform) in small_problems.items():
         cfg = dx.SolverConfig(cells=128, t_end=0.0)
@@ -643,23 +660,26 @@ def test_reused_factors_match_a_fresh_stepper(small_problems):
         dts = (kept.suggest_dt(), kept.suggest_dt() / 3.0)
         fresh_count = 0
         for i, state in enumerate(states * 2):
-            v = state
+            v, lookup = state, kept.conserved(state)
             for dt in (dts[i % 2], dts[i % 2], dts[(i + 1) % 2]):
                 fresh = _Stepper(flux, transform, cfg)
                 want = fresh.step(v, dt, fresh.conserved(v))
-                got = kept.step(v, dt, kept.conserved(v))
+                got = kept.step(v, dt, lookup)
                 fresh_count += fresh.factorizations
                 for a, b in zip((*got[:4], *got[4]), (*want[:4], *want[4])):
                     assert np.array_equal(a, b), kind
-                v = got[0]
+                v, lookup = got[0], got[4]
         # the comparison means something only if the reuse happened
         assert 0 < kept.factorizations < fresh_count, kind
         # the same segments at another kappa are another matrix
         slope, rhs = rng.uniform(1.0, 2.0, cfg.cells), rng.normal(size=cfg.cells)
         seg = np.zeros(cfg.cells, dtype=np.intp)
         for kappa in (0.5, 0.25, 0.25, 0.5):
-            want = _solve_tridiagonal(np.full(cfg.cells - 1, -kappa), slope + kappa * kept.lap_diag, rhs)
-            assert np.array_equal(_apply_factors(kept._factors(kappa, slope.copy(), seg), rhs), want), kind
+            want = _apply_factors(
+                _factor_tridiagonal(np.full(cfg.cells - 1, -kappa), slope + kappa * kept.lap_diag), rhs)
+            lower, upper, factors = kept._linearization(kappa, seg, slope.copy())
+            assert np.array_equal(_apply_factors(factors, rhs), want), kind
+            assert np.array_equal(lower, kept.seg_lower[seg]) and np.array_equal(upper, kept.seg_upper[seg])
 
 
 def test_solve_counts_its_factorizations(small_problems):
@@ -702,38 +722,31 @@ def test_segment_search_on_interior_nodes(small_problems, kind):
 
 @pytest.mark.parametrize("kind", ["identity", "translation", "connection"])
 def test_bracket_test_agrees_with_the_segment_search(small_problems, kind):
-    # _moved_segments tests each v against its segment's nodes before it
-    # searches; its verdict and segments must be the search's, on nodes,
-    # beside them, off both table ends, at +-inf and NaN
+    # invert_conserved tests each v against the nodes that _linearization
+    # gathers for its segment before it searches.  On nodes, beside them,
+    # off both table ends and at -inf, the test must hold for the segment
+    # the search gives and for no other; +inf and NaN fail it for every
+    # segment, though the search puts them on the last one, so only there
+    # does the search decide
     flux, transform = small_problems[kind]
-    st = _Stepper(flux, transform, dx.SolverConfig(cells=64, t_end=0.0))
-    ugrid, last = st.ugrid, len(st.inner_nodes)
+    ugrid = transform.table()[0]
     span = ugrid[-1] - ugrid[0]
     v = np.concatenate((ugrid, np.nextafter(ugrid, -np.inf), np.nextafter(ugrid, np.inf),
                         0.5 * (ugrid[1:] + ugrid[:-1]),
                         [ugrid[0] - span, ugrid[-1] + span, -np.inf, np.inf, np.nan]))
+    # one cell per v, so that the matrix the brackets come with has a row for each
+    v = np.resize(v, max(len(v), 64))
+    st = _Stepper(flux, transform, dx.SolverConfig(cells=len(v), t_end=0.0))
+    last = len(st.inner_nodes)
     seg = np.searchsorted(st.inner_nodes, v, side="right")
-    assert seg[-2] == seg[-1] == last   # the search puts +inf and NaN on the last segment
-    assert st._moved_segments(v, seg) is None
-    assert st._moved_segments(v, seg.copy()) is None
-    # the brackets alone hold for every v but +inf and NaN
-    held = (st.seg_lower[seg] <= v) & (v < st.seg_upper[seg])
-    assert np.array_equal(held, np.arange(len(v)) < len(v) - 2), kind
-    rng = np.random.default_rng(3)
-    whole = set(rng.choice(len(v), size=min(len(v), 24), replace=False).tolist()) | {len(v) - 2, len(v) - 1}
-    for i in range(len(v)):
-        lone, lone_seg = v[i:i + 1], seg[i:i + 1]
-        assert st._moved_segments(lone, lone_seg) is None, (kind, v[i])
-        # any other segment of this v moves to the search's; so it does
-        # while every other v keeps its own
-        for other in {0, last, max(seg[i] - 1, 0), min(seg[i] + 1, last)} - {seg[i]}:
-            moved = st._moved_segments(lone, np.array([other]))
-            assert moved is not None and np.array_equal(moved, lone_seg), (kind, v[i], other)
-            if i in whole:
-                wrong = seg.copy()
-                wrong[i] = other
-                moved = st._moved_segments(v, wrong)
-                assert moved is not None and np.array_equal(moved, seg), (kind, v[i], other)
+    bracketable = ~np.isnan(v) & (v != np.inf)
+    assert np.all(seg[~bracketable] == last)   # the search puts +inf and NaN on the last segment
+    slope = np.ones(len(v))
+    for other in (seg, seg.copy(), np.zeros_like(seg), np.full_like(seg, last),
+                  np.maximum(seg - 1, 0), np.minimum(seg + 1, last)):
+        lower, upper, _ = st._linearization(1.0, other, slope)
+        held = (lower <= v) & (v < upper)
+        assert np.array_equal(held, (other == seg) & bracketable), kind
 
 
 @pytest.mark.parametrize("kind", ["identity", "translation", "connection"])
