@@ -25,9 +25,12 @@ MERGE_REL = 1e-12
 
 
 def _table(x, y, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
-    """Float node and value arrays: 1-d, same shape, finite, at least two strictly increasing nodes."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    """Float node and value arrays: 1-d, same shape, finite, at least two strictly increasing nodes.
+
+    Read-only copies: the caller's arrays stay writable, and no write undoes the checks later.
+    """
+    x = np.array(x, dtype=float)
+    y = np.array(y, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("need a 1-d array with at least two entries")
     if y.shape != x.shape:
@@ -36,6 +39,7 @@ def _table(x, y, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"{names[0]} and {names[1]} must be finite")
     if not np.all(np.diff(x) > 0):
         raise ValueError(f"{names[0]} must be strictly increasing")
+    x.flags.writeable = y.flags.writeable = False
     return x, y
 
 
@@ -62,6 +66,12 @@ def merge_close(x: np.ndarray) -> np.ndarray:
     if out.size and x[-1] - out[-1] > 0:
         out = np.append(out[:-1], x[-1]) if out.size > 1 else np.array([x[0], x[-1]])
     return out
+
+
+def _on_union(p: SampledCurve, q: SampledCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(grid, p(grid), q(grid)) on the merged union of both node lattices, where both are exact."""
+    grid = merge_close(np.union1d(p.x, q.x))
+    return grid, p(grid), q(grid)
 
 
 def run_bounds(breaks) -> tuple[np.ndarray, np.ndarray]:

@@ -71,6 +71,8 @@ class HatFunction:
     radius: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.center) and math.isfinite(self.radius)):
+            raise ValueError(f"center and radius must be finite, got {self.center!r} and {self.radius!r}")
         if self.radius <= 0:
             raise ValueError("radius must be positive")
 
@@ -305,8 +307,9 @@ def _entropy_report(
         term_x = float(Tint[k] @ (Q @ dX[k]))
         term_d = abs(delta) * float(at_zero[k]) * float(np.sum(Tint[k]))
         res.append(-(term_t + term_x + term_d))
-    worst = max(res)
-    index = res.index(worst)
+    # the first largest residual, or the first NaN, which then fails the report
+    index = int(np.argmax(res))
+    worst = res[index]
     return EntropyReport(kind, tuple(res), tol, worst <= tol, worst, index, tests[index])
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .curves import MonotoneBijection
 from .errors import DiscFluxError
-from .fluxes import load_flux_csv, save_flux_csv, write_csv
+from .fluxes import _flux_table, load_flux_csv, save_flux_csv, write_csv
 from .solver import SolutionField, SolverConfig
 from .transforms import Connection, TransformPair
 
@@ -90,11 +90,11 @@ def _numbers(value) -> np.ndarray:
 
 
 def run_hash(field: SolutionField, config: SolverConfig) -> str:
-    flux_tab = np.column_stack([field.flux.f.x, field.flux.f.y, field.flux.g.y])
     t_tab = np.column_stack(field.transform.table())
     payload = {
         "config": config.to_dict(),
-        "flux_sha": hashlib.sha256(flux_tab.tobytes()).hexdigest()[:12],
+        # the table flux.csv holds, so branches on different lattices hash too
+        "flux_sha": hashlib.sha256(_flux_table(field.flux).tobytes()).hexdigest()[:12],
         "transform_sha": hashlib.sha256(t_tab.tobytes()).hexdigest()[:12],
         "u0_sha": hashlib.sha256(np.ascontiguousarray(field.u[0]).tobytes()).hexdigest()[:12],
     }

@@ -59,7 +59,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curves import merge_close
+from .curves import _on_union
 from .errors import StabilityError
 from .fluxes import FluxPair
 from .transforms import TransformPair, composed_fluxes, identity_transform, verify_transform
@@ -172,20 +172,21 @@ class SolverConfig:
             raise ValueError("cfl_hyperbolic must lie strictly between 0 and 1")
         if self.snapshots < 2:
             raise ValueError("need at least 2 snapshots")
-
-    @property
-    def dx(self) -> float:
-        return 2.0 * self.half_width / self.cells
-
-    def resolved_eps(self) -> float:
-        eps = 8.0 * self.dx if self.eps is None else float(self.eps)
+        eps = self.resolved_eps()
         if eps <= 0:
             raise ValueError("eps must be positive")
         if eps > self.half_width / 4.0:
             raise ValueError("eps must not exceed a quarter of the half width")
         if eps * self.half_width > 1.0:
             raise ValueError("eps * half_width must stay at or below 1")
-        return eps
+
+    @property
+    def dx(self) -> float:
+        return 2.0 * self.half_width / self.cells
+
+    def resolved_eps(self) -> float:
+        """``eps``, or its default 8 * dx when it is None."""
+        return 8.0 * self.dx if self.eps is None else float(self.eps)
 
     def centers(self) -> np.ndarray:
         return -self.half_width + (np.arange(self.cells) + 0.5) * self.dx
@@ -348,11 +349,7 @@ class _Stepper:
         self.dx = cfg.dx
         self.eps = cfg.resolved_eps()
 
-        fa, gb = composed_fluxes(flux, transform)
-        grid = merge_close(np.union1d(fa.x, gb.x))
-        self.vgrid = grid
-        self.fa_tab = np.asarray(fa(grid))
-        self.gb_tab = np.asarray(gb(grid))
+        self.vgrid, self.fa_tab, self.gb_tab = _on_union(*composed_fluxes(flux, transform))
 
         # transform tables on the shared breakpoint union, for the density m(v)
         self.table = transform.table()
@@ -411,14 +408,14 @@ class _Stepper:
         # transform segment, so each takes the extreme slope of the flux
         # segments that overlap it: from the one holding its left end to the
         # last one starting left of its right end.
-        last_seg = len(grid) - 2
-        first = np.clip(np.searchsorted(grid, self.ugrid[:-1], side="right") - 1, 0, last_seg)
-        last = np.clip(np.searchsorted(grid, self.ugrid[1:], side="left") - 1, 0, last_seg)
+        last_seg = len(self.vgrid) - 2
+        first = np.clip(np.searchsorted(self.vgrid, self.ugrid[:-1], side="right") - 1, 0, last_seg)
+        last = np.clip(np.searchsorted(self.vgrid, self.ugrid[1:], side="left") - 1, 0, last_seg)
 
         def seg_max(s):
             return np.maximum(np.maximum.reduceat(s, first), s[last])
 
-        dv = np.diff(grid)
+        dv = np.diff(self.vgrid)
         fa_slope = np.diff(self.fa_tab) / dv
         gb_slope = np.diff(self.gb_tab) / dv
         beta_slope, alpha_slope = slopes[0], slopes[1]   # the first two rows of the density table
@@ -742,38 +739,30 @@ def solve(
     cum_left = cum_right = 0.0
     c1 = 0.0  # max L1 rate of change of v
     c2 = 0.0  # max viscous energy eps * sum (v_x)^2 dx
-    # the states of the current block of steps: row 0 the one it starts
-    # from, row k the one after its k-th step.  v is a view of its row, so a
-    # step that changes its input in place changes the row too.
-    block = np.empty((min(_BLOCK_STEPS, nsteps) + 1, cfg.cells))
-    block[0] = v
-    v = block[0]
-    k = 0
+    # the current block of steps: the state it starts from, then the state
+    # after each of its steps
+    states = [v]
     newton_iterations = newton_max = 0
     invert_margin = math.inf
     for n in range(1, nsteps + 1):
-        v_new, phi, iterations, margin, lookup = stepper.step(v, dt, lookup)
+        v, phi, iterations, margin, lookup = stepper.step(v, dt, lookup)
         newton_iterations += iterations
         newton_max = max(newton_max, iterations)
         invert_margin = min(invert_margin, margin)
         cum_left += dt * float(phi[0])
         cum_right += dt * float(phi[-1])
-        k += 1
-        block[k] = v_new
-        v = block[k]
-        if k == len(block) - 1 or n == nsteps:
-            change, energy = _block_rates(block[:k + 1], cfg.dx, dt, eps)
+        states.append(v)
+        if len(states) > _BLOCK_STEPS or n == nsteps:
+            change, energy = _block_rates(np.array(states), cfg.dx, dt, eps)
             c1 = max(c1, *change)
             c2 = max(c2, *energy)
-            block[0] = v
-            v = block[0]
-            k = 0
+            states = [v]
         if n in snap_at:
             snaps_v.append(v.copy())
             snap_times.append(n * dt)
             mass.append(float(np.sum(lookup[0]) * cfg.dx))
             bflux.append((cum_left, cum_right))
-    del block, v   # free the block before the snapshot arrays are built
+    del states, v   # free the block before the snapshot arrays are built
 
     v_arr = np.array(snaps_v)
     u_arr = reconstruct_u(v_arr, x, t)

@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .curves import CLAMP_SLACK, MonotoneBijection, SampledCurve, lower_convex_envelope, merge_close, run_bounds
+from .curves import (CLAMP_SLACK, MonotoneBijection, SampledCurve, _on_union, lower_convex_envelope, merge_close,
+                     run_bounds)
 from .errors import ConstructionError, DomainError
 from .fluxes import (
     FluxPair,
@@ -176,8 +177,8 @@ def check_crossing(fa: SampledCurve, gb: SampledCurve, dead_band: float = TOL_CR
     span = max(fa.hi - fa.lo, 1.0)
     if abs(fa.lo - gb.lo) > 1e-9 * span or abs(fa.hi - gb.hi) > 1e-9 * span:
         raise ValueError("curves must share a sampled domain")
-    grid = merge_close(np.union1d(fa.x, gb.x))
-    d = np.asarray(fa(grid)) - np.asarray(gb(grid))
+    grid, fa_grid, gb_grid = _on_union(fa, gb)
+    d = fa_grid - gb_grid
     s = np.where(d > dead_band, 1, np.where(d < -dead_band, -1, 0))
 
     # runs of one sign over the nonzero samples; zeros inside a run are absorbed
@@ -274,9 +275,8 @@ def build_translation_transform(flux: FluxPair) -> TransformPair:
     best = (np.inf, None)
     for d in shifts[shifts >= 0.0]:
         pair = _translation_pair(flux, d, 0.0)
-        fa, gb = composed_fluxes(flux, pair)
-        grid = merge_close(np.union1d(fa.x, gb.x))
-        amount = _violation_amount(fa(grid) - gb(grid))
+        _, fa_grid, gb_grid = _on_union(*composed_fluxes(flux, pair))
+        amount = _violation_amount(fa_grid - gb_grid)
         if amount <= TOL_CROSS:
             return pair
         if amount < best[0]:
@@ -287,21 +287,40 @@ def build_translation_transform(flux: FluxPair) -> TransformPair:
     )
 
 
-def _monotone_branch(curve: SampledCurve, lo: float, hi: float, increasing: bool):
-    """Exact node table of a branch restricted to [lo, hi], checked monotone."""
-    xs = curve.x[(curve.x > lo) & (curve.x < hi)]
-    nodes = merge_close(np.concatenate(([lo], xs, [hi])))
-    vals = np.asarray(curve(nodes))
-    diffs = np.diff(vals)
-    bad = diffs <= 0 if increasing else diffs >= 0
-    if np.any(bad):
-        where = float(nodes[int(np.argmax(bad))])
-        word = "increasing" if increasing else "decreasing"
+def _minorant_inverse(composed: SampledCurve, branch: SampledCurve, lo: float, hi: float,
+                      increasing: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Breakpoints and values of branch^{-1} of the convex minorant of ``composed``, exact.
+
+    ``composed`` is g∘beta with f increasing on [lo, hi], or f∘alpha with g
+    decreasing there; the minorant must be strictly monotone the same way.
+    """
+    ex, ey = lower_convex_envelope(composed.x, composed.y)
+    sign, word = (1.0, "increasing") if increasing else (-1.0, "decreasing")
+    if np.any(sign * np.diff(ey) <= 0):
+        name, where = ("g∘beta", "[a, c]") if increasing else ("f∘alpha", "[c, b]")
         raise ConstructionError(
-            f"flux branch is not strictly {word} on [{lo:.6g}, {hi:.6g}] near u = {where:.6g}",
-            payload={"location": where},
+            f"convex minorant of {name} is not strictly {word} on {where}",
+            payload={"vertices": (ex.tolist(), ey.tolist())},
         )
-    return nodes, vals
+    # the branch's exact node table on [lo, hi], checked monotone
+    xs = branch.x[(branch.x > lo) & (branch.x < hi)]
+    nodes = merge_close(np.concatenate(([lo], xs, [hi])))
+    vals = branch(nodes)
+    bad = sign * np.diff(vals) <= 0
+    if np.any(bad):
+        at = float(nodes[int(np.argmax(bad))])
+        raise ConstructionError(
+            f"flux branch is not strictly {word} on [{lo:.6g}, {hi:.6g}] near u = {at:.6g}",
+            payload={"location": at},
+        )
+    # np.interp reads a table by increasing argument: a decreasing one is read reversed
+    up = slice(None, None, 1 if increasing else -1)
+    nodes, vals = nodes[up], vals[up]
+    inner = vals[(vals > ey[up][0]) & (vals < ey[up][-1])]
+    bp = merge_close(np.union1d(ex, np.interp(inner, ey[up], ex[up])))
+    out = np.interp(np.clip(np.interp(bp, ex, ey), vals[0], vals[-1]), vals, nodes)
+    out[0 if increasing else -1] = nodes[0]   # the branch's zero, up to the endpoint tolerance
+    return bp, out
 
 
 def build_connection_transform(flux: FluxPair, conn: Connection) -> TransformPair:
@@ -316,8 +335,10 @@ def build_connection_transform(flux: FluxPair, conn: Connection) -> TransformPai
       f∘alpha <= g∘beta on [a, c] exact), bridges to (v2, u*_f) and runs
       linearly to (b, b).
 
-    The minorants touch the data at c with common value g(A) = f(B), so the
-    composed fluxes cross exactly once, at c, and alpha(c) = B, beta(c) = A.
+    Both minorant inversions are ``_minorant_inverse``, once per monotone
+    direction.  The minorants touch the data at c with common value
+    g(A) = f(B), so the composed fluxes cross exactly once, at c, and
+    alpha(c) = B, beta(c) = A.
     """
     chk = is_connection(flux, conn.A, conn.B, conn.flavor)
     if not chk.ok:
@@ -339,20 +360,7 @@ def build_connection_transform(flux: FluxPair, conn: Connection) -> TransformPai
         beta_left = MonotoneBijection(np.array([a, c]), np.array([a, A]))
 
     # --- alpha on [a, c]: f^{-1} of the convex minorant of g∘beta
-    g_beta = compose_flux(flux.g, beta_left)
-    ex, ey = lower_convex_envelope(g_beta.x, g_beta.y)
-    if np.any(np.diff(ey) <= 0):
-        raise ConstructionError(
-            "convex minorant of g∘beta is not strictly increasing on [a, c]",
-            payload={"vertices": (ex.tolist(), ey.tolist())},
-        )
-    fb_x, fb_y = _monotone_branch(flux.f, a, usf, increasing=True)
-    inner = fb_y[(fb_y > ey[0]) & (fb_y < ey[-1])]
-    alpha_bp = merge_close(np.union1d(ex, np.interp(inner, ey, ex)))
-    alpha_val = np.interp(
-        np.clip(np.interp(alpha_bp, ex, ey), fb_y[0], fb_y[-1]), fb_y, fb_x
-    )
-    alpha_val[0] = a  # f^{-1}(0) up to the endpoint tolerance
+    alpha_bp, alpha_val = _minorant_inverse(compose_flux(flux.g, beta_left), flux.f, a, usf, increasing=True)
     bp_list = [alpha_bp]
     val_list = [alpha_val]
     if usf - alpha_val[-1] > tiny:
@@ -366,21 +374,9 @@ def build_connection_transform(flux: FluxPair, conn: Connection) -> TransformPai
         raise ConstructionError(f"alpha table degenerate: {exc}") from exc
 
     # --- beta on [c, b]: g^{-1} of the convex minorant of f∘alpha
-    f_alpha = compose_flux(flux.f, alpha.restricted(c, b))
-    hx, hy = lower_convex_envelope(f_alpha.x, f_alpha.y)
-    if np.any(np.diff(hy) >= 0):
-        raise ConstructionError(
-            "convex minorant of f∘alpha is not strictly decreasing on [c, b]",
-            payload={"vertices": (hx.tolist(), hy.tolist())},
-        )
-    gb_x, gb_y = _monotone_branch(flux.g, usg, b, increasing=False)
-    g_inner = gb_y[(gb_y > hy[-1]) & (gb_y < hy[0])]
-    beta_bp = merge_close(np.union1d(hx, np.interp(g_inner, hy[::-1], hx[::-1])))
-    beta_val = np.interp(
-        np.clip(np.interp(beta_bp, hx, hy), gb_y[-1], gb_y[0]), gb_y[::-1], gb_x[::-1]
-    )
+    beta_bp, beta_val = _minorant_inverse(compose_flux(flux.f, alpha.restricted(c, b)), flux.g, usg, b,
+                                          increasing=False)
     beta_val[0] = A
-    beta_val[-1] = b
     bp_all = np.concatenate([beta_left.breakpoints[:-1], beta_bp])
     val_all = np.concatenate([beta_left.values[:-1], beta_val])
     try:
@@ -406,39 +402,23 @@ class TransformAudit:
 
 
 def verify_transform(flux: FluxPair, t: TransformPair) -> TransformAudit:
-    """Audit a transform pair: monotonicity, round trips, domains, crossing.
+    """Audit a transform pair: round trips, shifts, crossing, connection at c.
 
-    This is the gate the solver applies before accepting a pair; anything a
-    file or a hand-built pair might get wrong is re-checked here rather than
-    trusted from construction.  A pair with ``shifts`` must be the translation
-    pair of those shifts, and a pair with a connection (A, B) must map ``c``
-    to B and cross there.
+    This is the gate the solver applies before accepting a pair.  Monotone
+    maps on one domain hold from construction for the pair's life, so it
+    checks what a file or a hand-built pair can still get wrong: a pair with
+    ``shifts`` must be the translation pair of those shifts, and a pair with
+    a connection (A, B) must map ``c`` to B and cross there.
     """
     failures: list[str] = []
-    monotone = True
-    for name, m in (("alpha", t.alpha), ("beta", t.beta)):
-        dbp = np.diff(m.breakpoints)
-        dval = np.diff(m.values)
-        if not np.all(dbp > 0):
-            failures.append(f"{name}: breakpoints not strictly increasing at index {int(np.argmin(dbp))}")
-            monotone = False
-        if not np.all(dval > 0):
-            failures.append(f"{name}: values not strictly increasing at index {int(np.argmin(dval))}")
-            monotone = False
-    alo, ahi = t.alpha.domain
-    blo, bhi = t.beta.domain
-    span = max(ahi - alo, 1.0)
-    if abs(alo - blo) > 1e-9 * span or abs(ahi - bhi) > 1e-9 * span:
-        failures.append("alpha and beta domains differ")
-
-    rt_err = np.inf
-    if monotone:
-        probe = np.linspace(alo, ahi, _ROUND_TRIP_SAMPLES)
-        rt_err = 0.0
-        for m in (t.alpha, t.beta):
-            rt_err = max(rt_err, float(np.max(np.abs(m.inverse(m.forward(probe)) - probe))))
-        if rt_err > ROUND_TRIP_REL * max(ahi - alo, 1.0):
-            failures.append(f"round-trip error {rt_err:.3e} exceeds tolerance")
+    lo, hi = t.domain
+    span = max(hi - lo, 1.0)
+    probe = np.linspace(lo, hi, _ROUND_TRIP_SAMPLES)
+    rt_err = 0.0
+    for m in (t.alpha, t.beta):
+        rt_err = max(rt_err, float(np.max(np.abs(m.inverse(m.forward(probe)) - probe))))
+    if rt_err > ROUND_TRIP_REL * span:
+        failures.append(f"round-trip error {rt_err:.3e} exceeds tolerance")
 
     if t.shifts is not None:
         gap = _translation_gap(flux, t)
@@ -446,21 +426,20 @@ def verify_transform(flux: FluxPair, t: TransformPair) -> TransformAudit:
             failures.append(f"maps are not the translation pair of shifts {t.shifts} (gap {gap:.3e})")
 
     crossing = None
-    if monotone:
-        try:
-            fa, gb = composed_fluxes(flux, t)
-            crossing = check_crossing(fa, gb)
-            if not crossing.holds:
-                failures.append(f"composed fluxes fail the crossing condition (witness {crossing.witness})")
-            if t.c is not None:
-                gap = float(abs(fa(t.c) - gb(t.c)))
-                if gap > TOL_CONN:
-                    failures.append(f"composed fluxes disagree at c: |f_a(c)-g_b(c)| = {gap:.3e}")
-                # beta(c) = A by the definition of c; alpha must carry c to B
-                gap = abs(float(t.alpha.forward(t.c)) - t.connection.B)
-                if gap > ROUND_TRIP_REL * span:
-                    failures.append(f"alpha(c) misses the connection's B = {t.connection.B:g} (gap {gap:.3e})")
-        except Exception as exc:  # composition errors count as audit failures
-            failures.append(f"composition failed: {exc}")
+    try:
+        fa, gb = composed_fluxes(flux, t)
+        crossing = check_crossing(fa, gb)
+        if not crossing.holds:
+            failures.append(f"composed fluxes fail the crossing condition (witness {crossing.witness})")
+        if t.c is not None:
+            gap = float(abs(fa(t.c) - gb(t.c)))
+            if gap > TOL_CONN:
+                failures.append(f"composed fluxes disagree at c: |f_a(c)-g_b(c)| = {gap:.3e}")
+            # beta(c) = A by the definition of c; alpha must carry c to B
+            gap = abs(float(t.alpha.forward(t.c)) - t.connection.B)
+            if gap > ROUND_TRIP_REL * span:
+                failures.append(f"alpha(c) misses the connection's B = {t.connection.B:g} (gap {gap:.3e})")
+    except Exception as exc:  # composition errors count as audit failures
+        failures.append(f"composition failed: {exc}")
 
     return TransformAudit(not failures, tuple(failures), crossing, rt_err)

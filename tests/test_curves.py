@@ -11,6 +11,7 @@ from discflux.curves import (
     upper_concave_envelope,
 )
 from discflux.errors import DomainError
+from discflux.fluxes import get_flux
 
 
 def test_sampled_curve_interpolates_nodes_exactly():
@@ -71,6 +72,20 @@ def test_bijection_rejects_non_monotone():
             MonotoneBijection(np.array(bp), np.array(vals))
         with pytest.raises(ValueError, match="finite"):
             SampledCurve(np.array(vals), np.array(bp))
+
+
+def test_curve_and_map_arrays_are_read_only():
+    # an in-place write could undo the constructor's checks after the fact, so
+    # every stored array refuses one; the caller's own arrays stay writable
+    x, y = np.linspace(0.0, 1.0, 5), np.linspace(0.0, 2.0, 5)
+    curve = SampledCurve(x, y)
+    m = MonotoneBijection(x, y)
+    branch = get_flux("burgers-like").f
+    for arr in (curve.x, curve.y, m.breakpoints, m.values, branch.x, branch.y):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.05
+    x[0] = y[0] = -1.0
+    assert curve.x[0] == curve.y[0] == m.breakpoints[0] == m.values[0] == 0.0
 
 
 def _clipped_interp(u, xp, fp):

@@ -1,6 +1,7 @@
 import gc
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,6 +47,9 @@ def test_hat_function_closed_forms():
     assert np.max(np.abs(num - ana)) < 1e-8
     with pytest.raises(ValueError):
         dx.HatFunction(0.0, 0.0)
+    for center, radius in ((0.15, np.nan), (np.nan, 0.1), (np.inf, 0.1), (0.0, np.inf)):
+        with pytest.raises(ValueError, match="must be finite"):
+            dx.HatFunction(center, radius)
 
 
 def test_default_family_layout(burgers):
@@ -282,6 +286,21 @@ def test_nan_xi_is_rejected_and_infinite_xi_clamped(burgers):
     lo, hi = field.transform.domain
     for xi, end in ((-np.inf, lo), (np.inf, hi)):
         assert dx.entropy_residual_pair(field, xi).residuals == dx.entropy_residual_pair(field, end).residuals
+
+
+def test_a_nan_residual_fails_the_report_wherever_it_sits(burgers):
+    # HatFunction rejects a NaN radius; a hat-like object carrying one still
+    # reaches the report, whose NaN residual must fail it in either order
+    field = _frozen_field(burgers, lambda x: np.full(np.shape(x), 0.5))
+    good = dx.SpaceTimeHat(dx.HatFunction(0.25, 0.2), dx.HatFunction(0.0, 0.5))
+    nan_hat = dx.SpaceTimeHat(SimpleNamespace(center=0.15, radius=np.nan), dx.HatFunction(0.0, 0.5))
+    alone = dx.entropy_residual_pair(field, 0.5, tests=[good])
+    assert alone.ok
+    for family in ([good, nan_hat], [nan_hat, good]):
+        rep = dx.entropy_residual_pair(field, 0.5, tests=family)
+        k = family.index(nan_hat)
+        assert not rep.ok and np.isnan(rep.worst) and rep.worst_index == k and rep.worst_hat is nan_hat
+        assert rep.residuals[1 - k] == alone.residuals[0]
 
 
 def _report_bits(rep):

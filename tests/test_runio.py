@@ -268,6 +268,26 @@ def test_csv_header_guard(tmp_path, burgers, demo_connection):
         dx.load_transform_csv(path)
 
 
+def test_run_hash_reads_each_branch_on_its_own_lattice(tmp_path):
+    # g on 17 nodes beside an f on 9: the hash reads the union table that
+    # flux.csv holds, so the run writes, and a g with the same values on f's
+    # nodes is another flux with another hash
+    f = dx.SampledCurve(np.linspace(0.0, 1.0, 9), np.zeros(9))
+    u = np.linspace(0.0, 1.0, 17)
+    fine = dx.FluxPair(f, dx.SampledCurve(u, u * (1.0 - u)))
+    cfg = dx.SolverConfig(cells=64, t_end=0.02)
+    u0 = _step(0.25, 0.75)
+    field = dx.solve(fine, u0, config=cfg)
+    back, _ = dx.read_run(dx.write_run(field, cfg, tmp_path))
+    for name in ("f", "g"):
+        assert np.array_equal(back.flux.branch(name)(u), fine.branch(name)(u))
+    nodes = np.linspace(0.0, 1.0, 9) ** 2
+    on_own = dx.FluxPair(f, dx.SampledCurve(nodes, nodes * (1.0 - nodes)))
+    on_f = dx.FluxPair(f, dx.SampledCurve(f.x, on_own.g.y))
+    hashes = {runio.run_hash(dx.solve(flux, u0, config=cfg), cfg) for flux in (on_own, on_f)}
+    assert len(hashes) == 2
+
+
 # a block of whole rows per %-operation: one block, several with a short last one, one row each
 @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 5), (7, 1), (4097, 3), (34, 128), (3, 5000)])
 @pytest.mark.parametrize("header", [None, "u,f,g"])

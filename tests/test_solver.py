@@ -78,7 +78,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         dx.SolverConfig(snapshots=1)
     with pytest.raises(ValueError):
-        dx.SolverConfig(eps=1.5).resolved_eps()  # wider than a quarter domain
+        dx.SolverConfig(eps=1.5)  # wider than a quarter domain
     cfg = dx.SolverConfig(cells=128)
     assert cfg.resolved_eps() == pytest.approx(8 * cfg.dx)
     assert len(cfg.centers()) == 128 and len(cfg.faces()) == 129
@@ -105,10 +105,13 @@ def test_config_rejects_non_numbers(bad):
     ({"eps": -0.1}, "eps must be positive"),
     # a quarter of the half width, but eps * half_width = 4
     ({"half_width": 8.0, "eps": 0.5}, r"eps \* half_width must stay at or below 1"),
+    # the default eps = 8 * dx = 1.0 is wider than a quarter of the half width
+    ({"cells": 32}, "eps must not exceed a quarter of the half width"),
 ], ids=repr)
 def test_config_rejects_out_of_range_numbers(bad, message):
+    # a config that no solve could use fails when it is made, not when it is solved
     with pytest.raises(ValueError, match=message):
-        dx.SolverConfig(**bad).resolved_eps()
+        dx.SolverConfig(**bad)
 
 
 def test_config_takes_numpy_integers():

@@ -451,6 +451,15 @@ def test_verify_flags_composition_escape(burgers):
     assert any("composition" in msg for msg in audit.failures)
 
 
+def test_verify_flags_a_map_its_inverse_does_not_undo(burgers):
+    # a segment 1e-14 high is strictly increasing, so the pair constructs, but
+    # inverting it loses all but a few digits of the argument
+    m = dx.MonotoneBijection(np.array([0.0, 0.5, 0.6, 1.0]), np.array([0.0, 0.5, 0.5 + 1e-14, 1.0]))
+    audit = dx.verify_transform(burgers, dx.TransformPair(m, m))
+    assert audit.failures == ("round-trip error 5.506e-04 exceeds tolerance",)
+    assert audit.round_trip_error > 1e-4
+
+
 def test_identity_transform_roundtrip(burgers):
     audit = dx.verify_transform(burgers, dx.identity_transform(burgers))
     assert audit.ok
