@@ -27,7 +27,9 @@ MERGE_REL = 1e-12
 def _table(x, y, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
     """Float node and value arrays: 1-d, same shape, finite, at least two strictly increasing nodes.
 
-    Read-only copies: the caller's arrays stay writable, and no write undoes the checks later.
+    Read-only views of read-only copies, so the caller's arrays stay writable and
+    the flag cannot be set back on the stored arrays.  A deep copy or a pickle
+    comes back writable and is not checked again: the arrays are not to be written.
     """
     x = np.array(x, dtype=float)
     y = np.array(y, dtype=float)
@@ -40,7 +42,7 @@ def _table(x, y, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.diff(x) > 0):
         raise ValueError(f"{names[0]} must be strictly increasing")
     x.flags.writeable = y.flags.writeable = False
-    return x, y
+    return x[:], y[:]
 
 
 def _lookup(u, xp: np.ndarray, fp: np.ndarray, slack: float, what: str):

@@ -178,11 +178,8 @@ def write_csv(path, table, header: str | None = None) -> None:
 
 def _flux_table(flux: FluxPair) -> np.ndarray:
     """Columns u, f(u), g(u) on the union of both branches' nodes, where both are exact."""
-    f, g = flux.f, flux.g
-    if np.array_equal(f.x, g.x):   # one lattice: its nodes and values are the table
-        return np.column_stack([f.x, f.y, g.y])
-    u = np.union1d(f.x, g.x)
-    return np.column_stack([u, f(u), g(u)])
+    u = np.union1d(flux.f.x, flux.g.x)
+    return np.column_stack([u, flux.f(u), flux.g(u)])
 
 
 def save_flux_csv(flux: FluxPair, path) -> None:

@@ -740,8 +740,9 @@ def solve(
     c1 = 0.0  # max L1 rate of change of v
     c2 = 0.0  # max viscous energy eps * sum (v_x)^2 dx
     # the current block of steps: the state it starts from, then the state
-    # after each of its steps
+    # after each of its steps, stacked into one buffer made once per solve
     states = [v]
+    block = np.empty((min(_BLOCK_STEPS, nsteps) + 1, cfg.cells))
     newton_iterations = newton_max = 0
     invert_margin = math.inf
     for n in range(1, nsteps + 1):
@@ -753,7 +754,7 @@ def solve(
         cum_right += dt * float(phi[-1])
         states.append(v)
         if len(states) > _BLOCK_STEPS or n == nsteps:
-            change, energy = _block_rates(np.array(states), cfg.dx, dt, eps)
+            change, energy = _block_rates(np.stack(states, out=block[:len(states)]), cfg.dx, dt, eps)
             c1 = max(c1, *change)
             c2 = max(c2, *energy)
             states = [v]
@@ -762,7 +763,7 @@ def solve(
             snap_times.append(n * dt)
             mass.append(float(np.sum(lookup[0]) * cfg.dx))
             bflux.append((cum_left, cum_right))
-    del states, v   # free the block before the snapshot arrays are built
+    del states, block, v   # free the block before the snapshot arrays are built
 
     v_arr = np.array(snaps_v)
     u_arr = reconstruct_u(v_arr, x, t)

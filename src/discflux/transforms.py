@@ -405,10 +405,11 @@ def verify_transform(flux: FluxPair, t: TransformPair) -> TransformAudit:
     """Audit a transform pair: round trips, shifts, crossing, connection at c.
 
     This is the gate the solver applies before accepting a pair.  Monotone
-    maps on one domain hold from construction for the pair's life, so it
-    checks what a file or a hand-built pair can still get wrong: a pair with
-    ``shifts`` must be the translation pair of those shifts, and a pair with
-    a connection (A, B) must map ``c`` to B and cross there.
+    maps on one domain are checked at construction and their arrays are
+    read-only (not to be written), so it checks what a file or a hand-built
+    pair can still get wrong: a pair with ``shifts`` must be the translation
+    pair of those shifts, and a pair with a connection (A, B) must map ``c``
+    to B and cross there.
     """
     failures: list[str] = []
     lo, hi = t.domain

@@ -76,7 +76,8 @@ def test_bijection_rejects_non_monotone():
 
 def test_curve_and_map_arrays_are_read_only():
     # an in-place write could undo the constructor's checks after the fact, so
-    # every stored array refuses one; the caller's own arrays stay writable
+    # every stored array refuses one, and its flag cannot be set back; the
+    # caller's own arrays stay writable
     x, y = np.linspace(0.0, 1.0, 5), np.linspace(0.0, 2.0, 5)
     curve = SampledCurve(x, y)
     m = MonotoneBijection(x, y)
@@ -84,6 +85,8 @@ def test_curve_and_map_arrays_are_read_only():
     for arr in (curve.x, curve.y, m.breakpoints, m.values, branch.x, branch.y):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.05
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            arr.flags.writeable = True
     x[0] = y[0] = -1.0
     assert curve.x[0] == curve.y[0] == m.breakpoints[0] == m.values[0] == 0.0
 
