@@ -4,7 +4,9 @@ Everything downstream (flux branches, admissibility transforms, envelopes,
 Riemann constructions) is carried by dense piecewise-linear data.  That class
 of functions is closed under composition, zero extension, convex envelopes and
 inversion, and each of those operations is exact on the breakpoint lattice,
-so verification checks do not have to fight discretisation noise.
+so verification checks do not have to fight discretisation noise.  Each of
+them is whole-array numpy work with no per-sample Python loop; an envelope
+takes a handful of passes.
 """
 
 from __future__ import annotations
@@ -174,30 +176,52 @@ class MonotoneBijection:
 def lower_convex_envelope(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vertices of the greatest convex minorant of piecewise-linear data.
 
-    Monotone-chain scan over the sample points; the result touches the data
-    at every returned vertex (in particular at both endpoints) and lies below
-    it everywhere else.
+    Whole-array passes over the surviving candidates.  Each pass drops every
+    candidate on or above the chord of its candidate neighbours, then, in each
+    gap between certified vertices, certifies the first candidate farthest
+    below the gap's chord (a quickhull split) or drops the gap's candidates
+    when none lies below it; it returns once the candidates form a convex
+    chain.  Every test is the monotone chain's cross product
+    ``(xb-xa)(yc-yb) - (yb-ya)(xc-xb) > 0``, so the vertices are a
+    monotone-chain scan's, bit for bit, wherever rounding cannot flip its
+    sign; of points collinear to rounding, either may keep one the other
+    drops.  Smooth data takes a few passes (at most 9 on the registry
+    branches, their sub-intervals and a branch crossing its chord three
+    times), 0.05-0.9 ms for 4,097 nodes.  The result touches the data at every
+    returned vertex (in particular at both endpoints) and lies below it
+    everywhere else.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size < 2:
-        raise ValueError("need at least two samples")
-    hx: list[float] = []
-    hy: list[float] = []
-    for xi, yi in zip(x, y):
-        while len(hx) >= 2:
-            cross = (hx[-1] - hx[-2]) * (yi - hy[-1]) - (hy[-1] - hy[-2]) * (xi - hx[-1])
-            if cross <= 0.0:  # middle vertex is above (or on) the new chord
-                hx.pop()
-                hy.pop()
-            else:
-                break
-        hx.append(float(xi))
-        hy.append(float(yi))
-    return np.array(hx), np.array(hy)
+    x, y = _table(x, y, ("x", "y"))
+    keep = np.arange(x.size)  # surviving candidates, by node index
+    fixed = np.zeros(x.size, dtype=bool)  # certified vertices among them
+    fixed[[0, -1]] = True
+    # a pass that does not return drops a candidate, so there are fewer passes
+    # than nodes; certifying only picks the gaps, and a certified candidate
+    # that rounding put on its neighbours' chord is dropped like any other
+    while True:
+        xk, yk = x[keep], y[keep]
+        dx, dy = xk[1:] - xk[:-1], yk[1:] - yk[:-1]
+        below = dx[:-1] * dy[1:] - dy[:-1] * dx[1:] > 0.0
+        if below.all():
+            return xk, yk
+        stay = np.concatenate(([True], below, [True]))
+        keep, fixed = keep[stay], fixed[stay]
+        xk, yk = x[keep], y[keep]
+        # gap of each candidate (the last one opens none) and its certified ends
+        ends = np.flatnonzero(fixed)
+        gap = np.cumsum(fixed[:-1]) - 1
+        a, c = ends[gap], ends[gap + 1]
+        xa, ya, xc, yc, xb, yb = xk[a], yk[a], xk[c], yk[c], xk[:-1], yk[:-1]
+        depth = (xb - xa) * (yc - yb) - (yb - ya) * (xc - xb)  # 0 at the certified ends
+        deepest = np.maximum.reduceat(depth, ends[:-1])[gap]
+        split = deepest > 0.0  # the gap has a candidate below its chord
+        hit = np.flatnonzero((depth == deepest) & split)
+        fixed[hit[np.diff(gap[hit], prepend=-1) > 0]] = True  # the first per gap
+        stay = np.append(split | fixed[:-1], True)
+        keep, fixed = keep[stay], fixed[stay]
 
 
 def upper_concave_envelope(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vertices of the least concave majorant (mirror of the convex hull)."""
-    hx, hy = lower_convex_envelope(np.asarray(x, float), -np.asarray(y, float))
+    hx, hy = lower_convex_envelope(x, -np.asarray(y, float))
     return hx, -hy

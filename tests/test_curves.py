@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from conftest import assert_chain_vertices
+from hypothesis import example, given, settings
+from hypothesis import strategies as st_
 
+from discflux import curves
 from discflux.curves import (
     CLAMP_SLACK,
     MonotoneBijection,
@@ -162,6 +166,91 @@ def test_envelopes_random_properties():
         # mirror identity with the concave version
         cx, cy = upper_concave_envelope(x, -y)
         assert np.allclose(cx, ex) and np.allclose(cy, -ey)
+
+
+@st_.composite
+def _samples(draw):
+    """Strictly increasing nodes with values: general floats, or an integer lattice full of collinear triples."""
+    n = draw(st_.integers(2, 120))
+    if draw(st_.booleans()):
+        step = draw(st_.sampled_from([1.0, 0.5, 3.0]))
+        x = step * np.arange(n, dtype=float) - draw(st_.integers(-5, 5))
+        y = np.array(draw(st_.lists(st_.integers(-4, 4), min_size=n, max_size=n)), dtype=float)
+    else:
+        reals = st_.floats(-1e3, 1e3, allow_subnormal=False)
+        x = np.sort(draw(st_.lists(reals, min_size=n, max_size=n, unique=True)))
+        y = np.array(draw(st_.lists(reals, min_size=n, max_size=n)))
+    return x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples=_samples())
+# rounding ties the depths of x = 0 and x = tiny below the chord, so the split
+# certifies 0, which lies on the chord of its final neighbours and must go
+@example(samples=(np.array([-1e3, -999.0, 0.0, np.finfo(float).tiny, 1.0, 1e3]),
+                  np.array([-5.0, 0.0, -5.0, -5.0, 0.0, 0.0])))
+def test_envelopes_match_the_monotone_chain(samples):
+    assert_chain_vertices(*samples)
+
+
+@pytest.mark.parametrize("name", ["burgers-like", "demo-cross", "demo-swapped", "zero"])
+def test_envelopes_match_the_monotone_chain_on_registry_branches(name):
+    flux = get_flux(name)
+    mid = flux.f.x.size // 2
+    for branch in (flux.f, flux.g):
+        for part in (slice(None), slice(None, mid + 1), slice(mid, None)):
+            assert_chain_vertices(branch.x[part], branch.y[part])
+
+
+class _PassCounter:
+    """numpy for ``curves``, counting the one ``cumsum`` of each envelope pass that does not return."""
+
+    def __init__(self):
+        self.passes = 1
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def cumsum(self, *args, **kwargs):
+        self.passes += 1
+        return np.cumsum(*args, **kwargs)
+
+
+def test_envelopes_match_the_monotone_chain_in_few_passes(monkeypatch):
+    # u^2 cut off by its tangent at u = 1/2: dropping points on their
+    # neighbours' chord alone would take one pass per cut-off vertex (2,048);
+    # the quickhull split keeps every pass count to a handful, also on a
+    # branch crossing its chord three times and on the registry branches
+    u = np.linspace(0.0, 1.0, 4097)
+    tangent = u ** 2
+    tangent[-1] = 0.75
+    cases = [(tangent, 6), (u * (1.0 - u) * (1.0 + 0.6 * np.sin(4.0 * np.pi * u)), 8)]
+    branches = [branch for name in ("burgers-like", "demo-cross") for branch in (get_flux(name).f, get_flux(name).g)]
+    cases += [(sign * branch.y, 6) for branch in branches for sign in (1.0, -1.0)]
+    for y, most in cases:
+        counter = _PassCounter()
+        monkeypatch.setattr(curves, "np", counter)
+        lower_convex_envelope(u, y)
+        monkeypatch.undo()
+        assert counter.passes <= most
+        assert_chain_vertices(u, y)
+
+
+@pytest.mark.parametrize("x, y", [
+    ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.0]),
+    ([0.0, 1.0, 2.0], [0.0, np.nan, 1.0]),
+    ([0.0, np.nan, 2.0], [0.0, -1.0, 1.0]),
+    ([0.0, 1.0, np.inf], [0.0, -1.0, 1.0]),
+    ([2.0, 1.0, 0.0], [0.0, 1.0, 0.0]),
+    ([0.0, 1.0, 1.0], [0.0, -1.0, 1.0]),
+    ([0.0], [0.0]),
+    ([[0.0, 1.0], [2.0, 3.0]], [[0.0, 1.0], [0.0, 1.0]]),
+], ids=["short-y", "nan-y", "nan-x", "inf-x", "decreasing-x", "repeated-x", "one-entry", "2-d"])
+def test_envelopes_reject_bad_tables(x, y):
+    # the curve contract: 1-d, same shape, finite, strictly increasing nodes
+    for envelope in (lower_convex_envelope, upper_concave_envelope):
+        with pytest.raises(ValueError):
+            envelope(np.array(x), np.array(y))
 
 
 @pytest.mark.parametrize("breaks, first, last", [

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from conftest import assert_chain_vertices, concave_chain, monotone_chain
 
 import discflux as dx
-from discflux.curves import SampledCurve
+from discflux import riemann
+from discflux.curves import SampledCurve, merge_close
 from discflux.riemann import _FLAT_TOL
 
 
@@ -121,6 +123,31 @@ def test_wave_kinds_match_their_definition(burgers):
     fan = dx.classical_riemann(burgers.f, 1.0, 0.0)
     assert [w.kind for w in fan.waves] == ["rarefaction"]
     assert fan.states.size == 4097
+
+
+def test_envelopes_match_the_monotone_chain_on_riemann_intervals(demo_cross):
+    # the node arrays classical_riemann hands to the envelopes: the data
+    # states, which are rarely nodes, around the branch nodes between them
+    rng = np.random.default_rng(29)
+    for trial in range(40):
+        branch = (demo_cross.f, demo_cross.g)[trial % 2]   # u(1-u) and the inflected 2u(1-u)^2
+        lo, hi = np.sort(rng.uniform(0.0, 1.0, 2))
+        nodes = merge_close(np.concatenate(([lo], branch.x[(branch.x > lo) & (branch.x < hi)], [hi])))
+        assert_chain_vertices(nodes, branch(nodes))
+
+
+def test_solutions_match_the_monotone_chain(monkeypatch, demo_cross):
+    # states, speeds and waves on a grid of data pairs, against the same
+    # construction on the reference chain's vertices; tenths are not nodes
+    grid = np.linspace(0.0, 1.0, 11)
+    pairs = [(branch, ul, ur) for branch in (demo_cross.f, demo_cross.g) for ul in grid for ur in grid]
+    got = [dx.classical_riemann(*p) for p in pairs]
+    monkeypatch.setattr(riemann, "lower_convex_envelope", monotone_chain)
+    monkeypatch.setattr(riemann, "upper_concave_envelope", concave_chain)
+    for sol, p in zip(got, pairs):
+        ref = dx.classical_riemann(*p)
+        assert np.array_equal(sol.states, ref.states) and np.array_equal(sol.speeds, ref.speeds)
+        assert sol.waves == ref.waves
 
 
 def test_steady_connection_state(burgers):

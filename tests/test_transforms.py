@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import monotone_chain
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
@@ -335,6 +336,15 @@ def test_connection_transform_asymmetric_branches(demo_cross):
     assert abs(pair.alpha.forward(pair.c) - B) <= 1e-16
     assert abs(pair.beta.forward(pair.c) - A) < 1e-12
     assert dx.verify_transform(demo_cross, pair).ok
+
+
+@pytest.mark.parametrize("A, B", [(0.75, 0.25), (0.9, 0.1), (0.6, 0.4)])
+def test_connection_tables_match_the_monotone_chain(monkeypatch, burgers, A, B):
+    # both minorant inversions read the envelope's vertices as breakpoints
+    built = dx.build_connection_transform(burgers, dx.Connection(A, B)).table()
+    monkeypatch.setattr(transforms, "lower_convex_envelope", monotone_chain)
+    ref = dx.build_connection_transform(burgers, dx.Connection(A, B)).table()
+    assert all(np.array_equal(got, want) for got, want in zip(built, ref, strict=True))
 
 
 def test_connection_transform_degenerate_states(burgers):
