@@ -74,7 +74,8 @@ def merge_close(x: np.ndarray) -> np.ndarray:
 
 def _on_union(p: SampledCurve, q: SampledCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(grid, p(grid), q(grid)) on the merged union of both node lattices, where both are exact."""
-    grid = merge_close(np.union1d(p.x, q.x))
+    # merge_close drops exact duplicates too; np.union1d would import numpy.ma on its first call
+    grid = merge_close(np.sort(np.concatenate((p.x, q.x))))
     return grid, p(grid), q(grid)
 
 

@@ -17,13 +17,13 @@ family it was computed in.
 A field keeps the report terms that no comparison state enters: the default
 hat family of each ``side`` with its support check and hat integrals, the
 branch fluxes g(u) left of the interface and f(u) right of it on every slab,
-the cell faces and the automatic tolerance.  They are computed on the first
-report that needs them and kept in a private attribute of the field, so the
-five pair reports and the adapted report of one verification build them once
-and they die with the field.  They hold no reference to the field and assume
-its arrays are never changed, as the arrays' read-only flags state.  An
-explicit ``tests`` family is integrated on each call but shares the branch
-fluxes.
+the cell faces, the automatic tolerance and three work arrays that each
+report overwrites.  They are computed on the first report that needs them and
+kept in a private attribute of the field, so the five pair reports and the
+adapted report of one verification build them once and they die with the
+field.  They hold no reference to the field and assume its arrays are never
+changed, as the arrays' read-only flags state.  An explicit ``tests`` family
+is integrated on each call but shares the branch fluxes.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ def sgn(x):
 
 def _tent(x, c, r):
     """Tent of peak 1 at c and support radius r; broadcasts over all three."""
-    return np.maximum(0.0, 1.0 - np.abs(x - c) / r)
+    with np.errstate(over="ignore"):   # a subnormal r: the quotient is inf, and the tent 0
+        return np.maximum(0.0, 1.0 - np.abs(x - c) / r)
 
 
 def _tent_integral(x, c, r):
@@ -226,6 +227,7 @@ class _FieldTerms:
         self.tolerance = _auto_tolerance(field)
         self._families: dict = {}
         self._branch = None
+        self.buffers = tuple(np.empty(field.u[:-1].shape) for _ in range(3))   # a report's D, Q and sgn(D)
 
     def family(self, field: SolutionField, tests, side: str | None = None) -> tuple:
         """The hats and their ``_hat_integrals``, after the support check.
@@ -294,12 +296,11 @@ def _entropy_report(
     tests, (dT, Tint, dX, Xint, at_zero) = terms.family(field, tests, side)
     tol = terms.tolerance if tolerance is None else float(tolerance)
 
-    U = field.u[:-1]
-    split = terms.split
-    f, g = field.flux.f, field.flux.g
-    D = U - cstar
-    Q = terms.branch_fluxes(field) - np.concatenate((g(cstar[:split]), f(cstar[split:])))
-    Q *= sgn(D)
+    f, g, k = field.flux.f, field.flux.g, terms.split
+    D, Q, S = terms.buffers   # written in place: a report allocates no float array of the field's size
+    np.subtract(field.u[:-1], cstar, out=D)
+    np.subtract(terms.branch_fluxes(field), np.concatenate((g(cstar[:k]), f(cstar[k:]))), out=Q)
+    Q *= np.subtract(D > SIGN_BAND, D < -SIGN_BAND, out=S, dtype=float)   # sgn(D)
     E = np.abs(D, out=D)   # the entropy |u - cstar| takes the difference's place
     res = []
     for k in range(len(tests)):

@@ -8,6 +8,7 @@ at the interval endpoints, which is what makes the endpoint states invariant.
 from __future__ import annotations
 
 import csv
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -86,7 +87,7 @@ def compose_flux(branch: SampledCurve, m: MonotoneBijection) -> SampledCurve:
             f"[{branch.lo:.6g}, {branch.hi:.6g}]"
         )
     inner = branch.x[(branch.x > rlo) & (branch.x < rhi)]
-    nodes = merge_close(np.union1d(m.breakpoints, m.inverse(inner)))
+    nodes = merge_close(np.sort(np.concatenate((m.breakpoints, m.inverse(inner)))))
     return SampledCurve(nodes, branch(m.forward(nodes)))
 
 
@@ -157,41 +158,47 @@ def get_flux(spec: str) -> FluxPair:
     raise ValueError(f"unknown flux {spec!r}: not a registry name or readable file")
 
 
-def write_csv(path, table, header: str | None = None) -> None:
+def write_csv(path, table, header: str | None = None) -> str:
     """Write a 2-D table as comma-separated ``%.17g`` rows, after an optional header line.
 
     The bytes are those of ``np.savetxt(path, table, fmt="%.17g",
     delimiter=",", header=header or "", comments="")``, but one %-operation
     formats a block of whole rows of about ``_CSV_BLOCK`` values instead of
-    one row; the block bounds the text held in memory at once.
+    one row; the block bounds the text held in memory at once.  Returns the
+    sha256 hex digest of the bytes written.
     """
     table = np.asarray(table, dtype=float)
     line = ",".join(["%.17g"] * table.shape[1]) + "\n"
     step = max(1, _CSV_BLOCK // table.shape[1])
-    with open(path, "w") as fh:
-        if header is not None:
-            fh.write(header + "\n")
-        for start in range(0, len(table), step):
+    head = "" if header is None else header + "\n"   # written with the first block
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for start in range(0, max(len(table), 1), step):
             block = table[start:start + step]
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+            data = ((head if start == 0 else "") + line * len(block) % tuple(block.ravel().tolist())).encode()
+            digest.update(data)
+            fh.write(data)
+    return digest.hexdigest()
 
 
 def _flux_table(flux: FluxPair) -> np.ndarray:
     """Columns u, f(u), g(u) on the union of both branches' nodes, where both are exact."""
-    u = np.union1d(flux.f.x, flux.g.x)
+    u = np.sort(np.concatenate((flux.f.x, flux.g.x)))
+    u = u[np.append(True, u[1:] != u[:-1])]   # np.union1d's lattice: no close nodes merged, so flux.csv stays
     return np.column_stack([u, flux.f(u), flux.g(u)])
 
 
-def save_flux_csv(flux: FluxPair, path) -> None:
-    write_csv(path, _flux_table(flux), header="u,f,g")
+def save_flux_csv(flux: FluxPair, path) -> str:
+    return write_csv(path, _flux_table(flux), header="u,f,g")
 
 
 def load_flux_csv(path) -> FluxPair:
-    with open(path, newline="") as fh:
+    """The flux pair in a 'u,f,g' file, or in an open text stream read from where it stands and closed."""
+    with path if hasattr(path, "read") else open(path, newline="") as fh:
         header = next(csv.reader(fh))
-    if [h.strip() for h in header] != ["u", "f", "g"]:
-        raise ValueError(f"{path}: expected header 'u,f,g'")
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+        if [h.strip() for h in header] != ["u", "f", "g"]:
+            raise ValueError(f"{path}: expected header 'u,f,g'")
+        data = np.loadtxt(fh, delimiter=",")
     if data.ndim != 2 or data.shape[1] != 3:
         raise ValueError(f"{path}: expected three columns")
     return FluxPair.from_arrays(data[:, 0], data[:, 1], data[:, 2])

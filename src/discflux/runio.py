@@ -14,13 +14,14 @@ bit; reloading a transform is exact because the tables are piecewise linear
 with their breakpoints included in the written grid.
 
 A run is built in a temporary sibling directory and renamed into place, so a
-crash leaves no partial ``<hash>/``; ``read_run`` checks every table against
-its digest in the manifest before parsing it.
+crash leaves no partial ``<hash>/``.  The digests are of the bytes written;
+``read_run`` reads each table once and checks those bytes before parsing them.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -48,25 +49,26 @@ def config_hash(payload: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
-def _read_csv(path: Path, header: str) -> np.ndarray:
-    with open(path) as fh:
+def _read_csv(path, header: str) -> np.ndarray:
+    with path if hasattr(path, "read") else open(path) as fh:
         first = fh.readline().strip()
-    if first != header:
-        raise DiscFluxError(f"{path}: expected header {header!r}, found {first!r}")
-    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if first != header:
+            raise DiscFluxError(f"{path}: expected header {header!r}, found {first!r}")
+        return np.loadtxt(fh, delimiter=",", ndmin=2)
 
 
-def save_transform_csv(path: Path, t: TransformPair) -> None:
-    write_csv(path, np.column_stack(t.table()), header="v,alpha,beta")
+def save_transform_csv(path: Path, t: TransformPair) -> str:
+    return write_csv(path, np.column_stack(t.table()), header="v,alpha,beta")
 
 
 def load_transform_csv(path: Path, meta: dict | None = None) -> TransformPair:
     """Reload a transform table with the ``shifts`` and ``connection`` of its ``TransformPair.meta()``.
 
+    ``path`` may also be an open text stream, read on from where it stands and closed.
     Other keys, ``kind`` and ``c`` among them, are ignored: the pair derives them.
     Raises ValueError when ``meta`` is not an object or either entry is malformed.
     """
-    data = _read_csv(Path(path), "v,alpha,beta")
+    data = _read_csv(path, "v,alpha,beta")
     meta = {} if meta is None else meta
     if not isinstance(meta, dict):
         raise ValueError(f"transform metadata must be a JSON object, not {type(meta).__name__}")
@@ -101,10 +103,6 @@ def run_hash(field: SolutionField, config: SolverConfig) -> str:
     return config_hash(payload)
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def write_run(field: SolutionField, config: SolverConfig, out_root) -> Path:
     """Persist a run as <out_root>/<hash>/ and return the directory.
 
@@ -121,10 +119,10 @@ def write_run(field: SolutionField, config: SolverConfig, out_root) -> Path:
         (tmp / "snapshots").mkdir()
         # mkdtemp makes the directory owner-only; publish it with the umask's mode like its subdirectory
         shutil.copymode(tmp / "snapshots", tmp)
-        save_flux_csv(field.flux, tmp / "flux.csv")
-        save_transform_csv(tmp / "transform.csv", field.transform)
-        for var in _VARIABLES:
-            write_csv(tmp / "snapshots" / f"{var}.csv", np.vstack([field.x, getattr(field, var)]))
+        sha = {"flux.csv": save_flux_csv(field.flux, tmp / "flux.csv"),
+               "transform.csv": save_transform_csv(tmp / "transform.csv", field.transform)}
+        for var, name in zip(_VARIABLES, _TABLES[2:]):
+            sha[name] = write_csv(tmp / name, np.vstack([field.x, getattr(field, var)]))
         manifest = {
             "format": FORMAT_VERSION,
             "hash": run_dir.name,
@@ -138,7 +136,7 @@ def write_run(field: SolutionField, config: SolverConfig, out_root) -> Path:
             "times": [float(t) for t in field.times],
             "mass": [float(m) for m in field.mass],
             "boundary_flux": [[float(l), float(r)] for l, r in field.boundary_flux],
-            "sha256": {name: _sha256(tmp / name) for name in _TABLES},
+            "sha256": sha,
             "transform": field.transform.meta(),
             "stats": field.stats,
         }
@@ -178,17 +176,20 @@ def read_run(run_dir) -> tuple[SolutionField, dict]:
     for key in ("sha256", "transform"):
         if not isinstance(manifest.get(key), dict):
             raise DiscFluxError(f"{run_dir / 'manifest.json'}: {key} must be a JSON object")
+    text = {}   # each table is read once: the bytes parsed are the bytes checked
     for name in _TABLES:
-        if _sha256(run_dir / name) != manifest["sha256"].get(name):
+        data = (run_dir / name).read_bytes()
+        if hashlib.sha256(data).hexdigest() != manifest["sha256"].get(name):
             raise DiscFluxError(f"{run_dir / name}: contents do not match the manifest's sha256")
-    flux = load_flux_csv(run_dir / "flux.csv")
+        text[name] = io.TextIOWrapper(io.BytesIO(data))
+    flux = load_flux_csv(text["flux.csv"])
     try:
-        transform = load_transform_csv(run_dir / "transform.csv", manifest["transform"])
+        transform = load_transform_csv(text["transform.csv"], manifest["transform"])
         times = _numbers(manifest["times"])
         tables = {}
         for var in _VARIABLES:
             path = run_dir / "snapshots" / f"{var}.csv"
-            tables[var] = np.loadtxt(path, delimiter=",", ndmin=2)
+            tables[var] = np.loadtxt(text[f"snapshots/{var}.csv"], delimiter=",", ndmin=2)
             if tables[var].shape != (len(times) + 1, manifest["cells"]):
                 raise DiscFluxError(f"{path}: expected {len(times) + 1} rows of {manifest['cells']} "
                                     f"values, found shape {tables[var].shape}")

@@ -59,10 +59,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curves import _on_union
 from .errors import StabilityError
 from .fluxes import FluxPair
-from .transforms import TransformPair, composed_fluxes, identity_transform, verify_transform
+from .transforms import TransformPair, _audit, identity_transform
 
 _BUMP_NODES = 4097
 _BRACKET_SLACK = 1e-10
@@ -344,12 +343,12 @@ def _apply_factors(factors: tuple, rhs) -> np.ndarray:
 class _Stepper:
     """Precomputed tables and the update rule for one (flux, transform, grid)."""
 
-    def __init__(self, flux: FluxPair, transform: TransformPair, cfg: SolverConfig):
+    def __init__(self, tables: tuple, transform: TransformPair, cfg: SolverConfig):
         self.cfg = cfg
         self.dx = cfg.dx
         self.eps = cfg.resolved_eps()
 
-        self.vgrid, self.fa_tab, self.gb_tab = _on_union(*composed_fluxes(flux, transform))
+        self.vgrid, self.fa_tab, self.gb_tab = tables   # f∘alpha, g∘beta on their union (transforms._audit)
 
         # transform tables on the shared breakpoint union, for the density m(v)
         self.table = transform.table()
@@ -701,7 +700,7 @@ def solve(
     """
     cfg = config or SolverConfig()
     t = transform or identity_transform(flux)
-    audit = verify_transform(flux, t)
+    audit, tables = _audit(flux, t)
     if not audit.ok:
         raise ValueError("transform failed verification: " + "; ".join(audit.failures))
 
@@ -716,7 +715,7 @@ def solve(
         raise ValueError("initial data leaves the flux interval [a, b]")
     u0_vals = np.clip(u0_vals, flux.a, flux.b)
 
-    stepper = _Stepper(flux, t, cfg)
+    stepper = _Stepper(tables, t, cfg)
     eps = stepper.eps
     v = mollify_initial(u0_vals, x, t, eps)
 

@@ -129,7 +129,7 @@ class TransformPair:
         Both maps are piecewise linear with their kinks on this lattice, so
         the table represents the pair exactly.
         """
-        v = merge_close(np.union1d(self.alpha.breakpoints, self.beta.breakpoints))
+        v = merge_close(np.sort(np.concatenate((self.alpha.breakpoints, self.beta.breakpoints))))
         return v, self.alpha.forward(v), self.beta.forward(v)
 
     def meta(self) -> dict:
@@ -143,9 +143,14 @@ def identity_transform(flux: FluxPair) -> TransformPair:
     return TransformPair(ident, ident)
 
 
+def _zero_extended(flux: FluxPair) -> tuple[SampledCurve, SampledCurve]:
+    """The branches f and g that a translation pair composes: ``clip_flux`` of each."""
+    return clip_flux(flux.f), clip_flux(flux.g)
+
+
 def composed_fluxes(flux: FluxPair, t: TransformPair) -> tuple[SampledCurve, SampledCurve]:
-    """(f∘alpha, g∘beta) on the transform domain; with ``t.shifts`` set, of the ``clip_flux`` branches."""
-    f, g = (clip_flux(flux.f), clip_flux(flux.g)) if t.shifts is not None else (flux.f, flux.g)
+    """(f∘alpha, g∘beta) on the transform domain; with ``t.shifts`` set, of the ``_zero_extended`` branches."""
+    f, g = _zero_extended(flux) if t.shifts is not None else (flux.f, flux.g)
     return compose_flux(f, t.alpha), compose_flux(g, t.beta)
 
 
@@ -174,17 +179,22 @@ def check_crossing(fa: SampledCurve, gb: SampledCurve, dead_band: float = TOL_CR
     midpoints of the offending sign regions.  Adding a common constant to
     both curves leaves the verdict unchanged.
     """
+    return _crossing(fa, gb, dead_band)[0]
+
+
+def _crossing(fa: SampledCurve, gb: SampledCurve, dead_band: float = TOL_CROSS) -> tuple[CrossingReport, tuple]:
+    """``check_crossing``'s report, and the ``_on_union`` tables of fa and gb it is read from."""
     span = max(fa.hi - fa.lo, 1.0)
     if abs(fa.lo - gb.lo) > 1e-9 * span or abs(fa.hi - gb.hi) > 1e-9 * span:
         raise ValueError("curves must share a sampled domain")
-    grid, fa_grid, gb_grid = _on_union(fa, gb)
+    tables = grid, fa_grid, gb_grid = _on_union(fa, gb)
     d = fa_grid - gb_grid
     s = np.where(d > dead_band, 1, np.where(d < -dead_band, -1, 0))
 
     # runs of one sign over the nonzero samples; zeros inside a run are absorbed
     nonzero = np.flatnonzero(s)
     if nonzero.size == 0:
-        return CrossingReport(True, (), None)
+        return CrossingReport(True, (), None), tables
     signs = s[nonzero]
     first, last = (nonzero[k] for k in run_bounds(signs[1:] != signs[:-1]))  # each run's end samples
     run_sign = s[first]
@@ -195,14 +205,14 @@ def check_crossing(fa: SampledCurve, gb: SampledCurve, dead_band: float = TOL_CR
 
     pos = np.flatnonzero(run_sign == 1)
     neg = np.flatnonzero(run_sign == -1)
+    witness = None
     if pos.size and neg.size and neg[-1] > pos[0]:
         p, n = pos[0], neg[-1]
         witness = (
             float(0.5 * (grid[first[n]] + grid[last[n]])),
             float(0.5 * (grid[first[p]] + grid[last[p]])),
         )
-        return CrossingReport(False, crossings, witness)
-    return CrossingReport(True, crossings, None)
+    return CrossingReport(witness is None, crossings, witness), tables
 
 
 def is_connection(flux: FluxPair, A: float, B: float, flavor: str = "classic") -> ConnectionCheck:
@@ -266,21 +276,27 @@ def build_translation_transform(flux: FluxPair) -> TransformPair:
     With s = v + k_l the composed difference is f(s - d) - g(s) on [a, b + d],
     so the verdict depends on d alone and |k_l| + |k_r| >= d, with equality at
     (d, 0).  The non-negative nodes of a grid over [-(b-a), b-a] are checked
-    upward, exactly on the composed breakpoint union; past d = b - a the
-    shifted branches overlap only where one vanishes, so the verdict stops
-    changing.  A compliant pair comes back with zero shifts.
+    upward, on f(v) - g(v + d) evaluated directly on the pair's composed
+    breakpoint union: a - d, b, f's nodes between them and g's nodes between
+    a and b + d shifted by -d.  That is the difference of ``composed_fluxes``
+    on ``_on_union`` (bit for bit on the registry lattices) without a curve
+    built per shift.  Past d = b - a the shifted branches overlap only where
+    one vanishes, so the verdict stops changing.  A compliant pair comes back
+    with zero shifts.
     """
-    width = flux.b - flux.a
-    shifts = np.linspace(-width, width, _SHIFT_NODES)
+    a, b = flux.a, flux.b
+    shifts = np.linspace(a - b, b - a, _SHIFT_NODES)
+    f, g = _zero_extended(flux)
     best = (np.inf, None)
     for d in shifts[shifts >= 0.0]:
-        pair = _translation_pair(flux, d, 0.0)
-        _, fa_grid, gb_grid = _on_union(*composed_fluxes(flux, pair))
-        amount = _violation_amount(fa_grid - gb_grid)
+        lo = a - d
+        v = merge_close(np.sort(np.concatenate(([lo, b], f.x[(f.x > lo) & (f.x < b)],
+                                                g.x[(g.x > lo + d) & (g.x < b + d)] - d))))
+        amount = _violation_amount(f(v) - g(v + d))
         if amount <= TOL_CROSS:
-            return pair
+            return _translation_pair(flux, d, 0.0)
         if amount < best[0]:
-            best = (amount, pair.shifts)
+            best = (amount, (float(d), 0.0))
     raise ConstructionError(
         f"no translation shifts pass the crossing check; best miss {best[0]:.3e} at {best[1]}",
         payload={"violation": best[0], "shifts": best[1]},
@@ -317,7 +333,7 @@ def _minorant_inverse(composed: SampledCurve, branch: SampledCurve, lo: float, h
     up = slice(None, None, 1 if increasing else -1)
     nodes, vals = nodes[up], vals[up]
     inner = vals[(vals > ey[up][0]) & (vals < ey[up][-1])]
-    bp = merge_close(np.union1d(ex, np.interp(inner, ey[up], ex[up])))
+    bp = merge_close(np.sort(np.concatenate((ex, np.interp(inner, ey[up], ex[up])))))
     out = np.interp(np.clip(np.interp(bp, ex, ey), vals[0], vals[-1]), vals, nodes)
     out[0 if increasing else -1] = nodes[0]   # the branch's zero, up to the endpoint tolerance
     return bp, out
@@ -411,6 +427,11 @@ def verify_transform(flux: FluxPair, t: TransformPair) -> TransformAudit:
     pair of those shifts, and a pair with a connection (A, B) must map ``c``
     to B and cross there.
     """
+    return _audit(flux, t)[0]
+
+
+def _audit(flux: FluxPair, t: TransformPair) -> tuple[TransformAudit, tuple | None]:
+    """``verify_transform``'s audit and the ``_on_union`` tables of ``composed_fluxes`` (None if it fails)."""
     failures: list[str] = []
     lo, hi = t.domain
     span = max(hi - lo, 1.0)
@@ -426,10 +447,10 @@ def verify_transform(flux: FluxPair, t: TransformPair) -> TransformAudit:
         if gap > ROUND_TRIP_REL * span:
             failures.append(f"maps are not the translation pair of shifts {t.shifts} (gap {gap:.3e})")
 
-    crossing = None
+    crossing = tables = None
     try:
         fa, gb = composed_fluxes(flux, t)
-        crossing = check_crossing(fa, gb)
+        crossing, tables = _crossing(fa, gb)
         if not crossing.holds:
             failures.append(f"composed fluxes fail the crossing condition (witness {crossing.witness})")
         if t.c is not None:
@@ -443,4 +464,4 @@ def verify_transform(flux: FluxPair, t: TransformPair) -> TransformAudit:
     except Exception as exc:  # composition errors count as audit failures
         failures.append(f"composition failed: {exc}")
 
-    return TransformAudit(not failures, tuple(failures), crossing, rt_err)
+    return TransformAudit(not failures, tuple(failures), crossing, rt_err), tables

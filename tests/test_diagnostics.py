@@ -1,11 +1,12 @@
 import gc
+import warnings
 import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st_
 
 import discflux as dx
@@ -230,6 +231,25 @@ def test_broadcast_hat_integrals_match_each_hat(burgers, cells, snapshots, side,
     rep = dx.entropy_residual_pair(field, 0.4, tests=hats)
     cstar = np.full(x.shape, 0.4)
     assert rep.residuals == _oracle_residuals(field, cstar, 0.0, hats)
+
+
+@settings(max_examples=30, deadline=None)
+@given(radius=st_.floats(5e-324, 1e-300), face=st_.integers(1, 63))
+@example(radius=5e-324, face=32)
+def test_subnormal_hat_radius_warns_nothing(burgers, radius, face):
+    # |x - c| / r overflows to inf for a radius near the smallest float; the
+    # tent is 0 there, so the integrals and a report must raise no warning
+    field = _frozen_field(burgers, lambda x: np.where(np.asarray(x) <= 0, 0.75, 0.25), cells=64)
+    faces = np.concatenate((field.x - field.dx / 2.0, [field.x[-1] + field.dx / 2.0]))
+    hat = dx.SpaceTimeHat(dx.HatFunction(0.25, 0.2), dx.HatFunction(float(faces[face]), radius))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dT, Tint, dX, Xint, at_zero = _hat_integrals(field.times, faces, _hat_columns([hat]))
+        one_by_one = hat.x(faces[1:]) - hat.x(faces[:-1])
+        rep = dx.entropy_residual_pair(field, 0.4, tests=[hat])
+    assert np.array_equal(dX[0], one_by_one)
+    assert np.count_nonzero(dX[0]) == 2
+    assert np.all(np.isfinite(rep.residuals))
 
 
 @pytest.mark.parametrize("report", ["pair", "side", "connection"])

@@ -4,7 +4,7 @@ import pytest
 import discflux as dx
 from discflux.curves import MonotoneBijection, SampledCurve
 from discflux.errors import CompositionError, DomainError
-from discflux.fluxes import TOL_FLAT
+from discflux.fluxes import TOL_FLAT, _flux_table
 
 
 def test_registry_contains_demo_pairs():
@@ -177,6 +177,21 @@ def test_csv_roundtrip(tmp_path, demo_cross):
     probe = np.linspace(0, 1, 513)
     assert np.max(np.abs(np.asarray(back.f(probe)) - np.asarray(demo_cross.f(probe)))) == 0.0
     assert np.max(np.abs(np.asarray(back.g(probe)) - np.asarray(demo_cross.g(probe)))) == 0.0
+
+
+def test_flux_table_is_the_exact_union_of_both_lattices(tmp_path):
+    # flux.csv and the run hash hold np.union1d's lattice: exact duplicates
+    # go, but nodes closer than merge_close's tolerance both stay
+    u = np.linspace(0.0, 1.0, 9)
+    v = np.sort(np.append(u, 0.5 + 1e-14))
+    flux = dx.FluxPair(SampledCurve(u, u * (1.0 - u)), SampledCurve(v, v * (1.0 - v)))
+    table = _flux_table(flux)
+    assert np.array_equal(table[:, 0], np.union1d(u, v))
+    path = tmp_path / "pair.csv"
+    dx.save_flux_csv(flux, path)
+    with open(path) as fh:   # an open stream reads like the path
+        back = dx.load_flux_csv(fh)
+    assert np.array_equal(back.g.x, v) and np.array_equal(back.g.y, flux.g(v))
 
 
 def test_load_rejects_wrong_header(tmp_path):

@@ -1,5 +1,7 @@
+import hashlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,8 @@ def _resign(run_dir):
     """Recompute the manifest digests after a deliberate edit of a table."""
     path = run_dir / "manifest.json"
     manifest = json.loads(path.read_text())
-    manifest["sha256"] = {name: runio._sha256(run_dir / name) for name in manifest["sha256"]}
+    manifest["sha256"] = {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+                          for name in manifest["sha256"]}
     path.write_text(json.dumps(manifest))
 
 
@@ -130,6 +133,36 @@ def test_read_rejects_edited_table(tmp_path, burgers):
     np.loadtxt(path, delimiter=",")
     with pytest.raises(DiscFluxError, match="snapshots/v.csv"):
         dx.read_run(run_dir)
+
+
+def test_manifest_digests_are_those_of_the_files(tmp_path, demo_swapped):
+    # write_run takes each digest from the bytes write_csv wrote, not from a reread
+    cfg = dx.SolverConfig(cells=64, t_end=0.02)
+    field = dx.solve(demo_swapped, _step(0.3, 0.7), dx.build_translation_transform(demo_swapped), cfg)
+    run_dir = dx.write_run(field, cfg, tmp_path)
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["sha256"] == {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+                                  for name in RUN_FILES - {"manifest.json"}}
+
+
+def test_read_parses_the_bytes_it_checked(tmp_path, burgers, monkeypatch):
+    # each table is read once, so a table rewritten right after its digest
+    # check is not read again: what read_run parses is what it checked
+    field, _, run_dir = _small_run(burgers, tmp_path)
+    read_bytes = Path.read_bytes
+
+    def read_then_spoil(path):
+        data = read_bytes(path)
+        if path.suffix == ".csv":
+            path.write_bytes(data.replace(b"2", b"3"))
+        return data
+
+    monkeypatch.setattr(Path, "read_bytes", read_then_spoil)
+    back, _ = dx.read_run(run_dir)
+    for name in ("x", "u", "v"):
+        assert np.array_equal(getattr(back, name), getattr(field, name)), name
+    assert np.array_equal(back.flux.g.y, field.flux.g.y)
+    assert np.array_equal(back.transform.table()[0], field.transform.table()[0])
 
 
 def test_read_checks_snapshot_table_shape_and_centres(tmp_path, burgers):

@@ -17,8 +17,14 @@ from hypothesis import strategies as st_
 import discflux as dx
 from discflux.errors import StabilityError
 from discflux.solver import _BLOCK_STEPS, _apply_factors, _factor_tridiagonal, _Stepper
+from discflux.transforms import _audit
 
 from conftest import random_step_profile
+
+
+def _stepper(flux, transform, cfg):
+    """The stepper ``solve`` makes for this problem, on the tables of the pair's audit."""
+    return _Stepper(_audit(flux, transform)[1], transform, cfg)
 
 
 # ------------------------------------------------------------- mollifiers
@@ -201,11 +207,11 @@ def test_time_step_is_free_of_the_transform_slope(burgers, demo_connection):
     # a narrow smoothing band, whose few cells see steep blend weights, binds.
     _, pair = demo_connection
     cfg = dx.SolverConfig(cells=1024, t_end=0.5)
-    st_ident = _Stepper(burgers, dx.identity_transform(burgers), cfg)
-    st_conn = _Stepper(burgers, pair, cfg)
+    st_ident = _stepper(burgers, dx.identity_transform(burgers), cfg)
+    st_conn = _stepper(burgers, pair, cfg)
     assert st_conn.suggest_dt() == st_ident.suggest_dt()
     assert st_conn.interior_dt < st_conn.band_dt
-    narrow = _Stepper(burgers, pair, replace(cfg, eps=cfg.dx))
+    narrow = _stepper(burgers, pair, replace(cfg, eps=cfg.dx))
     assert narrow.band_dt < narrow.interior_dt
     assert math.ceil(0.5 / narrow.suggest_dt()) == 186
 
@@ -229,7 +235,7 @@ def test_band_bound_is_sharp(burgers, demo_connection):
     # they must all be non-negative, and a step 5 % longer must make one of
     # them clearly negative.
     cfg = dx.SolverConfig(cells=256, eps=4.0 / 256, t_end=0.0)
-    st = _Stepper(burgers, demo_connection[1], cfg)
+    st = _stepper(burgers, demo_connection[1], cfg)
     assert st.band_dt < st.interior_dt
     nodes = st.vgrid
     v = np.full(cfg.cells, 0.5)
@@ -255,7 +261,7 @@ def test_band_bound_is_sharp(burgers, demo_connection):
 ])
 def test_benchmark_step_counts(small_problems, kind, cells, steps):
     flux, transform = small_problems[kind]
-    st = _Stepper(flux, transform, dx.SolverConfig(cells=cells, t_end=0.5))
+    st = _stepper(flux, transform, dx.SolverConfig(cells=cells, t_end=0.5))
     assert math.ceil(0.5 / st.suggest_dt()) == steps
 
 
@@ -266,7 +272,7 @@ def test_stats_record_the_step_rule(demo_swapped):
     stats = field.stats
     assert stats["steps"] == 40
     assert field.dt == 0.5 / 40
-    stepper = _Stepper(demo_swapped, pair, dx.SolverConfig(cells=128, t_end=0.5))
+    stepper = _stepper(demo_swapped, pair, dx.SolverConfig(cells=128, t_end=0.5))
     assert (stats["speed_max"], stats["band_rate"]) == (stepper.speed_max, stepper.band_rate)
     assert stats["dt_limit"] == "interior"
     assert not {"parabolic_rate", "slope_min", "hyperbolic_rate"} & set(stats)
@@ -279,7 +285,7 @@ def test_stats_record_the_step_rule(demo_swapped):
 def test_stats_name_the_band_when_it_binds(burgers, demo_connection):
     cfg = dx.SolverConfig(cells=64, eps=4.0 / 64, t_end=0.05)
     field = dx.solve(burgers, lambda x: np.where(np.asarray(x) <= 0, 0.8, 0.4), demo_connection[1], cfg)
-    stepper = _Stepper(burgers, demo_connection[1], cfg)
+    stepper = _stepper(burgers, demo_connection[1], cfg)
     assert field.stats["dt_limit"] == "band"
     assert field.stats["steps"] == math.ceil(cfg.t_end / stepper.band_dt)
 
@@ -288,11 +294,11 @@ def _steppers(burgers, demo_swapped, demo_connection):
     _, conn = demo_connection
     cfg = dx.SolverConfig(cells=128, t_end=0.0)
     return {
-        "connection": _Stepper(burgers, conn, cfg),
-        "identity": _Stepper(burgers, dx.identity_transform(burgers), cfg),
-        "translation": _Stepper(demo_swapped, dx.build_translation_transform(demo_swapped), cfg),
+        "connection": _stepper(burgers, conn, cfg),
+        "identity": _stepper(burgers, dx.identity_transform(burgers), cfg),
+        "translation": _stepper(demo_swapped, dx.build_translation_transform(demo_swapped), cfg),
         # eps below half a cell: no centre lies inside the smoothing band
-        "empty band": _Stepper(burgers, conn, dx.SolverConfig(cells=64, eps=0.01, t_end=0.0)),
+        "empty band": _stepper(burgers, conn, dx.SolverConfig(cells=64, eps=0.01, t_end=0.0)),
     }
 
 
@@ -327,7 +333,7 @@ def _random_pair(draw):
 @given(pair=_random_pair(), eps=st_.floats(0.01, 0.5), seed=st_.integers(0, 2**32 - 1))
 def test_lookup_returns_the_segment_slope_and_density(burgers, fixed_steppers, pair, eps, seed):
     # the band width eps sets how many cells see a blend weight strictly inside (0, 1)
-    steppers = dict(fixed_steppers, random=_Stepper(burgers, pair, dx.SolverConfig(cells=64, eps=eps, t_end=0.0)))
+    steppers = dict(fixed_steppers, random=_stepper(burgers, pair, dx.SolverConfig(cells=64, eps=eps, t_end=0.0)))
     band = {name: np.count_nonzero((st.w_cell > 0.0) & (st.w_cell < 1.0)) for name, st in steppers.items()}
     assert band["connection"] > 0 and band["empty band"] == 0
     rng = np.random.default_rng(seed)
@@ -352,7 +358,7 @@ def test_non_finite_density_raises(small_problems, bad):
     # a NaN passes every "m < lo" test; it must fail the range check anyway,
     # not reach Newton, whose "residual > tol" test it also passes
     for kind, (flux, transform) in small_problems.items():
-        st = _Stepper(flux, transform, dx.SolverConfig(cells=64, t_end=0.0))
+        st = _stepper(flux, transform, dx.SolverConfig(cells=64, t_end=0.0))
         m = 0.5 * (st.lo_val + st.hi_val)
         m[20] = bad
         with pytest.raises(StabilityError, match="left the invertible range"):
@@ -402,7 +408,7 @@ def test_face_fluxes_read_one_branch_off_the_band(fixed_steppers, burgers, demo_
     if name == "no blended face":
         # odd cells put the interface at a centre; eps below half a cell keeps every face off the band
         cfg = dx.SolverConfig(cells=129, eps=0.3 * 4.0 / 129, t_end=0.0)
-        st = _Stepper(burgers, demo_connection[1], cfg)
+        st = _stepper(burgers, demo_connection[1], cfg)
         assert np.all((st.w_face == 0.0) | (st.w_face == 1.0))
     else:
         st = fixed_steppers[name]
@@ -530,7 +536,7 @@ def _assert_monotone_step(st, rng):
 def test_step_is_monotone_at_the_suggested_dt(small_problems, kind, cells, eps_cells, seed):
     flux, transform = small_problems[kind]
     eps = None if eps_cells is None else eps_cells * 4.0 / cells
-    st = _Stepper(flux, transform, dx.SolverConfig(cells=cells, eps=eps, t_end=0.0))
+    st = _stepper(flux, transform, dx.SolverConfig(cells=cells, eps=eps, t_end=0.0))
     _assert_monotone_step(st, np.random.default_rng(seed))
 
 
@@ -544,7 +550,7 @@ def test_step_is_monotone_across_a_breakpoint(small_problems):
     # v_j crosses a flux breakpoint next to a neighbour two segments away,
     # where a dissipation speed picked per face from the two states would jump
     flux, transform = small_problems["identity"]
-    st = _Stepper(flux, transform, dx.SolverConfig(cells=128, t_end=0.0))
+    st = _stepper(flux, transform, dx.SolverConfig(cells=128, t_end=0.0))
     g, k, j = st.vgrid, 3000, 64
     v = np.full(128, 0.5 * (g[k] + g[k + 1]))
     v[j + 1:] = 0.5 * (g[k + 2] + g[k + 3])
@@ -618,7 +624,7 @@ def _backward_euler_step(st, v, dt):
        cells=st_.sampled_from([64, 96, 128, 1024]), seed=st_.integers(0, 2**32 - 1))
 def test_step_solves_its_backward_euler_equation(small_problems, kind, cells, seed):
     flux, transform = small_problems[kind]
-    st = _Stepper(flux, transform, dx.SolverConfig(cells=cells, t_end=0.0))
+    st = _stepper(flux, transform, dx.SolverConfig(cells=cells, t_end=0.0))
     v = _clustered_state(np.random.default_rng(seed), st.ugrid[0], st.ugrid[-1], cells)
     dt = st.suggest_dt()
     v_new, phi, scale = _backward_euler_step(st, v, dt)
@@ -644,7 +650,7 @@ def _kinked_problems(burgers):
                 for size in rng.integers(1, 41, size=2)]
         cells = int(rng.choice([64, 96, 128, 1024]))
         cfg = dx.SolverConfig(cells=cells, eps=float(rng.uniform(0.5, 8.0)) * 4.0 / cells, t_end=0.0)
-        st = _Stepper(burgers, dx.TransformPair(*maps), cfg)
+        st = _stepper(burgers, dx.TransformPair(*maps), cfg)
         yield st, _clustered_state(rng, st.ugrid[0], st.ugrid[-1], cells)
 
 
@@ -656,7 +662,7 @@ def test_reused_factors_match_a_fresh_stepper(small_problems):
     rng = np.random.default_rng(17)
     for kind, (flux, transform) in small_problems.items():
         cfg = dx.SolverConfig(cells=128, t_end=0.0)
-        kept = _Stepper(flux, transform, cfg)
+        kept = _stepper(flux, transform, cfg)
         lo, hi = kept.ugrid[0], kept.ugrid[-1]
         states = [_clustered_state(rng, lo, hi, cfg.cells) for _ in range(4)]
         states += [np.full(cfg.cells, 0.5 * (lo + hi)), np.where(cfg.centers() <= 0, hi, lo)]
@@ -665,7 +671,7 @@ def test_reused_factors_match_a_fresh_stepper(small_problems):
         for i, state in enumerate(states * 2):
             v, lookup = state, kept.conserved(state)
             for dt in (dts[i % 2], dts[i % 2], dts[(i + 1) % 2]):
-                fresh = _Stepper(flux, transform, cfg)
+                fresh = _stepper(flux, transform, cfg)
                 want = fresh.step(v, dt, fresh.conserved(v))
                 got = kept.step(v, dt, lookup)
                 fresh_count += fresh.factorizations
@@ -704,7 +710,7 @@ def test_segment_search_on_interior_nodes(small_problems, kind):
     # conserved() counts the interior nodes at or below v; that is the last
     # node at or below v, capped to a segment of the table, NaN included
     flux, transform = small_problems[kind]
-    st = _Stepper(flux, transform, dx.SolverConfig(cells=64, t_end=0.0))
+    st = _stepper(flux, transform, dx.SolverConfig(cells=64, t_end=0.0))
     ugrid = st.ugrid
     span = ugrid[-1] - ugrid[0]
     v = np.concatenate((ugrid, np.nextafter(ugrid, -np.inf), np.nextafter(ugrid, np.inf),
@@ -739,7 +745,7 @@ def test_bracket_test_agrees_with_the_segment_search(small_problems, kind):
                         [ugrid[0] - span, ugrid[-1] + span, -np.inf, np.inf, np.nan]))
     # one cell per v, so that the matrix the brackets come with has a row for each
     v = np.resize(v, max(len(v), 64))
-    st = _Stepper(flux, transform, dx.SolverConfig(cells=len(v), t_end=0.0))
+    st = _stepper(flux, transform, dx.SolverConfig(cells=len(v), t_end=0.0))
     last = len(st.inner_nodes)
     seg = np.searchsorted(st.inner_nodes, v, side="right")
     bracketable = ~np.isnan(v) & (v != np.inf)
@@ -758,14 +764,14 @@ def test_block_bookkeeping_matches_a_per_step_loop(small_problems, kind):
     # what a loop that computes them after each step gives, to the bit
     flux, transform = small_problems[kind]
     base = dx.SolverConfig(cells=128, t_end=0.0)
-    dt_raw = _Stepper(flux, transform, base).suggest_dt()
+    dt_raw = _stepper(flux, transform, base).suggest_dt()
     x = base.centers()
     u0 = np.where(x <= 0.0, 0.7, 0.3) + 0.05 * np.sin(7.0 * x)
     for nsteps in (0, 1, _BLOCK_STEPS - 1, _BLOCK_STEPS, _BLOCK_STEPS + 1, 160):
         cfg = replace(base, t_end=(nsteps - 0.5) * dt_raw if nsteps else 0.0)
         field = dx.solve(flux, u0, transform, cfg)
         assert field.stats["steps"] == nsteps
-        st = _Stepper(flux, transform, cfg)
+        st = _stepper(flux, transform, cfg)
         v = dx.mollify_initial(u0, x, transform, st.eps)
         lookup = st.conserved(v)
         c1 = c2 = 0.0
@@ -796,7 +802,7 @@ def test_newton_stops_on_a_node(burgers, demo_connection):
     # end the iteration instead.
     conn, pair = demo_connection
     cfg = dx.SolverConfig(cells=128, t_end=0.15, eps=0.05)
-    st = _Stepper(burgers, pair, cfg)
+    st = _stepper(burgers, pair, cfg)
     x = cfg.centers()
     u0 = np.where(np.abs(x) < 1, 0.55, dx.steady_connection_state(burgers, conn, x))
     v = dx.mollify_initial(u0, x, pair, st.eps)
@@ -811,7 +817,7 @@ def test_newton_stops_on_a_node(burgers, demo_connection):
 
 def test_newton_iteration_cap_raises(monkeypatch, small_problems):
     flux, transform = small_problems["connection"]
-    st = _Stepper(flux, transform, dx.SolverConfig(cells=64, t_end=0.0))
+    st = _stepper(flux, transform, dx.SolverConfig(cells=64, t_end=0.0))
     v = np.linspace(0.1, 0.9, 64)
     assert st.step(v, st.suggest_dt(), st.conserved(v))[2] >= 2
     monkeypatch.setattr(dx.solver, "_NEWTON_MAX_ITER", 1)
@@ -830,21 +836,28 @@ def test_tracer_wraps_methods_the_stepper_has():
     assert [name for name in names if name not in vars(_Stepper)] == []
 
 
-def test_no_scipy_on_import_or_solve():
-    # scipy costs about 0.2 s and 27 MB to import; the solver needs none of it
+def test_no_scipy_on_import_or_solve(tmp_path):
+    # scipy costs about 0.2 s and 27 MB to import, and numpy.ma, which
+    # np.union1d imports on its first call, 11-18 ms; a solve, a run written
+    # and read back and building the transforms need neither
     code = (
         "import sys\n"
         "import numpy as np\n"
         "import discflux as dx\n"
+        "cfg = dx.SolverConfig(cells=64, t_end=0.05)\n"
+        "x = cfg.centers()\n"
         "flux = dx.get_flux('burgers-like')\n"
         "pair = dx.build_connection_transform(flux, dx.Connection(0.75, 0.25))\n"
-        "x = dx.SolverConfig(cells=64, t_end=0.05).centers()\n"
-        "dx.solve(flux, np.where(x <= 0, 0.8, 0.4), pair, dx.SolverConfig(cells=64, t_end=0.05))\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "dx.solve(flux, np.where(x <= 0, 0.8, 0.4), pair, cfg)\n"
+        "flux = dx.get_flux('demo-swapped')\n"
+        "field = dx.solve(flux, np.where(x <= 0, 0.3, 0.7), dx.build_translation_transform(flux), cfg)\n"
+        "dx.read_run(dx.write_run(field, cfg, sys.argv[1]))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))\n"
     )
     src = str(Path(dx.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -877,7 +890,7 @@ def test_solve_obeys_the_discrete_maximum_principle(small_problems, kind, seed):
     rng = np.random.default_rng(seed)
     lo, hi = np.sort(rng.uniform(flux.a, flux.b, size=2))
     field = dx.solve(flux, random_step_profile(rng, lo, hi), transform, cfg)
-    p, q = _invariant_interval(_Stepper(flux, transform, cfg), field.v[0])
+    p, q = _invariant_interval(_stepper(flux, transform, cfg), field.v[0])
     if kind == "identity":
         assert (p, q) == (field.v[0].min(), field.v[0].max())
     assert field.v.min() >= p - 1e-12
@@ -938,7 +951,7 @@ def test_snapshot_times_do_not_depend_on_the_clamp(burgers):
     # solve draws at most nsteps + 1 snapshot points; the stored times are
     # those of the whole request
     cfg = dx.SolverConfig(cells=64, t_end=0.0)
-    dt_raw = _Stepper(burgers, dx.identity_transform(burgers), cfg).suggest_dt()
+    dt_raw = _stepper(burgers, dx.identity_transform(burgers), cfg).suggest_dt()
     cfg = replace(cfg, t_end=11.5 * dt_raw)
     nsteps = 12
     for snapshots in (2, 33, nsteps, nsteps + 1, nsteps + 2, 10**4):
@@ -953,7 +966,7 @@ def test_snapshot_times_do_not_depend_on_the_clamp(burgers):
 def test_snapshot_request_does_not_set_the_memory(burgers):
     # a one-step solve stores two states, however many snapshots it is asked for
     cfg = dx.SolverConfig(cells=64, t_end=0.0)
-    dt_raw = _Stepper(burgers, dx.identity_transform(burgers), cfg).suggest_dt()
+    dt_raw = _stepper(burgers, dx.identity_transform(burgers), cfg).suggest_dt()
     cfg = replace(cfg, t_end=0.5 * dt_raw, snapshots=10**6)
     u0 = lambda x: np.where(np.asarray(x) <= 0, 0.7, 0.2)
     tracemalloc.start()

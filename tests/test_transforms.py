@@ -10,7 +10,7 @@ from hypothesis import strategies as st_
 
 import discflux as dx
 from discflux.errors import ConstructionError
-from discflux.curves import merge_close
+from discflux.curves import _on_union, merge_close
 from discflux import transforms
 from discflux.transforms import TOL_CROSS, _translation_pair, _violation_amount
 
@@ -230,6 +230,35 @@ def test_translation_reports_best_miss_when_unrepairable():
     assert err.value.payload is not None
     assert err.value.payload["violation"] > 0.05
     assert err.value.payload["shifts"] is not None
+
+
+@pytest.mark.parametrize("name", ["burgers-like", "demo-cross", "demo-swapped", "zero"])
+def test_translation_search_reads_the_composed_difference(monkeypatch, name):
+    # the search evaluates f(v) - g(v + d) directly, with no composed curve;
+    # on the registry lattices that is, bit for bit, the difference the
+    # composed pair of each shift gives on its breakpoint union.  A search
+    # whose every amount reads as a miss tries every shift of the grid.
+    flux = dx.get_flux(name)
+    width = flux.b - flux.a
+    shifts = np.linspace(-width, width, transforms._SHIFT_NODES)
+    shifts = shifts[shifts >= 0.0]
+    for miss in (False, True):
+        seen = []
+
+        def amount(d):
+            seen.append(d)
+            return np.inf if miss else _violation_amount(d)
+
+        monkeypatch.setattr(transforms, "_violation_amount", amount)
+        if miss:
+            with pytest.raises(ConstructionError):
+                dx.build_translation_transform(flux)
+            assert len(seen) == len(shifts)
+        else:
+            assert dx.build_translation_transform(flux).shifts == (shifts[len(seen) - 1], 0.0)
+        for d, diff in zip(shifts, seen):
+            _, fa, gb = _on_union(*dx.composed_fluxes(flux, _translation_pair(flux, d, 0.0)))
+            assert np.array_equal(diff, fa - gb), d
 
 
 def _translation_search_2d(flux, nodes):
