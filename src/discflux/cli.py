@@ -130,6 +130,17 @@ def _out_root(out: str | None) -> Path:
     return Path(out or os.environ.get("DISCFLUX_OUT", "runs"))
 
 
+def _echo(message: str, err: bool = False) -> None:
+    """``click.echo`` to the current ``sys.stdout`` (``sys.stderr`` with ``err``).
+
+    click's default stream is cached per ``sys.stdout`` object in a weak-keyed
+    map whose value is often that same object, so the entry never dies: each
+    in-process invocation (``CliRunner``) would keep its captured output
+    alive for the life of the process.
+    """
+    click.echo(message, file=sys.stderr if err else sys.stdout)
+
+
 @click.group()
 def main():
     """Tools for conservation laws with a flux that switches at x = 0."""
@@ -162,14 +173,14 @@ def cli_solve(flux_name, transform_arg, connection_text, u0_arg, config_path, ou
     except (DiscFluxError, ValueError) as exc:
         raise click.UsageError(str(exc))
     run_dir = write_run(field, cfg, _out_root(out))
-    click.echo(f"run written to {run_dir}")
-    click.echo(f"steps={field.stats['steps']} dt={field.dt:.3e} eps={field.eps:.3e}")
+    _echo(f"run written to {run_dir}")
+    _echo(f"steps={field.stats['steps']} dt={field.dt:.3e} eps={field.eps:.3e}")
     try:
         traces = extract_traces(field)
     except DiscFluxError as exc:  # the run is written; its traces cannot be evaluated
-        click.echo(f"final traces: unavailable: {exc}")
+        _echo(f"final traces: unavailable: {exc}")
         sys.exit(1)
-    click.echo(f"final traces: left={traces.left[-1]:.6g} right={traces.right[-1]:.6g} "
+    _echo(f"final traces: left={traces.left[-1]:.6g} right={traces.right[-1]:.6g} "
                f"flux mismatch={traces.final_mismatch:.3e}")
 
 
@@ -186,7 +197,7 @@ def cli_check_crossing(flux_name, transform_arg, connection_text):
         report = check_crossing(*composed_fluxes(flux, transform))
     except (DiscFluxError, ValueError) as exc:
         raise click.UsageError(str(exc))
-    click.echo(report.to_json())
+    _echo(report.to_json())
     sys.exit(0 if report.holds else 1)
 
 
@@ -202,7 +213,7 @@ def cli_build_transform(flux_name, mode, connection_text, out_path):
         flux = get_flux(flux_name)
         pair = _resolve_transform(mode, flux, _parse_connection(connection_text))
     except ConstructionError as exc:
-        click.echo(f"construction failed: {exc}", err=True)
+        _echo(f"construction failed: {exc}", err=True)
         sys.exit(1)
     except (DiscFluxError, ValueError) as exc:
         raise click.UsageError(str(exc))
@@ -211,7 +222,7 @@ def cli_build_transform(flux_name, mode, connection_text, out_path):
     save_transform_csv(out_path, pair)
     out_path.with_suffix(".json").write_text(json.dumps(pair.meta(), indent=2))
     audit = verify_transform(flux, pair)
-    click.echo(f"transform written to {out_path} (kind={pair.kind}, "
+    _echo(f"transform written to {out_path} (kind={pair.kind}, "
                f"shifts={pair.shifts}, c={pair.c}, audit ok={audit.ok})")
 
 
@@ -231,18 +242,18 @@ def cli_riemann(flux_name, branch, left, right, t_eval, out_path):
     except (DiscFluxError, ValueError) as exc:
         raise click.UsageError(str(exc))
     if not sol.waves:
-        click.echo("constant solution, no waves")
+        _echo("constant solution, no waves")
     for w in sol.waves:
         if w.kind == "shock":
-            click.echo(f"shock  {w.left:.6g} -> {w.right:.6g} at speed {w.speed_lo:.6g}")
+            _echo(f"shock  {w.left:.6g} -> {w.right:.6g} at speed {w.speed_lo:.6g}")
         else:
-            click.echo(f"fan    {w.left:.6g} -> {w.right:.6g} over speeds "
+            _echo(f"fan    {w.left:.6g} -> {w.right:.6g} over speeds "
                        f"[{w.speed_lo:.6g}, {w.speed_hi:.6g}]")
     if out_path:
         span = max(1.0, max(abs(s) for s in [*sol.speeds, 1.0]) * t_eval * 1.5)
         x = np.linspace(-span, span, 801)
         write_csv(out_path, np.column_stack([x, sol.profile(x, t_eval)]), header="x,u")
-        click.echo(f"profile written to {out_path}")
+        _echo(f"profile written to {out_path}")
 
 
 def _entropy_tolerance(ctx, param, value):
@@ -260,17 +271,17 @@ def cli_verify(run_dir, tolerance):
     try:
         field, manifest = read_run(run_dir)
     except (DiscFluxError, ValueError, OSError) as exc:  # a run that fails its own checks
-        click.echo(f"FAIL run integrity: {exc}")
+        _echo(f"FAIL run integrity: {exc}")
         sys.exit(1)
     failed = False
 
     audit = verify_transform(field.flux, field.transform)
-    click.echo(f"{'PASS' if audit.ok else 'FAIL'} transform audit")
+    _echo(f"{'PASS' if audit.ok else 'FAIL'} transform audit")
     failed |= not audit.ok
 
     rep = bounds_report(field)
     ok = rep.v_ok and rep.u_ok
-    click.echo(f"{'PASS' if ok else 'FAIL'} ranges "
+    _echo(f"{'PASS' if ok else 'FAIL'} ranges "
                f"(v in [{rep.v_min:.6g}, {rep.v_max:.6g}], u in [{rep.u_min:.6g}, {rep.u_max:.6g}])")
     failed |= not ok
 
@@ -279,11 +290,11 @@ def cli_verify(run_dir, tolerance):
     worst = float(np.max(np.abs(drift)))
     tol = 1e-9 * max(1.0, abs(float(field.mass[0])))
     ok = worst <= tol
-    click.echo(f"{'PASS' if ok else 'FAIL'} mass balance (worst {worst:.3e}, tol {tol:.3e})")
+    _echo(f"{'PASS' if ok else 'FAIL'} mass balance (worst {worst:.3e}, tol {tol:.3e})")
     failed |= not ok
 
     if len(field.times) == 1:   # a run of no steps: no time window to place the hats in
-        click.echo("SKIP entropy residuals: the run spans no time")
+        _echo("SKIP entropy residuals: the run spans no time")
         sys.exit(1 if failed else 0)
     lo, hi = field.transform.domain
     checks = [(f"entropy residual at xi={xi:.4g}", entropy_residual_pair, float(xi))
@@ -295,10 +306,10 @@ def cli_verify(run_dir, tolerance):
         try:
             er = check(field, arg, tolerance=tolerance)
         except DiscFluxError as exc:  # a residual that cannot be computed fails the run
-            click.echo(f"FAIL {label}: {exc}")
+            _echo(f"FAIL {label}: {exc}")
             failed = True
             continue
-        click.echo(f"{'PASS' if er.ok else 'FAIL'} {label} "
+        _echo(f"{'PASS' if er.ok else 'FAIL'} {label} "
                    f"(worst {er.worst:.3e}, tol {er.tolerance:.3e}; {er.where()})")
         failed |= not er.ok
 
@@ -325,18 +336,18 @@ def cli_sweep(flux_name, transform_arg, connection_text, u0_arg, levels, cells, 
     except (DiscFluxError, ValueError) as exc:
         raise click.UsageError(str(exc))
     for k, d in enumerate(result.distances):
-        click.echo(f"level {k} -> {k + 1}: L1 gap {d:.6e}")
+        _echo(f"level {k} -> {k + 1}: L1 gap {d:.6e}")
     if len(result.distances) > 1:
         ratios = [result.distances[k] / max(result.distances[k + 1], 1e-300)
                   for k in range(len(result.distances) - 1)]
-        click.echo("gap ratios: " + ", ".join(f"{r:.2f}" for r in ratios))
+        _echo("gap ratios: " + ", ".join(f"{r:.2f}" for r in ratios))
     lb = ladder_bounds(result)
     for name, vals in (("c0", lb.c0), ("c1", lb.c1), ("c2", lb.c2)):
-        click.echo(f"{name} per level: " + ", ".join(f"{v:.4e}" for v in vals))
-    click.echo(f"bounds stable: {lb.ok}")
+        _echo(f"{name} per level: " + ", ".join(f"{v:.4e}" for v in vals))
+    _echo(f"bounds stable: {lb.ok}")
     if not result.converging:
-        click.echo("warning: gaps are not shrinking at these resolutions", err=True)
-    click.echo(f"converging: {result.converging}")
+        _echo("warning: gaps are not shrinking at these resolutions", err=True)
+    _echo(f"converging: {result.converging}")
 
 
 if __name__ == "__main__":

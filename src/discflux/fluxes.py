@@ -184,7 +184,7 @@ def write_csv(path, table, header: str | None = None) -> str:
 def _flux_table(flux: FluxPair) -> np.ndarray:
     """Columns u, f(u), g(u) on the union of both branches' nodes, where both are exact."""
     u = np.sort(np.concatenate((flux.f.x, flux.g.x)))
-    u = u[np.append(True, u[1:] != u[:-1])]   # np.union1d's lattice: no close nodes merged, so flux.csv stays
+    u = u[np.append(True, u[1:] != u[:-1])]   # np.union1d's lattice: no close nodes merged, so run hashes stay
     return np.column_stack([u, flux.f(u), flux.g(u)])
 
 
@@ -193,8 +193,8 @@ def save_flux_csv(flux: FluxPair, path) -> str:
 
 
 def load_flux_csv(path) -> FluxPair:
-    """The flux pair in a 'u,f,g' file, or in an open text stream read from where it stands and closed."""
-    with path if hasattr(path, "read") else open(path, newline="") as fh:
+    """The flux pair in a 'u,f,g' file."""
+    with open(path, newline="") as fh:
         header = next(csv.reader(fh))
         if [h.strip() for h in header] != ["u", "f", "g"]:
             raise ValueError(f"{path}: expected header 'u,f,g'")

@@ -1,17 +1,20 @@
-"""On-disk layout for solver runs (format 2).
+"""On-disk layout for solver runs (format 3).
 
-A run directory is named by a short content hash and holds four CSV tables
-plus one manifest:
+A run directory is named by a short content hash and holds four tables plus
+one manifest:
 
     <out>/<hash>/manifest.json        run metadata, config, stored times, sha256 per table
-    <out>/<hash>/flux.csv             sampled flux pair, columns u,f,g
-    <out>/<hash>/transform.csv        sampled transforms, columns v,alpha,beta
-    <out>/<hash>/snapshots/u.csv      first row the cell centres x, then one row per stored time
-    <out>/<hash>/snapshots/v.csv      the same for the transformed variable
+    <out>/<hash>/flux.npy             sampled flux pair, columns u, f, g
+    <out>/<hash>/transform.npy        sampled transforms, columns v, alpha, beta
+    <out>/<hash>/snapshots/u.npy      first row the cell centres x, then one row per stored time
+    <out>/<hash>/snapshots/v.npy      the same for the transformed variable
 
-All floats are written with %.17g so reloading reproduces the arrays bit for
-bit; reloading a transform is exact because the tables are piecewise linear
-with their breakpoints included in the written grid.
+Each table is a 2-D little-endian float64 array in numpy's ``.npy`` format,
+so reloading reproduces the arrays bit for bit; reloading a transform is
+exact because the tables are piecewise linear with their breakpoints
+included in the stored lattice.  ``_write_table`` and ``_load_table`` own
+that format.  CSV stays the interchange format for tables a user supplies
+or asks for (``save_transform_csv``, ``load_transform_csv``).
 
 A run is built in a temporary sibling directory and renamed into place, so a
 crash leaves no partial ``<hash>/``.  The digests are of the bytes written;
@@ -33,14 +36,18 @@ import numpy as np
 
 from .curves import MonotoneBijection
 from .errors import DiscFluxError
-from .fluxes import _flux_table, load_flux_csv, save_flux_csv, write_csv
+from .fluxes import FluxPair, _flux_table, write_csv
 from .solver import SolutionField, SolverConfig
 from .transforms import Connection, TransformPair
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _VARIABLES = ("u", "v")
-_TABLES = ("flux.csv", "transform.csv", *(f"snapshots/{var}.csv" for var in _VARIABLES))
+_TABLES = ("flux.npy", "transform.npy", *(f"snapshots/{var}.npy" for var in _VARIABLES))
+# column count of each table, where it does not depend on the run
+_COLUMNS = {"flux.npy": 3, "transform.npy": 3}
 _MANIFEST_KEYS = ("cells", "dx", "eps", "dt", "times", "mass", "boundary_flux")
+_DTYPE = np.dtype("<f8")
+_NPY_MAGIC = b"\x93NUMPY"
 
 
 def config_hash(payload: dict) -> str:
@@ -49,8 +56,41 @@ def config_hash(payload: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
+def _write_table(path: Path, table: np.ndarray) -> str:
+    """Write a 2-D table as a little-endian float64 ``.npy`` file; returns the sha256 of its bytes."""
+    buf = io.BytesIO()
+    np.save(buf, np.asarray(table, dtype=_DTYPE), allow_pickle=False)
+    data = buf.getvalue()
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def _load_table(path: Path, data: bytes, columns: int | None = None) -> np.ndarray:
+    """The table in the ``.npy`` bytes ``data`` of ``path``, as ``_write_table`` writes it.
+
+    Raises ``DiscFluxError`` naming ``path`` for bytes that are not one
+    ``.npy`` array, or hold pickled data, another dtype than little-endian
+    float64, another rank than 2 or another column count than ``columns``.
+    """
+    if not data.startswith(_NPY_MAGIC):
+        raise DiscFluxError(f"{path}: not a .npy file")
+    buf = io.BytesIO(data)
+    try:
+        table = np.load(buf, allow_pickle=False)
+    except ValueError as exc:
+        raise DiscFluxError(f"{path}: {exc}") from exc
+    if buf.tell() != len(data):
+        raise DiscFluxError(f"{path}: {len(data) - buf.tell()} bytes after the array")
+    if table.dtype != _DTYPE or table.ndim != 2:
+        raise DiscFluxError(f"{path}: expected a 2-D {_DTYPE.str} table, "
+                            f"found a {table.ndim}-D {table.dtype.str} array")
+    if columns is not None and table.shape[1] != columns:
+        raise DiscFluxError(f"{path}: expected {columns} columns, found {table.shape[1]}")
+    return table
+
+
 def _read_csv(path, header: str) -> np.ndarray:
-    with path if hasattr(path, "read") else open(path) as fh:
+    with open(path) as fh:
         first = fh.readline().strip()
         if first != header:
             raise DiscFluxError(f"{path}: expected header {header!r}, found {first!r}")
@@ -61,19 +101,16 @@ def save_transform_csv(path: Path, t: TransformPair) -> str:
     return write_csv(path, np.column_stack(t.table()), header="v,alpha,beta")
 
 
-def load_transform_csv(path: Path, meta: dict | None = None) -> TransformPair:
-    """Reload a transform table with the ``shifts`` and ``connection`` of its ``TransformPair.meta()``.
+def _transform_pair(table: np.ndarray, meta) -> TransformPair:
+    """The pair in a ``v, alpha, beta`` table, with the ``shifts`` and ``connection`` of ``meta``.
 
-    ``path`` may also be an open text stream, read on from where it stands and closed.
-    Other keys, ``kind`` and ``c`` among them, are ignored: the pair derives them.
-    Raises ValueError when ``meta`` is not an object or either entry is malformed.
+    Raises ValueError for a table that holds no pair, or when ``meta`` is not
+    an object or either entry is malformed.
     """
-    data = _read_csv(path, "v,alpha,beta")
-    meta = {} if meta is None else meta
     if not isinstance(meta, dict):
         raise ValueError(f"transform metadata must be a JSON object, not {type(meta).__name__}")
-    alpha = MonotoneBijection(data[:, 0], data[:, 1])
-    beta = MonotoneBijection(data[:, 0], data[:, 2])
+    alpha = MonotoneBijection(table[:, 0], table[:, 1])
+    beta = MonotoneBijection(table[:, 0], table[:, 2])
     conn = meta.get("connection")
     try:
         if conn is not None:
@@ -81,6 +118,15 @@ def load_transform_csv(path: Path, meta: dict | None = None) -> TransformPair:
         return TransformPair(alpha, beta, shifts=meta.get("shifts"), connection=conn)
     except (TypeError, KeyError, AttributeError, ValueError) as exc:
         raise ValueError(f"malformed transform metadata: {exc!r}") from exc
+
+
+def load_transform_csv(path: Path, meta: dict | None = None) -> TransformPair:
+    """Reload a transform CSV table with the ``shifts`` and ``connection`` of its ``TransformPair.meta()``.
+
+    Other keys, ``kind`` and ``c`` among them, are ignored: the pair derives them.
+    Raises ValueError when ``meta`` is not an object or either entry is malformed.
+    """
+    return _transform_pair(_read_csv(path, "v,alpha,beta"), {} if meta is None else meta)
 
 
 def _numbers(value) -> np.ndarray:
@@ -91,16 +137,28 @@ def _numbers(value) -> np.ndarray:
     return arr.astype(float)
 
 
-def run_hash(field: SolutionField, config: SolverConfig) -> str:
-    t_tab = np.column_stack(field.transform.table())
+def _model_tables(field: SolutionField) -> dict[str, np.ndarray]:
+    """The flux and transform tables of a run, by file name."""
+    return {"flux.npy": _flux_table(field.flux),
+            "transform.npy": np.column_stack(field.transform.table())}
+
+
+def _hash_of(config: SolverConfig, tables: dict[str, np.ndarray], u0: np.ndarray) -> str:
+    def sha(arr):
+        return hashlib.sha256(arr.tobytes()).hexdigest()[:12]
+
     payload = {
         "config": config.to_dict(),
-        # the table flux.csv holds, so branches on different lattices hash too
-        "flux_sha": hashlib.sha256(_flux_table(field.flux).tobytes()).hexdigest()[:12],
-        "transform_sha": hashlib.sha256(t_tab.tobytes()).hexdigest()[:12],
-        "u0_sha": hashlib.sha256(np.ascontiguousarray(field.u[0]).tobytes()).hexdigest()[:12],
+        # the table flux.npy holds, so branches on different lattices hash too
+        "flux_sha": sha(tables["flux.npy"]),
+        "transform_sha": sha(tables["transform.npy"]),
+        "u0_sha": sha(u0),
     }
     return config_hash(payload)
+
+
+def run_hash(field: SolutionField, config: SolverConfig) -> str:
+    return _hash_of(config, _model_tables(field), field.u[0])
 
 
 def write_run(field: SolutionField, config: SolverConfig, out_root) -> Path:
@@ -113,16 +171,16 @@ def write_run(field: SolutionField, config: SolverConfig, out_root) -> Path:
     """
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
-    run_dir = out_root / run_hash(field, config)
+    tables = _model_tables(field)   # built once: the hash and the files read the same arrays
+    run_dir = out_root / _hash_of(config, tables, field.u[0])
+    for var, name in zip(_VARIABLES, _TABLES[2:]):
+        tables[name] = np.vstack([field.x, getattr(field, var)])
     tmp = Path(tempfile.mkdtemp(prefix=f".{run_dir.name}-", dir=out_root))
     try:
         (tmp / "snapshots").mkdir()
         # mkdtemp makes the directory owner-only; publish it with the umask's mode like its subdirectory
         shutil.copymode(tmp / "snapshots", tmp)
-        sha = {"flux.csv": save_flux_csv(field.flux, tmp / "flux.csv"),
-               "transform.csv": save_transform_csv(tmp / "transform.csv", field.transform)}
-        for var, name in zip(_VARIABLES, _TABLES[2:]):
-            sha[name] = write_csv(tmp / name, np.vstack([field.x, getattr(field, var)]))
+        sha = {name: _write_table(tmp / name, table) for name, table in tables.items()}
         manifest = {
             "format": FORMAT_VERSION,
             "hash": run_dir.name,
@@ -159,9 +217,11 @@ def read_run(run_dir) -> tuple[SolutionField, dict]:
     runs wrote for it.
 
     Raises ``DiscFluxError`` for a run of another format, a table whose bytes
-    do not match the manifest's digest, snapshot tables of the wrong shape
-    or with different cell centres, or a manifest whose own entries (which no
-    digest covers) are missing, of the wrong type or do not fit the tables.
+    do not match the manifest's digest, a table that is not what
+    ``_write_table`` writes or holds no flux or transform pair (each naming
+    its file), snapshot tables of the wrong shape or with different cell
+    centres, or a manifest whose own entries (which no digest covers) are
+    missing, of the wrong type or do not fit the tables.
     """
     run_dir = Path(run_dir)
     manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -176,30 +236,35 @@ def read_run(run_dir) -> tuple[SolutionField, dict]:
     for key in ("sha256", "transform"):
         if not isinstance(manifest.get(key), dict):
             raise DiscFluxError(f"{run_dir / 'manifest.json'}: {key} must be a JSON object")
-    text = {}   # each table is read once: the bytes parsed are the bytes checked
+    tables = {}   # each table is read once: the bytes parsed are the bytes checked
     for name in _TABLES:
-        data = (run_dir / name).read_bytes()
+        path = run_dir / name
+        data = path.read_bytes()
         if hashlib.sha256(data).hexdigest() != manifest["sha256"].get(name):
-            raise DiscFluxError(f"{run_dir / name}: contents do not match the manifest's sha256")
-        text[name] = io.TextIOWrapper(io.BytesIO(data))
-    flux = load_flux_csv(text["flux.csv"])
+            raise DiscFluxError(f"{path}: contents do not match the manifest's sha256")
+        tables[name] = _load_table(path, data, _COLUMNS.get(name))
     try:
-        transform = load_transform_csv(text["transform.csv"], manifest["transform"])
+        flux = FluxPair.from_arrays(*tables["flux.npy"].T)
+    except ValueError as exc:
+        raise DiscFluxError(f"{run_dir / 'flux.npy'}: {exc}") from exc
+    try:
+        transform = _transform_pair(tables["transform.npy"], manifest["transform"])
+    except ValueError as exc:
+        raise DiscFluxError(f"{run_dir / 'transform.npy'}: {exc}") from exc
+    try:
         times = _numbers(manifest["times"])
-        tables = {}
-        for var in _VARIABLES:
-            path = run_dir / "snapshots" / f"{var}.csv"
-            tables[var] = np.loadtxt(text[f"snapshots/{var}.csv"], delimiter=",", ndmin=2)
-            if tables[var].shape != (len(times) + 1, manifest["cells"]):
-                raise DiscFluxError(f"{path}: expected {len(times) + 1} rows of {manifest['cells']} "
-                                    f"values, found shape {tables[var].shape}")
-        if not np.array_equal(tables["u"][0], tables["v"][0]):
+        u_tab, v_tab = (tables[name] for name in _TABLES[2:])
+        for name in _TABLES[2:]:
+            if tables[name].shape != (len(times) + 1, manifest["cells"]):
+                raise DiscFluxError(f"{run_dir / name}: expected {len(times) + 1} rows of {manifest['cells']} "
+                                    f"values, found shape {tables[name].shape}")
+        if not np.array_equal(u_tab[0], v_tab[0]):
             raise DiscFluxError(f"{run_dir}: the u and v snapshot tables disagree on the cell centres")
         field = SolutionField(
-            x=tables["u"][0],
+            x=u_tab[0],
             times=times,
-            v=tables["v"][1:],
-            u=tables["u"][1:],
+            v=v_tab[1:],
+            u=u_tab[1:],
             mass=_numbers(manifest["mass"]),
             boundary_flux=_numbers(manifest["boundary_flux"]),
             dx=float(manifest["dx"]),

@@ -1,3 +1,5 @@
+import gc
+import io
 import json
 import re
 from pathlib import Path
@@ -25,6 +27,20 @@ def test_check_crossing_exit_codes():
     payload = json.loads(bad.output)
     assert payload["holds"] is False
     assert payload["witness"] == [0.75, 0.25]
+
+
+def test_in_process_invocations_keep_no_output_stream():
+    # click's cached default stdout would keep each CliRunner invocation's
+    # stream, and the output captured in it, alive for the life of the process
+    def streams():
+        gc.collect()
+        return sum(isinstance(o, io.TextIOWrapper) for o in gc.get_objects())
+
+    run_cli("check-crossing", "--flux", "demo-cross")
+    before = streams()
+    for _ in range(3):
+        assert run_cli("check-crossing", "--flux", "demo-cross").exit_code == 0
+    assert streams() == before
 
 
 def test_unknown_flux_is_usage_error():
@@ -74,16 +90,16 @@ def test_verify_rejects_edited_snapshot_table(tmp_path):
     res = run_cli("solve", "--flux", "burgers-like", "--u0", "riemann:0.25:0.75",
                   "--cells", "64", "--t-end", "0.05", "--out", str(tmp_path))
     assert res.exit_code == 0, res.output
-    path = next(p for p in tmp_path.iterdir() if p.is_dir()) / "snapshots" / "v.csv"
-    text = path.read_text()
-    k = max(i for i, ch in enumerate(text) if ch.isdigit())
-    path.write_text(text[:k] + str((int(text[k]) + 1) % 10) + text[k + 1:])
+    path = next(p for p in tmp_path.iterdir() if p.is_dir()) / "snapshots" / "v.npy"
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 1   # in the last value, so the file still loads
+    path.write_bytes(bytes(data))
 
     # catch_exceptions=False: a traceback would fail the test here
     ver = run_cli("verify", "--run", str(path.parent.parent))
     assert ver.exit_code == 1, ver.output
     assert "FAIL run integrity" in ver.output
-    assert "snapshots/v.csv" in ver.output
+    assert "snapshots/v.npy" in ver.output
     assert "sha256" in ver.output
 
 

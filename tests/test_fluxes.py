@@ -180,7 +180,7 @@ def test_csv_roundtrip(tmp_path, demo_cross):
 
 
 def test_flux_table_is_the_exact_union_of_both_lattices(tmp_path):
-    # flux.csv and the run hash hold np.union1d's lattice: exact duplicates
+    # a run's flux table and its hash hold np.union1d's lattice: exact duplicates
     # go, but nodes closer than merge_close's tolerance both stay
     u = np.linspace(0.0, 1.0, 9)
     v = np.sort(np.append(u, 0.5 + 1e-14))
@@ -189,8 +189,7 @@ def test_flux_table_is_the_exact_union_of_both_lattices(tmp_path):
     assert np.array_equal(table[:, 0], np.union1d(u, v))
     path = tmp_path / "pair.csv"
     dx.save_flux_csv(flux, path)
-    with open(path) as fh:   # an open stream reads like the path
-        back = dx.load_flux_csv(fh)
+    back = dx.load_flux_csv(path)
     assert np.array_equal(back.g.x, v) and np.array_equal(back.g.y, flux.g(v))
 
 

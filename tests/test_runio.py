@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +13,7 @@ from discflux import runio
 from discflux.errors import DiscFluxError
 from discflux.fluxes import write_csv
 
-RUN_FILES = {"manifest.json", "flux.csv", "transform.csv", "snapshots/u.csv", "snapshots/v.csv"}
+RUN_FILES = {"manifest.json", "flux.npy", "transform.npy", "snapshots/u.npy", "snapshots/v.npy"}
 
 
 def _contents(root):
@@ -89,11 +91,17 @@ def test_run_roundtrip_exact(tmp_path, burgers, demo_connection):
     for name in ("x", "times", "u", "v", "mass", "boundary_flux"):
         assert np.array_equal(getattr(back, name), getattr(field, name)), name
     assert (back.dx, back.eps, back.dt) == (field.dx, field.eps, field.dt)
+    for name in ("f", "g"):
+        for arr in ("x", "y"):
+            assert np.array_equal(getattr(back.flux.branch(name), arr), getattr(field.flux.branch(name), arr))
+    for got, want in zip(back.transform.table(), field.transform.table()):
+        assert np.array_equal(got, want)
     assert back.transform.kind == "connection"
     assert manifest["cells"] == 64
     assert sorted(manifest["sha256"]) == sorted(RUN_FILES - {"manifest.json"})
     # one table per variable: the cell centres, then one row per stored time
-    table = np.loadtxt(run_dir / "snapshots" / "v.csv", delimiter=",")
+    table = np.load(run_dir / "snapshots" / "v.npy", allow_pickle=False)
+    assert table.dtype == np.dtype("<f8")
     assert table.shape == (len(field.times) + 1, 64)
     assert np.array_equal(table[0], field.x)
 
@@ -116,27 +124,26 @@ def test_run_hash_depends_on_inputs(tmp_path, burgers):
 def test_read_rejects_wrong_format(tmp_path):
     bad = tmp_path / "r"
     bad.mkdir()
-    for version in (1, 99):
+    for version in (1, 2, 99):
         (bad / "manifest.json").write_text(json.dumps({"format": version}))
-        with pytest.raises(DiscFluxError, match=f"run format {version} .* format 2"):
+        with pytest.raises(DiscFluxError, match=f"run format {version} is not supported; .* format 3 only"):
             dx.read_run(bad)
 
 
 def test_read_rejects_edited_table(tmp_path, burgers):
-    # one digit changed, so the file still parses: only the digest catches it
+    # one byte of the data block changed, so the file still loads: only the digest catches it
     _, _, run_dir = _small_run(burgers, tmp_path)
-    path = run_dir / "snapshots" / "v.csv"
-    text = path.read_text()
-    k = text.index("\n") + 3
-    assert text[k].isdigit()
-    path.write_text(text[:k] + str((int(text[k]) + 1) % 10) + text[k + 1:])
-    np.loadtxt(path, delimiter=",")
-    with pytest.raises(DiscFluxError, match="snapshots/v.csv"):
+    path = run_dir / "snapshots" / "v.npy"
+    data = bytearray(path.read_bytes())
+    data[-3] ^= 1
+    path.write_bytes(bytes(data))
+    assert np.load(path, allow_pickle=False).shape == np.load(run_dir / "snapshots" / "u.npy").shape
+    with pytest.raises(DiscFluxError, match="snapshots/v.npy: contents do not match the manifest's sha256"):
         dx.read_run(run_dir)
 
 
 def test_manifest_digests_are_those_of_the_files(tmp_path, demo_swapped):
-    # write_run takes each digest from the bytes write_csv wrote, not from a reread
+    # write_run takes each digest from the bytes it wrote, not from a reread
     cfg = dx.SolverConfig(cells=64, t_end=0.02)
     field = dx.solve(demo_swapped, _step(0.3, 0.7), dx.build_translation_transform(demo_swapped), cfg)
     run_dir = dx.write_run(field, cfg, tmp_path)
@@ -153,8 +160,8 @@ def test_read_parses_the_bytes_it_checked(tmp_path, burgers, monkeypatch):
 
     def read_then_spoil(path):
         data = read_bytes(path)
-        if path.suffix == ".csv":
-            path.write_bytes(data.replace(b"2", b"3"))
+        if path.suffix == ".npy":
+            path.write_bytes(data[:len(data) // 2])
         return data
 
     monkeypatch.setattr(Path, "read_bytes", read_then_spoil)
@@ -167,22 +174,54 @@ def test_read_parses_the_bytes_it_checked(tmp_path, burgers, monkeypatch):
 
 def test_read_checks_snapshot_table_shape_and_centres(tmp_path, burgers):
     _, _, run_dir = _small_run(burgers, tmp_path)
-    u_path, v_path = run_dir / "snapshots" / "u.csv", run_dir / "snapshots" / "v.csv"
-    u_text, v_text = u_path.read_text(), v_path.read_text()
+    u_path, v_path = run_dir / "snapshots" / "u.npy", run_dir / "snapshots" / "v.npy"
+    u_table, v_table = np.load(u_path), np.load(v_path)
 
-    v_path.write_text(v_text[: v_text.rindex("\n", 0, -1) + 1])  # last stored time dropped
+    np.save(v_path, v_table[:-1])  # last stored time dropped
     _resign(run_dir)
     with pytest.raises(DiscFluxError, match="expected"):
         dx.read_run(run_dir)
 
-    v_path.write_text(v_text)
-    lines = u_text.splitlines(keepends=True)
-    x = np.loadtxt(lines[:1], delimiter=",")
-    x[0] = np.nextafter(x[0], 0.0)
-    u_path.write_text(",".join(f"{c:.17g}" for c in x) + "\n" + "".join(lines[1:]))
+    np.save(v_path, v_table)
+    u_table[0, 0] = np.nextafter(u_table[0, 0], 0.0)
+    np.save(u_path, u_table)
     _resign(run_dir)
     with pytest.raises(DiscFluxError, match="cell centres"):
         dx.read_run(run_dir)
+
+
+def _npy_bytes(table, **kwargs):
+    buf = io.BytesIO()
+    np.save(buf, table, **kwargs)
+    return buf.getvalue()
+
+
+def _nonvanishing(table):
+    table = table.copy()
+    table[0, 1] = 0.5
+    return _npy_bytes(table)
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (_nonvanishing, "branch f does not vanish"),
+    (lambda t: _npy_bytes(t[:, :2]), "expected 3 columns"),
+    (lambda t: _npy_bytes(t.astype(np.int64)), "<i8"),
+    (lambda t: _npy_bytes(t[:, 1]), "1-D"),
+    (lambda t: _npy_bytes(t.astype(object), allow_pickle=True), "allow_pickle"),
+    (lambda t: _npy_bytes(t)[:40], "array header"),
+    (lambda t: _npy_bytes(t) + b"\0", "1 bytes after the array"),
+    (lambda t: b"u,f,g\n0,0,0\n1,0,0\n", "not a .npy file"),
+], ids=["nonvanishing", "two-columns", "int", "one-d", "object", "truncated-header",
+        "trailing-byte", "csv"])
+def test_read_rejects_a_bad_flux_table_naming_its_file(tmp_path, burgers, spoil, message):
+    # re-signed, so the digest passes and read_run must reject the table itself
+    _, _, run_dir = _small_run(burgers, tmp_path)
+    path = run_dir / "flux.npy"
+    path.write_bytes(spoil(np.load(path)))
+    _resign(run_dir)
+    with pytest.raises(DiscFluxError, match=re.escape(str(path))) as err:
+        dx.read_run(run_dir)
+    assert message in str(err.value)
 
 
 def test_read_checks_manifest_entries(tmp_path, burgers):
@@ -213,7 +252,7 @@ def test_failed_write_leaves_no_run(tmp_path, burgers, monkeypatch):
     def broken(*args):
         raise RuntimeError("disk full")
 
-    monkeypatch.setattr(runio, "save_transform_csv", broken)
+    monkeypatch.setattr(runio, "_write_table", broken)
     with pytest.raises(RuntimeError, match="disk full"):
         _small_run(burgers, tmp_path / "runs")
     assert list((tmp_path / "runs").iterdir()) == []
@@ -303,7 +342,7 @@ def test_csv_header_guard(tmp_path, burgers, demo_connection):
 
 def test_run_hash_reads_each_branch_on_its_own_lattice(tmp_path):
     # g on 17 nodes beside an f on 9: the hash reads the union table that
-    # flux.csv holds, so the run writes, and a g with the same values on f's
+    # flux.npy holds, so the run writes, and a g with the same values on f's
     # nodes is another flux with another hash
     f = dx.SampledCurve(np.linspace(0.0, 1.0, 9), np.zeros(9))
     u = np.linspace(0.0, 1.0, 17)
