@@ -37,8 +37,6 @@ from .transforms import (
     TransformPair,
     build_connection_transform,
     build_translation_transform,
-    check_crossing,
-    composed_fluxes,
     identity_transform,
     verify_transform,
 )
@@ -194,9 +192,12 @@ def cli_check_crossing(flux_name, transform_arg, connection_text):
         flux = get_flux(flux_name)
         conn = _parse_connection(connection_text)
         transform = _resolve_transform(transform_arg, flux, conn)
-        report = check_crossing(*composed_fluxes(flux, transform))
+        audit = verify_transform(flux, transform)   # a built connection pair arrives audited
     except (DiscFluxError, ValueError) as exc:
         raise click.UsageError(str(exc))
+    report = audit.crossing
+    if report is None:   # the composition failed
+        raise click.UsageError("; ".join(audit.failures))
     _echo(report.to_json())
     sys.exit(0 if report.holds else 1)
 

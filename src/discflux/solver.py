@@ -348,7 +348,9 @@ class _Stepper:
         self.dx = cfg.dx
         self.eps = cfg.resolved_eps()
 
-        self.vgrid, self.fa_tab, self.gb_tab = tables   # f∘alpha, g∘beta on their union (transforms._audit)
+        # f∘alpha, g∘beta on their union, kept on the pair by transforms._audit and shared by its
+        # solves: read only, yet left writable, since np.interp copies a read-only table on every call
+        self.vgrid, self.fa_tab, self.gb_tab = tables
 
         # transform tables on the shared breakpoint union, for the density m(v)
         self.table = transform.table()

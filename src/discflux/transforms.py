@@ -401,10 +401,12 @@ def build_connection_transform(flux: FluxPair, conn: Connection) -> TransformPai
         raise ConstructionError(f"beta table degenerate: {exc}") from exc
 
     pair = TransformPair(alpha, beta, connection=conn)
-    report = check_crossing(*composed_fluxes(flux, pair))
-    if not report.holds:
+    audit = _audit(flux, pair)[0]   # kept on the pair: a solve or verification of it with flux reuses it
+    if audit.crossing is None:
+        raise ConstructionError("constructed pair failed its audit: " + "; ".join(audit.failures))
+    if not audit.crossing.holds:
         raise ConstructionError(
-            "constructed pair failed the crossing check", payload=report.to_dict()
+            "constructed pair failed the crossing check", payload=audit.crossing.to_dict()
         )
     return pair
 
@@ -425,13 +427,26 @@ def verify_transform(flux: FluxPair, t: TransformPair) -> TransformAudit:
     read-only (not to be written), so it checks what a file or a hand-built
     pair can still get wrong: a pair with ``shifts`` must be the translation
     pair of those shifts, and a pair with a connection (A, B) must map ``c``
-    to B and cross there.
+    to B and cross there.  The audit is kept on the pair for the last flux
+    object it was run against (see ``_audit``), so auditing a pair again
+    with that flux, as ``solve`` and ``ladder`` do, returns the same result.
     """
     return _audit(flux, t)[0]
 
 
 def _audit(flux: FluxPair, t: TransformPair) -> tuple[TransformAudit, tuple | None]:
-    """``verify_transform``'s audit and the ``_on_union`` tables of ``composed_fluxes`` (None if it fails)."""
+    """``verify_transform``'s audit and the ``_on_union`` tables of ``composed_fluxes`` (None if it fails).
+
+    The audit depends on the flux and the pair alone, and both are frozen
+    with read-only arrays, so the result is kept on the pair for the flux
+    object it was computed against and returned while that same object is
+    passed; any other flux replaces it.  A pair made by
+    ``dataclasses.replace`` or rebuilt from the same maps starts with none.
+    The tables are shared by every solve of the pair and must not be written.
+    """
+    kept = getattr(t, "_kept_audit", None)
+    if kept is not None and kept[0] is flux:
+        return kept[1]
     failures: list[str] = []
     lo, hi = t.domain
     span = max(hi - lo, 1.0)
@@ -464,4 +479,6 @@ def _audit(flux: FluxPair, t: TransformPair) -> tuple[TransformAudit, tuple | No
     except Exception as exc:  # composition errors count as audit failures
         failures.append(f"composition failed: {exc}")
 
-    return TransformAudit(not failures, tuple(failures), crossing, rt_err), tables
+    result = TransformAudit(not failures, tuple(failures), crossing, rt_err), tables
+    object.__setattr__(t, "_kept_audit", (flux, result))   # the pair is frozen
+    return result

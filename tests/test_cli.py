@@ -29,6 +29,28 @@ def test_check_crossing_exit_codes():
     assert payload["witness"] == [0.75, 0.25]
 
 
+@pytest.mark.parametrize("args", [
+    ("--flux", "demo-swapped", "--transform", "translation"),
+    ("--flux", "burgers-like", "--transform", "connection", "--connection", "0.75:0.25"),
+], ids=["translation", "connection"])
+def test_check_crossing_prints_the_report_of_the_composed_fluxes(args):
+    res = run_cli("check-crossing", *args)
+    assert res.exit_code == 0
+    flux = dx.get_flux(args[1])
+    pair = (dx.build_translation_transform(flux) if args[3] == "translation"
+            else dx.build_connection_transform(flux, dx.Connection(0.75, 0.25)))
+    assert res.output == dx.check_crossing(*dx.composed_fluxes(flux, pair)).to_json() + "\n"
+
+
+def test_check_crossing_on_a_pair_that_does_not_compose_is_usage_error(tmp_path):
+    # beta maps [0, 0.3] below 0, where g is not defined
+    path = tmp_path / "t.csv"
+    path.write_text("v,alpha,beta\n0,0,-0.3\n0.5,0.5,0.2\n1,1,1\n")
+    res = run_cli("check-crossing", "--flux", "demo-cross", "--transform", str(path))
+    assert res.exit_code == 2, res.output
+    assert "composition failed: transform range [-0.3, 1] escapes flux domain [0, 1]" in res.output
+
+
 def test_in_process_invocations_keep_no_output_stream():
     # click's cached default stdout would keep each CliRunner invocation's
     # stream, and the output captured in it, alive for the life of the process

@@ -1,6 +1,7 @@
 """Crossing checks, connection validation, and the two transform builders."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import discflux as dx
 from discflux.errors import ConstructionError
 from discflux.curves import _on_union, merge_close
 from discflux import transforms
-from discflux.transforms import TOL_CROSS, _translation_pair, _violation_amount
+from discflux.transforms import TOL_CROSS, _audit, _translation_pair, _violation_amount
 
 
 # ---------------------------------------------------------------- crossing
@@ -503,3 +504,67 @@ def test_identity_transform_roundtrip(burgers):
     audit = dx.verify_transform(burgers, dx.identity_transform(burgers))
     assert audit.ok
     assert audit.round_trip_error < 1e-14
+
+
+# ------------------------------------------------------------- kept audits
+
+def test_a_pair_is_composed_once(monkeypatch, burgers):
+    # the builder audits the pair it returns; the solves, the verifications
+    # and the ladder's three solves all read that audit
+    calls = []
+    real = transforms.composed_fluxes
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(transforms, "composed_fluxes", counted)
+    pair = dx.build_connection_transform(burgers, dx.Connection(0.75, 0.25))
+    cfg = dx.SolverConfig(cells=64, t_end=0.05)
+    u0 = lambda x: np.where(x <= 0.0, 0.8, 0.4)
+    fields = [dx.solve(burgers, u0, pair, cfg) for _ in range(2)]
+    audits = [dx.verify_transform(f.flux, f.transform) for f in fields]
+    dx.ladder(burgers, u0, pair, cfg, levels=3)
+    assert all(a.ok for a in audits)
+    assert len(calls) == 1
+
+
+def test_the_kept_audit_is_keyed_on_the_flux_object(burgers, demo_swapped):
+    pair = dx.identity_transform(burgers)
+    for flux, holds in ((burgers, True), (demo_swapped, False), (burgers, True)):
+        audit = dx.verify_transform(flux, pair)
+        assert audit.ok == audit.crossing.holds == holds
+        assert (audit.crossing.witness is None) == holds
+        assert dx.verify_transform(flux, pair) is audit
+        assert audit == dx.verify_transform(flux, dx.identity_transform(flux))
+    # a pair made by replace keeps nothing of the audit it was made from
+    built = dx.build_translation_transform(demo_swapped)
+    assert dx.verify_transform(demo_swapped, built).ok
+    moved = replace(built, shifts=(built.shifts[0], built.shifts[1] + 0.01))
+    audit = dx.verify_transform(demo_swapped, moved)
+    assert not audit.ok
+    assert any("not the translation pair of shifts" in msg for msg in audit.failures)
+
+
+@pytest.mark.parametrize("name, build, states", [
+    ("burgers-like", dx.identity_transform, (0.8, 0.4)),
+    ("demo-swapped", dx.build_translation_transform, (0.3, 0.7)),
+    ("burgers-like", lambda flux: dx.build_connection_transform(flux, dx.Connection(0.75, 0.25)), (0.8, 0.4)),
+], ids=["identity", "translation", "connection"])
+def test_solves_never_write_the_kept_tables(name, build, states):
+    flux = dx.get_flux(name)
+    cfg = dx.SolverConfig(cells=64, t_end=0.05)
+    u0 = lambda x: np.where(x <= 0.0, *states)
+    pair = build(flux)
+    runs = [dx.solve(flux, u0, pair, cfg) for _ in range(2)]
+    kept, fresh = _audit(flux, pair), _audit(flux, build(flux))
+    assert kept[0] == fresh[0]
+    for table, want in zip(kept[1], fresh[1]):
+        # writable, since np.interp copies a read-only table on every call
+        assert table.flags.writeable
+        assert table.tobytes() == want.tobytes()
+    reference = dx.solve(flux, u0, build(flux), cfg)
+    for run in runs:
+        for key in ("u", "v", "mass", "boundary_flux"):
+            assert getattr(run, key).tobytes() == getattr(reference, key).tobytes()
+        assert run.stats == reference.stats
