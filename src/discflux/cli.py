@@ -69,15 +69,11 @@ def _solver_config(config_path: str | None, **flags) -> SolverConfig:
 def _parse_connection(text: str | None) -> Connection | None:
     if text is None:
         return None
-    parts = text.split(":")
     try:
-        if len(parts) == 2:
-            return Connection(float(parts[0]), float(parts[1]))
-        if len(parts) == 3:
-            return Connection(float(parts[0]), float(parts[1]), parts[2])
-    except ValueError as exc:
-        raise click.UsageError(f"bad connection {text!r}: {exc}")
-    raise click.UsageError("connection must be A:B or A:B:flavor")
+        A, B = map(float, text.split(":"))
+    except ValueError:
+        raise click.UsageError(f"use --connection A:B, not {text!r}")
+    return Connection(A, B)
 
 
 def _resolve_transform(text: str, flux, conn: Connection | None) -> TransformPair:
@@ -89,11 +85,8 @@ def _resolve_transform(text: str, flux, conn: Connection | None) -> TransformPai
         if conn is None:
             raise click.UsageError("a connection transform requires --connection A:B")
         return build_connection_transform(flux, conn)
-    path = Path(text)
-    if path.exists():
-        meta_path = path.with_suffix(".json")
-        meta = json.loads(meta_path.read_text()) if meta_path.exists() else None
-        return load_transform_csv(path, meta)
+    if Path(text).exists():
+        return load_transform_csv(text)
     raise click.UsageError(
         f"unknown transform {text!r} (use identity, translation, connection, or a CSV path)"
     )
@@ -148,7 +141,7 @@ def main():
 @click.option("--flux", "flux_name", default="demo-cross", show_default=True,
               help=f"registry name ({', '.join(registry_names())}) or a u,f,g CSV")
 @click.option("--transform", "transform_arg", default="identity", show_default=True)
-@click.option("--connection", "connection_text", default=None, help="A:B or A:B:flavor")
+@click.option("--connection", "connection_text", default=None, help="A:B")
 @click.option("--u0", "u0_arg", default="riemann:0.25:0.75", show_default=True)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--out", default=None, help="output root (default $DISCFLUX_OUT or ./runs)")
@@ -207,7 +200,7 @@ def cli_check_crossing(flux_name, transform_arg, connection_text):
 @click.option("--mode", type=click.Choice(["translation", "connection"]), required=True)
 @click.option("--connection", "connection_text", default=None)
 @click.option("--out", "out_path", type=click.Path(), required=True,
-              help="destination CSV; a .json metadata file is written next to it")
+              help="destination CSV; the pair's metadata goes in a JSON file of the same name beside it")
 def cli_build_transform(flux_name, mode, connection_text, out_path):
     """Construct a transform pair and write it to disk."""
     try:
@@ -218,13 +211,9 @@ def cli_build_transform(flux_name, mode, connection_text, out_path):
         sys.exit(1)
     except (DiscFluxError, ValueError) as exc:
         raise click.UsageError(str(exc))
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     save_transform_csv(out_path, pair)
-    out_path.with_suffix(".json").write_text(json.dumps(pair.meta(), indent=2))
-    audit = verify_transform(flux, pair)
     _echo(f"transform written to {out_path} (kind={pair.kind}, "
-               f"shifts={pair.shifts}, c={pair.c}, audit ok={audit.ok})")
+               f"shifts={pair.shifts}, c={pair.c}, audit ok={verify_transform(flux, pair).ok})")
 
 
 @main.command("riemann")

@@ -7,21 +7,17 @@ at the interval endpoints, which is what makes the endpoint states invariant.
 
 from __future__ import annotations
 
-import csv
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .curves import CLAMP_SLACK, MonotoneBijection, SampledCurve, merge_close, run_bounds
-from .errors import CompositionError
+from .errors import CompositionError, DiscFluxError
 
 DEFAULT_SAMPLES = 4096
 TOL_ENDPOINT = 1e-12
 TOL_FLAT = 1e-10
-# write_csv formats about this many values per %-operation
-_CSV_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -152,33 +148,38 @@ def get_flux(spec: str) -> FluxPair:
     if spec in _REGISTRY:
         f, g = _REGISTRY[spec]
         return FluxPair.from_callables(f, g, 0.0, 1.0)
-    path = Path(spec)
-    if path.exists():
-        return load_flux_csv(path)
+    if Path(spec).exists():
+        return load_flux_csv(spec)
     raise ValueError(f"unknown flux {spec!r}: not a registry name or readable file")
 
 
-def write_csv(path, table, header: str | None = None) -> str:
-    """Write a 2-D table as comma-separated ``%.17g`` rows, after an optional header line.
+def write_csv(path, table, header: str | None = None) -> None:
+    """Write a 2-D table as ``%.17g`` CSV rows under an optional header line, making its directory.
 
-    The bytes are those of ``np.savetxt(path, table, fmt="%.17g",
-    delimiter=",", header=header or "", comments="")``, but one %-operation
-    formats a block of whole rows of about ``_CSV_BLOCK`` values instead of
-    one row; the block bounds the text held in memory at once.  Returns the
-    sha256 hex digest of the bytes written.
+    CSV is for interchange only (runs are ``.npy``), and ``read_csv`` is its one reader.
     """
-    table = np.asarray(table, dtype=float)
-    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    step = max(1, _CSV_BLOCK // table.shape[1])
-    head = "" if header is None else header + "\n"   # written with the first block
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for start in range(0, max(len(table), 1), step):
-            block = table[start:start + step]
-            data = ((head if start == 0 else "") + line * len(block) % tuple(block.ravel().tolist())).encode()
-            digest.update(data)
-            fh.write(data)
-    return digest.hexdigest()
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header or "", comments="")
+
+
+def read_csv(path, header: str) -> np.ndarray:
+    """The table below the header line ``header`` of a CSV file; spaces around a name are ignored.
+
+    Raises ``DiscFluxError`` naming ``path`` for another header, or unless there are
+    rows and each holds one number per name.
+    """
+    names = header.split(",")
+    with open(path) as fh:
+        first, rows = fh.readline(), [row for row in fh if row.strip()]
+    if [name.strip() for name in first.split(",")] != names:
+        raise DiscFluxError(f"{path}: expected header {header!r}, found {first.strip()!r}")
+    widths = sorted({row.count(",") + 1 for row in rows})
+    if widths != [len(names)]:   # no rows too, on which np.loadtxt only warns
+        raise DiscFluxError(f"{path}: expected {len(names)} values per row, found {widths or 'no rows'}")
+    try:
+        return np.loadtxt(rows, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise DiscFluxError(f"{path}: {exc}") from exc
 
 
 def _flux_table(flux: FluxPair) -> np.ndarray:
@@ -188,17 +189,10 @@ def _flux_table(flux: FluxPair) -> np.ndarray:
     return np.column_stack([u, flux.f(u), flux.g(u)])
 
 
-def save_flux_csv(flux: FluxPair, path) -> str:
-    return write_csv(path, _flux_table(flux), header="u,f,g")
+def save_flux_csv(flux: FluxPair, path) -> None:
+    write_csv(path, _flux_table(flux), header="u,f,g")
 
 
 def load_flux_csv(path) -> FluxPair:
     """The flux pair in a 'u,f,g' file."""
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh))
-        if [h.strip() for h in header] != ["u", "f", "g"]:
-            raise ValueError(f"{path}: expected header 'u,f,g'")
-        data = np.loadtxt(fh, delimiter=",")
-    if data.ndim != 2 or data.shape[1] != 3:
-        raise ValueError(f"{path}: expected three columns")
-    return FluxPair.from_arrays(data[:, 0], data[:, 1], data[:, 2])
+    return FluxPair.from_arrays(*read_csv(path, "u,f,g").T)

@@ -13,8 +13,9 @@ Each table is a 2-D little-endian float64 array in numpy's ``.npy`` format,
 so reloading reproduces the arrays bit for bit; reloading a transform is
 exact because the tables are piecewise linear with their breakpoints
 included in the stored lattice.  ``_write_table`` and ``_load_table`` own
-that format.  CSV stays the interchange format for tables a user supplies
-or asks for (``save_transform_csv``, ``load_transform_csv``).
+that format.  CSV is for interchange only: ``save_transform_csv`` writes a
+transform as a ``v,alpha,beta`` table with its ``TransformPair.meta()`` in a
+``.json`` sidecar of the same name, and ``load_transform_csv`` reads both.
 
 A run is built in a temporary sibling directory and renamed into place, so a
 crash leaves no partial ``<hash>/``.  The digests are of the bytes written;
@@ -36,7 +37,7 @@ import numpy as np
 
 from .curves import MonotoneBijection
 from .errors import DiscFluxError
-from .fluxes import FluxPair, _flux_table, write_csv
+from .fluxes import FluxPair, _flux_table, read_csv, write_csv
 from .solver import SolutionField, SolverConfig
 from .transforms import Connection, TransformPair
 
@@ -89,16 +90,10 @@ def _load_table(path: Path, data: bytes, columns: int | None = None) -> np.ndarr
     return table
 
 
-def _read_csv(path, header: str) -> np.ndarray:
-    with open(path) as fh:
-        first = fh.readline().strip()
-        if first != header:
-            raise DiscFluxError(f"{path}: expected header {header!r}, found {first!r}")
-        return np.loadtxt(fh, delimiter=",", ndmin=2)
-
-
-def save_transform_csv(path: Path, t: TransformPair) -> str:
-    return write_csv(path, np.column_stack(t.table()), header="v,alpha,beta")
+def save_transform_csv(path, t: TransformPair) -> None:
+    """Write the pair's table to ``path`` and its ``meta()`` to the ``.json`` sidecar beside it."""
+    write_csv(path, np.column_stack(t.table()), header="v,alpha,beta")
+    Path(path).with_suffix(".json").write_text(json.dumps(t.meta(), indent=2))
 
 
 def _transform_pair(table: np.ndarray, meta) -> TransformPair:
@@ -114,19 +109,24 @@ def _transform_pair(table: np.ndarray, meta) -> TransformPair:
     conn = meta.get("connection")
     try:
         if conn is not None:
-            conn = Connection(float(conn["A"]), float(conn["B"]), conn.get("flavor", "classic"))
+            conn = Connection(float(conn["A"]), float(conn["B"]))
         return TransformPair(alpha, beta, shifts=meta.get("shifts"), connection=conn)
     except (TypeError, KeyError, AttributeError, ValueError) as exc:
         raise ValueError(f"malformed transform metadata: {exc!r}") from exc
 
 
-def load_transform_csv(path: Path, meta: dict | None = None) -> TransformPair:
-    """Reload a transform CSV table with the ``shifts`` and ``connection`` of its ``TransformPair.meta()``.
+def load_transform_csv(path, meta: dict | None = None) -> TransformPair:
+    """Reload a transform CSV table with the ``shifts`` and ``connection`` of ``meta`` or else of its sidecar.
 
-    Other keys, ``kind`` and ``c`` among them, are ignored: the pair derives them.
-    Raises ValueError when ``meta`` is not an object or either entry is malformed.
+    Other keys are ignored: ``kind`` and ``c``, which the pair derives, and
+    the ``flavor`` older files store with a connection.  Raises
+    ``DiscFluxError`` for a table ``read_csv`` rejects, and ValueError when
+    ``meta`` is not an object or either entry is malformed.
     """
-    return _transform_pair(_read_csv(path, "v,alpha,beta"), {} if meta is None else meta)
+    sidecar = Path(path).with_suffix(".json")
+    if meta is None:
+        meta = json.loads(sidecar.read_text()) if sidecar.exists() else {}
+    return _transform_pair(read_csv(path, "v,alpha,beta"), meta)
 
 
 def _numbers(value) -> np.ndarray:

@@ -60,11 +60,6 @@ class Connection:
 
     A: float
     B: float
-    flavor: str = "classic"
-
-    def __post_init__(self):
-        if self.flavor not in ("classic", "generalized"):
-            raise ValueError(f"unknown connection flavor {self.flavor!r}")
 
 
 @dataclass(frozen=True)
@@ -215,14 +210,13 @@ def _crossing(fa: SampledCurve, gb: SampledCurve, dead_band: float = TOL_CROSS) 
     return CrossingReport(witness is None, crossings, witness), tables
 
 
-def is_connection(flux: FluxPair, A: float, B: float, flavor: str = "classic") -> ConnectionCheck:
+def is_connection(flux: FluxPair, A: float, B: float) -> ConnectionCheck:
     """Check the flux-matching equality and the side constraints of (A, B).
 
     ``u_star_f`` is the left-most interior maximum of f and ``u_star_g`` the
     right-most interior maximum of g; for single-hump branches these are the
-    usual critical points.  The classic flavor allows the closed brackets
-    u_star_g <= A <= b and a <= B <= u_star_f; the generalized flavor demands
-    the open ones.
+    usual critical points.  The brackets u_star_g <= A <= b and
+    a <= B <= u_star_f are closed.
     """
     fmax = find_local_maxima(flux.f)
     gmax = find_local_maxima(flux.g)
@@ -236,16 +230,9 @@ def is_connection(flux: FluxPair, A: float, B: float, flavor: str = "classic") -
             False, gap, usf, usg, f"flux mismatch |f(B)-g(A)| = {gap:.3e} exceeds {TOL_CONN:g}"
         )
     eps = 1e-12
-    if flavor == "classic":
-        ok = (usg - eps <= A <= flux.b + eps) and (flux.a - eps <= B <= usf + eps)
-    elif flavor == "generalized":
-        ok = (usg < A < flux.b) and (flux.a < B < usf)
-    else:
-        raise ValueError(f"unknown connection flavor {flavor!r}")
-    reason = "" if ok else (
-        f"state ordering violated: need A in [{usg:.6g}, {flux.b:.6g}] and "
-        f"B in [{flux.a:.6g}, {usf:.6g}] ({flavor})"
-    )
+    ok = (usg - eps <= A <= flux.b + eps) and (flux.a - eps <= B <= usf + eps)
+    reason = "" if ok else (f"state ordering violated: need A in [{usg:.6g}, {flux.b:.6g}] and "
+                            f"B in [{flux.a:.6g}, {usf:.6g}]")
     return ConnectionCheck(ok, gap, usf, usg, reason)
 
 
@@ -356,7 +343,7 @@ def build_connection_transform(flux: FluxPair, conn: Connection) -> TransformPai
     g(A) = f(B), so the composed fluxes cross exactly once, at c, and
     alpha(c) = B, beta(c) = A.
     """
-    chk = is_connection(flux, conn.A, conn.B, conn.flavor)
+    chk = is_connection(flux, conn.A, conn.B)
     if not chk.ok:
         raise ValueError(f"invalid connection ({conn.A}, {conn.B}): {chk.reason}")
     a, b = flux.a, flux.b

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 import discflux as dx
 from discflux.cli import main
+from discflux.fluxes import read_csv
 
 
 def run_cli(*args, env=None):
@@ -370,7 +371,8 @@ def test_connection_sidecar_the_maps_do_not_realise_fails_the_audit(tmp_path):
 
 @pytest.mark.parametrize("args, old", [
     (("--flux", "burgers-like", "--transform", "connection", "--connection", "0.75:0.25",
-      "--u0", "riemann:0.8:0.4"), {"kind": "identity", "c": 0.1, "clip": True}),
+      "--u0", "riemann:0.8:0.4"), {"kind": "identity", "c": 0.1, "clip": True,
+                                   "connection": {"A": 0.75, "B": 0.25, "flavor": "generalized"}}),
     (("--flux", "demo-swapped", "--transform", "translation", "--u0", "riemann:0.3:0.7"),
      {"kind": "custom", "c": 0.5, "clip": False}),
 ], ids=["connection", "translation"])
@@ -397,6 +399,47 @@ def test_build_transform_requires_connection_states(tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("text", ["0.75:0.25:classic", "0.75", "0.75:x"])
+def test_connection_takes_two_numbers(tmp_path, text):
+    res = run_cli("build-transform", "--flux", "burgers-like", "--mode", "connection",
+                  "--connection", text, "--out", str(tmp_path / "c.csv"))
+    assert res.exit_code == 2, res.output
+    assert f"use --connection A:B, not {text!r}" in res.output
+    assert not list(tmp_path.iterdir())
+
+
+def test_connection_sidecar_with_an_old_flavor_key_solves(tmp_path):
+    path = tmp_path / "conn.csv"
+    assert run_cli("build-transform", "--flux", "burgers-like", "--mode", "connection",
+                   "--connection", "0.75:0.25", "--out", str(path)).exit_code == 0
+    sidecar = json.loads(path.with_suffix(".json").read_text())
+    assert sidecar["connection"] == {"A": 0.75, "B": 0.25}
+    sidecar["connection"]["flavor"] = "classic"   # as older sidecars stored it
+    path.with_suffix(".json").write_text(json.dumps(sidecar))
+    res = run_cli("solve", "--flux", "burgers-like", "--transform", str(path), "--u0", "riemann:0.8:0.4",
+                  "--cells", "64", "--t-end", "0.05", "--out", str(tmp_path / "runs"))
+    assert res.exit_code == 0, res.output
+    run_dir = next((tmp_path / "runs").iterdir())
+    ver = run_cli("verify", "--run", str(run_dir))
+    assert ver.exit_code == 0, ver.output
+    assert "PASS adapted residual against the connection" in ver.output
+
+
+@pytest.mark.parametrize("body", [
+    "v,alpha,beta\n0,0\n1,1\n",
+    "v,alpha,beta\n0,0,0,0\n1,1,1,1\n",
+    "v,alpha,beta\n",
+], ids=["two-columns", "four-columns", "header-only"])
+def test_solve_rejects_a_transform_table_of_the_wrong_width(tmp_path, body):
+    path = tmp_path / "t.csv"
+    path.write_text(body)
+    res = run_cli("solve", "--flux", "demo-cross", "--transform", str(path), "--cells", "64",
+                  "--t-end", "0.05", "--out", str(tmp_path / "runs"))
+    assert res.exit_code == 2, res.output
+    assert f"{path}: expected 3 values per row" in res.output
+    assert not (tmp_path / "runs").exists()
+
+
 def test_riemann_command(tmp_path):
     res = run_cli("riemann", "--flux", "burgers-like", "--left", "0.25", "--right", "0.75")
     assert res.exit_code == 0
@@ -409,6 +452,14 @@ def test_riemann_command(tmp_path):
     data = np.loadtxt(out, delimiter=",", skiprows=1)
     assert data.shape[1] == 2
     assert np.all(np.diff(data[:, 1]) <= 1e-12)
+
+
+def test_riemann_out_makes_its_directory(tmp_path):
+    out = tmp_path / "new" / "dir" / "prof.csv"
+    res = run_cli("riemann", "--flux", "burgers-like", "--left", "0.75", "--right", "0.25", "--out", str(out))
+    assert res.exit_code == 0, res.output
+    assert f"profile written to {out}" in res.output
+    assert read_csv(out, "x,u").shape == (801, 2)
 
 
 def test_sweep_command():

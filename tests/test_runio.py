@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 import discflux as dx
 from discflux import runio
 from discflux.errors import DiscFluxError
-from discflux.fluxes import write_csv
+from discflux.fluxes import read_csv, write_csv
 
 RUN_FILES = {"manifest.json", "flux.npy", "transform.npy", "snapshots/u.npy", "snapshots/v.npy"}
 
@@ -72,6 +73,10 @@ def test_transform_csv_roundtrip(tmp_path, request, case, flux_name, kind):
     assert back.c == pair.c
     assert back.shifts == pair.shifts
     assert back.connection == pair.connection
+    # without meta, the sidecar save_transform_csv wrote beside the table is read
+    assert json.loads(path.with_suffix(".json").read_text()) == json.loads(json.dumps(pair.meta()))
+    beside = dx.load_transform_csv(path)
+    assert (beside.kind, beside.c, beside.shifts, beside.connection) == (kind, pair.c, pair.shifts, pair.connection)
     # the composed fluxes, zero extension included, are the same functions;
     # a connection table gains beta's breakpoints in alpha, so compose_flux
     # places some nodes elsewhere and values move by an ulp or two there
@@ -360,23 +365,74 @@ def test_run_hash_reads_each_branch_on_its_own_lattice(tmp_path):
     assert len(hashes) == 2
 
 
-# a block of whole rows per %-operation: one block, several with a short last one, one row each
-@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 5), (7, 1), (4097, 3), (34, 128), (3, 5000)])
-@pytest.mark.parametrize("header", [None, "u,f,g"])
-def test_write_csv_matches_savetxt(tmp_path, rows, cols, header):
-    # write_csv formats many rows at once; its bytes must stay those of
-    # np.savetxt, which the stored digests and golden hashes were made with
+def _extreme_table(rows, cols):
     rng = np.random.default_rng(rows * cols)
     table = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-320, 300, size=(rows, cols))
     specials = [-0.0, 0.0, 5e-324, -2.5e-310, np.finfo(float).tiny, np.finfo(float).max, 1.0, -1.0 / 3.0]
     flat = table.reshape(-1)
     flat[:len(specials)] = specials[:flat.size]
-    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    write_csv(got, table, header=header)
-    np.savetxt(want, table, fmt="%.17g", delimiter=",", header=header or "", comments="")
-    assert got.read_bytes() == want.read_bytes()
-    reread = np.loadtxt(got, delimiter=",", skiprows=int(header is not None), ndmin=2)
-    assert np.array_equal(reread, table)
+    return table
+
+
+# one value, one row, one column, a long table and wide rows
+SHAPES = [(1, 1), (1, 5), (7, 1), (4097, 3), (34, 128), (3, 5000)]
+
+
+@pytest.mark.parametrize("rows, cols", SHAPES)
+@pytest.mark.parametrize("header", [None, "u,f,g"])
+def test_write_csv_matches_savetxt(tmp_path, rows, cols, header):
+    # the CSV bytes riemann --out and build-transform --out write: np.savetxt's
+    # comma-separated %.17g rows, under the header line without a comment mark
+    table = _extreme_table(rows, cols)
+    path = tmp_path / "t.csv"
+    write_csv(path, table, header=header)
+    text = "".join(",".join("%.17g" % value for value in row) + "\n" for row in table.tolist())
+    assert path.read_text() == ("" if header is None else header + "\n") + text
+
+
+@pytest.mark.parametrize("rows, cols", SHAPES)
+def test_read_csv_reads_what_write_csv_wrote_bit_for_bit(tmp_path, rows, cols):
+    table = _extreme_table(rows, cols)
+    header = ",".join(f"c{k}" for k in range(cols))
+    path = tmp_path / "t.csv"
+    write_csv(path, table, header=header)
+    back = read_csv(path, header)
+    assert back.shape == table.shape
+    assert back.tobytes() == table.tobytes()   # -0.0 and the subnormals too
+
+
+# each loader's header and a table it accepts
+CSV_LOADERS = {"flux": (dx.load_flux_csv, "u,f,g", [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+               "transform": (dx.load_transform_csv, "v,alpha,beta", [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])}
+
+
+@pytest.mark.parametrize("loader", sorted(CSV_LOADERS))
+@pytest.mark.parametrize("body, message", [
+    ("a,b,c\n0,0,0\n1,1,0\n", "expected header"),
+    ("{header}\n0,0\n1,1\n", "expected 3 values per row, found [2]"),
+    ("{header}\n0,0,0,0\n1,1,0,0\n", "expected 3 values per row, found [4]"),
+    ("{header}\n0,0,0\n1,1\n", "expected 3 values per row, found [2, 3]"),
+    ("{header}\n", "expected 3 values per row, found no rows"),
+    ("{header}\n0,0,0\n1,x,0\n", "could not convert"),
+], ids=["wrong-header", "two-columns", "four-columns", "ragged", "header-only", "not-a-number"])
+def test_csv_loaders_reject_a_bad_table_naming_its_file(tmp_path, loader, body, message):
+    load, header, _ = CSV_LOADERS[loader]
+    path = tmp_path / "t.csv"
+    path.write_text(body.format(header=header))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # np.loadtxt warns on a file with no rows
+        with pytest.raises(DiscFluxError, match=re.escape(str(path))) as err:
+            load(path)
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize("loader", sorted(CSV_LOADERS))
+def test_csv_loaders_ignore_spaces_around_header_names(tmp_path, loader):
+    load, header, table = CSV_LOADERS[loader]
+    path = tmp_path / "t.csv"
+    path.write_text(" " + header.replace(",", " , ") + " \n" + "".join(f"{u},{p},{q}\n" for u, p, q in table))
+    assert np.array_equal(read_csv(path, header), table)
+    load(path)
 
 
 def _step(left, right):

@@ -181,8 +181,6 @@ def test_is_connection_frozen_cases(burgers):
     assert ok.u_star_f == pytest.approx(0.5, abs=1e-3)
     assert ok.u_star_g == pytest.approx(0.5, abs=1e-3)
 
-    assert dx.is_connection(burgers, 0.75, 0.25, flavor="generalized").ok
-
     # equal states have zero flux gap, so only the bracket can fail
     bad_order = dx.is_connection(burgers, 0.3, 0.3)
     assert not bad_order.ok and "ordering" in bad_order.reason
@@ -194,9 +192,8 @@ def test_is_connection_frozen_cases(burgers):
 
 
 def test_connection_endpoints_classic_only(burgers):
-    # A = b sits on the closed bracket, so classic passes and generalized fails
+    # A = b and B = a sit on the closed brackets, which pass
     assert dx.is_connection(burgers, 1.0, 0.0).ok
-    assert not dx.is_connection(burgers, 1.0, 0.0, flavor="generalized").ok
 
 
 # -------------------------------------------------------- translation search
