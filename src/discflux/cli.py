@@ -206,12 +206,12 @@ def cli_build_transform(flux_name, mode, connection_text, out_path):
     try:
         flux = get_flux(flux_name)
         pair = _resolve_transform(mode, flux, _parse_connection(connection_text))
+        save_transform_csv(out_path, pair)
     except ConstructionError as exc:
         _echo(f"construction failed: {exc}", err=True)
         sys.exit(1)
     except (DiscFluxError, ValueError) as exc:
         raise click.UsageError(str(exc))
-    save_transform_csv(out_path, pair)
     _echo(f"transform written to {out_path} (kind={pair.kind}, "
                f"shifts={pair.shifts}, c={pair.c}, audit ok={verify_transform(flux, pair).ok})")
 

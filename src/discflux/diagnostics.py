@@ -9,13 +9,19 @@ field, not of the integration rule.
 
 A report evaluates its whole hat family at once: the tent formulas broadcast
 over a column of centres and radii, giving every hat's increments and
-integrals on all slabs and cells in a few array operations.  Only the two
+integrals on all slabs and cells in a few array operations.  The family then
+keeps, per hat, its four rows and its two interface scalars, the x-hat's
+value at 0 and the sum of the t-hat's slab integrals, so that only the two
 matrix-vector products that close each residual run per hat, on the same
-1-D operands a single hat would use, so a residual does not depend on which
+1-D operands a single hat would use; a residual does not depend on which
 family it was computed in.
 
+The comparison state of every report is two numbers, one for the cells with
+x <= 0 and one for the cells with x > 0, so a report writes its terms by two
+slices each, from one lookup of g and one of f.
+
 A field keeps the report terms that no comparison state enters: the default
-hat family of each ``side`` with its support check and hat integrals, the
+hat family of each ``side`` with its support check and per-hat terms, the
 branch fluxes g(u) left of the interface and f(u) right of it on every slab,
 the cell faces, the automatic tolerance and three work arrays that each
 report overwrites.  They are computed on the first report that needs them and
@@ -230,7 +236,11 @@ class _FieldTerms:
         self.buffers = tuple(np.empty(field.u[:-1].shape) for _ in range(3))   # a report's D, Q and sgn(D)
 
     def family(self, field: SolutionField, tests, side: str | None = None) -> tuple:
-        """The hats and their ``_hat_integrals``, after the support check.
+        """The hats and each hat's terms, after the support check.
+
+        Hat k's terms are the rows dT[k], Xint[k], Tint[k] and dX[k] of
+        ``_hat_integrals``, then X_k(0) and the sum of Tint[k] as floats (a
+        row sum of ``Tint`` is the pairwise sum ``np.sum(Tint[k])`` takes).
 
         With ``tests`` None this is the default family of ``side``, built on
         the first call and kept; an explicit family is integrated anew.
@@ -243,10 +253,11 @@ class _FieldTerms:
             family = self._families[side] = (hats, self._integrals(field, hats))
         return family
 
-    def _integrals(self, field: SolutionField, tests) -> tuple[np.ndarray, ...]:
+    def _integrals(self, field: SolutionField, tests) -> tuple[tuple, ...]:
         columns = _hat_columns(tests)
         _check_support(field, columns)
-        return _hat_integrals(field.times, self.faces, columns)
+        dT, Tint, dX, Xint, at_zero = _hat_integrals(field.times, self.faces, columns)
+        return tuple(zip(dT, Xint, Tint, dX, at_zero.tolist(), Tint.sum(axis=1).tolist()))
 
     def branch_fluxes(self, field: SolutionField) -> np.ndarray:
         """g(u) on the cells before ``split`` and f(u) from it on, every slab."""
@@ -268,24 +279,30 @@ def _field_terms(field: SolutionField) -> _FieldTerms:
 def _entropy_report(
     kind: str,
     field: SolutionField,
-    cstar: np.ndarray,
+    c_left: float,
+    c_right: float,
     delta: float,
     tests: list[SpaceTimeHat] | None,
     tolerance: float | None,
     side: str | None = None,
+    looked_up: tuple | None = None,
 ) -> EntropyReport:
-    """Residuals of every test function against cstar, judged on the worst one.
+    """Residuals of every test function against the comparison state, judged on the worst one.
 
     Each residual is -(time term + space term + interface term) for one hat
     pair, exact.  The field is read as constant on each slab [t_n, t_{n+1}) x
-    cell; the entropy is |u - cstar_i| with the cell's own branch flux, g on
-    x <= 0 and f on x > 0, each evaluated on its own cells only.  ``tests``
-    None takes the default family of ``side``.  The field's kept terms
-    (``_field_terms``) supply the family's hat increments and integrals, the
-    branch fluxes and the automatic tolerance; only the terms cstar enters
-    are computed here, and each residual then takes its own two
-    matrix-vector products, as a lone hat would.  A negative or tiny value
-    means the inequality holds for that test function.
+    cell; the comparison state is ``c_left`` on the cells with x <= 0 and
+    ``c_right`` on those with x > 0, and the entropy is |u - c| with the
+    cell's own branch flux, g left and f right.  ``looked_up`` is
+    (g(c_left), f(c_right)) when the caller has them; otherwise a state is
+    looked up only if its side has cells, and one beyond the clamp raises
+    DomainError.  ``tests`` None takes the default family of ``side``.  The
+    field's kept terms (``_field_terms``) supply each hat's rows and
+    interface scalars, the branch fluxes and the automatic tolerance; only
+    the terms the state enters are computed here, and each residual then
+    takes its own two matrix-vector products, as a lone hat would.  A
+    negative or tiny value means the inequality holds for that test
+    function.
     """
     # inf would pass every residual and NaN or a negative value fail every one
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
@@ -293,21 +310,26 @@ def _entropy_report(
     if tests is not None and len(tests) == 0:
         raise ValueError(f"{kind}: the test-function family is empty")
     terms = _field_terms(field)
-    tests, (dT, Tint, dX, Xint, at_zero) = terms.family(field, tests, side)
+    tests, hat_terms = terms.family(field, tests, side)
     tol = terms.tolerance if tolerance is None else float(tolerance)
 
-    f, g, k = field.flux.f, field.flux.g, terms.split
+    k = terms.split
+    if looked_up is None:
+        looked_up = (field.flux.g(c_left) if k > 0 else 0.0,
+                     field.flux.f(c_right) if k < field.x.size else 0.0)
+    U, B = field.u[:-1], terms.branch_fluxes(field)
     D, Q, S = terms.buffers   # written in place: a report allocates no float array of the field's size
-    np.subtract(field.u[:-1], cstar, out=D)
-    np.subtract(terms.branch_fluxes(field), np.concatenate((g(cstar[:k]), f(cstar[k:]))), out=Q)
+    for cells, c, F in ((np.s_[:, :k], c_left, looked_up[0]), (np.s_[:, k:], c_right, looked_up[1])):
+        np.subtract(U[cells], c, out=D[cells])
+        np.subtract(B[cells], F, out=Q[cells])
     Q *= np.subtract(D > SIGN_BAND, D < -SIGN_BAND, out=S, dtype=float)   # sgn(D)
-    E = np.abs(D, out=D)   # the entropy |u - cstar| takes the difference's place
+    E = np.abs(D, out=D)   # the entropy |u - c| takes the difference's place
+    allowance = abs(delta)
     res = []
-    for k in range(len(tests)):
-        term_t = float(dT[k] @ (E @ Xint[k]))
-        term_x = float(Tint[k] @ (Q @ dX[k]))
-        term_d = abs(delta) * float(at_zero[k]) * float(np.sum(Tint[k]))
-        res.append(-(term_t + term_x + term_d))
+    for dT, Xint, Tint, dX, at_zero, Tsum in hat_terms:
+        term_t = float(dT @ (E @ Xint))
+        term_x = float(Tint @ (Q @ dX))
+        res.append(-(term_t + term_x + allowance * at_zero * Tsum))
     # the first largest residual, or the first NaN, which then fails the report
     index = int(np.argmax(res))
     worst = res[index]
@@ -334,10 +356,16 @@ def entropy_residual_pair(
     xi = float(np.clip(xi, lo, hi))
     c_right = float(t.alpha.forward(xi))
     c_left = float(t.beta.forward(xi))
-    cstar = np.where(field.x > 0.0, c_right, c_left)
-    delta = float(field.flux.f(np.clip(c_right, field.flux.a, field.flux.b))
-                  - field.flux.g(np.clip(c_left, field.flux.a, field.flux.b)))
-    return _entropy_report("pair-kruzhkov", field, cstar, delta, tests, tolerance)
+    flux = field.flux
+    a, b = flux.a, flux.b
+    looked_up = None
+    if a <= c_left <= b and a <= c_right <= b:   # clipping changes nothing: the report reuses these two
+        looked_up = (flux.g(c_left), flux.f(c_right))
+        delta = float(looked_up[1] - looked_up[0])
+    else:   # the defect is taken at the states clipped to [a, b]
+        delta = float(flux.f(np.clip(c_right, a, b)) - flux.g(np.clip(c_left, a, b)))
+    return _entropy_report("pair-kruzhkov", field, c_left, c_right, delta, tests, tolerance,
+                           looked_up=looked_up)
 
 
 def entropy_residual_side(
@@ -360,8 +388,8 @@ def entropy_residual_side(
         inside = x_hi <= 1e-12 if side == "left" else x_lo >= -1e-12
         if not inside:
             raise CoverageError(f"test function support must stay on the {side} side")
-    cstar = np.full(field.x.shape, float(c))
-    return _entropy_report(f"kruzhkov-{side}", field, cstar, 0.0, tests, tolerance, side)
+    c = float(c)
+    return _entropy_report(f"kruzhkov-{side}", field, c, c, 0.0, tests, tolerance, side)
 
 
 def entropy_residual_connection(
@@ -376,8 +404,7 @@ def entropy_residual_connection(
     f(B) = g(A) no interface allowance is needed, which is what singles out
     the solutions adapted to this connection.
     """
-    cstar = np.where(field.x > 0.0, float(conn.B), float(conn.A))
-    return _entropy_report("adapted-connection", field, cstar, 0.0, tests, tolerance)
+    return _entropy_report("adapted-connection", field, float(conn.A), float(conn.B), 0.0, tests, tolerance)
 
 
 @dataclass(frozen=True)

@@ -91,9 +91,17 @@ def _load_table(path: Path, data: bytes, columns: int | None = None) -> np.ndarr
 
 
 def save_transform_csv(path, t: TransformPair) -> None:
-    """Write the pair's table to ``path`` and its ``meta()`` to the ``.json`` sidecar beside it."""
+    """Write the pair's table to ``path`` and its ``meta()`` to the ``.json`` sidecar beside it.
+
+    Raises ``DiscFluxError``, writing nothing, for a ``path`` ending in
+    ``.json``: the sidecar would overwrite the table.
+    """
+    sidecar = Path(path).with_suffix(".json")
+    if sidecar == Path(path):
+        raise DiscFluxError(f"{path}: a transform table cannot end in .json, "
+                            "where its metadata sidecar would overwrite it")
     write_csv(path, np.column_stack(t.table()), header="v,alpha,beta")
-    Path(path).with_suffix(".json").write_text(json.dumps(t.meta(), indent=2))
+    sidecar.write_text(json.dumps(t.meta(), indent=2))
 
 
 def _transform_pair(table: np.ndarray, meta) -> TransformPair:
@@ -120,13 +128,19 @@ def load_transform_csv(path, meta: dict | None = None) -> TransformPair:
 
     Other keys are ignored: ``kind`` and ``c``, which the pair derives, and
     the ``flavor`` older files store with a connection.  Raises
-    ``DiscFluxError`` for a table ``read_csv`` rejects, and ValueError when
+    ``DiscFluxError`` naming the file for a table ``read_csv`` rejects and
+    for a sidecar that is not JSON or holds no object, and ValueError when
     ``meta`` is not an object or either entry is malformed.
     """
     sidecar = Path(path).with_suffix(".json")
-    if meta is None:
-        meta = json.loads(sidecar.read_text()) if sidecar.exists() else {}
-    return _transform_pair(read_csv(path, "v,alpha,beta"), meta)
+    if meta is None and sidecar.exists():
+        try:
+            meta = json.loads(sidecar.read_text())
+        except json.JSONDecodeError as exc:
+            raise DiscFluxError(f"{sidecar}: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise DiscFluxError(f"{sidecar}: transform metadata must be a JSON object, not {type(meta).__name__}")
+    return _transform_pair(read_csv(path, "v,alpha,beta"), {} if meta is None else meta)
 
 
 def _numbers(value) -> np.ndarray:

@@ -332,6 +332,30 @@ def test_solve_rejects_malformed_transform_metadata(tmp_path):
     assert not (tmp_path / "runs").exists()
 
 
+def test_build_transform_refuses_a_table_named_like_its_sidecar(tmp_path):
+    # the sidecar of t.json is t.json itself: writing it would replace the table
+    out = tmp_path / "t.json"
+    res = run_cli("build-transform", "--flux", "demo-swapped", "--mode", "translation", "--out", str(out))
+    assert res.exit_code == 2, res.output
+    assert f"{out}: a transform table cannot end in .json" in res.output
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("sidecar, message", [
+    ("{bad", "Expecting property name enclosed in double quotes"),
+    ("[0.16, 0.0]", "transform metadata must be a JSON object, not list"),
+])
+def test_solve_names_a_sidecar_that_holds_no_metadata(tmp_path, sidecar, message):
+    table = tmp_path / "ok.csv"
+    table.write_text("v,alpha,beta\n0,0,0\n1,1,1\n")
+    (tmp_path / "ok.json").write_text(sidecar)
+    res = run_cli("solve", "--flux", "demo-cross", "--transform", str(table), "--cells", "64",
+                  "--t-end", "0.05", "--out", str(tmp_path / "runs"))
+    assert res.exit_code == 2, res.output
+    assert f"{tmp_path / 'ok.json'}: {message}" in res.output
+    assert not (tmp_path / "runs").exists()
+
+
 # alpha maps [0, 0.3] onto [-0.3, 0]: outside the flux interval, which only
 # the zero-extended branches of a translation pair may be read on
 RANGE_ESCAPING_TABLE = "v,alpha,beta\n0,-0.3,0\n0.5,0.2,0.5\n1,1,1\n"

@@ -155,8 +155,10 @@ def _oracle_residuals(field, cstar, delta, hats):
     return tuple(_per_hat_residual(field, cstar, delta, h) for h in hats)
 
 
-def test_reports_match_per_hat_oracle(burgers, demo_cross, demo_connection):
+def test_reports_match_per_hat_oracle(burgers, demo_cross, demo_swapped, demo_connection):
     conn, pair = demo_connection
+    # alpha != beta: the two branch values of the comparison state differ
+    translation = dx.build_translation_transform(demo_swapped)
     riemann = lambda ul, ur: (lambda x: np.where(np.asarray(x) <= 0.0, ul, ur))
     cfg = dx.SolverConfig(cells=128, t_end=0.1)
     # odd: a cell centre sits exactly on x = 0 and must take g, which differs
@@ -167,6 +169,8 @@ def test_reports_match_per_hat_oracle(burgers, demo_cross, demo_connection):
         "identity": dx.solve(burgers, riemann(0.75, 0.25), dx.identity_transform(burgers), cfg),
         "odd": dx.solve(demo_cross, riemann(0.3, 0.7), dx.identity_transform(demo_cross), odd),
         "benchmark": dx.solve(burgers, riemann(0.8, 0.4), pair, dx.SolverConfig(cells=1024, t_end=0.5)),
+        "translation": dx.solve(demo_swapped, riemann(0.3, 0.7), translation, cfg),
+        "translation-odd": dx.solve(demo_swapped, riemann(0.6, 0.4), translation, odd),
     }
     assert 0.0 in fields["odd"].x
     assert fields["benchmark"].u.shape == (33, 1024)
