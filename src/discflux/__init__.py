@@ -17,13 +17,8 @@ from .errors import (
 )
 from .fluxes import (
     FluxPair,
-    clip_flux,
-    compose_flux,
-    find_local_maxima,
     get_flux,
-    load_flux_csv,
     registry_names,
-    save_flux_csv,
 )
 from .transforms import (
     Connection,
@@ -42,9 +37,6 @@ from .solver import (
     SolutionField,
     SolverConfig,
     ladder,
-    mollify_initial,
-    reconstruct_u,
-    smooth_heaviside,
     solve,
 )
 from .diagnostics import (
@@ -59,9 +51,8 @@ from .diagnostics import (
     extract_traces,
     l1_distances,
     ordering_preserved,
-    sgn,
 )
-from .runio import config_hash, load_transform_csv, read_run, save_transform_csv, write_run
+from .runio import load_transform_csv, read_run, save_transform_csv, write_run
 
 __version__ = "0.1.0"
 
@@ -89,32 +80,22 @@ __all__ = [
     "build_translation_transform",
     "check_crossing",
     "classical_riemann",
-    "clip_flux",
-    "compose_flux",
     "composed_fluxes",
-    "config_hash",
     "default_test_functions",
     "entropy_residual_connection",
     "entropy_residual_pair",
     "entropy_residual_side",
     "extract_traces",
-    "find_local_maxima",
     "get_flux",
     "identity_transform",
     "is_connection",
     "l1_distances",
     "ladder",
-    "load_flux_csv",
     "load_transform_csv",
-    "mollify_initial",
     "ordering_preserved",
     "read_run",
-    "reconstruct_u",
     "registry_names",
-    "save_flux_csv",
     "save_transform_csv",
-    "sgn",
-    "smooth_heaviside",
     "solve",
     "steady_connection_state",
     "verify_transform",

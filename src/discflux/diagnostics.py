@@ -281,11 +281,10 @@ def _entropy_report(
     field: SolutionField,
     c_left: float,
     c_right: float,
-    delta: float,
+    interface: bool,
     tests: list[SpaceTimeHat] | None,
     tolerance: float | None,
     side: str | None = None,
-    looked_up: tuple | None = None,
 ) -> EntropyReport:
     """Residuals of every test function against the comparison state, judged on the worst one.
 
@@ -293,10 +292,11 @@ def _entropy_report(
     pair, exact.  The field is read as constant on each slab [t_n, t_{n+1}) x
     cell; the comparison state is ``c_left`` on the cells with x <= 0 and
     ``c_right`` on those with x > 0, and the entropy is |u - c| with the
-    cell's own branch flux, g left and f right.  ``looked_up`` is
-    (g(c_left), f(c_right)) when the caller has them; otherwise a state is
-    looked up only if its side has cells, and one beyond the clamp raises
-    DomainError.  ``tests`` None takes the default family of ``side``.  The
+    cell's own branch flux, g left and f right.  Each state is looked up
+    once, g(c_left) and f(c_right), and one beyond the clamp raises
+    DomainError; with ``interface`` the defect |f(c_right) - g(c_left)| of
+    the two lookups enters as an allowance concentrated at x = 0.
+    ``tests`` None takes the default family of ``side``.  The
     field's kept terms (``_field_terms``) supply each hat's rows and
     interface scalars, the branch fluxes and the automatic tolerance; only
     the terms the state enters are computed here, and each residual then
@@ -314,17 +314,15 @@ def _entropy_report(
     tol = terms.tolerance if tolerance is None else float(tolerance)
 
     k = terms.split
-    if looked_up is None:
-        looked_up = (field.flux.g(c_left) if k > 0 else 0.0,
-                     field.flux.f(c_right) if k < field.x.size else 0.0)
+    F_left, F_right = field.flux.g(c_left), field.flux.f(c_right)
     U, B = field.u[:-1], terms.branch_fluxes(field)
     D, Q, S = terms.buffers   # written in place: a report allocates no float array of the field's size
-    for cells, c, F in ((np.s_[:, :k], c_left, looked_up[0]), (np.s_[:, k:], c_right, looked_up[1])):
+    for cells, c, F in ((np.s_[:, :k], c_left, F_left), (np.s_[:, k:], c_right, F_right)):
         np.subtract(U[cells], c, out=D[cells])
         np.subtract(B[cells], F, out=Q[cells])
     Q *= np.subtract(D > SIGN_BAND, D < -SIGN_BAND, out=S, dtype=float)   # sgn(D)
     E = np.abs(D, out=D)   # the entropy |u - c| takes the difference's place
-    allowance = abs(delta)
+    allowance = abs(float(F_right - F_left)) if interface else 0.0
     res = []
     for dT, Xint, Tint, dX, at_zero, Tsum in hat_terms:
         term_t = float(dT @ (E @ Xint))
@@ -347,7 +345,9 @@ def entropy_residual_pair(
     The comparison state is alpha(xi) on the right of the interface and
     beta(xi) on the left; the interface defect |f(alpha(xi)) - g(beta(xi))|
     enters as an allowance concentrated at x = 0.  An xi outside the domain,
-    +-inf included, is clamped to its nearer end; NaN raises ValueError.
+    +-inf included, is clamped to its nearer end; NaN raises ValueError.  A
+    state within the clamp slack of [a, b] reads the flux at the nearer end,
+    and one beyond it raises DomainError.
     """
     t = field.transform
     lo, hi = t.domain
@@ -356,16 +356,7 @@ def entropy_residual_pair(
     xi = float(np.clip(xi, lo, hi))
     c_right = float(t.alpha.forward(xi))
     c_left = float(t.beta.forward(xi))
-    flux = field.flux
-    a, b = flux.a, flux.b
-    looked_up = None
-    if a <= c_left <= b and a <= c_right <= b:   # clipping changes nothing: the report reuses these two
-        looked_up = (flux.g(c_left), flux.f(c_right))
-        delta = float(looked_up[1] - looked_up[0])
-    else:   # the defect is taken at the states clipped to [a, b]
-        delta = float(flux.f(np.clip(c_right, a, b)) - flux.g(np.clip(c_left, a, b)))
-    return _entropy_report("pair-kruzhkov", field, c_left, c_right, delta, tests, tolerance,
-                           looked_up=looked_up)
+    return _entropy_report("pair-kruzhkov", field, c_left, c_right, True, tests, tolerance)
 
 
 def entropy_residual_side(
@@ -389,7 +380,7 @@ def entropy_residual_side(
         if not inside:
             raise CoverageError(f"test function support must stay on the {side} side")
     c = float(c)
-    return _entropy_report(f"kruzhkov-{side}", field, c, c, 0.0, tests, tolerance, side)
+    return _entropy_report(f"kruzhkov-{side}", field, c, c, False, tests, tolerance, side)
 
 
 def entropy_residual_connection(
@@ -404,7 +395,7 @@ def entropy_residual_connection(
     f(B) = g(A) no interface allowance is needed, which is what singles out
     the solutions adapted to this connection.
     """
-    return _entropy_report("adapted-connection", field, float(conn.A), float(conn.B), 0.0, tests, tolerance)
+    return _entropy_report("adapted-connection", field, float(conn.A), float(conn.B), False, tests, tolerance)
 
 
 @dataclass(frozen=True)

@@ -90,28 +90,34 @@ def _load_table(path: Path, data: bytes, columns: int | None = None) -> np.ndarr
     return table
 
 
-def save_transform_csv(path, t: TransformPair) -> None:
-    """Write the pair's table to ``path`` and its ``meta()`` to the ``.json`` sidecar beside it.
+def _sidecar(path) -> Path:
+    """The ``.json`` metadata file beside the transform table ``path``.
 
-    Raises ``DiscFluxError``, writing nothing, for a ``path`` ending in
-    ``.json``: the sidecar would overwrite the table.
+    Raises ``DiscFluxError`` for a ``path`` ending in ``.json``: the sidecar
+    would be the table itself.
     """
     sidecar = Path(path).with_suffix(".json")
     if sidecar == Path(path):
         raise DiscFluxError(f"{path}: a transform table cannot end in .json, "
-                            "where its metadata sidecar would overwrite it")
+                            "the name of its metadata sidecar")
+    return sidecar
+
+
+def save_transform_csv(path, t: TransformPair) -> None:
+    """Write the pair's table to ``path`` and its ``meta()`` to the ``.json`` sidecar beside it.
+
+    Raises ``DiscFluxError``, writing nothing, for a ``path`` ending in ``.json``.
+    """
+    sidecar = _sidecar(path)
     write_csv(path, np.column_stack(t.table()), header="v,alpha,beta")
     sidecar.write_text(json.dumps(t.meta(), indent=2))
 
 
-def _transform_pair(table: np.ndarray, meta) -> TransformPair:
-    """The pair in a ``v, alpha, beta`` table, with the ``shifts`` and ``connection`` of ``meta``.
+def _transform_pair(table: np.ndarray, meta: dict) -> TransformPair:
+    """The pair in a ``v, alpha, beta`` table, with the ``shifts`` and ``connection`` of the object ``meta``.
 
-    Raises ValueError for a table that holds no pair, or when ``meta`` is not
-    an object or either entry is malformed.
+    Raises ValueError for a table that holds no pair or a malformed entry.
     """
-    if not isinstance(meta, dict):
-        raise ValueError(f"transform metadata must be a JSON object, not {type(meta).__name__}")
     alpha = MonotoneBijection(table[:, 0], table[:, 1])
     beta = MonotoneBijection(table[:, 0], table[:, 2])
     conn = meta.get("connection")
@@ -123,24 +129,25 @@ def _transform_pair(table: np.ndarray, meta) -> TransformPair:
         raise ValueError(f"malformed transform metadata: {exc!r}") from exc
 
 
-def load_transform_csv(path, meta: dict | None = None) -> TransformPair:
-    """Reload a transform CSV table with the ``shifts`` and ``connection`` of ``meta`` or else of its sidecar.
+def load_transform_csv(path) -> TransformPair:
+    """Reload a transform CSV table with the ``shifts`` and ``connection`` of its sidecar, if any.
 
     Other keys are ignored: ``kind`` and ``c``, which the pair derives, and
     the ``flavor`` older files store with a connection.  Raises
-    ``DiscFluxError`` naming the file for a table ``read_csv`` rejects and
-    for a sidecar that is not JSON or holds no object, and ValueError when
-    ``meta`` is not an object or either entry is malformed.
+    ``DiscFluxError`` naming the file for a ``path`` ending in ``.json``, a
+    table ``read_csv`` rejects and a sidecar that is not JSON or holds no
+    object, and ValueError when either entry is malformed.
     """
-    sidecar = Path(path).with_suffix(".json")
-    if meta is None and sidecar.exists():
+    sidecar = _sidecar(path)
+    meta = {}
+    if sidecar.exists():
         try:
             meta = json.loads(sidecar.read_text())
         except json.JSONDecodeError as exc:
             raise DiscFluxError(f"{sidecar}: {exc}") from exc
         if not isinstance(meta, dict):
             raise DiscFluxError(f"{sidecar}: transform metadata must be a JSON object, not {type(meta).__name__}")
-    return _transform_pair(read_csv(path, "v,alpha,beta"), {} if meta is None else meta)
+    return _transform_pair(read_csv(path, "v,alpha,beta"), meta)
 
 
 def _numbers(value) -> np.ndarray:
@@ -230,15 +237,19 @@ def read_run(run_dir) -> tuple[SolutionField, dict]:
     A ``null`` dt reads as inf, and so does the ``Infinity`` that older
     runs wrote for it.
 
-    Raises ``DiscFluxError`` for a run of another format, a table whose bytes
-    do not match the manifest's digest, a table that is not what
-    ``_write_table`` writes or holds no flux or transform pair (each naming
-    its file), snapshot tables of the wrong shape or with different cell
-    centres, or a manifest whose own entries (which no digest covers) are
-    missing, of the wrong type or do not fit the tables.
+    Raises ``DiscFluxError`` for a manifest that is not a JSON object, a run
+    of another format, a table whose bytes do not match the manifest's
+    digest, a table that is not what ``_write_table`` writes or holds no flux
+    or transform pair (each naming its file), snapshot tables of the wrong
+    shape or with different cell centres, or a manifest whose own entries
+    (which no digest covers) are missing, of the wrong type or do not fit the
+    tables.
     """
     run_dir = Path(run_dir)
-    manifest = json.loads((run_dir / "manifest.json").read_text())
+    try:
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+    except ValueError as exc:   # not UTF-8, or not JSON
+        raise DiscFluxError(f"{run_dir / 'manifest.json'}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise DiscFluxError(f"{run_dir / 'manifest.json'}: not a JSON object")
     if manifest.get("format") != FORMAT_VERSION:

@@ -219,7 +219,7 @@ class SolutionField:
             arr = np.ascontiguousarray(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if self.v.shape != (len(self.times), len(self.x)):
+        if not self.v.shape == self.u.shape == (len(self.times), len(self.x)):
             raise ValueError("snapshot array shape mismatch")
         if self.mass.shape != self.times.shape or self.boundary_flux.shape != (len(self.times), 2):
             raise ValueError("need one mass and one (left, right) boundary-flux pair per stored time")
@@ -804,7 +804,6 @@ class LadderResult:
 
     fields: tuple[SolutionField, ...]
     distances: tuple[float, ...]
-    window: float
     converging: bool
 
 
@@ -841,4 +840,4 @@ def ladder(
     half = cfg0.half_width / 2.0
     dists = tuple(_window_l1(runs[k], runs[k + 1], half) for k in range(levels - 1))
     converging = dists[-1] <= dists[0] + 1e-12
-    return LadderResult(tuple(runs), dists, half, converging)
+    return LadderResult(tuple(runs), dists, converging)

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 import discflux as dx
 from discflux.cli import main
-from discflux.fluxes import read_csv
+from discflux.fluxes import read_csv, write_csv
 
 
 def run_cli(*args, env=None):
@@ -132,6 +132,7 @@ def test_verify_missing_run_is_a_usage_error(tmp_path):
     assert "FAIL" not in ver.output
 
 
+
 @pytest.mark.parametrize("tolerance", ["inf", "nan", "-1"])
 def test_verify_rejects_a_tolerance_that_switches_the_gate_off(tmp_path, tolerance):
     # inf used to pass every residual, NaN and -1 to fail every one on hat 0
@@ -205,6 +206,30 @@ def test_solve_rejects_non_finite_option(tmp_path, option, value, name):
     assert f"{name} must be a finite number" in res.output
     assert not any(tmp_path.iterdir())
 
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--u0", "riemann:0.2"), "use --u0 riemann:LEFT:RIGHT"),
+    (("--u0", "steady"), "--u0 steady requires --connection A:B"),
+    (("--transform", "no-such-transform"), "unknown transform 'no-such-transform'"),
+], ids=["riemann-one-state", "steady-without-connection", "unknown-transform"])
+def test_solve_rejects_an_unusable_profile_or_transform(tmp_path, args, message):
+    res = run_cli("solve", "--flux", "burgers-like", *args, "--cells", "64", "--t-end", "0.05",
+                  "--out", str(tmp_path / "runs"))
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert not (tmp_path / "runs").exists()
+
+
+def test_solve_bump_profile(tmp_path):
+    # mid + amp * exp(-x^2 / 0.5) with mid 0.5 and amp 0.45 on [0, 1]
+    res = run_cli("solve", "--flux", "burgers-like", "--u0", "bump", "--cells", "64", "--t-end", "0.05",
+                  "--out", str(tmp_path))
+    assert res.exit_code == 0, res.output
+    field, _ = dx.read_run(next(p for p in tmp_path.iterdir() if p.is_dir()))
+    u0 = field.u[0]
+    assert u0.min() >= 0.5 and 0.9 < u0.max() <= 0.95
+    assert np.allclose(u0, u0[::-1], rtol=0.0, atol=1e-12)   # even in x
 
 def test_solve_reports_unavailable_traces_and_exits_1(tmp_path):
     # the same out-of-range translation run: solve writes it, then cannot
@@ -341,6 +366,17 @@ def test_build_transform_refuses_a_table_named_like_its_sidecar(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+
+def test_solve_refuses_a_table_named_like_its_sidecar(tmp_path):
+    # a table at t.json would be read as its own sidecar
+    path = tmp_path / "t.json"
+    path.write_text("v,alpha,beta\n0,0,0\n1,1,1\n")
+    res = run_cli("solve", "--flux", "demo-cross", "--transform", str(path), "--cells", "64",
+                  "--t-end", "0.05", "--out", str(tmp_path / "runs"))
+    assert res.exit_code == 2, res.output
+    assert f"{path}: a transform table cannot end in .json" in res.output
+    assert not (tmp_path / "runs").exists()
+
 @pytest.mark.parametrize("sidecar, message", [
     ("{bad", "Expecting property name enclosed in double quotes"),
     ("[0.16, 0.0]", "transform metadata must be a JSON object, not list"),
@@ -370,7 +406,7 @@ def test_range_escaping_table_fails_the_audit(tmp_path, sidecar, message):
     path.write_text(RANGE_ESCAPING_TABLE)
     path.with_suffix(".json").write_text(json.dumps(sidecar))
     flux = dx.get_flux("demo-cross")
-    audit = dx.verify_transform(flux, dx.load_transform_csv(path, sidecar))
+    audit = dx.verify_transform(flux, dx.load_transform_csv(path))
     assert not audit.ok
     assert any(message in msg for msg in audit.failures), audit.failures
 
@@ -422,6 +458,22 @@ def test_build_transform_requires_connection_states(tmp_path):
                   "--mode", "connection", "--out", str(tmp_path / "c.csv"))
     assert res.exit_code == 2
 
+
+
+def test_build_transform_exits_1_when_construction_fails(tmp_path):
+    # f = min(u, 0.3, 1 - u) is flat on top, so the connection builder cannot
+    # invert its increasing branch; f(0.16) = g(0.8) = 0.16 all the same
+    u = np.linspace(0.0, 1.0, 4097)
+    flux = tmp_path / "flat.csv"
+    write_csv(flux, np.column_stack([u, np.minimum(np.minimum(u, 0.3), 1.0 - u), u * (1.0 - u)]),
+              header="u,f,g")
+    out = tmp_path / "c.csv"
+    res = run_cli("build-transform", "--flux", str(flux), "--mode", "connection",
+                  "--connection", "0.8:0.16", "--out", str(out))
+    assert res.exit_code == 1, res.output
+    assert ("construction failed: flux branch is not strictly increasing on [0, 0.5] "
+            "near u = 0.300049") in res.output
+    assert not out.exists()
 
 @pytest.mark.parametrize("text", ["0.75:0.25:classic", "0.75", "0.75:x"])
 def test_connection_takes_two_numbers(tmp_path, text):
@@ -486,6 +538,12 @@ def test_riemann_out_makes_its_directory(tmp_path):
     assert read_csv(out, "x,u").shape == (801, 2)
 
 
+
+def test_riemann_of_equal_states_has_no_waves():
+    res = run_cli("riemann", "--flux", "burgers-like", "--left", "0.4", "--right", "0.4")
+    assert res.exit_code == 0, res.output
+    assert res.output == "constant solution, no waves\n"
+
 def test_sweep_command():
     res = run_cli("sweep", "--flux", "burgers-like", "--u0", "riemann:0.25:0.75",
                   "--levels", "2", "--cells", "64", "--t-end", "0.05")
@@ -493,6 +551,15 @@ def test_sweep_command():
     assert "L1 gap" in res.output
     assert "converging" in res.output
 
+
+
+def test_sweep_of_three_levels_prints_the_gap_ratio():
+    res = run_cli("sweep", "--flux", "burgers-like", "--u0", "riemann:0.25:0.75",
+                  "--levels", "3", "--cells", "64", "--t-end", "0.05")
+    assert res.exit_code == 0, res.output
+    gaps = [float(m) for m in re.findall(r"^level \d -> \d: L1 gap (\S+)$", res.output, re.M)]
+    assert len(gaps) == 2
+    assert f"gap ratios: {gaps[0] / gaps[1]:.2f}\n" in res.output
 
 def test_solve_rejects_unusable_transform():
     res = run_cli("solve", "--flux", "demo-swapped", "--u0", "constant:0.5",

@@ -65,6 +65,20 @@ def test_bijection_roundtrip_random():
         assert np.max(np.abs(m.inverse(m.forward(probe)) - probe)) < 1e-12
 
 
+
+@pytest.mark.parametrize("x, kept", [
+    ([], []),
+    ([0.5], [0.5]),
+    ([0.0, 0.5, 1.0, 1.0], [0.0, 0.5, 1.0]),
+    # the close node before the last goes, and the last takes its place
+    ([0.0, 0.5, 1.0 - 1e-13, 1.0], [0.0, 0.5, 1.0]),
+    # two close entries keep both ends, so the span survives
+    ([0.0, 1e-13], [0.0, 1e-13]),
+], ids=["empty", "one", "duplicate-last", "close-before-last", "two-close"])
+def test_merge_close_keeps_both_ends(x, kept):
+    out = merge_close(np.array(x, dtype=float))
+    assert out.tolist() == kept
+
 def test_bijection_rejects_non_monotone():
     with pytest.raises(ValueError):
         MonotoneBijection(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 1.0]))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st_
 
 import discflux as dx
 import discflux.diagnostics as diagnostics
-from discflux.diagnostics import _hat_columns, _hat_integrals
+from discflux.diagnostics import _hat_columns, _hat_integrals, sgn
 from discflux.errors import CoverageError
 
 from conftest import random_step_profile
@@ -32,9 +32,9 @@ def _frozen_field(burgers, u_profile, times=None, cells=256, eps=0.0625):
 
 
 def test_sgn_dead_band():
-    assert dx.sgn(5.0) == 1.0
-    assert dx.sgn(-5.0) == -1.0
-    assert dx.sgn(1e-13) == 0.0
+    assert sgn(5.0) == 1.0
+    assert sgn(-5.0) == -1.0
+    assert sgn(1e-13) == 0.0
 
 
 def test_hat_function_closed_forms():
@@ -144,7 +144,7 @@ def _per_hat_residual(field, cstar, delta, hat):
     E = np.abs(U - cstar)
     FU = np.where(right, f(U), g(U))
     Fc = np.where(right, f(cstar), g(cstar))
-    Q = dx.sgn(U - cstar) * (FU - Fc)
+    Q = sgn(U - cstar) * (FU - Fc)
     term_t = float(dT @ (E @ Xint))
     term_x = float(Tint @ (Q @ dX))
     term_d = abs(delta) * float(hat.x(0.0)) * float(np.sum(Tint))

@@ -4,7 +4,15 @@ import pytest
 import discflux as dx
 from discflux.curves import MonotoneBijection, SampledCurve
 from discflux.errors import CompositionError, DomainError
-from discflux.fluxes import TOL_FLAT, _flux_table
+from discflux.fluxes import (
+    TOL_FLAT,
+    _flux_table,
+    clip_flux,
+    compose_flux,
+    find_local_maxima,
+    load_flux_csv,
+    save_flux_csv,
+)
 
 
 def test_registry_contains_demo_pairs():
@@ -19,7 +27,7 @@ def test_flux_values_frozen(burgers, demo_cross):
     assert burgers.f(0.25) == pytest.approx(0.1875, abs=1e-15)
     assert burgers.f(0.75) == pytest.approx(0.1875, abs=1e-15)
     # skewed branch g(u) = 2u(1-u)^2 peaks at u = 1/3 with value 8/27
-    gpos, gval = dx.find_local_maxima(demo_cross.g)[0]
+    gpos, gval = find_local_maxima(demo_cross.g)[0]
     assert gpos == pytest.approx(1 / 3, abs=1e-3)
     assert gval == pytest.approx(8 / 27, abs=1e-7)
 
@@ -72,7 +80,7 @@ def _random_composition_cases(rng, count):
         m = MonotoneBijection(_increasing_nodes(rng, lo, hi, n), _increasing_nodes(rng, r0, r1, n))
         cases.append((branch, m))
 
-        clipped = dx.clip_flux(branch)
+        clipped = clip_flux(branch)
         if k == 0:
             shifts = [(-width, a, b), (width, a, b)]
         else:
@@ -87,7 +95,7 @@ def test_compose_flux_is_exact_on_breakpoints(burgers):
     rng = np.random.default_rng(20)
     kinked = MonotoneBijection(np.array([0.0, 0.4, 1.0]), np.array([0.0, 0.7, 1.0]))
     for branch, m in [(burgers.f, kinked), *_random_composition_cases(rng, 60)]:
-        comp = dx.compose_flux(branch, m)
+        comp = compose_flux(branch, m)
         assert comp.domain == m.domain
         lo, hi = m.domain
         probe = np.concatenate((np.linspace(lo, hi, 257), rng.uniform(lo, hi, size=500)))
@@ -98,11 +106,11 @@ def test_compose_flux_is_exact_on_breakpoints(burgers):
 def test_compose_flux_rejects_range_escape(burgers):
     m = MonotoneBijection(np.array([0.0, 1.0]), np.array([0.0, 1.5]))
     with pytest.raises(CompositionError):
-        dx.compose_flux(burgers.f, m)
+        compose_flux(burgers.f, m)
 
 
 def test_clip_flux_extends_by_zero(burgers):
-    fc = dx.clip_flux(burgers.f)
+    fc = clip_flux(burgers.f)
     assert fc(-0.5) == 0.0
     assert fc(1.5) == 0.0
     assert fc(0.5) == pytest.approx(0.25, abs=1e-15)
@@ -116,11 +124,11 @@ def test_clip_flux_extends_by_zero(burgers):
 def test_compose_flux_rejects_range_escaping_clipped_branch(burgers):
     m = MonotoneBijection.translation(1.25, 0.0, 1.0)
     with pytest.raises(CompositionError):
-        dx.compose_flux(dx.clip_flux(burgers.f), m)
+        compose_flux(clip_flux(burgers.f), m)
 
 
 def test_local_maxima_single_hump(burgers):
-    peaks = dx.find_local_maxima(burgers.f)
+    peaks = find_local_maxima(burgers.f)
     assert len(peaks) == 1
     assert peaks[0][0] == pytest.approx(0.5, abs=1e-3)
     assert peaks[0][1] == pytest.approx(0.25, abs=1e-7)
@@ -131,7 +139,7 @@ def test_local_maxima_two_humps_and_rear_selection():
     y = np.sin(np.pi * u) ** 2 * (1.2 + np.cos(2 * np.pi * u))
     y[0] = y[-1] = 0.0
     curve = SampledCurve(u, y)
-    peaks = dx.find_local_maxima(curve)
+    peaks = find_local_maxima(curve)
     assert len(peaks) == 2
     assert peaks[0][0] < 0.5 < peaks[-1][0]
 
@@ -140,7 +148,7 @@ def test_plateau_maximum_reports_midpoint():
     u = np.linspace(0, 1, 1001)
     y = np.minimum(u, np.minimum(0.3, 1 - u))
     curve = SampledCurve(u, y)
-    peaks = dx.find_local_maxima(curve)
+    peaks = find_local_maxima(curve)
     assert len(peaks) == 1
     assert peaks[0][0] == pytest.approx(0.5, abs=1e-3)
     assert peaks[0][1] == pytest.approx(0.3, abs=1e-12)
@@ -157,8 +165,8 @@ def _with_middle_step(step):
 
 def test_local_maxima_dead_band_edge():
     # a step of exactly TOL_FLAT joins the plateau, twice that starts a new run
-    assert dx.find_local_maxima(_with_middle_step(TOL_FLAT)) == [(4.5, TOL_FLAT)]
-    assert dx.find_local_maxima(_with_middle_step(2 * TOL_FLAT)) == [(5.0, 2 * TOL_FLAT)]
+    assert find_local_maxima(_with_middle_step(TOL_FLAT)) == [(4.5, TOL_FLAT)]
+    assert find_local_maxima(_with_middle_step(2 * TOL_FLAT)) == [(5.0, 2 * TOL_FLAT)]
 
 
 @pytest.mark.parametrize("y", [
@@ -167,12 +175,12 @@ def test_local_maxima_dead_band_edge():
     np.concatenate((np.zeros(5), np.ones(4))),     # two runs
 ], ids=["flat", "rising", "two-runs"])
 def test_local_maxima_need_an_interior_run_above_both_neighbours(y):
-    assert dx.find_local_maxima(SampledCurve(np.linspace(0, 1, y.size), y)) == []
+    assert find_local_maxima(SampledCurve(np.linspace(0, 1, y.size), y)) == []
 
 
 def test_csv_roundtrip(tmp_path, demo_cross):
     path = tmp_path / "pair.csv"
-    dx.save_flux_csv(demo_cross, path)
+    save_flux_csv(demo_cross, path)
     back = dx.get_flux(str(path))
     probe = np.linspace(0, 1, 513)
     assert np.max(np.abs(np.asarray(back.f(probe)) - np.asarray(demo_cross.f(probe)))) == 0.0
@@ -188,8 +196,8 @@ def test_flux_table_is_the_exact_union_of_both_lattices(tmp_path):
     table = _flux_table(flux)
     assert np.array_equal(table[:, 0], np.union1d(u, v))
     path = tmp_path / "pair.csv"
-    dx.save_flux_csv(flux, path)
-    back = dx.load_flux_csv(path)
+    save_flux_csv(flux, path)
+    back = load_flux_csv(path)
     assert np.array_equal(back.g.x, v) and np.array_equal(back.g.y, flux.g(v))
 
 
@@ -197,7 +205,7 @@ def test_load_rejects_wrong_header(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b,c\n0,0,0\n1,0,0\n")
     with pytest.raises(Exception):
-        dx.load_flux_csv(bad)
+        load_flux_csv(bad)
 
 
 def test_get_flux_unknown_name():

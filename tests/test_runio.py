@@ -12,7 +12,7 @@ import pytest
 import discflux as dx
 from discflux import runio
 from discflux.errors import DiscFluxError
-from discflux.fluxes import read_csv, write_csv
+from discflux.fluxes import load_flux_csv, read_csv, write_csv
 
 RUN_FILES = {"manifest.json", "flux.npy", "transform.npy", "snapshots/u.npy", "snapshots/v.npy"}
 
@@ -37,11 +37,11 @@ def _resign(run_dir):
 
 
 def test_config_hash_is_stable_and_order_free():
-    h1 = dx.config_hash({"a": 1, "b": [1, 2]})
-    h2 = dx.config_hash({"b": [1, 2], "a": 1})
+    h1 = runio.config_hash({"a": 1, "b": [1, 2]})
+    h2 = runio.config_hash({"b": [1, 2], "a": 1})
     assert h1 == h2
     assert len(h1) == 12
-    assert h1 != dx.config_hash({"a": 1, "b": [1, 3]})
+    assert h1 != runio.config_hash({"a": 1, "b": [1, 3]})
 
 
 @pytest.mark.parametrize("case, flux_name, kind", [
@@ -58,8 +58,10 @@ def test_transform_csv_roundtrip(tmp_path, request, case, flux_name, kind):
     }[case]()
     path = tmp_path / "t.csv"
     dx.save_transform_csv(path, pair)
-    # through JSON, as a sidecar or manifest stores it
-    back = dx.load_transform_csv(path, json.loads(json.dumps(pair.meta())))
+    # the sidecar save_transform_csv wrote beside the table holds the pair's
+    # meta through JSON, as a manifest stores it, and is what the load reads
+    assert json.loads(path.with_suffix(".json").read_text()) == json.loads(json.dumps(pair.meta()))
+    back = dx.load_transform_csv(path)
     # bit-exact on the stored lattice; the loaded tables hold the union of the
     # alpha and beta breakpoints, so off-lattice evaluation may differ by an
     # ulp where a segment gained an interior (collinear) node
@@ -73,10 +75,6 @@ def test_transform_csv_roundtrip(tmp_path, request, case, flux_name, kind):
     assert back.c == pair.c
     assert back.shifts == pair.shifts
     assert back.connection == pair.connection
-    # without meta, the sidecar save_transform_csv wrote beside the table is read
-    assert json.loads(path.with_suffix(".json").read_text()) == json.loads(json.dumps(pair.meta()))
-    beside = dx.load_transform_csv(path)
-    assert (beside.kind, beside.c, beside.shifts, beside.connection) == (kind, pair.c, pair.shifts, pair.connection)
     # the composed fluxes, zero extension included, are the same functions;
     # a connection table gains beta's breakpoints in alpha, so compose_flux
     # places some nodes elsewhere and values move by an ulp or two there
@@ -253,6 +251,18 @@ def test_read_checks_manifest_entries(tmp_path, burgers):
     dx.read_run(run_dir)
 
 
+
+@pytest.mark.parametrize("data, message", [
+    (b"{bad", "Expecting property name enclosed in double quotes"),
+    (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff"),
+], ids=["not-json", "not-utf8"])
+def test_read_names_a_manifest_that_is_not_json(tmp_path, burgers, data, message):
+    _, _, run_dir = _small_run(burgers, tmp_path)
+    path = run_dir / "manifest.json"
+    path.write_bytes(data)
+    with pytest.raises(DiscFluxError, match=re.escape(f"{path}: {message}")):
+        dx.read_run(run_dir)
+
 def test_failed_write_leaves_no_run(tmp_path, burgers, monkeypatch):
     def broken(*args):
         raise RuntimeError("disk full")
@@ -402,7 +412,7 @@ def test_read_csv_reads_what_write_csv_wrote_bit_for_bit(tmp_path, rows, cols):
 
 
 # each loader's header and a table it accepts
-CSV_LOADERS = {"flux": (dx.load_flux_csv, "u,f,g", [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+CSV_LOADERS = {"flux": (load_flux_csv, "u,f,g", [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
                "transform": (dx.load_transform_csv, "v,alpha,beta", [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])}
 
 

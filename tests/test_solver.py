@@ -16,7 +16,15 @@ from hypothesis import strategies as st_
 
 import discflux as dx
 from discflux.errors import StabilityError
-from discflux.solver import _BLOCK_STEPS, _apply_factors, _factor_tridiagonal, _Stepper
+from discflux.solver import (
+    _BLOCK_STEPS,
+    _apply_factors,
+    _factor_tridiagonal,
+    _Stepper,
+    mollify_initial,
+    reconstruct_u,
+    smooth_heaviside,
+)
 from discflux.transforms import _audit
 
 from conftest import random_step_profile
@@ -31,23 +39,23 @@ def _stepper(flux, transform, cfg):
 
 def test_smooth_heaviside_symmetry():
     x = np.linspace(-3, 3, 1001)
-    h = dx.smooth_heaviside(x, 0.5)
-    assert dx.smooth_heaviside(0.0, 0.5) == pytest.approx(0.5, abs=1e-15)
-    assert np.max(np.abs(h + dx.smooth_heaviside(-x, 0.5) - 1.0)) < 1e-12
+    h = smooth_heaviside(x, 0.5)
+    assert smooth_heaviside(0.0, 0.5) == pytest.approx(0.5, abs=1e-15)
+    assert np.max(np.abs(h + smooth_heaviside(-x, 0.5) - 1.0)) < 1e-12
     assert np.all(np.diff(h) >= 0)
-    assert dx.smooth_heaviside(-0.51, 0.5) == 0.0
-    assert dx.smooth_heaviside(0.51, 0.5) == 1.0
+    assert smooth_heaviside(-0.51, 0.5) == 0.0
+    assert smooth_heaviside(0.51, 0.5) == 1.0
 
 
 def test_smooth_heaviside_rejects_bad_eps():
     with pytest.raises(ValueError):
-        dx.smooth_heaviside(0.0, 0.0)
+        smooth_heaviside(0.0, 0.0)
 
 
 def test_mollify_preserves_constants(burgers):
     ident = dx.identity_transform(burgers)
     x = np.linspace(-2, 2, 257)
-    v = dx.mollify_initial(np.full(x.shape, 0.37), x, ident, eps=0.25)
+    v = mollify_initial(np.full(x.shape, 0.37), x, ident, eps=0.25)
     assert np.max(np.abs(v - 0.37)) < 1e-14
 
 
@@ -55,7 +63,7 @@ def test_mollify_steady_connection_becomes_flat(burgers, demo_connection):
     conn, pair = demo_connection
     x = -2 + (np.arange(256) + 0.5) * (4 / 256)
     u0 = dx.steady_connection_state(burgers, conn, x)
-    v = dx.mollify_initial(u0, x, pair, eps=0.125)
+    v = mollify_initial(u0, x, pair, eps=0.125)
     assert np.max(np.abs(v - pair.c)) < 1e-13
 
 
@@ -65,7 +73,7 @@ def test_mollify_does_not_increase_variation(burgers):
     x = np.linspace(-2, 2, 321)
     for _ in range(5):
         u0 = random_step_profile(rng)(x)
-        v = dx.mollify_initial(u0, x, ident, eps=0.2)
+        v = mollify_initial(u0, x, ident, eps=0.2)
         assert np.sum(np.abs(np.diff(v))) <= np.sum(np.abs(np.diff(u0))) + 1e-12
 
 
@@ -154,6 +162,15 @@ def test_range_excess_is_infinite_for_non_finite_u(burgers):
     u[-1, 5] = np.nan
     assert replace(field, u=u).range_excess() == np.inf
 
+
+
+def test_solution_field_checks_the_shape_of_u(burgers):
+    # a u one cell short used to be accepted, and a report on it then failed
+    # in a matrix product
+    field = dx.solve(burgers, np.full(64, 0.5), config=dx.SolverConfig(cells=64, t_end=0.01))
+    for u in (field.u[:, :-1], field.u[:-1], field.u[-1]):
+        with pytest.raises(ValueError, match="snapshot array shape mismatch"):
+            replace(field, u=u)
 
 def test_solve_gates_on_transform_audit(demo_swapped):
     # the raw swapped pair fails the crossing condition, so identity labels
@@ -772,7 +789,7 @@ def test_block_bookkeeping_matches_a_per_step_loop(small_problems, kind):
         field = dx.solve(flux, u0, transform, cfg)
         assert field.stats["steps"] == nsteps
         st = _stepper(flux, transform, cfg)
-        v = dx.mollify_initial(u0, x, transform, st.eps)
+        v = mollify_initial(u0, x, transform, st.eps)
         lookup = st.conserved(v)
         c1 = c2 = 0.0
         for _ in range(nsteps):
@@ -805,7 +822,7 @@ def test_newton_stops_on_a_node(burgers, demo_connection):
     st = _stepper(burgers, pair, cfg)
     x = cfg.centers()
     u0 = np.where(np.abs(x) < 1, 0.55, dx.steady_connection_state(burgers, conn, x))
-    v = dx.mollify_initial(u0, x, pair, st.eps)
+    v = mollify_initial(u0, x, pair, st.eps)
     assert pair.c in st.ugrid
     assert np.count_nonzero(v == pair.c) > 0
     v_new, _, iterations, _, lookup = st.step(v, cfg.t_end / 24, st.conserved(v))
@@ -931,7 +948,7 @@ def test_reconstruct_uses_left_branch_at_interface(demo_swapped):
     pair = dx.build_translation_transform(demo_swapped)
     x = np.array([-1.0, 0.0, 1.0])
     v = np.full(3, 0.4)
-    u = dx.reconstruct_u(v, x, pair)
+    u = reconstruct_u(v, x, pair)
     k_l, k_r = pair.shifts
     assert u[0] == pytest.approx(0.4 + k_l)
     assert u[1] == pytest.approx(0.4 + k_l)   # x = 0 belongs to the left side

@@ -1,6 +1,5 @@
 """Crossing checks, connection validation, and the two transform builders."""
 
-import json
 from dataclasses import replace
 
 import numpy as np
@@ -442,7 +441,7 @@ def test_connection_c_is_the_builders_knot(tmp_path, burgers, A, B):
     knot = 0.5 * ((a + (b - a) / 3.0) + (b - (b - a) / 3.0))
     pair = dx.build_connection_transform(burgers, dx.Connection(A, B))
     dx.save_transform_csv(tmp_path / "t.csv", pair)
-    back = dx.load_transform_csv(tmp_path / "t.csv", json.loads(json.dumps(pair.meta())))
+    back = dx.load_transform_csv(tmp_path / "t.csv")
     assert pair.c == back.c == knot
     assert pair.beta.forward(knot) == back.beta.forward(knot) == A
     # the audit holds alpha(c) to B within 1e-12; the built pairs meet it to a few ulps
@@ -472,6 +471,15 @@ def test_verify_flags_a_connection_its_maps_do_not_realise(burgers):
     assert not audit.ok
     assert audit.failures == ("alpha(c) misses the connection's B = 0.25 (gap 5.000e-01)",)
 
+
+
+def test_verify_flags_a_connection_whose_composed_fluxes_disagree_at_c(demo_cross):
+    # c = beta^-1(0.3) = 0.3 and alpha carries it to B = 0.3; but f(0.3) and
+    # g(0.3) differ, so (0.3, 0.3) is no connection of this pair
+    ident = dx.MonotoneBijection.identity(0.0, 1.0)
+    audit = dx.verify_transform(demo_cross, dx.TransformPair(ident, ident, connection=dx.Connection(0.3, 0.3)))
+    assert not audit.ok
+    assert audit.failures == ("composed fluxes disagree at c: |f_a(c)-g_b(c)| = 8.400e-02",)
 
 def test_verify_flags_non_crossing_pair(demo_swapped):
     audit = dx.verify_transform(demo_swapped, dx.identity_transform(demo_swapped))
