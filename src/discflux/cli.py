@@ -47,7 +47,10 @@ _CONFIG_KEYS = set(SolverConfig().to_dict())
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:   # not UTF-8, or not JSON
+        raise click.UsageError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise click.UsageError(f"config file {path} must be a JSON object")
     unknown = set(data) - _CONFIG_KEYS

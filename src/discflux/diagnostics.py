@@ -10,26 +10,31 @@ field, not of the integration rule.
 A report evaluates its whole hat family at once: the tent formulas broadcast
 over a column of centres and radii, giving every hat's increments and
 integrals on all slabs and cells in a few array operations.  The family then
-keeps, per hat, its four rows and its two interface scalars, the x-hat's
-value at 0 and the sum of the t-hat's slab integrals, so that only the two
-matrix-vector products that close each residual run per hat, on the same
-1-D operands a single hat would use; a residual does not depend on which
-family it was computed in.
+keeps the two x-rows of each distinct x-hat and, per hat, its two t-rows
+and its two interface scalars, the x-hat's value at 0 and the sum of the
+t-hat's slab integrals.  A report takes the two row products of each
+distinct x-hat once, and each hat closes its residual with its own two
+dots, on the same 1-D operands a single hat would use; a residual does not
+depend on which family it was computed in.  The default family pins half
+its hats over the interface with one x-hat, so 12 hats need 7 pairs of
+row products.
 
 The comparison state of every report is two numbers, one for the cells with
-x <= 0 and one for the cells with x > 0, so a report writes its terms by two
-slices each, from one lookup of g and one of f.
+x <= 0 and one for the cells with x > 0, from one lookup of g and one of f.
+A report writes the state and its branch flux as one row each, so every
+term is one whole-array operation.
 
 A field keeps the report terms that no comparison state enters: the default
 hat family of each ``side`` with its support check and per-hat terms, the
 branch fluxes g(u) left of the interface and f(u) right of it on every slab,
-the cell faces, the automatic tolerance and three work arrays that each
-report overwrites.  They are computed on the first report that needs them and
-kept in a private attribute of the field, so the five pair reports and the
-adapted report of one verification build them once and they die with the
-field.  They hold no reference to the field and assume its arrays are never
-changed, as the arrays' read-only flags state.  An explicit ``tests`` family
-is integrated on each call but shares the branch fluxes.
+the cell faces, the automatic tolerance and the work arrays that each report
+overwrites, three of the field's size and two rows.  They are computed on the
+first report that needs them and kept in a private attribute of the field, so
+the five pair reports and the adapted report of one verification build them
+once and they die with the field.  They hold no reference to the field and
+assume its arrays are never changed, as the arrays' read-only flags state.
+An explicit ``tests`` family is integrated on each call but shares the branch
+fluxes.
 """
 
 from __future__ import annotations
@@ -234,13 +239,16 @@ class _FieldTerms:
         self._families: dict = {}
         self._branch = None
         self.buffers = tuple(np.empty(field.u[:-1].shape) for _ in range(3))   # a report's D, Q and sgn(D)
+        self.state = np.empty((2, len(x)))   # a report's comparison state and its branch flux, per cell
 
     def family(self, field: SolutionField, tests, side: str | None = None) -> tuple:
         """The hats and each hat's terms, after the support check.
 
-        Hat k's terms are the rows dT[k], Xint[k], Tint[k] and dX[k] of
-        ``_hat_integrals``, then X_k(0) and the sum of Tint[k] as floats (a
-        row sum of ``Tint`` is the pairwise sum ``np.sum(Tint[k])`` takes).
+        The terms are the x-rows, a dict that maps the first hat k of each
+        distinct x-hat to its rows Xint[k] and dX[k] of ``_hat_integrals``,
+        then per hat its rows dT and Tint, the key of its x-hat's rows, and
+        X(0) and the sum of Tint as floats (a row sum of ``Tint`` is the
+        pairwise sum ``np.sum(Tint[k])`` takes).
 
         With ``tests`` None this is the default family of ``side``, built on
         the first call and kept; an explicit family is integrated anew.
@@ -253,11 +261,16 @@ class _FieldTerms:
             family = self._families[side] = (hats, self._integrals(field, hats))
         return family
 
-    def _integrals(self, field: SolutionField, tests) -> tuple[tuple, ...]:
+    def _integrals(self, field: SolutionField, tests) -> tuple:
+        """The x-rows and per-hat terms ``family`` returns; x-hats are equal
+        when their centres and radii are, bit for bit."""
         columns = _hat_columns(tests)
         _check_support(field, columns)
         dT, Tint, dX, Xint, at_zero = _hat_integrals(field.times, self.faces, columns)
-        return tuple(zip(dT, Xint, Tint, dX, at_zero.tolist(), Tint.sum(axis=1).tolist()))
+        first: dict = {}
+        slots = [first.setdefault(key.tobytes(), k) for k, key in enumerate(np.hstack(columns[2:]))]
+        x_rows = {k: (Xint[k], dX[k]) for k in first.values()}
+        return x_rows, tuple(zip(dT, Tint, slots, at_zero.tolist(), Tint.sum(axis=1).tolist()))
 
     def branch_fluxes(self, field: SolutionField) -> np.ndarray:
         """g(u) on the cells before ``split`` and f(u) from it on, every slab."""
@@ -299,9 +312,10 @@ def _entropy_report(
     ``tests`` None takes the default family of ``side``.  The
     field's kept terms (``_field_terms``) supply each hat's rows and
     interface scalars, the branch fluxes and the automatic tolerance; only
-    the terms the state enters are computed here, and each residual then
-    takes its own two matrix-vector products, as a lone hat would.  A
-    negative or tiny value means the inequality holds for that test
+    the terms the state enters are computed here, in whole-array passes.
+    The two row products E @ Xint and Q @ dX run once per distinct x-hat,
+    and each residual closes them with its own t-rows, as a lone hat would.
+    A negative or tiny value means the inequality holds for that test
     function.
     """
     # inf would pass every residual and NaN or a negative value fail every one
@@ -310,24 +324,27 @@ def _entropy_report(
     if tests is not None and len(tests) == 0:
         raise ValueError(f"{kind}: the test-function family is empty")
     terms = _field_terms(field)
-    tests, hat_terms = terms.family(field, tests, side)
+    tests, (x_rows, hat_terms) = terms.family(field, tests, side)
     tol = terms.tolerance if tolerance is None else float(tolerance)
 
     k = terms.split
     F_left, F_right = field.flux.g(c_left), field.flux.f(c_right)
+    c, F = terms.state
+    c[:k], c[k:], F[:k], F[k:] = c_left, c_right, F_left, F_right
     U, B = field.u[:-1], terms.branch_fluxes(field)
     D, Q, S = terms.buffers   # written in place: a report allocates no float array of the field's size
-    for cells, c, F in ((np.s_[:, :k], c_left, F_left), (np.s_[:, k:], c_right, F_right)):
-        np.subtract(U[cells], c, out=D[cells])
-        np.subtract(B[cells], F, out=Q[cells])
-    Q *= np.subtract(D > SIGN_BAND, D < -SIGN_BAND, out=S, dtype=float)   # sgn(D)
+    np.subtract(U, c, out=D)
+    np.subtract(B, F, out=Q)
+    np.sign(D, out=S)
     E = np.abs(D, out=D)   # the entropy |u - c| takes the difference's place
+    S[~(E > SIGN_BAND)] = 0.0   # sgn(D): 0 in the dead band, and at NaN
+    Q *= S
     allowance = abs(float(F_right - F_left)) if interface else 0.0
+    products = {j: (E @ Xint, Q @ dX) for j, (Xint, dX) in x_rows.items()}
     res = []
-    for dT, Xint, Tint, dX, at_zero, Tsum in hat_terms:
-        term_t = float(dT @ (E @ Xint))
-        term_x = float(Tint @ (Q @ dX))
-        res.append(-(term_t + term_x + allowance * at_zero * Tsum))
+    for dT, Tint, j, at_zero, Tsum in hat_terms:
+        EX, QX = products[j]
+        res.append(-(float(dT @ EX) + float(Tint @ QX) + allowance * at_zero * Tsum))
     # the first largest residual, or the first NaN, which then fails the report
     index = int(np.argmax(res))
     worst = res[index]

@@ -300,6 +300,18 @@ def test_solve_rejects_bad_config_file(tmp_path, content, message):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("raw", [b"{bad\n", b'{"cells": "\xff"}\n'], ids=["not-json", "not-utf8"])
+def test_solve_names_a_config_file_it_cannot_read(tmp_path, raw):
+    # catch_exceptions=False: a bare decode error would fail the test here
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    res = run_cli("solve", "--flux", "burgers-like", "--u0", "constant:0.4",
+                  "--config", str(path), "--out", str(tmp_path / "o"))
+    assert res.exit_code == 2, res.output
+    assert f"Error: {path}: " in res.output
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("snapshots, edit", [
     ("33", lambda m: m.pop("cells")),
     ("33", lambda m: m["mass"].pop()),

@@ -195,6 +195,73 @@ def test_reports_match_per_hat_oracle(burgers, demo_cross, demo_swapped, demo_co
         assert rep.worst == max(rep.residuals)
 
 
+def test_hats_sharing_an_x_hat_match_the_oracle(burgers, demo_cross, demo_connection):
+    # hats that share an x-hat share its two row products; hats that share
+    # only a t-hat must not, and a hat listed twice gives its residual twice
+    conn, pair = demo_connection
+    riemann = lambda ul, ur: (lambda x: np.where(np.asarray(x) <= 0.0, ul, ur))
+    fields = {
+        "connection": dx.solve(burgers, riemann(0.8, 0.4), pair, dx.SolverConfig(cells=1024, t_end=0.5)),
+        "identity": dx.solve(demo_cross, riemann(0.3, 0.7), dx.identity_transform(demo_cross),
+                             dx.SolverConfig(cells=129, t_end=0.1)),
+    }
+    for name, field in fields.items():
+        x, t = field.x, field.transform
+        t1 = float(field.times[-1])
+        early, late = dx.HatFunction(0.4 * t1, 0.2 * t1), dx.HatFunction(0.6 * t1, 0.3 * t1)
+        pinned, left, right = dx.HatFunction(0.0, 0.5), dx.HatFunction(-0.8, 0.6), dx.HatFunction(0.7, 0.4)
+        twice = dx.SpaceTimeHat(late, pinned)
+        hats = [dx.SpaceTimeHat(early, pinned), twice, dx.SpaceTimeHat(early, left), twice,
+                dx.SpaceTimeHat(late, right), dx.SpaceTimeHat(early, right), dx.SpaceTimeHat(late, left)]
+        xi = float(np.mean(t.domain))
+        c_right, c_left = float(t.alpha.forward(xi)), float(t.beta.forward(xi))
+        delta = float(field.flux.f(c_right) - field.flux.g(c_left))
+        rep = dx.entropy_residual_pair(field, xi, tests=hats)
+        assert rep.residuals == _oracle_residuals(field, np.where(x > 0.0, c_right, c_left), delta, hats), name
+        assert rep.residuals[1] == rep.residuals[3]
+        assert len(set(rep.residuals)) == 6, name   # no two distinct hats agree by accident
+        rep = dx.entropy_residual_connection(field, conn, tests=hats)
+        assert rep.residuals == _oracle_residuals(field, np.where(x > 0.0, conn.B, conn.A), 0.0, hats), name
+
+
+@pytest.mark.parametrize("shift", [0.0, 5e-13, -5e-13])
+def test_comparison_state_at_the_dead_band_edge_matches_the_oracle(burgers, shift):
+    # cells up to 1.6e-12 from the comparison state: some inside the
+    # +-SIGN_BAND dead band of sgn, where |u - c| > 0 but sgn is 0, some just outside
+    plateau = 0.6
+    steps = np.array([-1.1e-12, 0.0, 0.9e-12, 1.1e-12, -0.9e-12, 0.0])
+    edges = np.linspace(-2.0, 0.0, len(steps) + 1)[1:-1]
+    field = _frozen_field(
+        burgers, lambda x: np.where(np.asarray(x) <= 0, plateau + steps[np.searchsorted(edges, x)], 0.3))
+    c = float(field.u[-1, 3]) + shift
+    D = np.abs(field.u - c)
+    assert np.any((D > 0.0) & (D <= diagnostics.SIGN_BAND)) and np.any(D > diagnostics.SIGN_BAND)
+    hats = [dx.SpaceTimeHat(dx.HatFunction(0.25, 0.2), dx.HatFunction(xc, r))
+            for xc, r in ((-1.0, 0.9), (-1.2, 0.5), (-0.5, 0.45))]
+    cstar = np.full(field.x.shape, c)
+    for tests, family in ((hats, hats), (None, dx.default_test_functions(field, side="left"))):
+        rep = dx.entropy_residual_side(field, c, "left", tests=tests)
+        assert rep.residuals == _oracle_residuals(field, cstar, 0.0, family)
+        assert any(r != 0.0 for r in rep.residuals)
+
+
+def test_a_nan_cell_fails_the_report_as_the_oracle_does(burgers, demo_cross):
+    field = dx.solve(demo_cross, lambda x: np.where(np.asarray(x) <= 0.0, 0.3, 0.7),
+                     dx.identity_transform(demo_cross), dx.SolverConfig(cells=129, t_end=0.1))
+    u = field.u.copy()
+    u[len(u) // 2, 40] = np.nan   # left of 0: outside every hat of the right side's family too
+    broken = replace(field, u=u)
+    x, flux = field.x, field.flux
+    for rep, cstar, delta, hats in (
+        (dx.entropy_residual_pair(broken, 0.5), np.full(x.shape, 0.5), float(flux.f(0.5) - flux.g(0.5)),
+         dx.default_test_functions(field)),
+        (dx.entropy_residual_side(broken, 0.4, "right"), np.full(x.shape, 0.4), 0.0,
+         dx.default_test_functions(field, side="right")),
+    ):
+        assert not rep.ok and np.isnan(rep.worst) and rep.worst_index == 0
+        assert np.array(rep.residuals).tobytes() == np.array(_oracle_residuals(broken, cstar, delta, hats)).tobytes()
+
+
 @st_.composite
 def _hats_within(draw, nodes):
     """A hat supported inside [nodes[0], nodes[-1]]: its support ends on two
