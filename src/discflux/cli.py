@@ -11,10 +11,10 @@ failed, 2 bad usage or invalid inputs.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -30,7 +30,7 @@ from .diagnostics import (
 from .errors import ConstructionError, DiscFluxError
 from .fluxes import get_flux, registry_names, write_csv
 from .riemann import classical_riemann, steady_connection_state
-from .runio import load_transform_csv, read_run, save_transform_csv, write_run
+from .runio import load_transform_csv, read_json_object, read_run, save_transform_csv, write_run
 from .solver import SolverConfig, ladder, solve
 from .transforms import (
     Connection,
@@ -47,12 +47,7 @@ _CONFIG_KEYS = set(SolverConfig().to_dict())
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    try:
-        data = json.loads(Path(path).read_text())
-    except ValueError as exc:   # not UTF-8, or not JSON
-        raise click.UsageError(f"{path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise click.UsageError(f"config file {path} must be a JSON object")
+    data = read_json_object(path, "config")
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise click.UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -63,10 +58,7 @@ def _solver_config(config_path: str | None, **flags) -> SolverConfig:
     merged = SolverConfig().to_dict()
     merged.update(_load_config(config_path))
     merged.update({k: v for k, v in flags.items() if v is not None})
-    try:
-        return SolverConfig(**merged)
-    except (TypeError, ValueError) as exc:
-        raise click.UsageError(str(exc))
+    return SolverConfig(**merged)
 
 
 def _parse_connection(text: str | None) -> Connection | None:
@@ -120,8 +112,13 @@ def _initial_profile(text: str, flux, conn: Connection | None):
     raise click.UsageError(f"unknown initial profile {text!r}")
 
 
-def _out_root(out: str | None) -> Path:
-    return Path(out or os.environ.get("DISCFLUX_OUT", "runs"))
+@contextmanager
+def _usage_errors():
+    """Turn a ``DiscFluxError`` or ValueError raised in the block, a bad input, into a usage error (exit 2)."""
+    try:
+        yield
+    except (DiscFluxError, ValueError) as exc:
+        raise click.UsageError(str(exc))
 
 
 def _echo(message: str, err: bool = False) -> None:
@@ -156,7 +153,7 @@ def main():
 def cli_solve(flux_name, transform_arg, connection_text, u0_arg, config_path, out,
               cells, eps, t_end, half_width, snapshots):
     """Run the viscous scheme and persist snapshots."""
-    try:
+    with _usage_errors():
         flux = get_flux(flux_name)
         conn = _parse_connection(connection_text)
         transform = _resolve_transform(transform_arg, flux, conn)
@@ -164,9 +161,7 @@ def cli_solve(flux_name, transform_arg, connection_text, u0_arg, config_path, ou
         cfg = _solver_config(config_path, cells=cells, eps=eps, t_end=t_end,
                              half_width=half_width, snapshots=snapshots)
         field = solve(flux, u0, transform, cfg)
-    except (DiscFluxError, ValueError) as exc:
-        raise click.UsageError(str(exc))
-    run_dir = write_run(field, cfg, _out_root(out))
+    run_dir = write_run(field, cfg, Path(out or os.environ.get("DISCFLUX_OUT", "runs")))
     _echo(f"run written to {run_dir}")
     _echo(f"steps={field.stats['steps']} dt={field.dt:.3e} eps={field.eps:.3e}")
     try:
@@ -184,13 +179,11 @@ def cli_solve(flux_name, transform_arg, connection_text, u0_arg, config_path, ou
 @click.option("--connection", "connection_text", default=None)
 def cli_check_crossing(flux_name, transform_arg, connection_text):
     """Report whether the composed fluxes cross at most once (exit 1 if not)."""
-    try:
+    with _usage_errors():
         flux = get_flux(flux_name)
         conn = _parse_connection(connection_text)
         transform = _resolve_transform(transform_arg, flux, conn)
         audit = verify_transform(flux, transform)   # a built connection pair arrives audited
-    except (DiscFluxError, ValueError) as exc:
-        raise click.UsageError(str(exc))
     report = audit.crossing
     if report is None:   # the composition failed
         raise click.UsageError("; ".join(audit.failures))
@@ -206,15 +199,14 @@ def cli_check_crossing(flux_name, transform_arg, connection_text):
               help="destination CSV; the pair's metadata goes in a JSON file of the same name beside it")
 def cli_build_transform(flux_name, mode, connection_text, out_path):
     """Construct a transform pair and write it to disk."""
-    try:
-        flux = get_flux(flux_name)
-        pair = _resolve_transform(mode, flux, _parse_connection(connection_text))
-        save_transform_csv(out_path, pair)
-    except ConstructionError as exc:
-        _echo(f"construction failed: {exc}", err=True)
-        sys.exit(1)
-    except (DiscFluxError, ValueError) as exc:
-        raise click.UsageError(str(exc))
+    with _usage_errors():
+        try:
+            flux = get_flux(flux_name)
+            pair = _resolve_transform(mode, flux, _parse_connection(connection_text))
+            save_transform_csv(out_path, pair)
+        except ConstructionError as exc:
+            _echo(f"construction failed: {exc}", err=True)
+            sys.exit(1)
     _echo(f"transform written to {out_path} (kind={pair.kind}, "
                f"shifts={pair.shifts}, c={pair.c}, audit ok={verify_transform(flux, pair).ok})")
 
@@ -229,11 +221,9 @@ def cli_build_transform(flux_name, mode, connection_text, out_path):
               help="optional x,u profile CSV at the given time")
 def cli_riemann(flux_name, branch, left, right, t_eval, out_path):
     """Exact two-state solution for one flux branch."""
-    try:
+    with _usage_errors():
         flux = get_flux(flux_name)
         sol = classical_riemann(flux.branch(branch), left, right)
-    except (DiscFluxError, ValueError) as exc:
-        raise click.UsageError(str(exc))
     if not sol.waves:
         _echo("constant solution, no waves")
     for w in sol.waves:
@@ -319,15 +309,13 @@ def cli_verify(run_dir, tolerance):
 @click.option("--t-end", "t_end", type=float, default=0.5, show_default=True)
 def cli_sweep(flux_name, transform_arg, connection_text, u0_arg, levels, cells, t_end):
     """Joint refinement of grid and smoothing width; reports L1 gaps."""
-    try:
+    with _usage_errors():
         flux = get_flux(flux_name)
         conn = _parse_connection(connection_text)
         transform = _resolve_transform(transform_arg, flux, conn)
         u0 = _initial_profile(u0_arg, flux, conn)
         base = SolverConfig(cells=cells, t_end=t_end)
         result = ladder(flux, u0, transform, base, levels=levels)
-    except (DiscFluxError, ValueError) as exc:
-        raise click.UsageError(str(exc))
     for k, d in enumerate(result.distances):
         _echo(f"level {k} -> {k + 1}: L1 gap {d:.6e}")
     if len(result.distances) > 1:

@@ -4,9 +4,7 @@ Everything downstream (flux branches, admissibility transforms, envelopes,
 Riemann constructions) is carried by dense piecewise-linear data.  That class
 of functions is closed under composition, zero extension, convex envelopes and
 inversion, and each of those operations is exact on the breakpoint lattice,
-so verification checks do not have to fight discretisation noise.  Each of
-them is whole-array numpy work with no per-sample Python loop; an envelope
-takes a handful of passes.
+so verification checks do not have to fight discretisation noise.
 """
 
 from __future__ import annotations

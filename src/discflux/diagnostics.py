@@ -5,36 +5,8 @@ tensor grid of snapshot slabs times cells and pairs it with tent-shaped test
 functions whose integrals are written in closed form.  All quadrature is then
 exact for the piecewise-constant data, so steady or constant fields produce
 residuals at rounding level and any reported violation is a property of the
-field, not of the integration rule.
-
-A report evaluates its whole hat family at once: the tent formulas broadcast
-over a column of centres and radii, giving every hat's increments and
-integrals on all slabs and cells in a few array operations.  The family then
-keeps the two x-rows of each distinct x-hat and, per hat, its two t-rows
-and its two interface scalars, the x-hat's value at 0 and the sum of the
-t-hat's slab integrals.  A report takes the two row products of each
-distinct x-hat once, and each hat closes its residual with its own two
-dots, on the same 1-D operands a single hat would use; a residual does not
-depend on which family it was computed in.  The default family pins half
-its hats over the interface with one x-hat, so 12 hats need 7 pairs of
-row products.
-
-The comparison state of every report is two numbers, one for the cells with
-x <= 0 and one for the cells with x > 0, from one lookup of g and one of f.
-A report writes the state and its branch flux as one row each, so every
-term is one whole-array operation.
-
-A field keeps the report terms that no comparison state enters: the default
-hat family of each ``side`` with its support check and per-hat terms, the
-branch fluxes g(u) left of the interface and f(u) right of it on every slab,
-the cell faces, the automatic tolerance and the work arrays that each report
-overwrites, three of the field's size and two rows.  They are computed on the
-first report that needs them and kept in a private attribute of the field, so
-the five pair reports and the adapted report of one verification build them
-once and they die with the field.  They hold no reference to the field and
-assume its arrays are never changed, as the arrays' read-only flags state.
-An explicit ``tests`` family is integrated on each call but shares the branch
-fluxes.
+field, not of the integration rule.  A residual does not depend on the hat
+family it was computed in, nor on the reports the field served before.
 """
 
 from __future__ import annotations
@@ -133,17 +105,12 @@ def default_test_functions(
     tspan = t1 - t0
     hats: list[SpaceTimeHat] = []
 
-    def t_hat(center_frac: float, radius_frac: float = 0.2) -> HatFunction:
-        r = radius_frac * tspan
-        c = t0 + np.clip(center_frac, 0.0, 1.0) * tspan
-        c = min(max(c, t0 + r * 1.01), t1 - r * 1.01)
-        return HatFunction(c, r)
-
     if side is None:
         pinned = (count + 1) // 2
+        r = 0.2 * tspan
         for k in range(pinned):
-            frac = (k + 1) / (pinned + 1)
-            hats.append(SpaceTimeHat(t_hat(frac), HatFunction(0.0, min(0.25 * (x1 - x0), -x0 * 0.9, x1 * 0.9))))
+            c = min(max(t0 + (k + 1) / (pinned + 1) * tspan, t0 + r * 1.01), t1 - r * 1.01)
+            hats.append(SpaceTimeHat(HatFunction(c, r), HatFunction(0.0, min(0.25 * (x1 - x0), -x0 * 0.9, x1 * 0.9))))
         lo, hi = x0, x1
     elif side == "left":
         lo, hi = x0, 0.0
@@ -227,8 +194,11 @@ def _auto_tolerance(field: SolutionField) -> float:
 class _FieldTerms:
     """The terms of an entropy report that depend on the field alone.
 
-    Built by ``_field_terms`` and kept on the field; every method takes the
-    field as an argument, so the terms hold no reference to it.
+    Built by ``_field_terms`` on the first report that needs them and kept
+    on the field, so the five pair reports and the adapted report of one
+    verification build them once, and they die with the field.  Every
+    method takes the field as an argument, so the terms hold no reference
+    to it; they assume its arrays never change, as their read-only flags state.
     """
 
     def __init__(self, field: SolutionField):
@@ -263,7 +233,9 @@ class _FieldTerms:
 
     def _integrals(self, field: SolutionField, tests) -> tuple:
         """The x-rows and per-hat terms ``family`` returns; x-hats are equal
-        when their centres and radii are, bit for bit."""
+        when their centres and radii are, bit for bit.  The default family
+        pins half its hats over the interface with one x-hat, so 12 hats
+        need 7 pairs of row products."""
         columns = _hat_columns(tests)
         _check_support(field, columns)
         dT, Tint, dX, Xint, at_zero = _hat_integrals(field.times, self.faces, columns)

@@ -162,15 +162,31 @@ def write_csv(path, table, header: str | None = None) -> None:
     np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header or "", comments="")
 
 
+def read_text(path) -> str:
+    """The text of the UTF-8 file ``path``; every CSV table and JSON file is read through it.
+
+    Raises ``DiscFluxError`` starting with ``path`` for a file that cannot be
+    opened (a directory, no read permission, missing) or is not UTF-8.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DiscFluxError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DiscFluxError(f"{path}: {exc}") from exc
+
+
 def read_csv(path, header: str) -> np.ndarray:
     """The table below the header line ``header`` of a CSV file; spaces around a name are ignored.
 
-    Raises ``DiscFluxError`` naming ``path`` for another header, or unless there are
-    rows and each holds one number per name.
+    Raises ``DiscFluxError`` starting with ``path`` for a file ``read_text``
+    rejects, for another header, or unless there are rows and each holds one
+    number per name.
     """
     names = header.split(",")
-    with open(path) as fh:
-        first, rows = fh.readline(), [row for row in fh if row.strip()]
+    first, _, body = read_text(path).partition("\n")
+    rows = [row for row in body.split("\n") if row.strip()]
     if [name.strip() for name in first.split(",")] != names:
         raise DiscFluxError(f"{path}: expected header {header!r}, found {first.strip()!r}")
     widths = sorted({row.count(",") + 1 for row in rows})

@@ -1,7 +1,7 @@
 """On-disk layout for solver runs (format 3).
 
-A run directory is named by a short content hash and holds four tables plus
-one manifest:
+A run directory is named by a short hash of the config and of the flux,
+transform and initial tables, and holds four tables plus one manifest:
 
     <out>/<hash>/manifest.json        run metadata, config, stored times, sha256 per table
     <out>/<hash>/flux.npy             sampled flux pair, columns u, f, g
@@ -10,16 +10,11 @@ one manifest:
     <out>/<hash>/snapshots/v.npy      the same for the transformed variable
 
 Each table is a 2-D little-endian float64 array in numpy's ``.npy`` format,
-so reloading reproduces the arrays bit for bit; reloading a transform is
-exact because the tables are piecewise linear with their breakpoints
-included in the stored lattice.  ``_write_table`` and ``_load_table`` own
-that format.  CSV is for interchange only: ``save_transform_csv`` writes a
-transform as a ``v,alpha,beta`` table with its ``TransformPair.meta()`` in a
-``.json`` sidecar of the same name, and ``load_transform_csv`` reads both.
-
-A run is built in a temporary sibling directory and renamed into place, so a
-crash leaves no partial ``<hash>/``.  The digests are of the bytes written;
-``read_run`` reads each table once and checks those bytes before parsing them.
+so a run reloads bit for bit, its transform included: the maps are
+piecewise linear with their breakpoints in the stored lattice.  ``read_run``
+rejects a table whose bytes miss the manifest's sha256.  CSV is for
+interchange only: a transform is a ``v,alpha,beta`` table with its metadata
+in a ``.json`` sidecar of the same name.
 """
 
 from __future__ import annotations
@@ -37,7 +32,7 @@ import numpy as np
 
 from .curves import MonotoneBijection
 from .errors import DiscFluxError
-from .fluxes import FluxPair, _flux_table, read_csv, write_csv
+from .fluxes import FluxPair, _flux_table, read_csv, read_text, write_csv
 from .solver import SolutionField, SolverConfig
 from .transforms import Connection, TransformPair
 
@@ -90,6 +85,21 @@ def _load_table(path: Path, data: bytes, columns: int | None = None) -> np.ndarr
     return table
 
 
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in the file ``path``, the config, sidecar or manifest that ``what`` names.
+
+    Raises ``DiscFluxError`` starting with ``path`` for a file ``read_text``
+    rejects, that is not JSON or that holds no object.
+    """
+    try:
+        data = json.loads(read_text(path))
+    except ValueError as exc:
+        raise DiscFluxError(f"{path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise DiscFluxError(f"{path}: {what} must be a JSON object, not {type(data).__name__}")
+    return data
+
+
 def _sidecar(path) -> Path:
     """The ``.json`` metadata file beside the transform table ``path``.
 
@@ -135,18 +145,11 @@ def load_transform_csv(path) -> TransformPair:
     Other keys are ignored: ``kind`` and ``c``, which the pair derives, and
     the ``flavor`` older files store with a connection.  Raises
     ``DiscFluxError`` naming the file for a ``path`` ending in ``.json``, a
-    table ``read_csv`` rejects and a sidecar that is not JSON or holds no
-    object, and ValueError when either entry is malformed.
+    sidecar ``read_json_object`` rejects and a table ``read_csv`` rejects,
+    and ValueError when either entry is malformed.
     """
     sidecar = _sidecar(path)
-    meta = {}
-    if sidecar.exists():
-        try:
-            meta = json.loads(sidecar.read_text())
-        except json.JSONDecodeError as exc:
-            raise DiscFluxError(f"{sidecar}: {exc}") from exc
-        if not isinstance(meta, dict):
-            raise DiscFluxError(f"{sidecar}: transform metadata must be a JSON object, not {type(meta).__name__}")
+    meta = read_json_object(sidecar, "transform metadata") if sidecar.exists() else {}
     return _transform_pair(read_csv(path, "v,alpha,beta"), meta)
 
 
@@ -156,12 +159,6 @@ def _numbers(value) -> np.ndarray:
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"expected numbers, found {value!r:.60}")
     return arr.astype(float)
-
-
-def _model_tables(field: SolutionField) -> dict[str, np.ndarray]:
-    """The flux and transform tables of a run, by file name."""
-    return {"flux.npy": _flux_table(field.flux),
-            "transform.npy": np.column_stack(field.transform.table())}
 
 
 def _hash_of(config: SolverConfig, tables: dict[str, np.ndarray], u0: np.ndarray) -> str:
@@ -178,10 +175,6 @@ def _hash_of(config: SolverConfig, tables: dict[str, np.ndarray], u0: np.ndarray
     return config_hash(payload)
 
 
-def run_hash(field: SolutionField, config: SolverConfig) -> str:
-    return _hash_of(config, _model_tables(field), field.u[0])
-
-
 def write_run(field: SolutionField, config: SolverConfig, out_root) -> Path:
     """Persist a run as <out_root>/<hash>/ and return the directory.
 
@@ -192,7 +185,8 @@ def write_run(field: SolutionField, config: SolverConfig, out_root) -> Path:
     """
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
-    tables = _model_tables(field)   # built once: the hash and the files read the same arrays
+    # built once: the hash and the files read the same arrays
+    tables = {"flux.npy": _flux_table(field.flux), "transform.npy": np.column_stack(field.transform.table())}
     run_dir = out_root / _hash_of(config, tables, field.u[0])
     for var, name in zip(_VARIABLES, _TABLES[2:]):
         tables[name] = np.vstack([field.x, getattr(field, var)])
@@ -237,8 +231,8 @@ def read_run(run_dir) -> tuple[SolutionField, dict]:
     A ``null`` dt reads as inf, and so does the ``Infinity`` that older
     runs wrote for it.
 
-    Raises ``DiscFluxError`` for a manifest that is not a JSON object, a run
-    of another format, a table whose bytes do not match the manifest's
+    Raises ``DiscFluxError`` for a manifest ``read_json_object`` rejects
+    (naming it), a run of another format, a table whose bytes do not match the manifest's
     digest, a table that is not what ``_write_table`` writes or holds no flux
     or transform pair (each naming its file), snapshot tables of the wrong
     shape or with different cell centres, or a manifest whose own entries
@@ -246,12 +240,7 @@ def read_run(run_dir) -> tuple[SolutionField, dict]:
     tables.
     """
     run_dir = Path(run_dir)
-    try:
-        manifest = json.loads((run_dir / "manifest.json").read_text())
-    except ValueError as exc:   # not UTF-8, or not JSON
-        raise DiscFluxError(f"{run_dir / 'manifest.json'}: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise DiscFluxError(f"{run_dir / 'manifest.json'}: not a JSON object")
+    manifest = read_json_object(run_dir / "manifest.json", "run manifest")
     if manifest.get("format") != FORMAT_VERSION:
         raise DiscFluxError(f"run format {manifest.get('format')!r} is not supported; "
                             f"this version reads format {FORMAT_VERSION} only")

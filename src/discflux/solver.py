@@ -5,49 +5,15 @@ The scheme evolves the conserved density
     m(x, v) = W(x) * alpha(v) + (1 - W(x)) * beta(v)
 
 where W is a smoothed step of width ``eps`` centred on the interface.  Each
-step first moves m explicitly with the blended face flux
+step moves m explicitly with the blended face flux
 W * (f∘alpha) + (1 - W) * (g∘beta) and Lax-Friedrichs dissipation in each
-face's own density W * alpha + (1 - W) * beta, at the largest flux slope c
-in u (the Lax-Friedrichs scheme for discontinuous flux of Karlsen and
-Towers, written on the relabelled density).  It then treats the
-eps * v_xx viscosity by backward Euler: it solves m(v) - eps * dt * v_xx = m*
-for the new v, with zero-gradient ghosts at the two ends.  The explicit half
-is monotone in v when dt * c / dx stays below 1 off the smoothing band and
-below an exact bound computed from the tables on it (see
-``_Stepper.suggest_dt``), so the transform's slopes do not shrink the step;
-the implicit half preserves order at any step.  So the transformed variable
-obeys a discrete maximum principle and an L1 contraction, which is what the
-admissibility argument needs from the approximation, and the viscosity does
-not limit the time step.
-
-W is exactly 0 left of the smoothing band and exactly 1 right of it, so there
-m is beta(v) or alpha(v) alone, and a face there reads g∘beta or f∘alpha
-alone; only the few band cells and faces blend both.  The stepper tabulates
-every cell's map on the transform's breakpoint lattice once, and looks it up
-in one direction only, v -> m: a search of v on the lattice gives each
-cell's density, table segment and slope.  The implicit solve starts from the
-state the step began with, whose lookup the explicit half already used, and
-runs semismooth Newton on the table segments with a backtracking safeguard:
-one tridiagonal solve per iteration.  An iterate that keeps the segments it
-was linearised on has solved the step, so it forms no density or residual.
-Whether it kept them is a bracket test, each cell's v against the two nodes
-of its segment, so such an iterate makes no segment search either; only an
-iterate that fails the test searches.  The converged state's lookup is taken
-once and starts the next step, so no step opens with a search.  The
-tridiagonal solver is a hybrid: whole-array cyclic-reduction levels halve the system while it has
-more than 64 rows, and a Thomas sweep over Python floats finishes it.  At a
-few hundred or thousand cells the cost of a solve is the count of numpy
-calls, not of flops, and a reduction level costs about as many calls at 100
-rows as at 1000.  The solve comes in two halves,
-the matrix's factorization (``_factor_tridiagonal``) and its application to
-a right-hand side (``_apply_factors``).  The stepper linearises on a
-segment array once: it factors diag(slope) + kappa * L and gathers the
-segments' nodes for the bracket test, and keeps both while kappa is equal
-and the segment array is the very one they were made for.  An identity
-transform has one segment array for the whole solve, and a step on a
-connection table usually starts on the one its previous step ended on.
-``solve`` keeps its a-priori statistics c1 and c2 per block of steps: it
-stores each block's states and reduces them at the block's end.
+face's own density (the Lax-Friedrichs scheme for discontinuous flux of
+Karlsen and Towers, written on the relabelled density), then treats the
+eps * v_xx viscosity by backward Euler.  At the step ``_Stepper.suggest_dt``
+gives, both halves are monotone in v, so the transformed variable obeys a
+discrete maximum principle and an L1 contraction, which is what the
+admissibility argument needs from the approximation; neither the
+transform's slopes nor the viscosity shrink the step.
 """
 
 from __future__ import annotations
@@ -508,7 +474,8 @@ class _Stepper:
         the slope of the segments ``seg``.  The last linearization is kept
         and returned again while kappa is equal and ``seg`` is the very array
         it was made for; the segment arrays a stepper makes are never
-        written to.
+        written to.  An identity transform has one segment array for the
+        whole solve.
         """
         last_kappa, last_seg, model = self._linearized
         if kappa != last_kappa or seg is not last_seg:
@@ -809,10 +776,7 @@ class LadderResult:
 
 def _window_l1(coarse: SolutionField, fine: SolutionField, half: float) -> float:
     """L1 gap of final-time u on |x| <= half, fine averaged onto the coarse grid."""
-    ratio = len(fine.x) // len(coarse.x)
-    if ratio * len(coarse.x) != len(fine.x):
-        raise ValueError("ladder grids must nest")
-    fine_avg = fine.u_final.reshape(len(coarse.x), ratio).mean(axis=1)
+    fine_avg = fine.u_final.reshape(len(coarse.x), -1).mean(axis=1)
     mask = np.abs(coarse.x) <= half
     return float(np.sum(np.abs(fine_avg[mask] - coarse.u_final[mask])) * coarse.dx)
 

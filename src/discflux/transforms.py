@@ -16,7 +16,7 @@ import numpy as np
 
 from .curves import (CLAMP_SLACK, MonotoneBijection, SampledCurve, _on_union, lower_convex_envelope, merge_close,
                      run_bounds)
-from .errors import ConstructionError, DomainError
+from .errors import ConstructionError
 from .fluxes import (
     FluxPair,
     clip_flux,
@@ -33,15 +33,14 @@ _SHIFT_NODES = 101           # nodes of the translation search's grid over [-(b-
 
 @dataclass(frozen=True)
 class CrossingReport:
-    """Outcome of the one-crossing test on a pair of composed fluxes."""
+    """Outcome of the one-crossing test on a pair of composed fluxes: it holds when there is no witness."""
 
-    holds: bool
     crossings: tuple[float, ...]
     witness: tuple[float, float] | None
 
-    def __post_init__(self):
-        if self.holds == (self.witness is not None):
-            raise ValueError("witness must be present exactly when the condition fails")
+    @property
+    def holds(self) -> bool:
+        return self.witness is None
 
     def to_dict(self) -> dict:
         return {
@@ -189,7 +188,7 @@ def _crossing(fa: SampledCurve, gb: SampledCurve, dead_band: float = TOL_CROSS) 
     # runs of one sign over the nonzero samples; zeros inside a run are absorbed
     nonzero = np.flatnonzero(s)
     if nonzero.size == 0:
-        return CrossingReport(True, (), None), tables
+        return CrossingReport((), None), tables
     signs = s[nonzero]
     first, last = (nonzero[k] for k in run_bounds(signs[1:] != signs[:-1]))  # each run's end samples
     run_sign = s[first]
@@ -207,7 +206,7 @@ def _crossing(fa: SampledCurve, gb: SampledCurve, dead_band: float = TOL_CROSS) 
             float(0.5 * (grid[first[n]] + grid[last[n]])),
             float(0.5 * (grid[first[p]] + grid[last[p]])),
         )
-    return CrossingReport(witness is None, crossings, witness), tables
+    return CrossingReport(crossings, witness), tables
 
 
 def is_connection(flux: FluxPair, A: float, B: float) -> ConnectionCheck:
@@ -247,14 +246,11 @@ def _translation_pair(flux: FluxPair, k_l: float, k_r: float) -> TransformPair:
 
 
 def _translation_gap(flux: FluxPair, t: TransformPair) -> float:
-    """Largest distance of t's domain and maps from those of ``_translation_pair(flux, *t.shifts)``."""
-    try:
-        ref = _translation_pair(flux, *t.shifts)
-        v, alpha, beta = t.table()
-        return float(max(np.max(np.abs(np.subtract(t.domain, ref.domain))),
-                         np.max(np.abs(alpha - ref.alpha.forward(v))), np.max(np.abs(beta - ref.beta.forward(v)))))
-    except (ValueError, DomainError):  # the shifts leave no domain, or t's lies elsewhere
-        return np.inf
+    """Largest distance of t's domain from (a - k_l, b - k_r) and of its maps from v + k_r and v + k_l."""
+    k_l, k_r = t.shifts
+    v, alpha, beta = t.table()
+    return float(max(np.max(np.abs(np.subtract(t.domain, (flux.a - k_l, flux.b - k_r)))),
+                     np.max(np.abs(alpha - (v + k_r))), np.max(np.abs(beta - (v + k_l)))))
 
 
 def build_translation_transform(flux: FluxPair) -> TransformPair:

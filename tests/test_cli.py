@@ -212,12 +212,70 @@ def test_solve_rejects_non_finite_option(tmp_path, option, value, name):
     (("--u0", "riemann:0.2"), "use --u0 riemann:LEFT:RIGHT"),
     (("--u0", "steady"), "--u0 steady requires --connection A:B"),
     (("--transform", "no-such-transform"), "unknown transform 'no-such-transform'"),
-], ids=["riemann-one-state", "steady-without-connection", "unknown-transform"])
+    (("--u0", "constant:abc"), "use --u0 constant:VALUE"),
+    (("--u0", "wave"), "unknown initial profile 'wave'"),
+    (("--flux", "zero", "--transform", "connection", "--connection", "0.5:0.5"),
+     "a flux branch has no interior maximum"),
+], ids=["riemann-one-state", "steady-without-connection", "unknown-transform", "constant-not-a-number",
+        "unknown-profile", "connection-without-maximum"])
 def test_solve_rejects_an_unusable_profile_or_transform(tmp_path, args, message):
     res = run_cli("solve", "--flux", "burgers-like", *args, "--cells", "64", "--t-end", "0.05",
                   "--out", str(tmp_path / "runs"))
     assert res.exit_code == 2, res.output
     assert message in res.output
+    assert not (tmp_path / "runs").exists()
+
+
+def test_connection_on_a_coarse_flux_table_is_usage_error(tmp_path):
+    path = tmp_path / "coarse.csv"
+    path.write_text("u,f,g\n0,0,0\n0.5,0.25,0.25\n1,0,0\n")
+    res = run_cli("solve", "--flux", str(path), "--transform", "connection", "--connection", "0.75:0.25",
+                  "--cells", "64", "--t-end", "0.05", "--out", str(tmp_path / "runs"))
+    assert res.exit_code == 2, res.output
+    assert "need at least 8 sampling intervals" in res.output
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ("solve", "--config"),
+    ("solve", "--flux"),
+    ("solve", "--transform"),
+    ("check-crossing", "--flux"),
+    ("riemann", "--left", "0.2", "--right", "0.8", "--flux"),
+], ids=["solve-config", "solve-flux", "solve-transform", "check-crossing-flux", "riemann-flux"])
+def test_a_directory_given_as_an_input_file_is_usage_error(tmp_path, args):
+    # catch_exceptions=False: an IsADirectoryError would fail the test here
+    res = run_cli(*args, str(tmp_path))
+    assert res.exit_code == 2, res.output
+    assert f"Error: {tmp_path}: " in res.output
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("option, name, body", [
+    ("--flux", "f.csv", b"u,f,g\n0,0,0\n\xff\n"),
+    ("--transform", "t.csv", b"v,alpha,beta\n0,0,0\n\xff\n"),
+], ids=["flux", "transform"])
+def test_solve_names_a_table_that_is_not_utf8(tmp_path, option, name, body):
+    path = tmp_path / name
+    path.write_bytes(body)
+    res = run_cli("solve", option, str(path), "--cells", "64", "--t-end", "0.05", "--out", str(tmp_path / "runs"))
+    assert res.exit_code == 2, res.output
+    assert f"Error: {path}: 'utf-8' codec can't decode byte 0xff" in res.output
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda p: p.write_bytes(b"\xff\xfe"), "'utf-8' codec can't decode byte 0xff"),
+    (lambda p: p.mkdir(), ""),
+], ids=["not-utf8", "directory"])
+def test_solve_names_a_sidecar_it_cannot_read(tmp_path, make, message):
+    table = tmp_path / "ok.csv"
+    table.write_text("v,alpha,beta\n0,0,0\n1,1,1\n")
+    make(tmp_path / "ok.json")
+    res = run_cli("solve", "--flux", "demo-cross", "--transform", str(table), "--cells", "64",
+                  "--t-end", "0.05", "--out", str(tmp_path / "runs"))
+    assert res.exit_code == 2, res.output
+    assert f"Error: {tmp_path / 'ok.json'}: {message}" in res.output
     assert not (tmp_path / "runs").exists()
 
 
@@ -549,6 +607,18 @@ def test_riemann_out_makes_its_directory(tmp_path):
     assert f"profile written to {out}" in res.output
     assert read_csv(out, "x,u").shape == (801, 2)
 
+
+
+def test_riemann_state_outside_the_flux_interval_is_usage_error():
+    res = run_cli("riemann", "--flux", "burgers-like", "--left", "1.5", "--right", "0.1")
+    assert res.exit_code == 2, res.output
+    assert "data outside the sampled flux domain" in res.output
+
+
+def test_sweep_of_one_level_is_usage_error():
+    res = run_cli("sweep", "--flux", "burgers-like", "--levels", "1", "--cells", "64", "--t-end", "0.05")
+    assert res.exit_code == 2, res.output
+    assert "need at least 2 ladder levels" in res.output
 
 
 def test_riemann_of_equal_states_has_no_waves():

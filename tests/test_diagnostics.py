@@ -90,6 +90,17 @@ def test_side_restriction_enforced(burgers):
         dx.entropy_residual_side(field, 0.4, "left", tests=[spanning])
 
 
+def test_default_family_needs_a_time_span_and_a_known_side(burgers):
+    field = _frozen_field(burgers, lambda x: np.full(np.shape(x), 0.5))
+    with pytest.raises(ValueError, match="unknown side 'up'"):
+        dx.default_test_functions(field, side="up")
+    with pytest.raises(ValueError, match="unknown side 'up'"):
+        dx.entropy_residual_side(field, 0.4, "up")
+    flat = _frozen_field(burgers, lambda x: np.full(np.shape(x), 0.5), times=np.zeros(2))
+    with pytest.raises(CoverageError, match="positive time interval"):
+        dx.default_test_functions(flat)
+
+
 def test_constant_field_residuals_vanish(burgers):
     field = _frozen_field(burgers, lambda x: np.full(np.shape(x), 0.6))
     rep = dx.entropy_residual_side(field, 0.3, "left")
@@ -503,6 +514,15 @@ def test_l1_distance_metrics(burgers):
     assert dx.ordering_preserved(fa, fb)
     with pytest.raises(ValueError):
         dx.l1_distances(fa, fb, variable="nope")
+
+
+def test_run_comparisons_reject_runs_they_cannot_compare(burgers):
+    low = _frozen_field(burgers, lambda x: np.full(np.shape(x), 0.3))
+    high = _frozen_field(burgers, lambda x: np.full(np.shape(x), 0.6))
+    with pytest.raises(ValueError, match="runs must share grid and snapshot times"):
+        dx.l1_distances(low, _frozen_field(burgers, lambda x: np.full(np.shape(x), 0.3), cells=128))
+    with pytest.raises(ValueError, match="not ordered at the initial time"):
+        dx.ordering_preserved(high, low)
 
 
 def test_conserved_metric_contracts_across_interface(burgers, demo_connection):

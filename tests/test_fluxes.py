@@ -47,6 +47,14 @@ def test_flux_pair_requires_common_interval():
         dx.FluxPair(f, g)
 
 
+def test_flux_pair_rejects_an_empty_interval_and_unknown_branch(burgers):
+    for a, b in ((0.0, 0.0), (1.0, 0.0)):
+        with pytest.raises(ValueError, match="need a < b"):
+            dx.FluxPair.from_callables(np.zeros_like, np.zeros_like, a, b)
+    with pytest.raises(ValueError, match="unknown branch 'h'"):
+        burgers.branch("h")
+
+
 def _increasing_nodes(rng, lo, hi, n):
     """n strictly increasing nodes from lo to hi with gaps within a factor 5."""
     steps = np.cumsum(rng.uniform(0.2, 1.0, size=n - 1))

@@ -36,11 +36,14 @@ def test_crossing_fails_with_canonical_witness(demo_swapped):
     assert u > v
 
 
-def test_crossing_report_consistency():
-    with pytest.raises(ValueError):
-        dx.CrossingReport(True, (), (0.1, 0.2))
-    with pytest.raises(ValueError):
-        dx.CrossingReport(False, (), None)
+def test_crossing_report_consistency(demo_cross, demo_swapped):
+    # a report holds exactly when it has no witness
+    for flux in (demo_cross, demo_swapped):
+        for pair in (dx.identity_transform(flux), dx.build_translation_transform(flux)):
+            rep = dx.check_crossing(*dx.composed_fluxes(flux, pair))
+            assert rep.holds is (rep.witness is None)
+            assert rep.to_dict()["holds"] is rep.holds
+    assert not dx.check_crossing(*dx.composed_fluxes(demo_swapped, dx.identity_transform(demo_swapped))).holds
 
 
 def test_crossing_dead_band_absorbs_noise(burgers):
@@ -139,8 +142,8 @@ def _check_crossing_loop(fa, gb, dead_band):
             float(0.5 * (grid[neg_run[1]] + grid[neg_run[2]])),
             float(0.5 * (grid[pos_run[1]] + grid[pos_run[2]])),
         )
-        return dx.CrossingReport(False, tuple(crossings), witness)
-    return dx.CrossingReport(True, tuple(crossings), None)
+        return dx.CrossingReport(tuple(crossings), witness)
+    return dx.CrossingReport(tuple(crossings), None)
 
 
 # values on the scale of the 1e-10 default dead band, exactly at it, and of order one
