@@ -87,6 +87,21 @@ def _resolve_transform(text: str, flux, conn: Connection | None) -> TransformPai
     )
 
 
+def _problem(flux_name: str, transform_arg: str, connection_text: str | None):
+    """The flux, connection (None without one) and transform pair that ``_problem_options`` name."""
+    flux = get_flux(flux_name)
+    conn = _parse_connection(connection_text)
+    return flux, conn, _resolve_transform(transform_arg, flux, conn)
+
+
+def _problem_options(command):
+    """``command`` with the options ``--flux``, ``--transform`` and ``--connection``, in that order."""
+    command = click.option("--connection", "connection_text", default=None, help="A:B")(command)
+    command = click.option("--transform", "transform_arg", default="identity", show_default=True)(command)
+    return click.option("--flux", "flux_name", default="demo-cross", show_default=True,
+                        help=f"registry name ({', '.join(registry_names())}) or a u,f,g CSV")(command)
+
+
 def _initial_profile(text: str, flux, conn: Connection | None):
     if text == "steady":
         if conn is None:
@@ -110,6 +125,13 @@ def _initial_profile(text: str, flux, conn: Connection | None):
         mid, amp = 0.5 * (a + b), 0.45 * (b - a)
         return lambda x: mid + amp * np.exp(-np.asarray(x, dtype=float) ** 2 / 0.5)
     raise click.UsageError(f"unknown initial profile {text!r}")
+
+
+def _finite_non_negative(ctx, param, value):
+    # a tolerance of inf would pass every residual, NaN or a negative one fail every one; no such time has a profile
+    if value is not None and not (math.isfinite(value) and value >= 0.0):
+        raise click.BadParameter(f"must be a finite number >= 0, got {value}")
+    return value
 
 
 @contextmanager
@@ -138,10 +160,7 @@ def main():
 
 
 @main.command("solve")
-@click.option("--flux", "flux_name", default="demo-cross", show_default=True,
-              help=f"registry name ({', '.join(registry_names())}) or a u,f,g CSV")
-@click.option("--transform", "transform_arg", default="identity", show_default=True)
-@click.option("--connection", "connection_text", default=None, help="A:B")
+@_problem_options
 @click.option("--u0", "u0_arg", default="riemann:0.25:0.75", show_default=True)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--out", default=None, help="output root (default $DISCFLUX_OUT or ./runs)")
@@ -154,14 +173,12 @@ def cli_solve(flux_name, transform_arg, connection_text, u0_arg, config_path, ou
               cells, eps, t_end, half_width, snapshots):
     """Run the viscous scheme and persist snapshots."""
     with _usage_errors():
-        flux = get_flux(flux_name)
-        conn = _parse_connection(connection_text)
-        transform = _resolve_transform(transform_arg, flux, conn)
+        flux, conn, transform = _problem(flux_name, transform_arg, connection_text)
         u0 = _initial_profile(u0_arg, flux, conn)
         cfg = _solver_config(config_path, cells=cells, eps=eps, t_end=t_end,
                              half_width=half_width, snapshots=snapshots)
         field = solve(flux, u0, transform, cfg)
-    run_dir = write_run(field, cfg, Path(out or os.environ.get("DISCFLUX_OUT", "runs")))
+    run_dir = write_run(field, Path(out or os.environ.get("DISCFLUX_OUT", "runs")))
     _echo(f"run written to {run_dir}")
     _echo(f"steps={field.stats['steps']} dt={field.dt:.3e} eps={field.eps:.3e}")
     try:
@@ -174,15 +191,11 @@ def cli_solve(flux_name, transform_arg, connection_text, u0_arg, config_path, ou
 
 
 @main.command("check-crossing")
-@click.option("--flux", "flux_name", default="demo-cross", show_default=True)
-@click.option("--transform", "transform_arg", default="identity", show_default=True)
-@click.option("--connection", "connection_text", default=None)
+@_problem_options
 def cli_check_crossing(flux_name, transform_arg, connection_text):
     """Report whether the composed fluxes cross at most once (exit 1 if not)."""
     with _usage_errors():
-        flux = get_flux(flux_name)
-        conn = _parse_connection(connection_text)
-        transform = _resolve_transform(transform_arg, flux, conn)
+        flux, _, transform = _problem(flux_name, transform_arg, connection_text)
         audit = verify_transform(flux, transform)   # a built connection pair arrives audited
     report = audit.crossing
     if report is None:   # the composition failed
@@ -201,8 +214,7 @@ def cli_build_transform(flux_name, mode, connection_text, out_path):
     """Construct a transform pair and write it to disk."""
     with _usage_errors():
         try:
-            flux = get_flux(flux_name)
-            pair = _resolve_transform(mode, flux, _parse_connection(connection_text))
+            flux, _, pair = _problem(flux_name, mode, connection_text)
             save_transform_csv(out_path, pair)
         except ConstructionError as exc:
             _echo(f"construction failed: {exc}", err=True)
@@ -216,7 +228,7 @@ def cli_build_transform(flux_name, mode, connection_text, out_path):
 @click.option("--branch", type=click.Choice(["f", "g"]), default="f", show_default=True)
 @click.option("--left", type=float, required=True)
 @click.option("--right", type=float, required=True)
-@click.option("--time", "t_eval", type=float, default=1.0, show_default=True)
+@click.option("--time", "t_eval", type=float, default=1.0, show_default=True, callback=_finite_non_negative)
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="optional x,u profile CSV at the given time")
 def cli_riemann(flux_name, branch, left, right, t_eval, out_path):
@@ -239,16 +251,9 @@ def cli_riemann(flux_name, branch, left, right, t_eval, out_path):
         _echo(f"profile written to {out_path}")
 
 
-def _entropy_tolerance(ctx, param, value):
-    # inf would pass every residual and NaN or a negative value fail every one
-    if value is not None and not (math.isfinite(value) and value >= 0.0):
-        raise click.BadParameter(f"must be a finite number >= 0, got {value}")
-    return value
-
-
 @main.command("verify")
 @click.option("--run", "run_dir", type=click.Path(exists=True), required=True)
-@click.option("--tolerance", type=float, default=None, callback=_entropy_tolerance)
+@click.option("--tolerance", type=float, default=None, callback=_finite_non_negative)
 def cli_verify(run_dir, tolerance):
     """Re-check a stored run: transform audit, ranges, mass balance, entropy residuals."""
     try:
@@ -300,9 +305,7 @@ def cli_verify(run_dir, tolerance):
 
 
 @main.command("sweep")
-@click.option("--flux", "flux_name", default="demo-cross", show_default=True)
-@click.option("--transform", "transform_arg", default="identity", show_default=True)
-@click.option("--connection", "connection_text", default=None)
+@_problem_options
 @click.option("--u0", "u0_arg", default="riemann:0.25:0.75", show_default=True)
 @click.option("--levels", type=int, default=3, show_default=True)
 @click.option("--cells", type=int, default=128, show_default=True, help="coarsest level")
@@ -310,9 +313,7 @@ def cli_verify(run_dir, tolerance):
 def cli_sweep(flux_name, transform_arg, connection_text, u0_arg, levels, cells, t_end):
     """Joint refinement of grid and smoothing width; reports L1 gaps."""
     with _usage_errors():
-        flux = get_flux(flux_name)
-        conn = _parse_connection(connection_text)
-        transform = _resolve_transform(transform_arg, flux, conn)
+        flux, conn, transform = _problem(flux_name, transform_arg, connection_text)
         u0 = _initial_profile(u0_arg, flux, conn)
         base = SolverConfig(cells=cells, t_end=t_end)
         result = ladder(flux, u0, transform, base, levels=levels)

@@ -27,13 +27,6 @@ _LADDER_RANGE_TOL = 1e-10  # ladder_bounds: largest range excess on any level
 _LADDER_SPREAD = 2.0       # ladder_bounds: largest max/min ratio of c1 and of c2
 
 
-def sgn(x):
-    """Sign with a dead band: 0 within +-SIGN_BAND of zero."""
-    arr = np.asarray(x, dtype=float)
-    out = np.subtract(arr > SIGN_BAND, arr < -SIGN_BAND, dtype=float)
-    return out if arr.shape else float(out)
-
-
 def _tent(x, c, r):
     """Tent of peak 1 at c and support radius r; broadcasts over all three."""
     with np.errstate(over="ignore"):   # a subnormal r: the quotient is inf, and the tent 0
@@ -168,10 +161,16 @@ class EntropyReport:
     kind: str
     residuals: tuple[float, ...]
     tolerance: float
-    ok: bool
-    worst: float
     worst_index: int
     worst_hat: SpaceTimeHat
+
+    @property
+    def worst(self) -> float:
+        return self.residuals[self.worst_index]
+
+    @property
+    def ok(self) -> bool:
+        return bool(self.worst <= self.tolerance)
 
     def where(self) -> str:
         """The worst hat: its index, and the centre and radius of its t- and x-hat."""
@@ -317,10 +316,8 @@ def _entropy_report(
     for dT, Tint, j, at_zero, Tsum in hat_terms:
         EX, QX = products[j]
         res.append(-(float(dT @ EX) + float(Tint @ QX) + allowance * at_zero * Tsum))
-    # the first largest residual, or the first NaN, which then fails the report
-    index = int(np.argmax(res))
-    worst = res[index]
-    return EntropyReport(kind, tuple(res), tol, worst <= tol, worst, index, tests[index])
+    index = int(np.argmax(res))   # the first largest residual, or the first NaN, which then fails the report
+    return EntropyReport(kind, tuple(res), tol, index, tests[index])
 
 
 def entropy_residual_pair(

@@ -71,14 +71,14 @@ def classical_riemann(flux: SampledCurve, u_left: float, u_right: float) -> Riem
     """Entropy solution of the two-state problem for one sampled flux branch."""
     u_left = float(u_left)
     u_right = float(u_right)
+    if not all(flux.lo - 1e-12 <= u <= flux.hi + 1e-12 for u in (u_left, u_right)):   # NaN fails too
+        raise ValueError(f"data outside the sampled flux domain: left {u_left!r}, right {u_right!r}")
     lo, hi = min(u_left, u_right), max(u_left, u_right)
     scale = max(abs(flux.y).max(), 1.0)
     if hi - lo <= 1e-14 * max(flux.hi - flux.lo, 1.0):
         return RiemannSolution(
             u_left, u_right, (), np.array([u_left]), np.array([], dtype=float)
         )
-    if lo < flux.lo - 1e-12 or hi > flux.hi + 1e-12:
-        raise ValueError("data outside the sampled flux domain")
 
     inner = flux.x[(flux.x > lo) & (flux.x < hi)]
     nodes = merge_close(np.concatenate(([lo], inner, [hi])))

@@ -1,12 +1,12 @@
-"""On-disk layout for solver runs (format 3).
+"""On-disk layout for solver runs (format 4).
 
 A run directory is named by a short hash of the config and of the flux,
 transform and initial tables, and holds four tables plus one manifest:
 
-    <out>/<hash>/manifest.json        run metadata, config, stored times, sha256 per table
+    <out>/<hash>/manifest.json        run metadata, config (the only grid record), stored times, sha256 per table
     <out>/<hash>/flux.npy             sampled flux pair, columns u, f, g
     <out>/<hash>/transform.npy        sampled transforms, columns v, alpha, beta
-    <out>/<hash>/snapshots/u.npy      first row the cell centres x, then one row per stored time
+    <out>/<hash>/snapshots/u.npy      one row per stored time, one column per cell
     <out>/<hash>/snapshots/v.npy      the same for the transformed variable
 
 Each table is a 2-D little-endian float64 array in numpy's ``.npy`` format,
@@ -36,12 +36,12 @@ from .fluxes import FluxPair, _flux_table, read_csv, read_text, write_csv
 from .solver import SolutionField, SolverConfig
 from .transforms import Connection, TransformPair
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _VARIABLES = ("u", "v")
 _TABLES = ("flux.npy", "transform.npy", *(f"snapshots/{var}.npy" for var in _VARIABLES))
 # column count of each table, where it does not depend on the run
 _COLUMNS = {"flux.npy": 3, "transform.npy": 3}
-_MANIFEST_KEYS = ("cells", "dx", "eps", "dt", "times", "mass", "boundary_flux")
+_MANIFEST_KEYS = ("config", "dt", "times", "mass", "boundary_flux")
 _DTYPE = np.dtype("<f8")
 _NPY_MAGIC = b"\x93NUMPY"
 
@@ -175,7 +175,7 @@ def _hash_of(config: SolverConfig, tables: dict[str, np.ndarray], u0: np.ndarray
     return config_hash(payload)
 
 
-def write_run(field: SolutionField, config: SolverConfig, out_root) -> Path:
+def write_run(field: SolutionField, out_root) -> Path:
     """Persist a run as <out_root>/<hash>/ and return the directory.
 
     The directory appears whole or not at all; an existing run with the same
@@ -187,9 +187,9 @@ def write_run(field: SolutionField, config: SolverConfig, out_root) -> Path:
     out_root.mkdir(parents=True, exist_ok=True)
     # built once: the hash and the files read the same arrays
     tables = {"flux.npy": _flux_table(field.flux), "transform.npy": np.column_stack(field.transform.table())}
-    run_dir = out_root / _hash_of(config, tables, field.u[0])
+    run_dir = out_root / _hash_of(field.config, tables, field.u[0])
     for var, name in zip(_VARIABLES, _TABLES[2:]):
-        tables[name] = np.vstack([field.x, getattr(field, var)])
+        tables[name] = getattr(field, var)
     tmp = Path(tempfile.mkdtemp(prefix=f".{run_dir.name}-", dir=out_root))
     try:
         (tmp / "snapshots").mkdir()
@@ -199,10 +199,7 @@ def write_run(field: SolutionField, config: SolverConfig, out_root) -> Path:
         manifest = {
             "format": FORMAT_VERSION,
             "hash": run_dir.name,
-            "config": config.to_dict(),
-            "cells": len(field.x),
-            "dx": field.dx,
-            "eps": field.eps,
+            "config": field.config.to_dict(),
             # JSON has no inf: a zero-length solve of a flux with no slope
             # has an infinite step, stored as null
             "dt": field.dt if math.isfinite(field.dt) else None,
@@ -234,22 +231,23 @@ def read_run(run_dir) -> tuple[SolutionField, dict]:
     Raises ``DiscFluxError`` for a manifest ``read_json_object`` rejects
     (naming it), a run of another format, a table whose bytes do not match the manifest's
     digest, a table that is not what ``_write_table`` writes or holds no flux
-    or transform pair (each naming its file), snapshot tables of the wrong
-    shape or with different cell centres, or a manifest whose own entries
-    (which no digest covers) are missing, of the wrong type or do not fit the
-    tables.
+    or transform pair, a snapshot table that is not one row per stored time
+    by one column per cell (each naming its file), or a manifest whose own
+    entries (which no digest covers) are missing, of the wrong type, not a
+    valid ``SolverConfig`` or do not fit the tables.
     """
     run_dir = Path(run_dir)
-    manifest = read_json_object(run_dir / "manifest.json", "run manifest")
+    manifest_path = run_dir / "manifest.json"
+    manifest = read_json_object(manifest_path, "run manifest")
     if manifest.get("format") != FORMAT_VERSION:
         raise DiscFluxError(f"run format {manifest.get('format')!r} is not supported; "
                             f"this version reads format {FORMAT_VERSION} only")
     missing = [key for key in _MANIFEST_KEYS if key not in manifest]
     if missing:
-        raise DiscFluxError(f"{run_dir / 'manifest.json'}: missing {', '.join(missing)}")
-    for key in ("sha256", "transform"):
+        raise DiscFluxError(f"{manifest_path}: missing {', '.join(missing)}")
+    for key in ("config", "sha256", "transform"):
         if not isinstance(manifest.get(key), dict):
-            raise DiscFluxError(f"{run_dir / 'manifest.json'}: {key} must be a JSON object")
+            raise DiscFluxError(f"{manifest_path}: {key} must be a JSON object")
     tables = {}   # each table is read once: the bytes parsed are the bytes checked
     for name in _TABLES:
         path = run_dir / name
@@ -266,28 +264,24 @@ def read_run(run_dir) -> tuple[SolutionField, dict]:
     except ValueError as exc:
         raise DiscFluxError(f"{run_dir / 'transform.npy'}: {exc}") from exc
     try:
+        config = SolverConfig(**manifest["config"])
         times = _numbers(manifest["times"])
-        u_tab, v_tab = (tables[name] for name in _TABLES[2:])
         for name in _TABLES[2:]:
-            if tables[name].shape != (len(times) + 1, manifest["cells"]):
-                raise DiscFluxError(f"{run_dir / name}: expected {len(times) + 1} rows of {manifest['cells']} "
+            if tables[name].shape != (len(times), config.cells):
+                raise DiscFluxError(f"{run_dir / name}: expected {len(times)} rows of {config.cells} "
                                     f"values, found shape {tables[name].shape}")
-        if not np.array_equal(u_tab[0], v_tab[0]):
-            raise DiscFluxError(f"{run_dir}: the u and v snapshot tables disagree on the cell centres")
         field = SolutionField(
-            x=u_tab[0],
+            config=config,
             times=times,
-            v=v_tab[1:],
-            u=u_tab[1:],
+            v=tables["snapshots/v.npy"],
+            u=tables["snapshots/u.npy"],
             mass=_numbers(manifest["mass"]),
             boundary_flux=_numbers(manifest["boundary_flux"]),
-            dx=float(manifest["dx"]),
-            eps=float(manifest["eps"]),
             dt=math.inf if manifest["dt"] is None else float(manifest["dt"]),
             flux=flux,
             transform=transform,
             stats=manifest.get("stats", {}),
         )
     except (TypeError, ValueError) as exc:
-        raise DiscFluxError(f"{run_dir / 'manifest.json'}: {exc}") from exc
+        raise DiscFluxError(f"{manifest_path}: {exc}") from exc
     return field, manifest

@@ -165,30 +165,39 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolutionField:
-    """Snapshots of one solver run, in both the original and relabelled variables."""
+    """Snapshots of one solver run, in both the original and relabelled variables, on the
+    grid of ``config``, its only record: ``x``, ``dx`` and ``eps`` are what the config gives."""
 
-    x: np.ndarray
+    config: SolverConfig
     times: np.ndarray
     v: np.ndarray            # snapshots x cells, transformed variable
     u: np.ndarray            # snapshots x cells, reconstructed
     mass: np.ndarray         # conserved total per snapshot
     boundary_flux: np.ndarray  # cumulative (left, right) face-flux time integrals
-    dx: float
-    eps: float
     dt: float
     flux: FluxPair
     transform: TransformPair
     stats: dict = field(default_factory=dict)
+    x: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "x", self.config.centers())
         for name in ("x", "times", "v", "u", "mass", "boundary_flux"):
             arr = np.ascontiguousarray(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if not self.v.shape == self.u.shape == (len(self.times), len(self.x)):
+        if not self.v.shape == self.u.shape == (len(self.times), self.config.cells):
             raise ValueError("snapshot array shape mismatch")
         if self.mass.shape != self.times.shape or self.boundary_flux.shape != (len(self.times), 2):
             raise ValueError("need one mass and one (left, right) boundary-flux pair per stored time")
+
+    @property
+    def dx(self) -> float:
+        return self.config.dx
+
+    @property
+    def eps(self) -> float:
+        return self.config.resolved_eps()
 
     @property
     def u_final(self) -> np.ndarray:
@@ -736,14 +745,12 @@ def solve(
     v_arr = np.array(snaps_v)
     u_arr = reconstruct_u(v_arr, x, t)
     return SolutionField(
-        x=x,
+        config=cfg,
         times=np.array(snap_times),
         v=v_arr,
         u=u_arr,
         mass=np.array(mass),
         boundary_flux=np.array(bflux),
-        dx=cfg.dx,
-        eps=eps,
         dt=dt,
         flux=flux,
         transform=t,

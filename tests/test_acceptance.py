@@ -173,9 +173,9 @@ def test_10_inadmissible_shock_flagged(burgers):
     times = np.linspace(0.0, 0.5, 33)
     u = np.tile(np.where(x <= 0, 0.75, 0.25), (33, 1))
     frozen = dx.SolutionField(
-        x=x, times=times, v=u.copy(), u=u,
+        config=cfg, times=times, v=u.copy(), u=u,
         mass=np.zeros(33), boundary_flux=np.zeros((33, 2)),
-        dx=cfg.dx, eps=cfg.resolved_eps(), dt=float(times[1] - times[0]),
+        dt=float(times[1] - times[0]),
         flux=burgers, transform=dx.identity_transform(burgers),
     )
     hat = dx.SpaceTimeHat(dx.HatFunction(0.25, 0.2), dx.HatFunction(0.0, 0.5))

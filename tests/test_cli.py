@@ -155,7 +155,7 @@ def test_verify_reports_uncomputable_residual_as_failure(tmp_path):
     flux = dx.get_flux("demo-swapped")
     cfg = dx.SolverConfig(cells=64, t_end=0.05)
     field = dx.solve(flux, lambda x: np.zeros(np.shape(x)), dx.build_translation_transform(flux), cfg)
-    run_dir = dx.write_run(field, cfg, tmp_path)
+    run_dir = dx.write_run(field, tmp_path)
 
     ver = run_cli("verify", "--run", str(run_dir))
     assert ver.exit_code == 1, ver.output
@@ -371,7 +371,7 @@ def test_solve_names_a_config_file_it_cannot_read(tmp_path, raw):
 
 
 @pytest.mark.parametrize("snapshots, edit", [
-    ("33", lambda m: m.pop("cells")),
+    ("33", lambda m: m["config"].pop("cells")),   # the default 512 cells do not fit the tables
     ("33", lambda m: m["mass"].pop()),
     # with two stored times a one-entry mass list broadcasts against the
     # boundary fluxes and the mass balance would pass
@@ -610,9 +610,22 @@ def test_riemann_out_makes_its_directory(tmp_path):
 
 
 def test_riemann_state_outside_the_flux_interval_is_usage_error():
-    res = run_cli("riemann", "--flux", "burgers-like", "--left", "1.5", "--right", "0.1")
+    # a NaN state is outside it too, as either state and with an equal other state
+    for left, right in (("1.5", "0.1"), ("nan", "0.5"), ("0.5", "nan"), ("nan", "nan")):
+        res = run_cli("riemann", "--flux", "burgers-like", "--left", left, "--right", right)
+        assert res.exit_code == 2, res.output
+        assert f"data outside the sampled flux domain: left {float(left)!r}, right {float(right)!r}" in res.output
+
+
+@pytest.mark.parametrize("time", ["nan", "inf", "-1"])
+def test_riemann_rejects_a_time_that_is_no_time(tmp_path, time):
+    # NaN wrote the right state everywhere, inf NaN positions, and -1 the initial data
+    out = tmp_path / "p.csv"
+    res = run_cli("riemann", "--flux", "burgers-like", "--left", "0.2", "--right", "0.9",
+                  "--time", time, "--out", str(out))
     assert res.exit_code == 2, res.output
-    assert "data outside the sampled flux domain" in res.output
+    assert "Invalid value for '--time': must be a finite number >= 0" in res.output
+    assert not out.exists()
 
 
 def test_sweep_of_one_level_is_usage_error():

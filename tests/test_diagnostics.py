@@ -11,7 +11,7 @@ from hypothesis import strategies as st_
 
 import discflux as dx
 import discflux.diagnostics as diagnostics
-from discflux.diagnostics import _hat_columns, _hat_integrals, sgn
+from discflux.diagnostics import SIGN_BAND, _hat_columns, _hat_integrals
 from discflux.errors import CoverageError
 
 from conftest import random_step_profile
@@ -19,22 +19,35 @@ from conftest import random_step_profile
 
 def _frozen_field(burgers, u_profile, times=None, cells=256, eps=0.0625):
     """Wrap a hand-made space-time table as a stored solution field."""
-    cfg = dx.SolverConfig(cells=cells, t_end=0.5)
+    cfg = dx.SolverConfig(cells=cells, t_end=0.5, eps=eps)
     x = cfg.centers()
     times = np.linspace(0.0, 0.5, 33) if times is None else times
     u = np.tile(np.asarray(u_profile(x), dtype=float), (len(times), 1))
     return dx.SolutionField(
-        x=x, times=times, v=u.copy(), u=u,
+        config=cfg, times=times, v=u.copy(), u=u,
         mass=np.zeros(len(times)), boundary_flux=np.zeros((len(times), 2)),
-        dx=cfg.dx, eps=eps, dt=float(times[1] - times[0]),
+        dt=float(times[1] - times[0]),
         flux=burgers, transform=dx.identity_transform(burgers),
     )
 
 
 def test_sgn_dead_band():
-    assert sgn(5.0) == 1.0
-    assert sgn(-5.0) == -1.0
-    assert sgn(1e-13) == 0.0
+    # u - c = d on the cells under one x-hat's rising edge, c elsewhere: the
+    # field is constant in time, so the time term is rounding and the space
+    # term is sgn(d) (g(c + d) - g(c)) times the sums of Tint and of dX there;
+    # sgn is 0 within +-SIGN_BAND of zero
+    u = np.linspace(-10.0, 10.0, 21)
+    g = dx.SampledCurve(u, (10.0 - u) * (10.0 + u) / 10.0)
+    c = 3.0
+    hat = dx.SpaceTimeHat(dx.HatFunction(0.25, 0.2), dx.HatFunction(-0.5, 0.45))
+    for d, sign in ((5.0, 1.0), (-5.0, -1.0), (1e-13, 0.0)):
+        field = _frozen_field(dx.FluxPair(g, g), lambda x: np.where((x > -1.0) & (x <= -0.5), c + d, c))
+        rep = dx.entropy_residual_side(field, c, "left", tests=[hat])
+        faces = field.config.faces()
+        dX = hat.x(faces[1:]) - hat.x(faces[:-1])
+        T_sum = np.sum(hat.t.antiderivative(field.times[1:]) - hat.t.antiderivative(field.times[:-1]))
+        expected = -sign * float(g(c + d) - g(c)) * T_sum * np.sum(dX[field.u[0] != c])
+        assert rep.worst == pytest.approx(expected, rel=1e-12, abs=1e-24), d
 
 
 def test_hat_function_closed_forms():
@@ -155,7 +168,8 @@ def _per_hat_residual(field, cstar, delta, hat):
     E = np.abs(U - cstar)
     FU = np.where(right, f(U), g(U))
     Fc = np.where(right, f(cstar), g(cstar))
-    Q = sgn(U - cstar) * (FU - Fc)
+    D = U - cstar
+    Q = np.subtract(D > SIGN_BAND, D < -SIGN_BAND, dtype=float) * (FU - Fc)   # sgn with the dead band
     term_t = float(dT @ (E @ Xint))
     term_x = float(Tint @ (Q @ dX))
     term_d = abs(delta) * float(hat.x(0.0)) * float(np.sum(Tint))
@@ -397,11 +411,11 @@ def test_a_nan_residual_fails_the_report_wherever_it_sits(burgers):
     good = dx.SpaceTimeHat(dx.HatFunction(0.25, 0.2), dx.HatFunction(0.0, 0.5))
     nan_hat = dx.SpaceTimeHat(SimpleNamespace(center=0.15, radius=np.nan), dx.HatFunction(0.0, 0.5))
     alone = dx.entropy_residual_pair(field, 0.5, tests=[good])
-    assert alone.ok
+    assert alone.ok is True   # a Python bool, which callers may test by identity
     for family in ([good, nan_hat], [nan_hat, good]):
         rep = dx.entropy_residual_pair(field, 0.5, tests=family)
         k = family.index(nan_hat)
-        assert not rep.ok and np.isnan(rep.worst) and rep.worst_index == k and rep.worst_hat is nan_hat
+        assert rep.ok is False and np.isnan(rep.worst) and rep.worst_index == k and rep.worst_hat is nan_hat
         assert rep.residuals[1 - k] == alone.residuals[0]
 
 

@@ -58,8 +58,10 @@ def test_profile_at_zero_time(burgers):
 
 
 def test_data_outside_domain_rejected(burgers):
-    with pytest.raises(ValueError):
-        dx.classical_riemann(burgers.f, -0.5, 0.5)
+    # NaN fails the domain test too, on either side and beside an equal state
+    for left, right in ((-0.5, 0.5), (1.5, 1.5), (np.nan, 0.5), (0.5, np.nan), (np.nan, np.nan)):
+        with pytest.raises(ValueError, match=f"outside the sampled flux domain: left {left!r}, right {right!r}"):
+            dx.classical_riemann(burgers.f, left, right)
 
 
 def test_random_fluxes_satisfy_jump_conditions():

@@ -24,7 +24,7 @@ def _contents(root):
 def _small_run(flux, out_root, **cfg):
     cfg = dx.SolverConfig(**{"cells": 64, "t_end": 0.02, **cfg})
     field = dx.solve(flux, lambda x: np.where(np.asarray(x) <= 0.0, 0.25, 0.75), config=cfg)
-    return field, cfg, dx.write_run(field, cfg, out_root)
+    return field, cfg, dx.write_run(field, out_root)
 
 
 def _resign(run_dir):
@@ -87,7 +87,7 @@ def test_run_roundtrip_exact(tmp_path, burgers, demo_connection):
     conn, pair = demo_connection
     cfg = dx.SolverConfig(cells=64, t_end=0.05, snapshots=5)
     field = dx.solve(burgers, lambda x: dx.steady_connection_state(burgers, conn, x), pair, cfg)
-    run_dir = dx.write_run(field, cfg, tmp_path)
+    run_dir = dx.write_run(field, tmp_path)
     assert set(_contents(run_dir)) == RUN_FILES
 
     back, manifest = dx.read_run(run_dir)
@@ -100,13 +100,16 @@ def test_run_roundtrip_exact(tmp_path, burgers, demo_connection):
     for got, want in zip(back.transform.table(), field.transform.table()):
         assert np.array_equal(got, want)
     assert back.transform.kind == "connection"
-    assert manifest["cells"] == 64
+    assert back.config == cfg
+    # the config is the only record of the grid
+    assert manifest["config"] == cfg.to_dict() and manifest["config"]["cells"] == 64
+    assert not {"cells", "dx", "eps"} & set(manifest)
     assert sorted(manifest["sha256"]) == sorted(RUN_FILES - {"manifest.json"})
-    # one table per variable: the cell centres, then one row per stored time
+    # one table per variable: one row per stored time, one column per cell
     table = np.load(run_dir / "snapshots" / "v.npy", allow_pickle=False)
     assert table.dtype == np.dtype("<f8")
-    assert table.shape == (len(field.times) + 1, 64)
-    assert np.array_equal(table[0], field.x)
+    assert table.shape == (len(field.times), 64)
+    assert np.array_equal(table, field.v)
 
     # entropy checks still work on the reloaded field
     rep = dx.entropy_residual_connection(back, conn)
@@ -119,17 +122,17 @@ def test_run_hash_depends_on_inputs(tmp_path, burgers):
     u0 = lambda x: np.full(np.shape(x), 0.5)
     f1 = dx.solve(burgers, u0, config=cfg1)
     f2 = dx.solve(burgers, u0, config=cfg2)
-    d1 = dx.write_run(f1, cfg1, tmp_path)
-    d2 = dx.write_run(f2, cfg2, tmp_path)
+    d1 = dx.write_run(f1, tmp_path)
+    d2 = dx.write_run(f2, tmp_path)
     assert d1 != d2
 
 
 def test_read_rejects_wrong_format(tmp_path):
     bad = tmp_path / "r"
     bad.mkdir()
-    for version in (1, 2, 99):
+    for version in (1, 2, 3, 99):
         (bad / "manifest.json").write_text(json.dumps({"format": version}))
-        with pytest.raises(DiscFluxError, match=f"run format {version} is not supported; .* format 3 only"):
+        with pytest.raises(DiscFluxError, match=f"run format {version} is not supported; .* format 4 only"):
             dx.read_run(bad)
 
 
@@ -149,7 +152,7 @@ def test_manifest_digests_are_those_of_the_files(tmp_path, demo_swapped):
     # write_run takes each digest from the bytes it wrote, not from a reread
     cfg = dx.SolverConfig(cells=64, t_end=0.02)
     field = dx.solve(demo_swapped, _step(0.3, 0.7), dx.build_translation_transform(demo_swapped), cfg)
-    run_dir = dx.write_run(field, cfg, tmp_path)
+    run_dir = dx.write_run(field, tmp_path)
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["sha256"] == {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
                                   for name in RUN_FILES - {"manifest.json"}}
@@ -175,21 +178,20 @@ def test_read_parses_the_bytes_it_checked(tmp_path, burgers, monkeypatch):
     assert np.array_equal(back.transform.table()[0], field.transform.table()[0])
 
 
-def test_read_checks_snapshot_table_shape_and_centres(tmp_path, burgers):
-    _, _, run_dir = _small_run(burgers, tmp_path)
-    u_path, v_path = run_dir / "snapshots" / "u.npy", run_dir / "snapshots" / "v.npy"
-    u_table, v_table = np.load(u_path), np.load(v_path)
-
-    np.save(v_path, v_table[:-1])  # last stored time dropped
+@pytest.mark.parametrize("var", ["u", "v"])
+@pytest.mark.parametrize("spoil", [
+    lambda t, x: t[:-1],                 # last stored time dropped
+    lambda t, x: t[:, 1:],               # first cell dropped
+    lambda t, x: np.vstack([x, t]),      # the cell-centre row of format 3
+], ids=["short", "narrow", "centre-row"])
+def test_read_checks_snapshot_table_shape(tmp_path, burgers, var, spoil):
+    # re-signed, so the digest passes: the table must be len(times) x config.cells
+    field, _, run_dir = _small_run(burgers, tmp_path)
+    path = run_dir / "snapshots" / f"{var}.npy"
+    np.save(path, spoil(np.load(path), field.x))
     _resign(run_dir)
-    with pytest.raises(DiscFluxError, match="expected"):
-        dx.read_run(run_dir)
-
-    np.save(v_path, v_table)
-    u_table[0, 0] = np.nextafter(u_table[0, 0], 0.0)
-    np.save(u_path, u_table)
-    _resign(run_dir)
-    with pytest.raises(DiscFluxError, match="cell centres"):
+    rows = len(field.times)
+    with pytest.raises(DiscFluxError, match=re.escape(f"{path}: expected {rows} rows of 64 values, found shape")):
         dx.read_run(run_dir)
 
 
@@ -233,17 +235,21 @@ def test_read_checks_manifest_entries(tmp_path, burgers):
     path = run_dir / "manifest.json"
     text = path.read_text()
     edits = {
-        "missing dx": lambda m: m.pop("dx"),
+        "missing config": lambda m: m.pop("config"),
+        "config must be a JSON object": lambda m: m.update(config=[64]),
+        "unexpected keyword argument 'dx'": lambda m: m["config"].update(dx=m["config"]["half_width"] / 32),
+        "need at least 8 cells": lambda m: m["config"].update(cells=0),
         "need one mass": lambda m: m["mass"].pop(),
         "per stored time": lambda m: m["boundary_flux"].append([0.0, 0.0]),
-        "could not convert": lambda m: m.update(eps="wide"),
+        "could not convert": lambda m: m.update(dt="wide"),
     }
     for message, edit in edits.items():
         manifest = json.loads(text)
         edit(manifest)
         path.write_text(json.dumps(manifest))
-        with pytest.raises(DiscFluxError, match=message):
+        with pytest.raises(DiscFluxError, match=re.escape(f"{path}: ")) as err:
             dx.read_run(run_dir)
+        assert message in str(err.value)
     path.write_text(json.dumps([1, 2]))
     with pytest.raises(DiscFluxError, match=re.escape(f"{path}: run manifest must be a JSON object, not list")):
         dx.read_run(run_dir)
@@ -286,7 +292,7 @@ def test_infinite_dt_round_trips_through_strict_json(tmp_path):
     cfg = dx.SolverConfig(cells=64, t_end=0.0)
     field = dx.solve(zero, lambda x: np.where(np.asarray(x) <= 0.0, 0.25, 0.75), config=cfg)
     assert field.dt == np.inf and field.stats["speed_max"] == 0.0
-    run_dir = dx.write_run(field, cfg, tmp_path)
+    run_dir = dx.write_run(field, tmp_path)
     manifest = _strict_json((run_dir / "manifest.json").read_text())
     assert manifest["dt"] is None and manifest["stats"]["invert_margin"] is None
     back, _ = dx.read_run(run_dir)
@@ -314,7 +320,7 @@ def test_non_finite_manifest_value_fails_before_the_run_appears(tmp_path, burger
     field, cfg, _ = _small_run(burgers, tmp_path / "first")
     bad = replace(field, stats={**field.stats, "c1": float("nan")})
     with pytest.raises(ValueError, match="JSON compliant"):
-        dx.write_run(bad, cfg, tmp_path / "runs")
+        dx.write_run(bad, tmp_path / "runs")
     assert list((tmp_path / "runs").iterdir()) == []
 
 
@@ -322,7 +328,7 @@ def test_rewrite_gives_identical_run(tmp_path, burgers):
     field, cfg, run_dir = _small_run(burgers, tmp_path, snapshots=33)
     before = _contents(run_dir)
     assert set(before) == RUN_FILES
-    assert dx.write_run(field, cfg, tmp_path) == run_dir
+    assert dx.write_run(field, tmp_path) == run_dir
     assert [p.name for p in tmp_path.iterdir()] == [run_dir.name]
     assert _contents(run_dir) == before
 
@@ -339,7 +345,7 @@ def test_write_replaces_stale_run_with_same_hash(tmp_path, burgers):
     with pytest.raises(DiscFluxError):
         dx.read_run(run_dir)
 
-    assert dx.write_run(field, cfg, tmp_path) == run_dir
+    assert dx.write_run(field, tmp_path) == run_dir
     assert [p.name for p in tmp_path.iterdir()] == [run_dir.name]
     assert _contents(run_dir) == fresh
     dx.read_run(run_dir)
@@ -365,13 +371,13 @@ def test_run_hash_reads_each_branch_on_its_own_lattice(tmp_path):
     cfg = dx.SolverConfig(cells=64, t_end=0.02)
     u0 = _step(0.25, 0.75)
     field = dx.solve(fine, u0, config=cfg)
-    back, _ = dx.read_run(dx.write_run(field, cfg, tmp_path))
+    back, _ = dx.read_run(dx.write_run(field, tmp_path))
     for name in ("f", "g"):
         assert np.array_equal(back.flux.branch(name)(u), fine.branch(name)(u))
     nodes = np.linspace(0.0, 1.0, 9) ** 2
     on_own = dx.FluxPair(f, dx.SampledCurve(nodes, nodes * (1.0 - nodes)))
     on_f = dx.FluxPair(f, dx.SampledCurve(f.x, on_own.g.y))
-    names = {dx.write_run(dx.solve(flux, u0, config=cfg), cfg, tmp_path / "runs").name for flux in (on_own, on_f)}
+    names = {dx.write_run(dx.solve(flux, u0, config=cfg), tmp_path / "runs").name for flux in (on_own, on_f)}
     assert len(names) == 2
 
 
@@ -467,5 +473,5 @@ def test_run_hash_golden(tmp_path, burgers, demo_swapped, demo_connection, case,
     else:
         flux, u0, pair = demo_swapped, _step(0.3, 0.7), dx.build_translation_transform(demo_swapped)
     cfg = dx.SolverConfig(cells=128, t_end=0.1, snapshots=5)
-    run_dir = dx.write_run(dx.solve(flux, u0, pair, cfg), cfg, tmp_path)
+    run_dir = dx.write_run(dx.solve(flux, u0, pair, cfg), tmp_path)
     assert run_dir.name == expected

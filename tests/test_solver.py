@@ -171,6 +171,11 @@ def test_solution_field_checks_the_shape_of_u(burgers):
     for u in (field.u[:, :-1], field.u[:-1], field.u[-1]):
         with pytest.raises(ValueError, match="snapshot array shape mismatch"):
             replace(field, u=u)
+    # u and v must be config.cells wide, also when they agree with each other
+    for arrays in ({"v": field.v[:, :-1]}, {"u": field.u[:, :-1], "v": field.v[:, :-1]},
+                   {"config": replace(field.config, cells=128)}):
+        with pytest.raises(ValueError, match="snapshot array shape mismatch"):
+            replace(field, **arrays)
 
 def test_solve_gates_on_transform_audit(demo_swapped):
     # the raw swapped pair fails the crossing condition, so identity labels
@@ -868,7 +873,7 @@ def test_no_scipy_on_import_or_solve(tmp_path):
         "dx.solve(flux, np.where(x <= 0, 0.8, 0.4), pair, cfg)\n"
         "flux = dx.get_flux('demo-swapped')\n"
         "field = dx.solve(flux, np.where(x <= 0, 0.3, 0.7), dx.build_translation_transform(flux), cfg)\n"
-        "dx.read_run(dx.write_run(field, cfg, sys.argv[1]))\n"
+        "dx.read_run(dx.write_run(field, sys.argv[1]))\n"
         "print(sorted(m for m in sys.modules\n"
         "             if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))\n"
     )
