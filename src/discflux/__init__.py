@@ -1,7 +1,7 @@
 """Conservation laws with a flux that switches branches at x = 0.
 
 The package covers the full pipeline: sampled flux pairs, admissibility
-transforms (crossing checks, connections, constructive builders), a viscous
+transforms (crossing checks, connections, constructive builders), a monotone
 finite-volume solver in the relabelled variable, exact Riemann references for
 a single branch, entropy-residual diagnostics, and run persistence.
 """

@@ -165,22 +165,21 @@ def main():
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--out", default=None, help="output root (default $DISCFLUX_OUT or ./runs)")
 @click.option("--cells", type=int, default=None)
-@click.option("--eps", type=float, default=None)
 @click.option("--t-end", "t_end", type=float, default=None)
 @click.option("--half-width", "half_width", type=float, default=None)
 @click.option("--snapshots", type=int, default=None)
 def cli_solve(flux_name, transform_arg, connection_text, u0_arg, config_path, out,
-              cells, eps, t_end, half_width, snapshots):
-    """Run the viscous scheme and persist snapshots."""
+              cells, t_end, half_width, snapshots):
+    """Run the scheme and persist snapshots."""
     with _usage_errors():
         flux, conn, transform = _problem(flux_name, transform_arg, connection_text)
         u0 = _initial_profile(u0_arg, flux, conn)
-        cfg = _solver_config(config_path, cells=cells, eps=eps, t_end=t_end,
+        cfg = _solver_config(config_path, cells=cells, t_end=t_end,
                              half_width=half_width, snapshots=snapshots)
         field = solve(flux, u0, transform, cfg)
     run_dir = write_run(field, Path(out or os.environ.get("DISCFLUX_OUT", "runs")))
     _echo(f"run written to {run_dir}")
-    _echo(f"steps={field.stats['steps']} dt={field.dt:.3e} eps={field.eps:.3e}")
+    _echo(f"steps={field.stats['steps']} dt={field.dt:.3e}")
     try:
         traces = extract_traces(field)
     except DiscFluxError as exc:  # the run is written; its traces cannot be evaluated
@@ -311,7 +310,7 @@ def cli_verify(run_dir, tolerance):
 @click.option("--cells", type=int, default=128, show_default=True, help="coarsest level")
 @click.option("--t-end", "t_end", type=float, default=0.5, show_default=True)
 def cli_sweep(flux_name, transform_arg, connection_text, u0_arg, levels, cells, t_end):
-    """Joint refinement of grid and smoothing width; reports L1 gaps."""
+    """Refine the grid, doubling the cells per level; reports L1 gaps."""
     with _usage_errors():
         flux, conn, transform = _problem(flux_name, transform_arg, connection_text)
         u0 = _initial_profile(u0_arg, flux, conn)
@@ -324,7 +323,7 @@ def cli_sweep(flux_name, transform_arg, connection_text, u0_arg, levels, cells, 
                   for k in range(len(result.distances) - 1)]
         _echo("gap ratios: " + ", ".join(f"{r:.2f}" for r in ratios))
     lb = ladder_bounds(result)
-    for name, vals in (("c0", lb.c0), ("c1", lb.c1), ("c2", lb.c2)):
+    for name, vals in (("c0", lb.c0), ("c1", lb.c1)):
         _echo(f"{name} per level: " + ", ".join(f"{v:.4e}" for v in vals))
     _echo(f"bounds stable: {lb.ok}")
     if not result.converging:

@@ -17,14 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError
-from .solver import SolutionField, conserved_density, smooth_heaviside
+from .solver import SolutionField
 from .transforms import Connection
 
 SIGN_BAND = 1e-12
 _ORDER_SLACK = 1e-10     # ordering_preserved: allowed excess of a over b
 _BOUNDS_SLACK = 1e-9     # bounds_report: range slack relative to the domain width
 _LADDER_RANGE_TOL = 1e-10  # ladder_bounds: largest range excess on any level
-_LADDER_SPREAD = 2.0       # ladder_bounds: largest max/min ratio of c1 and of c2
+_LADDER_SPREAD = 2.0       # ladder_bounds: largest max/min ratio of c1
 
 
 def _tent(x, c, r):
@@ -187,7 +187,7 @@ class EntropyReport:
 def _auto_tolerance(field: SolutionField) -> float:
     scale = max(float(np.abs(field.flux.f.y).max()), float(np.abs(field.flux.g.y).max()), 1e-6)
     slab = float(np.max(np.diff(field.times))) if len(field.times) > 1 else field.dt
-    return 0.5 * scale * (field.dx + field.eps + slab) + 1e-9 * scale
+    return 0.5 * scale * (field.dx + slab) + 1e-9 * scale
 
 
 class _FieldTerms:
@@ -397,14 +397,15 @@ class TraceReport:
 
 
 def extract_traces(field: SolutionField, offset: float | None = None) -> TraceReport:
-    """Sample u just outside the smoothing band on both sides of the interface.
+    """Sample u on both sides of the interface.
 
-    ``offset`` is the sampling distance from 0 (default 1.5 * eps, limited to
-    the grid); the mismatch column measures how far the run is from the
-    flux-matching condition a steady interface requires.
+    ``offset`` is the sampling distance from 0 (default and least ``dx``),
+    so on an even grid the two cells beside the interface face, which read
+    both branches through it, are skipped.  The mismatch column measures how
+    far the run is from the flux-matching condition a steady interface
+    requires.
     """
-    off = 1.5 * field.eps if offset is None else float(offset)
-    off = max(off, field.dx)
+    off = field.dx if offset is None else max(float(offset), field.dx)
     i_left = int(np.searchsorted(field.x, -off, side="right") - 1)
     i_right = int(np.searchsorted(field.x, off, side="left"))
     if i_left < 0 or i_right >= len(field.x):
@@ -419,9 +420,9 @@ def l1_distances(a: SolutionField, b: SolutionField, variable: str = "v") -> np.
     """Per-snapshot L1 distance of two runs on the same grid.
 
     ``variable`` picks the metric: "v" compares the transformed unknowns
-    directly; "conserved" compares the blended densities the scheme actually
-    conserves, which is the quantity whose distance cannot grow (up to
-    whatever enters through the boundary).
+    directly; "conserved" compares u, the density the scheme conserves,
+    which is the quantity whose distance cannot grow (up to whatever enters
+    through the boundary).
     """
     if a.v.shape != b.v.shape or not np.allclose(a.times, b.times):
         raise ValueError("runs must share grid and snapshot times")
@@ -429,11 +430,7 @@ def l1_distances(a: SolutionField, b: SolutionField, variable: str = "v") -> np.
         return np.sum(np.abs(a.v - b.v), axis=1) * a.dx
     if variable != "conserved":
         raise ValueError(f"unknown variable {variable!r}")
-    ma, mb = (
-        conserved_density(fld.v, smooth_heaviside(fld.x, fld.eps), fld.transform.table())
-        for fld in (a, b)
-    )
-    return np.sum(np.abs(ma - mb), axis=1) * a.dx
+    return np.sum(np.abs(a.u - b.u), axis=1) * a.dx
 
 
 def ordering_preserved(a: SolutionField, b: SolutionField) -> bool:
@@ -473,27 +470,24 @@ def bounds_report(field: SolutionField) -> BoundsReport:
 class LadderBounds:
     """Per-level a-priori statistics of a refinement ladder.
 
-    ``c0`` is the range excess beyond the state interval, ``c1`` the worst
-    L1 rate of change per unit time and ``c2`` the worst viscous energy
-    integral.  ``ok`` means c0 stays below 1e-10 on every level and c1, c2
-    each vary by less than a factor 2, i.e. the quantities the scheme is
-    supposed to control stay O(1) under refinement.
+    ``c0`` is the range excess beyond the state interval and ``c1`` the
+    worst L1 rate of change per unit time.  ``ok`` means c0 stays below
+    1e-10 on every level and c1 varies by less than a factor 2, i.e. the
+    quantities the scheme is supposed to control stay O(1) under
+    refinement.
     """
 
     c0: tuple
     c1: tuple
-    c2: tuple
     ok: bool
 
 
 def ladder_bounds(result) -> LadderBounds:
-    """Collect (c0, c1, c2) per ladder level and check they stay O(1)."""
+    """Collect (c0, c1) per ladder level and check they stay O(1)."""
     c0 = tuple(f.range_excess() for f in result.fields)
     c1 = tuple(f.stats["c1"] for f in result.fields)
-    c2 = tuple(f.stats["c2"] for f in result.fields)
     ok = (
         max(c0) <= _LADDER_RANGE_TOL
         and max(c1) <= _LADDER_SPREAD * min(c1) + _LADDER_RANGE_TOL
-        and max(c2) <= _LADDER_SPREAD * min(c2) + _LADDER_RANGE_TOL
     )
-    return LadderBounds(c0, c1, c2, ok)
+    return LadderBounds(c0, c1, ok)

@@ -5,7 +5,7 @@ initial data is piecewise constant in x/t: its states are the vertices of the
 relevant flux envelope between the two data values (convex minorant when the
 left state is below the right one, concave majorant otherwise) and each pair
 of consecutive states is separated by a jump moving at the chord slope.  This
-module builds that solution directly; it serves as the reference the viscous
+module builds that solution directly; it serves as the reference the finite-volume
 solver is measured against away from any flux discontinuity.
 """
 

@@ -1,4 +1,4 @@
-"""On-disk layout for solver runs (format 4).
+"""On-disk layout for solver runs (format 5).
 
 A run directory is named by a short hash of the config and of the flux,
 transform and initial tables, and holds four tables plus one manifest:
@@ -12,7 +12,8 @@ transform and initial tables, and holds four tables plus one manifest:
 Each table is a 2-D little-endian float64 array in numpy's ``.npy`` format,
 so a run reloads bit for bit, its transform included: the maps are
 piecewise linear with their breakpoints in the stored lattice.  ``read_run``
-rejects a table whose bytes miss the manifest's sha256.  CSV is for
+rejects a table whose bytes miss the manifest's sha256, and a manifest whose
+config, with the tables, does not give the run's hash back.  CSV is for
 interchange only: a transform is a ``v,alpha,beta`` table with its metadata
 in a ``.json`` sidecar of the same name.
 """
@@ -36,12 +37,12 @@ from .fluxes import FluxPair, _flux_table, read_csv, read_text, write_csv
 from .solver import SolutionField, SolverConfig
 from .transforms import Connection, TransformPair
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 _VARIABLES = ("u", "v")
 _TABLES = ("flux.npy", "transform.npy", *(f"snapshots/{var}.npy" for var in _VARIABLES))
 # column count of each table, where it does not depend on the run
 _COLUMNS = {"flux.npy": 3, "transform.npy": 3}
-_MANIFEST_KEYS = ("config", "dt", "times", "mass", "boundary_flux")
+_MANIFEST_KEYS = ("hash", "config", "dt", "times", "mass", "boundary_flux")
 _DTYPE = np.dtype("<f8")
 _NPY_MAGIC = b"\x93NUMPY"
 
@@ -234,7 +235,8 @@ def read_run(run_dir) -> tuple[SolutionField, dict]:
     or transform pair, a snapshot table that is not one row per stored time
     by one column per cell (each naming its file), or a manifest whose own
     entries (which no digest covers) are missing, of the wrong type, not a
-    valid ``SolverConfig`` or do not fit the tables.
+    valid ``SolverConfig`` or do not fit the tables, or whose config, with
+    the flux, transform and initial tables, does not hash to its ``hash``.
     """
     run_dir = Path(run_dir)
     manifest_path = run_dir / "manifest.json"
@@ -270,6 +272,10 @@ def read_run(run_dir) -> tuple[SolutionField, dict]:
             if tables[name].shape != (len(times), config.cells):
                 raise DiscFluxError(f"{run_dir / name}: expected {len(times)} rows of {config.cells} "
                                     f"values, found shape {tables[name].shape}")
+        # the first row's bytes, or none for a table without rows, whose hash then differs
+        if _hash_of(config, tables, tables["snapshots/u.npy"][:1]) != manifest["hash"]:
+            raise DiscFluxError(f"{manifest_path}: the config and tables do not hash to "
+                                f"the run's hash {manifest['hash']!r}")
         field = SolutionField(
             config=config,
             times=times,

@@ -53,7 +53,6 @@ def test_03_steady_connection_shock(burgers, demo_connection):
     conn, pair = demo_connection
     u0 = lambda x: dx.steady_connection_state(burgers, conn, x)
     field = dx.solve(burgers, u0, pair, dx.SolverConfig(cells=2048, t_end=0.5))
-    eps = field.eps
     mask = np.abs(field.x) <= 1.0
     l1 = float(np.sum(np.abs(field.u_final - u0(field.x))[mask]) * field.dx)
     tr = dx.extract_traces(field)
@@ -64,10 +63,11 @@ def test_03_steady_connection_shock(burgers, demo_connection):
         worst_res = max(worst_res, rep.worst)
         assert rep.ok
     rep_ab = dx.entropy_residual_connection(field, conn)
-    ok = (l1 <= 25 * eps and rep_ab.ok and trace_err <= 5 * eps
+    # the profile is constant in v, and the scheme adds no viscosity to smear it
+    ok = (l1 == 0.0 and rep_ab.ok and trace_err == 0.0
           and tr.final_mismatch <= 1e-3)
-    _line(3, ok, f"steady connection shock: L1(-1,1) {l1:.3e} (bound {25*eps:.3e}), "
-                 f"traces off by {trace_err:.3e} (bound {5*eps:.3e}), "
+    _line(3, ok, f"steady connection shock: L1(-1,1) {l1:.3e} (bound 0), "
+                 f"traces off by {trace_err:.3e} (bound 0), "
                  f"flux mismatch {tr.final_mismatch:.3e} (bound 1e-3), "
                  f"residuals worst {max(worst_res, rep_ab.worst):.3e}")
 
@@ -123,16 +123,13 @@ def test_06_ordered_data_stay_ordered(demo_cross):
 
 
 def test_07_rate_bounds_stable_across_ladder(burgers):
-    """The time-variation and viscous-energy statistics stay O(1) under refinement."""
+    """The time-variation statistic stays O(1) under refinement."""
     u0 = lambda x: np.where(np.asarray(x) <= 0, 0.25, 0.75)
     lad = dx.ladder(burgers, u0, base=dx.SolverConfig(cells=128, t_end=0.5), levels=3)
     c1 = [f.stats["c1"] for f in lad.fields]
-    c2 = [f.stats["c2"] for f in lad.fields]
     var1 = max(c1) / min(c1)
-    var2 = max(c2) / min(c2)
-    ok = var1 < 2.0 and var2 < 2.0 and c2[-1] <= 2.0 * c2[0]
-    _line(7, ok, f"a-priori bounds: c1 spread x{var1:.3f}, c2 spread x{var2:.3f} "
-                 f"(bounds x2), c2 = {c2[-1]:.4f} at the finest level")
+    ok = var1 < 2.0
+    _line(7, ok, f"a-priori bounds: c1 spread x{var1:.3f} (bound x2)")
 
 
 def test_08_refinement_cauchy(burgers, demo_connection):

@@ -198,12 +198,19 @@ def test_verify_skips_the_residuals_of_a_run_that_spans_no_time(tmp_path, solve_
 @pytest.mark.parametrize("option, value, name", [
     ("--t-end", "inf", "t_end"),
     ("--half-width", "nan", "half_width"),
-    ("--eps", "nan", "eps"),
 ])
 def test_solve_rejects_non_finite_option(tmp_path, option, value, name):
     res = run_cli("solve", "--cells", "64", option, value, "--out", str(tmp_path))
     assert res.exit_code == 2, res.output
     assert f"{name} must be a finite number" in res.output
+    assert not any(tmp_path.iterdir())
+
+
+def test_solve_has_no_eps_option(tmp_path):
+    # the scheme's own dissipation is the vanishing viscosity: there is no eps to set
+    res = run_cli("solve", "--cells", "64", "--eps", "0.1", "--out", str(tmp_path))
+    assert res.exit_code == 2, res.output
+    assert "No such option '--eps'" in res.output
     assert not any(tmp_path.iterdir())
 
 
@@ -343,10 +350,10 @@ def test_solve_config_file_with_flag_override(tmp_path):
     ({"cfl_hyperbolic": "0.5"}, "cfl_hyperbolic must be a finite number, got '0.5'"),
     ({"half_width": True}, "half_width must be a finite number, got True"),
     ({"t_end": True}, "t_end must be a finite number, got True"),
-    ({"eps": False}, "eps must be a finite number, got False"),
+    ({"eps": 0.1}, "unknown config keys: ['eps']"),
     ({"cfl_hyperbolic": True}, "cfl_hyperbolic must be a finite number, got True"),
 ], ids=["number", "list", "removed-cfl-key", "fractional-cells", "cfl-one", "cfl-string",
-        "half-width-true", "t-end-true", "eps-false", "cfl-true"])
+        "half-width-true", "t-end-true", "removed-eps-key", "cfl-true"])
 def test_solve_rejects_bad_config_file(tmp_path, content, message):
     # catch_exceptions=False: a traceback would fail the test here
     path = tmp_path / "cfg.json"
@@ -645,6 +652,8 @@ def test_sweep_command():
     assert res.exit_code == 0, res.output
     assert "L1 gap" in res.output
     assert "converging" in res.output
+    # the ladder refines the grid alone: c0 and c1 per level, and no viscous energy
+    assert [line.split(" per level")[0] for line in res.output.splitlines() if " per level: " in line] == ["c0", "c1"]
 
 
 

@@ -17,9 +17,9 @@ from discflux.errors import CoverageError
 from conftest import random_step_profile
 
 
-def _frozen_field(burgers, u_profile, times=None, cells=256, eps=0.0625):
+def _frozen_field(burgers, u_profile, times=None, cells=256):
     """Wrap a hand-made space-time table as a stored solution field."""
-    cfg = dx.SolverConfig(cells=cells, t_end=0.5, eps=eps)
+    cfg = dx.SolverConfig(cells=cells, t_end=0.5)
     x = cfg.centers()
     times = np.linspace(0.0, 0.5, 33) if times is None else times
     u = np.tile(np.asarray(u_profile(x), dtype=float), (len(times), 1))
@@ -141,6 +141,20 @@ def test_reversed_shock_residual_frozen_value(burgers):
     rep = dx.entropy_residual_pair(field, 0.5, tests=[hat], tolerance=1e-3)
     assert not rep.ok
     assert rep.worst == pytest.approx(2 * (0.25 - 0.1875) * 0.2, abs=1e-12)
+
+
+@pytest.mark.parametrize("left, right, cells, fails", [
+    (0.75, 0.25, 256, True),     # acceptance 10's jump: 3.20 x the tolerance
+    (0.65, 0.35, 1024, True),    # 1.84 x
+    (0.35, 0.65, 1024, False),   # admissible: 0.00 x
+], ids=["0.75|0.25", "0.65|0.35", "0.35|0.65"])
+def test_automatic_tolerance_flags_inadmissible_standing_jumps(burgers, left, right, cells, fails):
+    # verify's five levels with the default hats and the automatic tolerance
+    # 0.5 * scale * (dx + slab), on acceptance 10's frozen field: both
+    # inadmissible jumps must fail, and the admissible one pass
+    field = _frozen_field(burgers, lambda x: np.where(np.asarray(x) <= 0, left, right), cells=cells)
+    reports = [dx.entropy_residual_pair(field, float(xi)) for xi in np.linspace(0.0, 1.0, 7)[1:-1]]
+    assert any(not r.ok for r in reports) == fails
 
 
 def test_adapted_residual_steady_connection(burgers, demo_connection):
@@ -508,6 +522,45 @@ def test_trace_extraction(burgers, demo_connection):
         dx.extract_traces(field, offset=10.0)
 
 
+def test_connection_riemann_traces_converge(burgers, demo_connection):
+    # data 0.8 | 0.4 off the steady profile: at 1,024 cells the traces settle
+    # on the connection (A, B) and match the fluxes across x = 0 to 1e-8
+    conn, pair = demo_connection
+    field = dx.solve(burgers, lambda x: np.where(np.asarray(x) <= 0, 0.8, 0.4), pair,
+                     dx.SolverConfig(cells=1024, t_end=0.5))
+    tr = dx.extract_traces(field)
+    assert tr.final_mismatch <= 1e-8
+    assert abs(tr.left[-1] - conn.A) <= 1e-6 and abs(tr.right[-1] - conn.B) <= 1e-6
+
+
+@pytest.mark.parametrize("case", ["rarefaction", "shock", "connection-0.276|0.902", "connection-0.8|0.4",
+                                  "demo-cross", "demo-swapped"])
+def test_reference_solves_pass_verify_checks(burgers, demo_cross, demo_swapped, demo_connection, case):
+    # the checks of discflux verify, in memory, at 1,024 cells with 33 and
+    # with 513 snapshots: ranges, mass balance, the five pair residuals and
+    # the adapted one; the snapshot count moves the automatic tolerance
+    flux, pair, left, right, t_end = {
+        "rarefaction": (burgers, dx.identity_transform(burgers), 0.2, 0.9, 0.5),
+        "shock": (burgers, dx.identity_transform(burgers), 0.9, 0.2, 0.5),
+        "connection-0.276|0.902": (burgers, demo_connection[1], 0.276, 0.902, 0.5),
+        "connection-0.8|0.4": (burgers, demo_connection[1], 0.8, 0.4, 0.5),
+        "demo-cross": (demo_cross, dx.identity_transform(demo_cross), 0.2, 0.8, 0.5),
+        "demo-swapped": (demo_swapped, dx.build_translation_transform(demo_swapped), 0.3, 0.7, 0.2),
+    }[case]
+    for snapshots in (33, 513):
+        cfg = dx.SolverConfig(cells=1024, t_end=t_end, snapshots=snapshots)
+        field = dx.solve(flux, lambda x: np.where(np.asarray(x) <= 0, left, right), pair, cfg)
+        rep = dx.bounds_report(field)
+        assert rep.v_ok and rep.u_ok
+        drift = field.mass - field.mass[0] + field.boundary_flux[:, 1] - field.boundary_flux[:, 0]
+        assert np.max(np.abs(drift)) <= 1e-9 * max(1.0, abs(float(field.mass[0])))
+        lo, hi = pair.domain
+        reports = [dx.entropy_residual_pair(field, float(xi)) for xi in np.linspace(lo, hi, 7)[1:-1]]
+        if pair.connection is not None:
+            reports.append(dx.entropy_residual_connection(field, pair.connection))
+        assert [r.summary() for r in reports if not r.ok] == [], snapshots
+
+
 def test_trace_mismatch_frozen_value(burgers):
     # left state 0.6, right state 0.25: |f(0.25) - g(0.6)| = |0.1875 - 0.24|
     field = _frozen_field(burgers, lambda x: np.where(np.asarray(x) <= 0, 0.6, 0.25))
@@ -516,7 +569,7 @@ def test_trace_mismatch_frozen_value(burgers):
 
 
 def test_l1_distance_metrics(burgers):
-    cfg = dx.SolverConfig(cells=128, t_end=0.1, eps=0.05)
+    cfg = dx.SolverConfig(cells=128, t_end=0.1)
     tent = lambda x: np.maximum(0.0, 1.0 - np.abs(np.asarray(x)))
     fa = dx.solve(burgers, lambda x: 0.3 + 0.2 * tent(x), config=cfg)
     fb = dx.solve(burgers, lambda x: 0.3 + 0.3 * tent(x), config=cfg)
@@ -541,7 +594,7 @@ def test_run_comparisons_reject_runs_they_cannot_compare(burgers):
 
 def test_conserved_metric_contracts_across_interface(burgers, demo_connection):
     conn, pair = demo_connection
-    cfg = dx.SolverConfig(cells=128, t_end=0.15, eps=0.05)
+    cfg = dx.SolverConfig(cells=128, t_end=0.15)
     base = lambda x: dx.steady_connection_state(burgers, conn, x)
     u1 = lambda x: np.where(np.abs(np.asarray(x)) < 1, 0.55, base(x))
     u2 = lambda x: np.where(np.abs(np.asarray(x)) < 1, 0.65, base(x))

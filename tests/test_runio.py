@@ -104,6 +104,7 @@ def test_run_roundtrip_exact(tmp_path, burgers, demo_connection):
     # the config is the only record of the grid
     assert manifest["config"] == cfg.to_dict() and manifest["config"]["cells"] == 64
     assert not {"cells", "dx", "eps"} & set(manifest)
+    assert "eps" not in manifest["config"]
     assert sorted(manifest["sha256"]) == sorted(RUN_FILES - {"manifest.json"})
     # one table per variable: one row per stored time, one column per cell
     table = np.load(run_dir / "snapshots" / "v.npy", allow_pickle=False)
@@ -130,9 +131,9 @@ def test_run_hash_depends_on_inputs(tmp_path, burgers):
 def test_read_rejects_wrong_format(tmp_path):
     bad = tmp_path / "r"
     bad.mkdir()
-    for version in (1, 2, 3, 99):
+    for version in (1, 2, 3, 4, 99):
         (bad / "manifest.json").write_text(json.dumps({"format": version}))
-        with pytest.raises(DiscFluxError, match=f"run format {version} is not supported; .* format 4 only"):
+        with pytest.raises(DiscFluxError, match=f"run format {version} is not supported; .* format 5 only"):
             dx.read_run(bad)
 
 
@@ -236,6 +237,8 @@ def test_read_checks_manifest_entries(tmp_path, burgers):
     text = path.read_text()
     edits = {
         "missing config": lambda m: m.pop("config"),
+        "missing hash": lambda m: m.pop("hash"),
+        "do not hash to the run's hash": lambda m: m["config"].update(t_end=9.0),
         "config must be a JSON object": lambda m: m.update(config=[64]),
         "unexpected keyword argument 'dx'": lambda m: m["config"].update(dx=m["config"]["half_width"] / 32),
         "need at least 8 cells": lambda m: m["config"].update(cells=0),
@@ -256,6 +259,21 @@ def test_read_checks_manifest_entries(tmp_path, burgers):
     path.write_text(text)
     dx.read_run(run_dir)
 
+
+
+def test_read_rejects_a_config_the_hash_does_not_cover(tmp_path, burgers):
+    # a run solved at cfl_hyperbolic 0.5 whose manifest drops that key, so
+    # the default 0.8 would fill it, and claims t_end 9.0: the config no
+    # longer hashes with the tables to the run's hash
+    _, _, run_dir = _small_run(burgers, tmp_path, cfl_hyperbolic=0.5)
+    path = run_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["config"]["cfl_hyperbolic"]
+    manifest["config"]["t_end"] = 9.0
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(DiscFluxError, match=re.escape(f"{path}: the config and tables do not hash to "
+                                                      f"the run's hash {run_dir.name!r}")):
+        dx.read_run(run_dir)
 
 
 @pytest.mark.parametrize("data, message", [
@@ -458,9 +476,9 @@ def _step(left, right):
 @pytest.mark.parametrize(
     "case, expected",
     [
-        ("connection", "6e07e6f5090e"),
-        ("identity", "505f1587298b"),
-        ("translation", "8bd04817d3c3"),
+        ("connection", "89b7712b1919"),
+        ("identity", "e5630283695c"),
+        ("translation", "5ae32e38975c"),
     ],
 )
 def test_run_hash_golden(tmp_path, burgers, demo_swapped, demo_connection, case, expected):
