@@ -10,12 +10,13 @@ transform and initial tables, and holds four tables plus one manifest:
     <out>/<hash>/snapshots/v.npy      the same for the transformed variable
 
 Each table is a 2-D little-endian float64 array in numpy's ``.npy`` format,
-so a run reloads bit for bit, its transform included: the maps are
-piecewise linear with their breakpoints in the stored lattice.  ``read_run``
+so a run reloads bit for bit.  A transform pair holds both maps on one
+lattice, the one its table stores, so the reloaded pair is the built one,
+composed fluxes included, and solves to the same field.  ``read_run``
 rejects a table whose bytes miss the manifest's sha256, and a manifest whose
 config, with the tables, does not give the run's hash back.  CSV is for
-interchange only: a transform is a ``v,alpha,beta`` table with its metadata
-in a ``.json`` sidecar of the same name.
+interchange only: a transform is its ``v,alpha,beta`` lattice table, reloaded
+as the same pair too, with its metadata in a ``.json`` sidecar of the same name.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Finite-volume solver for the relabelled two-flux problem.
 
 Each cell conserves u itself: the density beta(v) at x <= 0 and alpha(v)
-past it, the side rule of ``reconstruct_u``.  A step moves the densities
+past it, and stores that density as u.  A step moves the densities
 explicitly with Lax-Friedrichs fluxes, each face dissipating in its own
 density (the Lax-Friedrichs scheme for discontinuous flux of Karlsen and
 Towers, written on the relabelled density), then inverts each cell's map
@@ -101,7 +101,7 @@ class SolutionField:
     config: SolverConfig
     times: np.ndarray
     v: np.ndarray            # snapshots x cells, transformed variable
-    u: np.ndarray            # snapshots x cells, reconstructed
+    u: np.ndarray            # snapshots x cells, each cell's conserved density
     mass: np.ndarray         # conserved total per snapshot
     boundary_flux: np.ndarray  # cumulative (left, right) face-flux time integrals
     dt: float
@@ -147,17 +147,10 @@ class SolutionField:
         return over + under
 
 
-def reconstruct_u(v: np.ndarray, x: np.ndarray, transform: TransformPair) -> np.ndarray:
-    """Map the relabelled variable back: beta at x <= 0, alpha at x > 0."""
-    v = np.asarray(v, dtype=float)
-    left = np.asarray(x) <= 0.0
-    return np.where(left, transform.beta.forward(v), transform.alpha.forward(v))
-
-
 class _Stepper:
     """Precomputed tables and the update rule for one (flux, transform, grid)."""
 
-    def __init__(self, tables: tuple, transform: TransformPair, cfg: SolverConfig):
+    def __init__(self, flux: FluxPair, tables: tuple, transform: TransformPair, cfg: SolverConfig):
         self.cfg = cfg
         self.dx = cfg.dx
 
@@ -165,8 +158,8 @@ class _Stepper:
         # solves: read only, yet left writable, since np.interp copies a read-only table on every call
         self.vgrid, self.fa_tab, self.gb_tab = tables
 
-        # transform tables on the shared breakpoint union, for the densities
-        self.ugrid, self.alpha_tab, self.beta_tab = transform.table()
+        # the pair's one lattice, for the densities: copies, being the pair's read-only arrays
+        self.ugrid, self.alpha_tab, self.beta_tab = (np.array(a) for a in transform.table())
         # the interface face's dissipation density (alpha + beta) / 2
         self.mid_tab = 0.5 * (self.alpha_tab + self.beta_tab)
 
@@ -199,9 +192,10 @@ class _Stepper:
         gb_slope = np.diff(self.gb_tab) / dv
         alpha_slope = np.diff(self.alpha_tab) / du
         beta_slope = np.diff(self.beta_tab) / du
-        # the dissipation speed: max |f'| and |g'| in u, so |F'| <= c * M' at every face
-        self.speed_max = c = float(max(np.max(seg_max(np.abs(fa_slope)) / alpha_slope),
-                                       np.max(seg_max(np.abs(gb_slope)) / beta_slope)))
+        # the dissipation speed: max |f'| and |g'| in u off the branches' own segments, so
+        # |F'| <= c * M' at every face (an upper bound where the maps cover part of [a, b])
+        self.speed_max = c = float(max(np.max(np.abs(np.diff(br.y) / np.diff(br.x)))
+                                       for br in (flux.f, flux.g)))
 
         # the exact rates of the two cells beside the interface face (see
         # suggest_dt), whose faces' weights differ by 1/2
@@ -378,7 +372,7 @@ def solve(
         raise ValueError("initial data leaves the flux interval [a, b]")
     u0_vals = np.clip(u0_vals, flux.a, flux.b)
 
-    stepper = _Stepper(tables, t, cfg)
+    stepper = _Stepper(flux, tables, t, cfg)
     v = relabel_initial(u0_vals, x, t)
 
     if cfg.t_end == 0:
@@ -393,8 +387,8 @@ def solve(
     snap_at = set(np.round(np.linspace(0, nsteps, min(cfg.snapshots, nsteps + 1))).astype(int).tolist())
 
     snaps_v = [v]
+    snaps_u = [stepper.conserved(v)]
     snap_times = [0.0]
-    mass = [float(np.sum(stepper.conserved(v)) * cfg.dx)]
     bflux = [(0.0, 0.0)]
     cum_left = cum_right = 0.0
     c1 = 0.0  # max L1 rate of change of v
@@ -414,19 +408,18 @@ def solve(
             states = [v]
         if n in snap_at:
             snaps_v.append(v)
+            snaps_u.append(stepper.conserved(v))
             snap_times.append(n * dt)
-            mass.append(float(np.sum(stepper.conserved(v)) * cfg.dx))
             bflux.append((cum_left, cum_right))
     del states, block, v   # free the block before the snapshot arrays are built
 
-    v_arr = np.array(snaps_v)
-    u_arr = reconstruct_u(v_arr, x, t)
+    u = np.array(snaps_u)   # each row sum is np.sum of that row alone (see _block_rates)
     return SolutionField(
         config=cfg,
         times=np.array(snap_times),
-        v=v_arr,
-        u=u_arr,
-        mass=np.array(mass),
+        v=np.array(snaps_v),
+        u=u,
+        mass=u.sum(axis=1) * cfg.dx,
         boundary_flux=np.array(bflux),
         dt=dt,
         flux=flux,

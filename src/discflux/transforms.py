@@ -72,7 +72,7 @@ class ConnectionCheck:
 
 @dataclass(frozen=True)
 class TransformPair:
-    """Side transforms alpha (x > 0) and beta (x < 0) on a common domain.
+    """Side transforms alpha (x > 0) and beta (x < 0) on one breakpoint lattice, their merged union.
 
     ``shifts`` (k_l, k_r) marks the translation pair of those shifts, whose
     composed fluxes use the zero-extended branches; ``connection`` marks a
@@ -91,6 +91,12 @@ class TransformPair:
         span = max(ahi - alo, 1.0)
         if abs(alo - blo) > CLAMP_SLACK * span or abs(ahi - bhi) > CLAMP_SLACK * span:
             raise ValueError("alpha and beta must share a domain")
+        # each map is exact on the union, which holds its kinks; maps on one lattice stay as given,
+        # so a pair rebuilt from its table() is the same numbers
+        if not np.array_equal(self.alpha.breakpoints, self.beta.breakpoints):
+            v = merge_close(np.sort(np.concatenate((self.alpha.breakpoints, self.beta.breakpoints))))
+            for name in ("alpha", "beta"):
+                object.__setattr__(self, name, MonotoneBijection(v, getattr(self, name).forward(v)))
         if self.shifts is not None:
             object.__setattr__(self, "shifts", tuple(float(s) for s in self.shifts))
             if len(self.shifts) != 2 or not np.all(np.isfinite(self.shifts)):
@@ -118,13 +124,8 @@ class TransformPair:
         return self.alpha.domain
 
     def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(v, alpha(v), beta(v)) on the union of both breakpoint sets.
-
-        Both maps are piecewise linear with their kinks on this lattice, so
-        the table represents the pair exactly.
-        """
-        v = merge_close(np.sort(np.concatenate((self.alpha.breakpoints, self.beta.breakpoints))))
-        return v, self.alpha.forward(v), self.beta.forward(v)
+        """(v, alpha(v), beta(v)) on the pair's one lattice: the stored (read-only) arrays."""
+        return self.alpha.breakpoints, self.alpha.values, self.beta.values
 
     def meta(self) -> dict:
         """JSON metadata; ``shifts`` and ``connection`` are read back, ``kind`` and ``c`` are for readers."""

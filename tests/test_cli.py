@@ -126,6 +126,29 @@ def test_verify_rejects_edited_snapshot_table(tmp_path):
     assert "sha256" in ver.output
 
 
+@pytest.mark.parametrize("left, right, code", [
+    (0.75, 0.25, 1),   # inadmissible for the concave flux
+    (0.35, 0.65, 0),   # admissible
+], ids=["0.75|0.25", "0.35|0.65"])
+def test_verify_judges_a_frozen_standing_jump(tmp_path, burgers, left, right, code):
+    # negative control: a stored run that holds a standing jump passes the
+    # audit, the ranges and the mass balance, so only the entropy residuals
+    # decide; the inadmissible jump must fail them and the admissible one pass
+    cfg = dx.SolverConfig(cells=256, t_end=0.5, snapshots=33)
+    times = np.linspace(0.0, cfg.t_end, cfg.snapshots)
+    u = np.tile(np.where(cfg.centers() <= 0.0, left, right), (len(times), 1))
+    field = dx.SolutionField(
+        config=cfg, times=times, v=u, u=u, mass=u.sum(axis=1) * cfg.dx,
+        boundary_flux=np.zeros((len(times), 2)), dt=float(times[1]),
+        flux=burgers, transform=dx.identity_transform(burgers),
+    )
+    ver = run_cli("verify", "--run", str(dx.write_run(field, tmp_path)))
+    assert ver.exit_code == code, ver.output
+    assert "PASS mass balance" in ver.output
+    failures = [line for line in ver.output.splitlines() if line.startswith("FAIL entropy residual")]
+    assert bool(failures) == bool(code)
+
+
 def test_verify_missing_run_is_a_usage_error(tmp_path):
     ver = run_cli("verify", "--run", str(tmp_path / "no-such-run"))
     assert ver.exit_code == 2, ver.output

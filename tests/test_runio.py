@@ -62,25 +62,23 @@ def test_transform_csv_roundtrip(tmp_path, request, case, flux_name, kind):
     # meta through JSON, as a manifest stores it, and is what the load reads
     assert json.loads(path.with_suffix(".json").read_text()) == json.loads(json.dumps(pair.meta()))
     back = dx.load_transform_csv(path)
-    # bit-exact on the stored lattice; the loaded tables hold the union of the
-    # alpha and beta breakpoints, so off-lattice evaluation may differ by an
-    # ulp where a segment gained an interior (collinear) node
-    nodes = back.alpha.breakpoints
-    assert np.max(np.abs(back.alpha.forward(nodes) - pair.alpha.forward(nodes))) == 0.0
-    assert np.max(np.abs(back.beta.forward(nodes) - pair.beta.forward(nodes))) == 0.0
-    probe = np.linspace(*pair.domain, 777)
-    assert np.max(np.abs(back.alpha.forward(probe) - pair.alpha.forward(probe))) <= 1e-15
-    assert np.max(np.abs(back.beta.forward(probe) - pair.beta.forward(probe))) <= 1e-15
+    # the reload is the built pair: both hold the one lattice the table stores
+    for got, want in zip(back.table(), pair.table()):
+        assert got.tobytes() == want.tobytes()
     assert back.kind == pair.kind == kind
     assert back.c == pair.c
     assert back.shifts == pair.shifts
     assert back.connection == pair.connection
-    # the composed fluxes, zero extension included, are the same functions;
-    # a connection table gains beta's breakpoints in alpha, so compose_flux
-    # places some nodes elsewhere and values move by an ulp or two there
-    tol = 4 * np.finfo(float).eps if case == "connection" else 0.0
+    # so the composed fluxes, zero extension included, have the same nodes and values
     for built, loaded in zip(dx.composed_fluxes(flux, pair), dx.composed_fluxes(flux, back)):
-        assert np.max(np.abs(loaded(nodes) - built(nodes))) <= tol
+        assert np.array_equal(loaded.x, built.x) and np.array_equal(loaded.y, built.y)
+    # and both solve to the same field, written under one run hash
+    cfg = dx.SolverConfig(cells=256, t_end=0.2)
+    fields = [dx.solve(flux, lambda x: np.where(np.asarray(x) <= 0, 0.8, 0.4), p, cfg) for p in (pair, back)]
+    for name in ("u", "v"):
+        assert getattr(fields[0], name).tobytes() == getattr(fields[1], name).tobytes(), name
+    built_dir, loaded_dir = (dx.write_run(f, tmp_path / side) for f, side in zip(fields, ("built", "loaded")))
+    assert built_dir.name == loaded_dir.name
 
 
 def test_run_roundtrip_exact(tmp_path, burgers, demo_connection):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st_
 
 import discflux as dx
 from discflux.errors import StabilityError
-from discflux.solver import _BLOCK_STEPS, _Stepper, reconstruct_u, relabel_initial
+from discflux.solver import _BLOCK_STEPS, _Stepper, relabel_initial
 from discflux.transforms import _audit
 
 from conftest import random_step_profile
@@ -24,7 +24,7 @@ from conftest import random_step_profile
 
 def _stepper(flux, transform, cfg):
     """The stepper ``solve`` makes for this problem, on the tables of the pair's audit."""
-    return _Stepper(_audit(flux, transform)[1], transform, cfg)
+    return _Stepper(flux, _audit(flux, transform)[1], transform, cfg)
 
 
 # ------------------------------------------------------------ relabelling
@@ -199,27 +199,30 @@ def test_mass_balance_telescopes(demo_cross):
     assert np.max(np.abs(drift)) < 1e-12
 
 
-def test_time_step_is_free_of_the_transform_slope(burgers, demo_connection):
+def test_time_step_is_free_of_the_transform_slope(tmp_path, burgers, demo_connection):
     # The faces dissipate in their own density, so the connection's transform
     # slopes (0.375 to 1.5) leave the interior bound cfl * dx / c alone.  The
     # two cells beside the interface face, whose faces' weights differ by 1/2,
     # take the exact bound dx / band_rate, and on the connection that binds.
+    # The pair reloaded from its CSV table steps the same.
     _, pair = demo_connection
+    dx.save_transform_csv(tmp_path / "t.csv", pair)
     cfg = dx.SolverConfig(cells=1024, t_end=0.5)
     st_ident = _stepper(burgers, dx.identity_transform(burgers), cfg)
-    st_conn = _stepper(burgers, pair, cfg)
-    assert st_conn.interior_dt == st_ident.interior_dt
-    assert st_conn.suggest_dt() == st_conn.band_dt < st_conn.interior_dt
-    assert math.ceil(0.5 / st_conn.suggest_dt()) == 214
+    for conn in (pair, dx.load_transform_csv(tmp_path / "t.csv")):
+        st_conn = _stepper(burgers, conn, cfg)
+        assert st_conn.interior_dt == st_ident.interior_dt
+        assert st_conn.suggest_dt() == st_conn.band_dt < st_conn.interior_dt
+        assert math.ceil(0.5 / st_conn.suggest_dt()) == 214
 
 
 def test_time_step_is_the_sharp_monotone_bound(burgers, demo_swapped, demo_connection):
-    # c is the largest |f'| and |g'| in u, read here off the flux branches
-    # themselves (the connection and identity transforms cover all of [a, b])
-    c = max(float(np.max(np.abs(np.diff(b.y) / np.diff(b.x)))) for b in (burgers.f, burgers.g))
+    # c is the largest |f'| and |g'| in u, the slope of a segment of a flux
+    # branch itself
     for name, st in _steppers(burgers, demo_swapped, demo_connection).items():
-        if name != "translation":
-            assert st.speed_max == pytest.approx(c, rel=1e-12), name
+        flux = demo_swapped if name == "translation" else burgers
+        c = max(float(np.max(np.abs(np.diff(b.y) / np.diff(b.x)))) for b in (flux.f, flux.g))
+        assert st.speed_max == c, name
         band = st.dx / st.band_rate if st.band_rate > 0.0 else math.inf
         sharp = min(st.cfg.cfl_hyperbolic * st.dx / st.speed_max, band)
         assert st.suggest_dt() == pytest.approx(sharp, rel=1e-14), name
@@ -363,7 +366,7 @@ def test_face_fluxes_read_one_branch_off_the_band(fixed_steppers, burgers, demo_
     else:
         st = fixed_steppers[name]
         assert st.k == st.cfg.cells // 2
-    # every cell at x <= 0 conserves beta(v), reconstruct_u's rule
+    # every cell at x <= 0 conserves beta(v)
     assert np.array_equal(np.arange(st.cfg.cells) < st.k, st.cfg.centers() <= 0.0)
     w = np.where(np.arange(st.cfg.cells + 1) < st.k, 0.0, 1.0)
     w[st.k] = 0.5
@@ -664,15 +667,28 @@ def test_solves_contract_in_conserved_l1(small_problems, kind, seed):
         assert np.all(np.diff(dist) <= 1e-13), dist
 
 
-def test_reconstruct_uses_left_branch_at_interface(demo_swapped):
+def test_conserved_uses_left_branch_at_interface(demo_swapped):
+    # nine cells of width 1, so the middle cell's centre is x = 0 exactly
     pair = dx.build_translation_transform(demo_swapped)
-    x = np.array([-1.0, 0.0, 1.0])
-    v = np.full(3, 0.4)
-    u = reconstruct_u(v, x, pair)
+    st = _stepper(demo_swapped, pair, dx.SolverConfig(half_width=4.5, cells=9, t_end=0.0))
+    assert st.cfg.centers()[4] == 0.0
+    u = st.conserved(np.full(9, 0.4))
     k_l, k_r = pair.shifts
-    assert u[0] == pytest.approx(0.4 + k_l)
-    assert u[1] == pytest.approx(0.4 + k_l)   # x = 0 belongs to the left side
-    assert u[2] == pytest.approx(0.4 + k_r)
+    assert u[3] == pytest.approx(0.4 + k_l)
+    assert u[4] == pytest.approx(0.4 + k_l)   # x = 0 belongs to the left side
+    assert u[5] == pytest.approx(0.4 + k_r)
+
+
+@pytest.mark.parametrize("cells", [128, 1024])
+def test_stored_u_is_the_conserved_density(burgers, demo_connection, cells):
+    # the stored u is, bit for bit, the density each cell conserves, and the
+    # stored mass is its sum
+    cfg = dx.SolverConfig(cells=cells, t_end=0.5)
+    field = dx.solve(burgers, lambda x: np.where(np.asarray(x) <= 0, 0.8, 0.4), demo_connection[1], cfg)
+    st = _stepper(burgers, demo_connection[1], cfg)
+    for i, v in enumerate(field.v):
+        assert np.array_equal(field.u[i], st.conserved(v)), i
+    assert np.array_equal(field.mass, field.u.sum(axis=1) * field.dx)
 
 
 def test_snapshots_cover_endpoints(burgers):
