@@ -471,7 +471,9 @@ class LadderBounds:
     """Per-level a-priori statistics of a refinement ladder.
 
     ``c0`` is the range excess beyond the state interval and ``c1`` the
-    worst L1 rate of change per unit time.  ``ok`` means c0 stays below
+    worst L1 rate of change of the conserved density u per unit time, the
+    variable in which a monotone conservative scheme contracts.  ``ok``
+    means c0 stays below
     1e-10 on every level and c1 varies by less than a factor 2, i.e. the
     quantities the scheme is supposed to control stay O(1) under
     refinement.

@@ -32,11 +32,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .curves import MonotoneBijection
 from .errors import DiscFluxError
 from .fluxes import FluxPair, _flux_table, read_csv, read_text, write_csv
 from .solver import SolutionField, SolverConfig
-from .transforms import Connection, TransformPair
+from .transforms import Connection, TransformPair, _side_map
 
 FORMAT_VERSION = 5
 _VARIABLES = ("u", "v")
@@ -130,8 +129,8 @@ def _transform_pair(table: np.ndarray, meta: dict) -> TransformPair:
 
     Raises ValueError for a table that holds no pair or a malformed entry.
     """
-    alpha = MonotoneBijection(table[:, 0], table[:, 1])
-    beta = MonotoneBijection(table[:, 0], table[:, 2])
+    alpha = _side_map("alpha", table[:, 0], table[:, 1])
+    beta = _side_map("beta", table[:, 0], table[:, 2])
     conn = meta.get("connection")
     try:
         if conn is not None:

@@ -1,16 +1,19 @@
 """Finite-volume solver for the relabelled two-flux problem.
 
 Each cell conserves u itself: the density beta(v) at x <= 0 and alpha(v)
-past it, and stores that density as u.  A step moves the densities
-explicitly with Lax-Friedrichs fluxes, each face dissipating in its own
-density (the Lax-Friedrichs scheme for discontinuous flux of Karlsen and
-Towers, written on the relabelled density), then inverts each cell's map
-pointwise: v = beta^{-1}(m*) on the left and alpha^{-1}(m*) on the right.
-At the step ``_Stepper.suggest_dt`` gives, the update is monotone in v, so
-the transformed variable obeys a discrete maximum principle and an L1
-contraction, and so the discrete entropy inequalities of monotone schemes
-(Crandall and Majda): the scheme's own dissipation is the vanishing
-viscosity.  The transform's slopes do not shrink the step.
+past it.  A step moves the densities explicitly with Lax-Friedrichs fluxes,
+each face dissipating in its own density.  Off the interface face
+g∘beta(v) = g(u) and f∘alpha(v) = f(u), so each side runs the Lax-Friedrichs
+scheme in u on its own flux branch (the scheme for discontinuous flux of
+Karlsen and Towers); the relabelled v is read only where admissibility at
+x = 0 is decided, in the two cells beside the interface face, by the
+pointwise inversions v = beta^{-1}(u) on the left and alpha^{-1}(u) on the
+right, and at the stored snapshots.  At the step ``_Stepper.suggest_dt``
+gives, the update is monotone and conservative in u, so it obeys a discrete
+maximum principle and contracts in L1 (Crandall and Tartar), and so the
+discrete entropy inequalities of monotone schemes hold (Crandall and
+Majda): the scheme's own dissipation is the vanishing viscosity.  The
+transform's slopes do not shrink the step.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ import numpy as np
 
 from .errors import StabilityError
 from .fluxes import FluxPair
-from .transforms import TransformPair, _audit, identity_transform
+from .transforms import TransformPair, _audit, _branches, identity_transform
 
-# how far, relative to the density range, m* may leave it before a step raises
+# how far, relative to the density range, a new density may leave it before a step raises
 _RANGE_SLACK = 1e-10
 # solve reduces its c1 bookkeeping once per this many steps
 _BLOCK_STEPS = 16
@@ -148,7 +151,12 @@ class SolutionField:
 
 
 class _Stepper:
-    """Precomputed tables and the update rule for one (flux, transform, grid)."""
+    """Precomputed tables and the update rule for one (flux, transform, grid).
+
+    The state is u, the density each cell conserves; the relabelled v is
+    read only where admissibility at x = 0 is decided, in the two cells
+    beside the interface face, and at the snapshots ``solve`` stores.
+    """
 
     def __init__(self, flux: FluxPair, tables: tuple, transform: TransformPair, cfg: SolverConfig):
         self.cfg = cfg
@@ -162,6 +170,9 @@ class _Stepper:
         self.ugrid, self.alpha_tab, self.beta_tab = (np.array(a) for a in transform.table())
         # the interface face's dissipation density (alpha + beta) / 2
         self.mid_tab = 0.5 * (self.alpha_tab + self.beta_tab)
+        # the branches (x, y) the faces off the interface read in u, those the pair composes: copies,
+        # as np.interp copies a read-only table on every call
+        self.f_tab, self.g_tab = ((np.array(br.x), np.array(br.y)) for br in _branches(flux, transform))
 
         # cells 0 .. k - 1 lie at x <= 0 and conserve beta(v), the others
         # alpha(v); face k, between cells k - 1 and k, is the interface face
@@ -171,10 +182,14 @@ class _Stepper:
         self.lo_val[k:], self.hi_val[k:] = self.alpha_tab[0], self.alpha_tab[-1]
         self.scale = max(float(np.max(self.hi_val - self.lo_val)), 1.0)
         self.slack = _RANGE_SLACK * self.scale
-        self.lo_bound = self.lo_val - self.slack
-        self.hi_bound = self.hi_val + self.slack
-        # face_fluxes' states with their zero-gradient ghosts
+        # each side's density range, left then right
+        self._sides = np.array([0, k])
+        self._ends = (float(self.beta_tab[0]), float(self.alpha_tab[0]),
+                      float(self.beta_tab[-1]), float(self.alpha_tab[-1]))
+        # face_fluxes' states with their zero-gradient ghosts, and the
+        # relabelled states of the two cells beside the interface face
         self._ghosts = np.empty(cfg.cells + 2)
+        self._band_v = np.empty(2)
 
         # Slopes per transform segment.  The composed fluxes bend inside a
         # transform segment, so each takes the extreme slope of the flux
@@ -210,31 +225,34 @@ class _Stepper:
     def suggest_dt(self) -> float:
         """The monotone time step: min(cfl_hyperbolic * dx / c, dx / band_rate).
 
-        A step moves each cell's density explicitly,
+        A step moves each cell's density u_j explicitly,
 
-            m*_j = m_j(v_j) - dt / dx * (phi_{j+1/2} - phi_{j-1/2}),
+            u_j <- u_j - dt / dx * (phi_{j+1/2} - phi_{j-1/2}),
 
-        and then inverts it, v_j = m_j^{-1}(m*_j).  Every m_j is increasing,
-        so the step preserves order once each m*_j is non-decreasing in
-        every v_i.
+        and the step preserves order once each new u_j is non-decreasing in
+        every old u_i.  Cell j's density is m_j(v_j), with m_j = beta at
+        x <= 0 and alpha past it; every m_j is increasing, so the order of
+        the densities is that of the relabelled states, and the bound can be
+        read in v.
 
         A face has the weight w = 0 left of the interface face, 1 right of
         it and 1/2 on it, the flux F = w f∘alpha + (1 - w) g∘beta and the
         density M = w alpha + (1 - w) beta.  It dissipates
         c/2 * (M(v_right) - M(v_left)), with c the largest |f'| and |g'| in
-        u, so |F'| <= c M' and m*_j depends on v_{j+1} and v_{j-1} with
-        non-negative weights.  Write w_-, w_+ (M_-, M_+) for cell j's faces;
-        it depends on v_j through
+        u, so |F'| <= c M' and the new u_j depends on v_{j+1} and v_{j-1}
+        with non-negative weights.  Write w_-, w_+ (M_-, M_+) for cell j's
+        faces; it depends on v_j through
 
-            dm*_j/dv_j = m_j' - dt / (2 dx) * (c (M_+' + M_-') + (w_+ - w_-) (f∘alpha - g∘beta)'),
+            du_j/dv_j = m_j' - dt / (2 dx) * (c (M_+' + M_-') + (w_+ - w_-) (f∘alpha - g∘beta)'),
 
         which is non-negative once dt <= dx / rate_j with
 
             rate_j = (c (M_+' + M_-') + (w_+ - w_-) (f∘alpha - g∘beta)') / (2 m_j').
 
         Away from the interface face w_- = w_+ and M_± = m_j, so rate_j is c
-        and the bound is dx / c; ``cfl_hyperbolic`` is the share of it the
-        step takes.  The two cells beside the interface face have
+        (in u: the Lax-Friedrichs bound of a face that reads one branch) and
+        the bound is dx / c; ``cfl_hyperbolic`` is the share of it the step
+        takes.  The two cells beside the interface face have
         w_+ - w_- = 1/2.  There the slopes are constant on each transform
         segment except that of f∘alpha - g∘beta, whose largest value on the
         segment is the worst case; ``band_rate`` is the largest rate_j of
@@ -254,81 +272,102 @@ class _Stepper:
         m[k:] = np.interp(v[k:], self.ugrid, self.alpha_tab)
         return m
 
-    def invert_conserved(self, m_star: np.ndarray) -> tuple[np.ndarray, float]:
-        """The v whose densities are m*: beta^{-1}(m*) on the left cells, alpha^{-1}(m*) on the right.
+    def _range(self, m: np.ndarray) -> tuple[float, bool]:
+        """The margin of m and whether m lies in [lo_val, hi_val].
 
-        Returns v and the margin of m*: its least distance inside
-        [lo_val, hi_val], negative when it lies outside but within
-        ``slack``.  Such an m* maps to the end of the table.  Beyond the
-        slack, or for a non-finite m*, it raises StabilityError.
+        The margin is the least distance of m inside [lo_val, hi_val],
+        negative when m lies outside but within ``slack``.  Beyond the
+        slack, or for a non-finite m, StabilityError.
         """
+        # each side's least and largest density; a NaN makes both NaN
+        low_l, low_r = np.minimum.reduceat(m, self._sides).tolist()
+        high_l, high_r = np.maximum.reduceat(m, self._sides).tolist()
+        lo_l, lo_r, hi_l, hi_r = self._ends
+        s = self.slack
+        rooms = (low_l - (lo_l - s), low_r - (lo_r - s), (hi_l + s) - high_l, (hi_r + s) - high_r)
         # the difference to a bound has the exact sign of the comparison with
-        # it, so the test below accepts exactly the m* in [lo_bound, hi_bound];
-        # a NaN makes room NaN and fails it too
-        room = min(float((m_star - self.lo_bound).min()), float((self.hi_bound - m_star).min()))
-        if not room >= 0.0:
-            worst = float(np.maximum(self.lo_val - m_star, m_star - self.hi_val).max())
+        # it, so the test accepts exactly the m within the slack of the range;
+        # a NaN fails it too
+        if not (rooms[0] >= 0.0 and rooms[1] >= 0.0 and rooms[2] >= 0.0 and rooms[3] >= 0.0):
+            worst = float(np.maximum(self.lo_val - m, m - self.hi_val).max())
             raise StabilityError(
                 f"conserved density left the invertible range by {worst:.3e}; "
                 "reduce the time step or refine the grid"
             )
-        k = self.k
-        v = np.empty(len(m_star))
-        v[:k] = np.interp(m_star[:k], self.beta_tab, self.ugrid)
-        v[k:] = np.interp(m_star[k:], self.alpha_tab, self.ugrid)
-        return v, room - self.slack
+        inside = lo_l <= low_l and lo_r <= low_r and high_l <= hi_l and high_r <= hi_r
+        return min(rooms) - s, inside
 
-    def face_fluxes(self, v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    def invert_conserved(self, m: np.ndarray) -> tuple[np.ndarray, float]:
+        """The v whose densities are m: beta^{-1}(m) on the left cells, alpha^{-1}(m) on the right.
+
+        Returns v and the margin of m (see ``_range``).  An m within the
+        slack outside [lo_val, hi_val] maps to the end of the table.
+        """
+        margin = self._range(m)[0]
+        k = self.k
+        v = np.empty(len(m))
+        v[:k] = np.interp(m[:k], self.beta_tab, self.ugrid)
+        v[k:] = np.interp(m[k:], self.alpha_tab, self.ugrid)
+        return v, margin
+
+    def face_fluxes(self, u: np.ndarray) -> np.ndarray:
         """Lax-Friedrichs fluxes at every face, dissipating in the face's own density.
 
-        A face left of the interface face reads g∘beta and one right of it
-        f∘alpha, so each branch is interpolated only at the states beside a
-        face that reads it.  The interface face averages the two branches.
-
-        ``m`` is ``conserved(v)``.  Its jumps are the dissipation except at
-        the interface face, which dissipates in (alpha + beta) / 2.  The
-        ghosts repeat the end cells, so the two boundary faces dissipate
-        nothing.
+        A face left of the interface face reads g, and one right of it f, at
+        the densities beside it: the Lax-Friedrichs scheme in u on each side,
+        since g∘beta(v) = g(u) and f∘alpha(v) = f(u) there.  The interface
+        face reads the relabelled states of its two cells,
+        v = beta^{-1}(u_{k-1}) and alpha^{-1}(u_k), averages f∘alpha and
+        g∘beta at both and dissipates in (alpha + beta) / 2.  The ghosts
+        repeat the end cells, so the two boundary faces dissipate nothing.
         """
         k = self.k
-        vx = self._ghosts
-        vx[1:-1] = v
-        vx[0], vx[-1] = v[0], v[-1]   # zero-gradient ghosts
-        gb_v = np.interp(vx[:k + 2], self.vgrid, self.gb_tab)   # states 0 .. k + 1: faces 0 .. k
-        fa_v = np.interp(vx[k:], self.vgrid, self.fa_tab)       # states k .. the last: faces k .. the last
+        ux = self._ghosts
+        ux[1:-1] = u
+        ux[0], ux[-1] = u[0], u[-1]   # zero-gradient ghosts
+        g_u = np.interp(ux[:k + 1], *self.g_tab)    # states 0 .. k: faces 0 .. k - 1
+        f_u = np.interp(ux[k + 1:], *self.f_tab)    # states k + 1 .. the last: faces k + 1 .. the last
+        band = self._band_v
+        band[0] = np.interp(u[k - 1], self.beta_tab, self.ugrid)
+        band[1] = np.interp(u[k], self.alpha_tab, self.ugrid)
+        fa_v = np.interp(band, self.vgrid, self.fa_tab)
+        gb_v = np.interp(band, self.vgrid, self.gb_tab)
+        mid = np.interp(band, self.ugrid, self.mid_tab)
         # each face's flux of the state on its left plus that on its right;
         # at the interface face both sums are exact when the branches agree
-        total = np.empty(len(v) + 1)
-        np.add(gb_v[:k], gb_v[1:k + 1], out=total[:k])
-        total[k] = 0.5 * ((fa_v[0] + gb_v[k]) + (fa_v[1] + gb_v[k + 1]))
-        np.add(fa_v[1:-1], fa_v[2:], out=total[k + 1:])
-        jump = np.zeros(len(v) + 1)
-        np.subtract(m[1:], m[:-1], out=jump[1:-1])
-        mid = np.interp(v[k - 1:k + 1], self.ugrid, self.mid_tab)
+        total = np.empty(len(u) + 1)
+        np.add(g_u[:-1], g_u[1:], out=total[:k])
+        total[k] = 0.5 * ((fa_v[0] + gb_v[0]) + (fa_v[1] + gb_v[1]))
+        np.add(f_u[:-1], f_u[1:], out=total[k + 1:])
+        jump = np.zeros(len(u) + 1)
+        np.subtract(u[1:], u[:-1], out=jump[1:-1])
         jump[k] = mid[1] - mid[0]
         # one dissipation speed for every face: a speed chosen per face from
         # the two states jumps when a state crosses a breakpoint, and the
         # update is then not monotone at any time step
         return 0.5 * total - 0.5 * self.speed_max * jump
 
-    def step(self, v: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, float]:
-        """Explicit Lax-Friedrichs transport of the densities, then their pointwise inversion.
+    def step(self, u: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, float]:
+        """Explicit Lax-Friedrichs transport of the densities.
 
-        Returns the new state, the face fluxes and the margin of m* inside
-        the density range (see ``invert_conserved``).
+        Returns the new densities, the face fluxes and the margin of the new
+        densities inside [lo_val, hi_val] (see ``_range``).  A density
+        within the slack outside that range is clipped to it: the density of
+        the table end that the inversion would map it to.
         """
-        m = self.conserved(v)
-        phi = self.face_fluxes(v, m)
-        m_star = m - (dt / self.dx) * (phi[1:] - phi[:-1])
-        v_new, margin = self.invert_conserved(m_star)
-        return v_new, phi, margin
+        phi = self.face_fluxes(u)
+        u_new = u - (dt / self.dx) * (phi[1:] - phi[:-1])
+        margin, inside = self._range(u_new)
+        if not inside:
+            np.clip(u_new, self.lo_val, self.hi_val, out=u_new)
+        return u_new, phi, margin
 
 
 def _block_rates(states: np.ndarray, dx: float, dt: float) -> list:
     """Per step of a block, the L1 rate of change.
 
-    ``states`` holds the state a block starts from and the state after each
-    of its steps, one per row.  Step k's rate is sum |v_k - v_{k-1}| * dx / dt.
+    ``states`` holds the densities a block starts from and those after each
+    of its steps, one per row.  Step k's rate is sum |u_k - u_{k-1}| * dx / dt.
     A row sum over the contiguous axis is the same pairwise sum as
     ``np.sum`` of that row alone, so each value is the one a step would
     compute for itself, to the bit.
@@ -349,11 +388,14 @@ def solve(
     values; it must take finite values in the flux interval [a, b].  The transform
     pair is audited before use and rejected with a ValueError if it fails.
 
-    ``cfg.snapshots`` evenly spaced steps are stored, rounded to whole steps;
-    a request for more than the nsteps + 1 states of a solve stores every
-    state once.  ``stats`` records the largest L1 rate of change ``c1`` over
-    the steps; it is reduced once per block of ``_BLOCK_STEPS`` steps, to
-    the value a per-step reduction gives.
+    The scheme steps the densities u, starting from those of the relabelled
+    initial data.  ``cfg.snapshots`` evenly spaced steps are stored, rounded
+    to whole steps, each with the v its densities invert to; a request for
+    more than the nsteps + 1 states of a solve stores every state once.
+    ``stats`` records the largest L1 rate of change of u, ``c1``, over the
+    steps: a monotone conservative scheme contracts in L1 in its conserved
+    variable (Crandall and Tartar).  It is reduced once per block of
+    ``_BLOCK_STEPS`` steps, to the value a per-step reduction gives.
     """
     cfg = config or SolverConfig()
     t = transform or identity_transform(flux)
@@ -374,6 +416,7 @@ def solve(
 
     stepper = _Stepper(flux, tables, t, cfg)
     v = relabel_initial(u0_vals, x, t)
+    u = stepper.conserved(v)
 
     if cfg.t_end == 0:
         nsteps = 0
@@ -387,31 +430,31 @@ def solve(
     snap_at = set(np.round(np.linspace(0, nsteps, min(cfg.snapshots, nsteps + 1))).astype(int).tolist())
 
     snaps_v = [v]
-    snaps_u = [stepper.conserved(v)]
+    snaps_u = [u]
     snap_times = [0.0]
     bflux = [(0.0, 0.0)]
     cum_left = cum_right = 0.0
-    c1 = 0.0  # max L1 rate of change of v
-    # the current block of steps: the state it starts from, then the state
+    c1 = 0.0  # max L1 rate of change of u
+    # the current block of steps: the densities it starts from, then those
     # after each of its steps, stacked into one buffer made once per solve
-    states = [v]
+    states = [u]
     block = np.empty((min(_BLOCK_STEPS, nsteps) + 1, cfg.cells))
     invert_margin = math.inf
     for n in range(1, nsteps + 1):
-        v, phi, margin = stepper.step(v, dt)
+        u, phi, margin = stepper.step(u, dt)
         invert_margin = min(invert_margin, margin)
         cum_left += dt * float(phi[0])
         cum_right += dt * float(phi[-1])
-        states.append(v)
+        states.append(u)
         if len(states) > _BLOCK_STEPS or n == nsteps:
             c1 = max(c1, *_block_rates(np.stack(states, out=block[:len(states)]), cfg.dx, dt))
-            states = [v]
+            states = [u]
         if n in snap_at:
-            snaps_v.append(v)
-            snaps_u.append(stepper.conserved(v))
+            snaps_u.append(u)
+            snaps_v.append(stepper.invert_conserved(u)[0])
             snap_times.append(n * dt)
             bflux.append((cum_left, cum_right))
-    del states, block, v   # free the block before the snapshot arrays are built
+    del states, block, u, v   # free the block before the snapshot arrays are built
 
     u = np.array(snaps_u)   # each row sum is np.sum of that row alone (see _block_rates)
     return SolutionField(

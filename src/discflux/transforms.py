@@ -96,7 +96,7 @@ class TransformPair:
         if not np.array_equal(self.alpha.breakpoints, self.beta.breakpoints):
             v = merge_close(np.sort(np.concatenate((self.alpha.breakpoints, self.beta.breakpoints))))
             for name in ("alpha", "beta"):
-                object.__setattr__(self, name, MonotoneBijection(v, getattr(self, name).forward(v)))
+                object.__setattr__(self, name, _side_map(name, v, getattr(self, name).forward(v)))
         if self.shifts is not None:
             object.__setattr__(self, "shifts", tuple(float(s) for s in self.shifts))
             if len(self.shifts) != 2 or not np.all(np.isfinite(self.shifts)):
@@ -133,6 +133,28 @@ class TransformPair:
                 "connection": asdict(self.connection) if self.connection else None}
 
 
+def _side_map(name: str, v, values) -> MonotoneBijection:
+    """The pair's map ``name`` with these values on the lattice v.
+
+    A map whose domain end lies less than ``CLAMP_SLACK`` inside the other
+    map's passes the shared-domain check, but the shared lattice holds both
+    ends, and the map is clamped between them: it repeats its end value
+    there, as does a table saved from such a pair.  That ValueError names
+    the map and the two ends; any other failure is ``MonotoneBijection``'s.
+    """
+    v, values = np.asarray(v, dtype=float), np.asarray(values, dtype=float)
+    if v.size > 2:   # fewer nodes are MonotoneBijection's to reject
+        span = max(v[-1] - v[0], 1.0)
+        for i, j in ((0, 1), (-2, -1)):
+            if values[i] == values[j] and v[j] - v[i] < CLAMP_SLACK * span:
+                raise ValueError(
+                    f"{name} repeats its end value {values[i]:.17g} at v = {v[i]:.17g} and {v[j]:.17g}: "
+                    f"two domain ends that differ by {v[j] - v[i]:.3g}, less than CLAMP_SLACK = {CLAMP_SLACK:g} "
+                    f"times the span {span:g}, so the map is clamped between them; give alpha and beta the "
+                    "same domain")
+    return MonotoneBijection(v, values)
+
+
 def identity_transform(flux: FluxPair) -> TransformPair:
     ident = MonotoneBijection.identity(flux.a, flux.b)
     return TransformPair(ident, ident)
@@ -143,9 +165,14 @@ def _zero_extended(flux: FluxPair) -> tuple[SampledCurve, SampledCurve]:
     return clip_flux(flux.f), clip_flux(flux.g)
 
 
+def _branches(flux: FluxPair, t: TransformPair) -> tuple[SampledCurve, SampledCurve]:
+    """(f, g) as the pair composes them: with ``t.shifts`` set, the ``_zero_extended`` branches."""
+    return _zero_extended(flux) if t.shifts is not None else (flux.f, flux.g)
+
+
 def composed_fluxes(flux: FluxPair, t: TransformPair) -> tuple[SampledCurve, SampledCurve]:
-    """(f∘alpha, g∘beta) on the transform domain; with ``t.shifts`` set, of the ``_zero_extended`` branches."""
-    f, g = _zero_extended(flux) if t.shifts is not None else (flux.f, flux.g)
+    """(f∘alpha, g∘beta) on the transform domain, of the ``_branches`` of the pair."""
+    f, g = _branches(flux, t)
     return compose_flux(f, t.alpha), compose_flux(g, t.beta)
 
 

@@ -309,6 +309,19 @@ def test_solve_names_a_sidecar_it_cannot_read(tmp_path, make, message):
     assert not (tmp_path / "runs").exists()
 
 
+def test_solve_names_the_map_a_table_clamps(tmp_path):
+    # the table a pair with beta on [1e-10, 1] and alpha on [0, 1] would save:
+    # beta repeats its end value across two ends closer than CLAMP_SLACK
+    table = tmp_path / "t.csv"
+    table.write_text("v,alpha,beta\n0,0,1e-10\n1e-10,1e-10,1e-10\n1,1,1\n")
+    res = run_cli("solve", "--flux", "burgers-like", "--transform", str(table), "--cells", "64",
+                  "--t-end", "0.05", "--out", str(tmp_path / "runs"))
+    assert res.exit_code == 2, res.output
+    assert ("Error: beta repeats its end value 1e-10 at v = 0 and 1e-10: two domain ends "
+            "that differ by 1e-10, less than CLAMP_SLACK = 1e-09") in res.output
+    assert not (tmp_path / "runs").exists()
+
+
 def test_solve_bump_profile(tmp_path):
     # mid + amp * exp(-x^2 / 0.5) with mid 0.5 and amp 0.45 on [0, 1]
     res = run_cli("solve", "--flux", "burgers-like", "--u0", "bump", "--cells", "64", "--t-end", "0.05",

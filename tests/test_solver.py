@@ -1,6 +1,7 @@
 """Relabelling, scheme invariants, and refinement behaviour."""
 
 import ast
+import hashlib
 import math
 import os
 import subprocess
@@ -229,11 +230,12 @@ def test_time_step_is_the_sharp_monotone_bound(burgers, demo_swapped, demo_conne
 
 
 def test_band_bound_is_sharp(burgers, demo_connection):
-    # On the connection the band sets the step.  m*_j is piecewise linear in
-    # v_j, with a slope that depends on v_j alone, so the differences of m*_j
-    # over the nodes of the flux lattice give its every slope; at
-    # dx / band_rate they must all be non-negative, and a step 5 % longer must
-    # make one of them clearly negative.
+    # On the connection the band sets the step.  A band cell's new density
+    # is piecewise linear in its relabelled state v_j, with a slope that
+    # depends on v_j alone, so its differences over the nodes of the flux
+    # lattice, each node entered as the density u_j it has, give its every
+    # slope; at dx / band_rate they must all be non-negative, and a step 5 %
+    # longer must make one of them clearly negative.
     cfg = dx.SolverConfig(cells=256, t_end=0.0)
     st = _stepper(burgers, demo_connection[1], cfg)
     assert st.band_dt < st.interior_dt
@@ -241,15 +243,15 @@ def test_band_bound_is_sharp(burgers, demo_connection):
     v = np.full(cfg.cells, 0.5)
     worst = {1.0: math.inf, 1.05: math.inf}
     for j in (st.k - 1, st.k):   # the two cells beside the interface face
-        m_j, flux_jump = np.empty(len(nodes)), np.empty(len(nodes))
+        u_j, flux_jump = np.empty(len(nodes)), np.empty(len(nodes))
         for i, node in enumerate(nodes):
             v[j] = node
-            m = st.conserved(v)
-            m_j[i], flux_jump[i] = m[j], np.diff(st.face_fluxes(v, m))[j]
+            u = st.conserved(v)
+            u_j[i], flux_jump[i] = u[j], np.diff(st.face_fluxes(u))[j]
         v[j] = 0.5
         for share in worst:
-            m_star = m_j - (share * st.suggest_dt() / st.dx) * flux_jump
-            worst[share] = min(worst[share], float(np.min(np.diff(m_star) / np.diff(nodes))))
+            u_new = u_j - (share * st.suggest_dt() / st.dx) * flux_jump
+            worst[share] = min(worst[share], float(np.min(np.diff(u_new) / np.diff(nodes))))
     assert worst[1.0] >= -1e-13
     assert worst[1.05] < -1e-2
 
@@ -313,11 +315,11 @@ def test_non_finite_density_raises(small_problems, bad):
         m[20] = bad
         with pytest.raises(StabilityError, match="left the invertible range"):
             st.invert_conserved(m)
-        # a NaN state has a NaN density, which the step's inversion rejects
-        v = np.full(64, 0.5 * (st.ugrid[0] + st.ugrid[-1]))
-        v[20] = np.nan
+        # a non-finite density makes non-finite new densities, which the step's range check rejects
+        u = 0.5 * (st.lo_val + st.hi_val)
+        u[20] = bad
         with pytest.raises(StabilityError, match="left the invertible range"):
-            st.step(v, st.suggest_dt())
+            st.step(u, st.suggest_dt())
 
 
 @pytest.mark.parametrize("side", ["below", "above"])
@@ -355,10 +357,13 @@ def _states(st, rng):
 @pytest.mark.parametrize("name", ["connection", "identity", "translation", "odd cells"])
 def test_face_fluxes_read_one_branch_off_the_band(fixed_steppers, burgers, demo_connection, name):
     # The band is the interface face and its two cells.  A face left of it
-    # has the weight w = 0 and reads g∘beta alone, one right of it w = 1 and
-    # reads f∘alpha alone; the interface face has w = 1/2.  The fluxes must
-    # equal blending both branches and both densities at every face: bit for
-    # bit off the interface face, to rounding on it.
+    # has the weight w = 0 and reads g alone, one right of it w = 1 and reads
+    # f alone, at the densities u beside it; the interface face has w = 1/2
+    # and reads the relabelled states v = beta^{-1}(u_{k-1}), alpha^{-1}(u_k)
+    # of its two cells.  The fluxes must equal blending both branches and
+    # both densities at every face: bit for bit off the interface face, to
+    # rounding on it.  Off it they are also those of the composed branches
+    # at v, g∘beta(v) = g(u) and f∘alpha(v) = f(u), to rounding.
     if name == "odd cells":
         # the interface face lies half a cell right of x = 0, past the centre there
         st = _stepper(burgers, demo_connection[1], dx.SolverConfig(cells=129, t_end=0.0))
@@ -370,22 +375,31 @@ def test_face_fluxes_read_one_branch_off_the_band(fixed_steppers, burgers, demo_
     assert np.array_equal(np.arange(st.cfg.cells) < st.k, st.cfg.centers() <= 0.0)
     w = np.where(np.arange(st.cfg.cells + 1) < st.k, 0.0, 1.0)
     w[st.k] = 0.5
+    off = np.arange(st.cfg.cells + 1) != st.k
     rng = np.random.default_rng(5)
     for v in _states(st, rng):
-        m = st.conserved(v)
+        u = st.conserved(v)
+        ux = np.concatenate(([u[0]], u, [u[-1]]))
+        f_u, g_u = np.interp(ux, *st.f_tab), np.interp(ux, *st.g_tab)
+        # the band cells' states, with the ghosts' and the others' off the band
         vx = np.concatenate(([v[0]], v, [v[-1]]))
+        vx[st.k:st.k + 2] = st.invert_conserved(u)[0][st.k - 1:st.k + 1]
         fa_v = np.interp(vx, st.vgrid, st.fa_tab)
         gb_v = np.interp(vx, st.vgrid, st.gb_tab)
         a_v = np.interp(vx, st.ugrid, st.alpha_tab)
         b_v = np.interp(vx, st.ugrid, st.beta_tab)
-        left = w * fa_v[:-1] + (1.0 - w) * gb_v[:-1]
-        right = w * fa_v[1:] + (1.0 - w) * gb_v[1:]
-        jump = w * (a_v[1:] - a_v[:-1]) + (1.0 - w) * (b_v[1:] - b_v[:-1])
-        want = 0.5 * (left + right) - 0.5 * st.speed_max * jump
-        got = st.face_fluxes(v, m)
-        off = np.arange(len(got)) != st.k
-        assert np.array_equal(got[off], want[off]), name
-        assert got[st.k] == pytest.approx(want[st.k], rel=0.0, abs=8 * np.finfo(float).eps), name
+
+        def blend(fx, gx, ax, bx):
+            left = w * fx[:-1] + (1.0 - w) * gx[:-1]
+            right = w * fx[1:] + (1.0 - w) * gx[1:]
+            jump = w * (ax[1:] - ax[:-1]) + (1.0 - w) * (bx[1:] - bx[:-1])
+            return 0.5 * (left + right) - 0.5 * st.speed_max * jump
+
+        got = st.face_fluxes(u)
+        assert np.array_equal(got[off], blend(f_u, g_u, ux, ux)[off]), name
+        composed = blend(fa_v, gb_v, a_v, b_v)
+        assert got[st.k] == pytest.approx(composed[st.k], rel=0.0, abs=8 * np.finfo(float).eps), name
+        assert np.max(np.abs(got - composed)) <= 8 * np.finfo(float).eps * st.scale, name
 
 
 # ------------------------------------------------ monotonicity at suggest_dt
@@ -409,9 +423,9 @@ def _clustered_state(rng, lo, hi, cells):
 
 
 def _assert_monotone_step(st, rng):
-    """Raising one cell of a random state lowers no cell's density, neither
-    after the step's explicit half (the part ``suggest_dt`` bounds) nor
-    after the whole step.
+    """Raising one cell of a random state lowers no cell's new density,
+    neither before the step's clip to the density range (the part
+    ``suggest_dt`` bounds) nor after it.
 
     Three random cells are raised, and then the two band cells beside the
     interface face, where the two faces' weights differ and so
@@ -424,9 +438,10 @@ def _assert_monotone_step(st, rng):
     dt = st.suggest_dt()
 
     def densities(v):
-        v_new, phi = st.step(v, dt)[:2]
-        # m* before the inversion, then m_new up to its rounding
-        return st.conserved(v) - (dt / st.dx) * np.diff(phi), st.conserved(v_new)
+        u = st.conserved(v)
+        u_new, phi = st.step(u, dt)[:2]
+        # the densities before the clip, then the step's
+        return u - (dt / st.dx) * np.diff(phi), u_new
 
     def assert_raising_is_monotone(v, raised):
         before = densities(v)
@@ -467,15 +482,15 @@ def test_step_is_monotone_across_a_breakpoint(small_problems):
     # where a dissipation speed picked per face from the two states would jump
     flux, transform = small_problems["identity"]
     st = _stepper(flux, transform, dx.SolverConfig(cells=128, t_end=0.0))
-    g, k, j = st.vgrid, 3000, 64
-    v = np.full(128, 0.5 * (g[k] + g[k + 1]))
-    v[j + 1:] = 0.5 * (g[k + 2] + g[k + 3])
-    below, above = v.copy(), v.copy()
+    g, k, j = st.g_tab[0], 3000, 64
+    u = np.full(128, 0.5 * (g[k] + g[k + 1]))
+    u[j + 1:] = 0.5 * (g[k + 2] + g[k + 3])
+    below, above = u.copy(), u.copy()
     below[j], above[j] = g[k + 1] - 1e-9, g[k + 1] + 1e-9
     dt = st.suggest_dt()
-    dm = st.conserved(st.step(above, dt)[0]) - st.conserved(st.step(below, dt)[0])
-    assert dm[j] > 0.0
-    assert dm.min() >= -1e-13
+    du = st.step(above, dt)[0] - st.step(below, dt)[0]
+    assert du[j] > 0.0
+    assert du.min() >= -1e-13
 
 
 # ---------------------------------------------------- pointwise inversion
@@ -484,28 +499,34 @@ def test_step_is_monotone_across_a_breakpoint(small_problems):
 @given(kind=st_.sampled_from(["connection", "identity", "translation"]),
        cells=st_.sampled_from([64, 96, 128, 129, 1024]), seed=st_.integers(0, 2**32 - 1))
 def test_step_is_an_exact_pointwise_inversion(small_problems, kind, cells, seed):
-    # The step's implicit half inverts each cell's own density: conserved
-    # gives m* back to rounding, for the m* of a step, for densities drawn
-    # across each cell's range and for the table's nodes.
+    # A step moves the densities and inverts none of them: inside their
+    # range its new densities are u - dt / dx * (phi_{j+1/2} - phi_{j-1/2})
+    # bit for bit.  The inversion that stored snapshots and the band cells
+    # read gives each cell's own density back to rounding, for the
+    # densities of a step, for densities drawn across each cell's range and
+    # for the table's nodes.
     flux, transform = small_problems[kind]
     st = _stepper(flux, transform, dx.SolverConfig(cells=cells, t_end=0.0))
     rng = np.random.default_rng(seed)
-    v = _clustered_state(rng, st.ugrid[0], st.ugrid[-1], cells)
+    u = st.conserved(_clustered_state(rng, st.ugrid[0], st.ugrid[-1], cells))
     dt = st.suggest_dt()
-    v_new, phi, _ = st.step(v, dt)
-    m_star = st.conserved(v) - (dt / st.dx) * np.diff(phi)
+    u_new, phi, _ = st.step(u, dt)
+    explicit = u - (dt / st.dx) * np.diff(phi)
+    inside = (st.lo_val <= explicit) & (explicit <= st.hi_val)
+    assert np.array_equal(u_new[inside], explicit[inside])
+    assert np.array_equal(u_new, np.clip(explicit, st.lo_val, st.hi_val))
     left = np.arange(cells) < st.k
     nodes = np.where(left, st.beta_tab[rng.integers(0, len(st.ugrid), cells)],
                      st.alpha_tab[rng.integers(0, len(st.ugrid), cells)])
-    for m in (m_star, st.lo_val + rng.uniform(size=cells) * (st.hi_val - st.lo_val), nodes):
+    for m in (u_new, st.lo_val + rng.uniform(size=cells) * (st.hi_val - st.lo_val), nodes):
         back = st.conserved(st.invert_conserved(m)[0])
         assert np.max(np.abs(back - m)) <= 4 * np.finfo(float).eps * st.scale
     # a node's density inverts to the node itself
     on_node = st.invert_conserved(nodes)[0]
     assert np.all(np.isin(on_node, st.ugrid))
     # only the boundary faces move the mass: each cell's new density is its
-    # m* to rounding, as above, and the sums round as well
-    gap = np.sum(st.conserved(v_new)) - np.sum(st.conserved(v)) + (dt / st.dx) * (phi[-1] - phi[0])
+    # explicit update, and the sums round as well
+    gap = np.sum(u_new) - np.sum(u) + (dt / st.dx) * (phi[-1] - phi[0])
     assert abs(gap) <= 4 * np.finfo(float).eps * cells * st.scale
 
 
@@ -530,16 +551,17 @@ def _kinked_problems(burgers):
 
 
 def test_inversion_is_exact_on_kinked_tables(burgers):
-    # five steps on each random table: every state stays in the table, and
-    # each inversion gives its m* back to rounding
+    # five steps on each random table: every density stays in its range, and
+    # its inversion lies in the table and gives it back to rounding
     for st, v in _kinked_problems(burgers):
         dt = st.suggest_dt()
+        u = st.conserved(v)
         for _ in range(5):
-            m = st.conserved(v)
-            m_star = m - (dt / st.dx) * np.diff(st.face_fluxes(v, m))
-            v = st.invert_conserved(m_star)[0]
+            u = st.step(u, dt)[0]
+            assert np.all((st.lo_val <= u) & (u <= st.hi_val))
+            v = st.invert_conserved(u)[0]
             assert np.all((st.ugrid[0] <= v) & (v <= st.ugrid[-1]))
-            assert np.max(np.abs(st.conserved(v) - m_star)) <= 4 * np.finfo(float).eps * st.scale
+            assert np.max(np.abs(st.conserved(v) - u)) <= 4 * np.finfo(float).eps * st.scale
 
 
 @pytest.mark.parametrize("kind", ["identity", "translation", "connection"])
@@ -556,14 +578,14 @@ def test_block_bookkeeping_matches_a_per_step_loop(small_problems, kind):
         field = dx.solve(flux, u0, transform, cfg)
         assert field.stats["steps"] == nsteps
         st = _stepper(flux, transform, cfg)
-        v = relabel_initial(u0, x, transform)
+        u = st.conserved(relabel_initial(u0, x, transform))
         c1 = 0.0
         for _ in range(nsteps):
-            v_new = st.step(v, field.dt)[0]
-            c1 = max(c1, float(np.sum(np.abs(v_new - v))) * cfg.dx / field.dt)
-            v = v_new
+            u_new = st.step(u, field.dt)[0]
+            c1 = max(c1, float(np.sum(np.abs(u_new - u))) * cfg.dx / field.dt)
+            u = u_new
         assert field.stats["c1"] == c1, (kind, nsteps)
-        assert np.array_equal(field.v[-1], v), (kind, nsteps)
+        assert np.array_equal(field.u[-1], u), (kind, nsteps)
         assert (c1 > 0.0) == (nsteps > 0)
 
 
@@ -667,6 +689,51 @@ def test_solves_contract_in_conserved_l1(small_problems, kind, seed):
         assert np.all(np.diff(dist) <= 1e-13), dist
 
 
+@pytest.mark.parametrize("kind", ["connection", "identity", "translation"])
+def test_per_step_l1_change_of_u_never_rises(small_problems, kind):
+    # A monotone conservative scheme contracts in L1 in its conserved
+    # variable (Crandall and Tartar), and u^{n+1} = S(u^n) with u^n = S(u^{n-1}),
+    # so the change per step cannot rise while no change reaches the
+    # boundary faces.  The data are constant outside |x| < 0.5, 192 cells
+    # from either boundary, and a change spreads by one cell a step, so
+    # after 150 steps the end cells still hold their first densities.  The
+    # relabelled v has no such bound: on the connection its changes rise.
+    flux, transform = small_problems[kind]
+    cfg = dx.SolverConfig(cells=512, t_end=0.0)
+    st = _stepper(flux, transform, cfg)
+    x, dt = cfg.centers(), st.suggest_dt()
+    v_rises = []
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        inner = random_step_profile(rng, flux.a, flux.b, span=0.5)
+        u0 = np.where(np.abs(x) < 0.5, inner(x), rng.uniform(flux.a, flux.b))
+        u = first = st.conserved(relabel_initial(u0, x, transform))
+        v = st.invert_conserved(u)[0]
+        du, dv = [], []
+        for _ in range(150):
+            u_new = st.step(u, dt)[0]
+            v_new = st.invert_conserved(u_new)[0]
+            du.append(float(np.sum(np.abs(u_new - u))) * cfg.dx)
+            dv.append(float(np.sum(np.abs(v_new - v))) * cfg.dx)
+            u, v = u_new, v_new
+        assert (u[0], u[-1]) == (first[0], first[-1]), seed
+        assert du[0] > 0.0, seed
+        assert np.all(np.diff(du) <= 1e-13), (seed, float(np.max(np.diff(du))))
+        v_rises.append(float(np.max(np.diff(dv))))
+    if kind == "connection":
+        assert min(v_rises) > 0.0, v_rises
+
+
+def test_identity_solve_bytes_are_pinned(burgers):
+    # the sha256 of the u and v bytes of a 256-cell identity solve, with a
+    # fan and a shock; a scheme stepping v gave these same bytes
+    cfg = dx.SolverConfig(cells=256, t_end=0.5)
+    x = cfg.centers()
+    field = dx.solve(burgers, np.where(x <= -0.5, 0.2, np.where(x <= 0.5, 0.9, 0.3)), config=cfg)
+    digest = hashlib.sha256(field.u.tobytes() + field.v.tobytes()).hexdigest()
+    assert digest == "43cd30fb0666aaac01076f53c450d6c33d85d21d6b0e335fe758c30618feea8e"
+
+
 def test_conserved_uses_left_branch_at_interface(demo_swapped):
     # nine cells of width 1, so the middle cell's centre is x = 0 exactly
     pair = dx.build_translation_transform(demo_swapped)
@@ -681,13 +748,19 @@ def test_conserved_uses_left_branch_at_interface(demo_swapped):
 
 @pytest.mark.parametrize("cells", [128, 1024])
 def test_stored_u_is_the_conserved_density(burgers, demo_connection, cells):
-    # the stored u is, bit for bit, the density each cell conserves, and the
-    # stored mass is its sum
+    # the solve carries u: the first row is the density of the relabelled
+    # initial data, and every stored v row after it is, bit for bit, the
+    # inversion of its u row, whose density is that u to rounding; the
+    # stored mass is the sum of u
     cfg = dx.SolverConfig(cells=cells, t_end=0.5)
-    field = dx.solve(burgers, lambda x: np.where(np.asarray(x) <= 0, 0.8, 0.4), demo_connection[1], cfg)
+    u0 = np.where(cfg.centers() <= 0, 0.8, 0.4)
+    field = dx.solve(burgers, u0, demo_connection[1], cfg)
     st = _stepper(burgers, demo_connection[1], cfg)
-    for i, v in enumerate(field.v):
-        assert np.array_equal(field.u[i], st.conserved(v)), i
+    assert np.array_equal(field.v[0], relabel_initial(u0, field.x, demo_connection[1]))
+    assert np.array_equal(field.u[0], st.conserved(field.v[0]))
+    for i in range(1, len(field.times)):
+        assert np.array_equal(field.v[i], st.invert_conserved(field.u[i])[0]), i
+        assert np.max(np.abs(st.conserved(field.v[i]) - field.u[i])) <= 4 * np.finfo(float).eps * st.scale, i
     assert np.array_equal(field.mass, field.u.sum(axis=1) * field.dx)
 
 

@@ -408,6 +408,24 @@ def test_transform_pair_requires_common_domain():
         dx.TransformPair(a, b)
 
 
+@pytest.mark.parametrize("alpha, beta, name, ends", [
+    ((0.0, 1.0), (1e-10, 1.0), "beta", "v = 0 and 1e-10"),
+    ((0.0, 1.0 - 1e-10), (0.0, 1.0), "alpha", "v = 0.99999999989999999 and 1"),
+], ids=["low", "high"])
+def test_transform_pair_names_the_map_that_repeats_an_end(alpha, beta, name, ends):
+    # domain ends closer than CLAMP_SLACK pass the shared-domain check; the
+    # map with the inner end is clamped across the gap and repeats its end value
+    a, b = (dx.MonotoneBijection(np.array(d), np.array(d)) for d in (alpha, beta))
+    with pytest.raises(ValueError) as got:
+        dx.TransformPair(a, b)
+    message = str(got.value)
+    assert message.startswith(f"{name} repeats its end value ")
+    assert f"at {ends}: two domain ends that differ by 1e-10, less than CLAMP_SLACK = 1e-09" in message
+    # nodes a clear gap apart are a pair's own kinks
+    dx.TransformPair(dx.MonotoneBijection.identity(0.0, 1.0),
+                     dx.MonotoneBijection(np.array([0.0, 1e-6, 1.0]), np.array([0.0, 0.25, 1.0])))
+
+
 @pytest.mark.parametrize("extra, error", [
     ({"shifts": 0.16}, TypeError),
     ({"shifts": (0.16,)}, ValueError),
