@@ -124,20 +124,25 @@ def save_transform_csv(path, t: TransformPair) -> None:
     sidecar.write_text(json.dumps(t.meta(), indent=2))
 
 
-def _transform_pair(table: np.ndarray, meta: dict) -> TransformPair:
+def _transform_pair(table: np.ndarray, meta: dict, table_path, meta_path) -> TransformPair:
     """The pair in a ``v, alpha, beta`` table, with the ``shifts`` and ``connection`` of the object ``meta``.
 
-    Raises ValueError for a table that holds no pair or a malformed entry.
+    Raises ``DiscFluxError`` starting with ``table_path`` for a table that
+    holds no pair, and with ``meta_path``, the file ``meta`` was read from,
+    for a malformed entry.
     """
-    alpha = _side_map("alpha", table[:, 0], table[:, 1])
-    beta = _side_map("beta", table[:, 0], table[:, 2])
+    try:
+        alpha = _side_map("alpha", table[:, 0], table[:, 1])
+        beta = _side_map("beta", table[:, 0], table[:, 2])
+    except ValueError as exc:
+        raise DiscFluxError(f"{table_path}: {exc}") from exc
     conn = meta.get("connection")
     try:
         if conn is not None:
             conn = Connection(float(conn["A"]), float(conn["B"]))
         return TransformPair(alpha, beta, shifts=meta.get("shifts"), connection=conn)
     except (TypeError, KeyError, AttributeError, ValueError) as exc:
-        raise ValueError(f"malformed transform metadata: {exc!r}") from exc
+        raise DiscFluxError(f"{meta_path}: malformed transform metadata: {exc!r}") from exc
 
 
 def load_transform_csv(path) -> TransformPair:
@@ -146,12 +151,12 @@ def load_transform_csv(path) -> TransformPair:
     Other keys are ignored: ``kind`` and ``c``, which the pair derives, and
     the ``flavor`` older files store with a connection.  Raises
     ``DiscFluxError`` naming the file for a ``path`` ending in ``.json``, a
-    sidecar ``read_json_object`` rejects and a table ``read_csv`` rejects,
-    and ValueError when either entry is malformed.
+    sidecar ``read_json_object`` rejects or whose entries are malformed, and
+    a table ``read_csv`` rejects or that holds no pair.
     """
     sidecar = _sidecar(path)
     meta = read_json_object(sidecar, "transform metadata") if sidecar.exists() else {}
-    return _transform_pair(read_csv(path, "v,alpha,beta"), meta)
+    return _transform_pair(read_csv(path, "v,alpha,beta"), meta, path, sidecar)
 
 
 def _numbers(value) -> np.ndarray:
@@ -261,10 +266,8 @@ def read_run(run_dir) -> tuple[SolutionField, dict]:
         flux = FluxPair.from_arrays(*tables["flux.npy"].T)
     except ValueError as exc:
         raise DiscFluxError(f"{run_dir / 'flux.npy'}: {exc}") from exc
-    try:
-        transform = _transform_pair(tables["transform.npy"], manifest["transform"])
-    except ValueError as exc:
-        raise DiscFluxError(f"{run_dir / 'transform.npy'}: {exc}") from exc
+    transform = _transform_pair(tables["transform.npy"], manifest["transform"], run_dir / "transform.npy",
+                                manifest_path)
     try:
         config = SolverConfig(**manifest["config"])
         times = _numbers(manifest["times"])

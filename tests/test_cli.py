@@ -317,7 +317,7 @@ def test_solve_names_the_map_a_table_clamps(tmp_path):
     res = run_cli("solve", "--flux", "burgers-like", "--transform", str(table), "--cells", "64",
                   "--t-end", "0.05", "--out", str(tmp_path / "runs"))
     assert res.exit_code == 2, res.output
-    assert ("Error: beta repeats its end value 1e-10 at v = 0 and 1e-10: two domain ends "
+    assert (f"Error: {table}: beta repeats its end value 1e-10 at v = 0 and 1e-10: two domain ends "
             "that differ by 1e-10, less than CLAMP_SLACK = 1e-09") in res.output
     assert not (tmp_path / "runs").exists()
 
@@ -466,7 +466,25 @@ def test_solve_rejects_malformed_transform_metadata(tmp_path):
     res = run_cli("solve", "--flux", "demo-swapped", "--transform", str(out), "--u0", "constant:0.4",
                   "--cells", "64", "--t-end", "0.05", "--out", str(tmp_path / "runs"))
     assert res.exit_code == 2, res.output
-    assert "malformed transform metadata" in res.output
+    assert f"Error: {out.with_suffix('.json')}: malformed transform metadata" in res.output
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("table, meta, names_table, message", [
+    ("v,alpha,beta\n0,0,0\n0.5,0.5,0.5\n0.4,0.6,0.6\n1,1,1\n", None, True,
+     "breakpoints must be strictly increasing"),
+    ("v,alpha,beta\n0,0,0\n0.5,0.6,0.5\n0.6,0.5,0.6\n1,1,1\n", None, True, "values must be strictly increasing"),
+    ("v,alpha,beta\n0,0,0\n1,1,1\n", {"connection": {"A": "x"}}, False, "malformed transform metadata: "),
+], ids=["v-not-increasing", "alpha-not-increasing", "connection-not-a-number"])
+def test_solve_names_the_file_of_a_transform_that_holds_no_pair(tmp_path, table, meta, names_table, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(table)
+    if meta is not None:
+        path.with_suffix(".json").write_text(json.dumps(meta))
+    res = run_cli("solve", "--flux", "burgers-like", "--transform", str(path), "--cells", "64", "--t-end", "0.05",
+                  "--out", str(tmp_path / "runs"))
+    assert res.exit_code == 2, res.output
+    assert f"Error: {path if names_table else path.with_suffix('.json')}: {message}" in res.output
     assert not (tmp_path / "runs").exists()
 
 

@@ -157,6 +157,47 @@ def test_automatic_tolerance_flags_inadmissible_standing_jumps(burgers, left, ri
     assert any(not r.ok for r in reports) == fails
 
 
+def _sampled_fan_field(burgers, pair, cells):
+    """The exact fan of (0.8, 0.4) at the cell centres and 33 times up to 0.5, stored under ``pair``.
+
+    Each v row is each side's inverse map of its u row, the boundary fluxes
+    are the exact g(0.8) t and f(0.4) t the fan leaves at both ends, and the
+    mass is each row's sum times dx.
+    """
+    cfg = dx.SolverConfig(cells=cells, t_end=0.5)
+    x = cfg.centers()
+    times = np.linspace(0.0, 0.5, cfg.snapshots)
+    fan = dx.classical_riemann(burgers.f, 0.8, 0.4)
+    u = np.array([fan.profile(x, t) for t in times])
+    v = np.where(x > 0.0, pair.alpha.inverse(u), pair.beta.inverse(u))
+    return dx.SolutionField(
+        config=cfg, times=times, v=v, u=u, mass=u.sum(1) * cfg.dx,
+        boundary_flux=np.column_stack((burgers.g(0.8) * times, burgers.f(0.4) * times)),
+        dt=float(times[1] - times[0]), flux=burgers, transform=pair,
+    )
+
+
+def test_the_classical_fan_fails_under_a_connection(burgers, demo_connection):
+    # the fan of (0.8, 0.4) crosses u = 1/2 at x = 0: the entropy solution
+    # with the identity, but not under the connection 0.75|0.25, which lets
+    # at most f(0.25) = 0.1875 through x = 0.  verify's five levels with the
+    # automatic tolerance must pass the one and fail the other at a hat on
+    # x = 0, by a ratio that grows under refinement
+    _, pair = demo_connection
+    worst = {}
+    for name, t in (("identity", dx.identity_transform(burgers)), ("connection", pair)):
+        for cells in (256, 1024):
+            field = _sampled_fan_field(burgers, t, cells)
+            reports = [dx.entropy_residual_pair(field, float(xi)) for xi in np.linspace(0.0, 1.0, 7)[1:-1]]
+            worst[name, cells] = max(reports, key=lambda r: r.worst / r.tolerance)
+    ratio = {key: r.worst / r.tolerance for key, r in worst.items()}
+    assert ratio["identity", 256] <= 0.1 and ratio["identity", 1024] <= 0.1
+    assert ratio["connection", 256] >= 3.0
+    assert ratio["connection", 1024] > ratio["connection", 256]
+    assert worst["connection", 256].worst_hat.x.center == 0.0
+    assert worst["connection", 1024].worst_hat.x.center == 0.0
+
+
 def test_adapted_residual_steady_connection(burgers, demo_connection):
     conn, pair = demo_connection
     u0 = lambda x: dx.steady_connection_state(burgers, conn, x)

@@ -12,7 +12,7 @@ import discflux as dx
 from discflux.errors import ConstructionError
 from discflux.curves import _on_union, merge_close
 from discflux import transforms
-from discflux.transforms import TOL_CROSS, _audit, _translation_pair, _violation_amount
+from discflux.transforms import TOL_CROSS, _audit, _crosses_back, _translation_pair, _violation_amount
 
 
 # ---------------------------------------------------------------- crossing
@@ -108,14 +108,15 @@ def test_crossing_verdict_invariant_under_common_shift(curves, shift):
 @settings(max_examples=200, deadline=None)
 @given(data=st_.data(), dead_band=st_.sampled_from([0.0, 1e-10, 0.01, 0.3]))
 def test_violation_amount_decides_crossing_on_one_lattice(data, dead_band):
-    # the translation search decides each shift with _violation_amount on the
-    # composed breakpoint union, so it must agree with check_crossing there
+    # the translation search decides each shift with _crosses_back on the
+    # composed breakpoint union, and reports its best miss by
+    # _violation_amount, so both must agree with check_crossing there
     x = data.draw(_lattice())
     values = st_.lists(st_.floats(-1.0, 1.0), min_size=len(x), max_size=len(x))
     fa = dx.SampledCurve(x, data.draw(values))
     gb = dx.SampledCurve(x, data.draw(values))
     fails = not dx.check_crossing(fa, gb, dead_band).holds
-    assert fails == (_violation_amount(fa.y - gb.y) > dead_band)
+    assert fails == (_violation_amount(fa.y - gb.y) > dead_band) == _crosses_back(fa.y - gb.y, dead_band)
 
 
 def _check_crossing_loop(fa, gb, dead_band):
@@ -232,33 +233,143 @@ def test_translation_reports_best_miss_when_unrepairable():
     assert err.value.payload["shifts"] is not None
 
 
-@pytest.mark.parametrize("name", ["burgers-like", "demo-cross", "demo-swapped", "zero"])
-def test_translation_search_reads_the_composed_difference(monkeypatch, name):
-    # the search evaluates f(v) - g(v + d) directly, with no composed curve;
-    # on the registry lattices that is, bit for bit, the difference the
-    # composed pair of each shift gives on its breakpoint union.  A search
-    # whose every amount reads as a miss tries every shift of the grid.
-    flux = dx.get_flux(name)
+def _shift_grid(flux):
     width = flux.b - flux.a
     shifts = np.linspace(-width, width, transforms._SHIFT_NODES)
-    shifts = shifts[shifts >= 0.0]
+    return shifts[shifts >= 0.0]
+
+
+@pytest.mark.parametrize("name", ["burgers-like", "demo-cross", "demo-swapped", "zero"])
+def test_translation_search_reads_the_composed_difference(monkeypatch, name):
+    # the exact check evaluates f(v) - g(v + d) directly, with no composed
+    # curve; on the registry lattices that is, bit for bit, the difference the
+    # composed pair of each shift gives on its breakpoint union.  The shifts
+    # checked exactly rise through the grid to the one returned; an exact
+    # check forced to miss leaves no shift passing, so the search re-scans
+    # every shift of the grid, in order, for its best miss.
+    flux = dx.get_flux(name)
+    shifts = _shift_grid(flux)
+    exact = transforms._shift_difference
     for miss in (False, True):
         seen = []
 
-        def amount(d):
-            seen.append(d)
-            return np.inf if miss else _violation_amount(d)
+        def difference(f, g, a, b, d):
+            diff = exact(f, g, a, b, d)
+            seen.append((d, diff))
+            # a sample far above the band before one far below fails any check
+            return np.concatenate(([1.0], diff, [-1.0])) if miss else diff
 
-        monkeypatch.setattr(transforms, "_violation_amount", amount)
+        monkeypatch.setattr(transforms, "_shift_difference", difference)
         if miss:
-            with pytest.raises(ConstructionError):
+            with pytest.raises(ConstructionError) as err:
                 dx.build_translation_transform(flux)
-            assert len(seen) == len(shifts)
+            assert err.value.payload == {"violation": 1.0, "shifts": (0.0, 0.0)}
+            checked = [d for d, _ in seen]
+            assert checked[len(checked) - len(shifts):] == list(shifts)
+            checked = checked[:len(checked) - len(shifts)]   # the exact checks before the re-scan
         else:
-            assert dx.build_translation_transform(flux).shifts == (shifts[len(seen) - 1], 0.0)
-        for d, diff in zip(shifts, seen):
+            found = dx.build_translation_transform(flux).shifts
+            checked = [d for d, _ in seen]
+            assert checked and found == (checked[-1], 0.0)
+        assert np.all(np.isin(checked, shifts)) and np.all(np.diff(checked) > 0.0)
+        for d, diff in seen:
             _, fa, gb = _on_union(*dx.composed_fluxes(flux, _translation_pair(flux, d, 0.0)))
             assert np.array_equal(diff, fa - gb), d
+
+
+def _translation_search_unpruned(flux):
+    """The search before pruning, every shift checked on its union; the oracle of the pruned scan.
+
+    Returns the translation pair it finds, or raises the ``ConstructionError``
+    of its best miss.
+    """
+    a, b = flux.a, flux.b
+    f, g = transforms._zero_extended(flux)
+    best = (np.inf, None)
+    for d in _shift_grid(flux):
+        lo = a - d
+        v = merge_close(np.sort(np.concatenate(([lo, b], f.x[(f.x > lo) & (f.x < b)],
+                                                g.x[(g.x > lo + d) & (g.x < b + d)] - d))))
+        amount = _violation_amount(f(v) - g(v + d))
+        if amount <= TOL_CROSS:
+            return _translation_pair(flux, d, 0.0)
+        if amount < best[0]:
+            best = (amount, (float(d), 0.0))
+    raise ConstructionError(
+        f"no translation shifts pass the crossing check; best miss {best[0]:.3e} at {best[1]}",
+        payload={"violation": best[0], "shifts": best[1]},
+    )
+
+
+def _search_outcome(search, flux):
+    """The shifts ``search`` finds, or its error's message and payload."""
+    try:
+        return search(flux).shifts
+    except ConstructionError as exc:
+        return str(exc), exc.payload
+
+
+def _multi_hump_pair(rng):
+    """Branches on [0, 1] that vanish at both ends, each a sum of 1 to 4 humps on 65 to 2,049 nodes."""
+    u = np.linspace(0.0, 1.0, int(rng.integers(64, 2049)) + 1)
+
+    def branch():
+        y = np.zeros_like(u)
+        for _ in range(int(rng.integers(1, 5))):
+            y += rng.uniform(0.05, 0.3) * np.exp(-((u - rng.uniform(0.1, 0.9)) / rng.uniform(0.04, 0.3)) ** 2)
+        return 4.0 * u * (1.0 - u) * y
+
+    return dx.FluxPair.from_arrays(u, branch(), branch())
+
+
+def test_pruned_search_matches_the_unpruned_scan():
+    # every registry flux, a seeded sample of multi-hump pairs and a pair no
+    # shift repairs: the same shifts, or the same message and payload
+    u = np.linspace(0.0, 1.0, 513)
+    hump = 0.1 * np.sin(2 * np.pi * u)
+    rng = np.random.default_rng(36)
+    fluxes = ([dx.get_flux(name) for name in dx.registry_names()]
+              + [_multi_hump_pair(rng) for _ in range(40)]
+              + [dx.FluxPair(dx.SampledCurve(u, hump), dx.SampledCurve(u, -hump))])
+    outcomes = []
+    for flux in fluxes:
+        want = _search_outcome(_translation_search_unpruned, flux)
+        assert _search_outcome(dx.build_translation_transform, flux) == want
+        outcomes.append(want)
+    # the sample holds compliant, repaired and unrepairable pairs
+    assert (0.0, 0.0) in outcomes and isinstance(outcomes[-1][0], str)
+    assert sum(isinstance(o[0], float) and o[0] > 0.0 for o in outcomes) >= 10
+
+
+@pytest.mark.parametrize("offset, passes", [(5e-13, True), (1 / 256, False)],
+                         ids=["merged-away", "on-the-union"])
+def test_a_shift_within_the_margin_is_checked_exactly(monkeypatch, offset, passes):
+    # f = g but for a spike of 3e-10 at one extra node of f, and g exceeds f
+    # by 1e-3 further right: on f's nodes, d = 0 violates the crossing
+    # condition by 3e-10, above TOL_CROSS yet within the margin, so the
+    # exact check on the union decides.  merge_close drops a node 5e-13 from
+    # its neighbour, and with it the spike: d = 0 passes.  A quarter cell
+    # away the spike stays on the union, and d = 0 fails.
+    u = np.linspace(0.0, 1.0, 65)
+    base = u * (1.0 - u)
+    x = np.insert(u, 33, u[32] + offset)
+    f = dx.SampledCurve(x, np.interp(x, u, base) + 3e-10 * (x == x[33]))
+    g = dx.SampledCurve(u, base + 1e-3 * np.clip(1.0 - np.abs(u - 0.85) / 0.1, 0.0, None))
+    flux = dx.FluxPair(f, g)
+    assert _violation_amount(f.y[:-1] - g(f.x[:-1])) > TOL_CROSS
+    exact = transforms._shift_difference
+    checked = []
+
+    def difference(f, g, a, b, d):
+        checked.append(d)
+        return exact(f, g, a, b, d)
+
+    monkeypatch.setattr(transforms, "_shift_difference", difference)
+    found = _search_outcome(dx.build_translation_transform, flux)
+    assert checked[0] == 0.0   # the prune did not reject d = 0
+    assert (found == (0.0, 0.0)) == passes
+    monkeypatch.setattr(transforms, "_shift_difference", exact)
+    assert found == _search_outcome(_translation_search_unpruned, flux)
 
 
 def _translation_search_2d(flux, nodes):
