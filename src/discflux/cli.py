@@ -272,7 +272,7 @@ def cli_verify(run_dir, tolerance):
                f"(v in [{rep.v_min:.6g}, {rep.v_max:.6g}], u in [{rep.u_min:.6g}, {rep.u_max:.6g}])")
     failed |= not ok
 
-    # stored mass changes only by what the two boundary faces let through
+    # the mass of the stored densities changes only by what the two boundary faces let through
     drift = field.mass - field.mass[0] + field.boundary_flux[:, 1] - field.boundary_flux[:, 0]
     worst = float(np.max(np.abs(drift)))
     tol = 1e-9 * max(1.0, abs(float(field.mass[0])))

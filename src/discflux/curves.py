@@ -20,7 +20,8 @@ from .errors import DomainError
 CLAMP_SLACK = 1e-9
 
 # breakpoints closer than this (relative to the span) are merged when lattices
-# are unioned; the induced function perturbation is below every tolerance used
+# are unioned: each moves at most this far, so the induced function
+# perturbation is below every tolerance used
 MERGE_REL = 1e-12
 
 
@@ -56,7 +57,12 @@ def _lookup(u, xp: np.ndarray, fp: np.ndarray, slack: float, what: str):
 
 
 def merge_close(x: np.ndarray) -> np.ndarray:
-    """Drop entries of a sorted array closer than ``MERGE_REL * span`` to a kept one."""
+    """Drop entries of a sorted array within ``MERGE_REL * span`` of the last entry kept before them.
+
+    So every entry lies within that distance of a kept one, and kept ones
+    lie further apart; the last entry takes the place of the kept one it
+    falls close to, so both ends survive.
+    """
     x = np.asarray(x, dtype=float)
     if x.size <= 1:
         return x
@@ -64,6 +70,15 @@ def merge_close(x: np.ndarray) -> np.ndarray:
     keep = np.empty(x.size, dtype=bool)
     keep[0] = True
     keep[1:] = np.diff(x) > tol
+    # an entry far from the one before it is far from every earlier one; only an
+    # entry after a dropped one (a chain) is read against the last kept entry
+    prev = -1
+    for i in (np.flatnonzero(~keep[1:] & ~keep[:-1]) + 1).tolist():
+        if prev != i - 1:   # a new chain: its first link was dropped for x[i - 2], kept
+            last = x[i - 2]
+        if x[i] - last > tol:
+            keep[i], last = True, x[i]
+        prev = i
     out = x[keep]
     if out.size and x[-1] - out[-1] > 0:
         out = np.append(out[:-1], x[-1]) if out.size > 1 else np.array([x[0], x[-1]])

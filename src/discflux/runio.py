@@ -1,20 +1,22 @@
-"""On-disk layout for solver runs (format 5).
+"""On-disk layout for solver runs (format 6).
 
 A run directory is named by a short hash of the config and of the flux,
-transform and initial tables, and holds four tables plus one manifest:
+transform and initial tables, and holds three tables plus one manifest:
 
     <out>/<hash>/manifest.json        run metadata, config (the only grid record), stored times, sha256 per table
     <out>/<hash>/flux.npy             sampled flux pair, columns u, f, g
     <out>/<hash>/transform.npy        sampled transforms, columns v, alpha, beta
-    <out>/<hash>/snapshots/u.npy      one row per stored time, one column per cell
-    <out>/<hash>/snapshots/v.npy      the same for the transformed variable
+    <out>/<hash>/snapshots/u.npy      the conserved densities: one row per stored time, one column per cell
 
 Each table is a 2-D little-endian float64 array in numpy's ``.npy`` format,
-so a run reloads bit for bit.  A transform pair holds both maps on one
-lattice, the one its table stores, so the reloaded pair is the built one,
-composed fluxes included, and solves to the same field.  ``read_run``
-rejects a table whose bytes miss the manifest's sha256, and a manifest whose
-config, with the tables, does not give the run's hash back.  CSV is for
+so a run reloads bit for bit.  The densities are the run's only state: the
+reloaded field derives v and the mass from them and the pair, as the solved
+field does, and their first row is the initial data a replay starts from.
+A transform pair holds both maps on one lattice, the one its table stores,
+so the reloaded pair is the built one, composed fluxes included, and solves
+to the same field.  ``read_run`` rejects a table whose bytes miss the
+manifest's sha256, and a manifest whose config, with the tables, does not
+give the run's hash back.  CSV is for
 interchange only: a transform is its ``v,alpha,beta`` lattice table, reloaded
 as the same pair too, with its metadata in a ``.json`` sidecar of the same name.
 """
@@ -37,12 +39,11 @@ from .fluxes import FluxPair, _flux_table, read_csv, read_text, write_csv
 from .solver import SolutionField, SolverConfig
 from .transforms import Connection, TransformPair, _side_map
 
-FORMAT_VERSION = 5
-_VARIABLES = ("u", "v")
-_TABLES = ("flux.npy", "transform.npy", *(f"snapshots/{var}.npy" for var in _VARIABLES))
+FORMAT_VERSION = 6
+_TABLES = ("flux.npy", "transform.npy", "snapshots/u.npy")
 # column count of each table, where it does not depend on the run
 _COLUMNS = {"flux.npy": 3, "transform.npy": 3}
-_MANIFEST_KEYS = ("hash", "config", "dt", "times", "mass", "boundary_flux")
+_MANIFEST_KEYS = ("hash", "config", "dt", "times", "boundary_flux")
 _DTYPE = np.dtype("<f8")
 _NPY_MAGIC = b"\x93NUMPY"
 
@@ -194,8 +195,7 @@ def write_run(field: SolutionField, out_root) -> Path:
     # built once: the hash and the files read the same arrays
     tables = {"flux.npy": _flux_table(field.flux), "transform.npy": np.column_stack(field.transform.table())}
     run_dir = out_root / _hash_of(field.config, tables, field.u[0])
-    for var, name in zip(_VARIABLES, _TABLES[2:]):
-        tables[name] = getattr(field, var)
+    tables["snapshots/u.npy"] = field.u
     tmp = Path(tempfile.mkdtemp(prefix=f".{run_dir.name}-", dir=out_root))
     try:
         (tmp / "snapshots").mkdir()
@@ -210,7 +210,6 @@ def write_run(field: SolutionField, out_root) -> Path:
             # has an infinite step, stored as null
             "dt": field.dt if math.isfinite(field.dt) else None,
             "times": [float(t) for t in field.times],
-            "mass": [float(m) for m in field.mass],
             "boundary_flux": [[float(l), float(r)] for l, r in field.boundary_flux],
             "sha256": sha,
             "transform": field.transform.meta(),
@@ -237,7 +236,7 @@ def read_run(run_dir) -> tuple[SolutionField, dict]:
     Raises ``DiscFluxError`` for a manifest ``read_json_object`` rejects
     (naming it), a run of another format, a table whose bytes do not match the manifest's
     digest, a table that is not what ``_write_table`` writes or holds no flux
-    or transform pair, a snapshot table that is not one row per stored time
+    or transform pair, a density table that is not one row per stored time
     by one column per cell (each naming its file), or a manifest whose own
     entries (which no digest covers) are missing, of the wrong type, not a
     valid ``SolverConfig`` or do not fit the tables, or whose config, with
@@ -271,20 +270,18 @@ def read_run(run_dir) -> tuple[SolutionField, dict]:
     try:
         config = SolverConfig(**manifest["config"])
         times = _numbers(manifest["times"])
-        for name in _TABLES[2:]:
-            if tables[name].shape != (len(times), config.cells):
-                raise DiscFluxError(f"{run_dir / name}: expected {len(times)} rows of {config.cells} "
-                                    f"values, found shape {tables[name].shape}")
+        u = tables["snapshots/u.npy"]
+        if u.shape != (len(times), config.cells):
+            raise DiscFluxError(f"{run_dir / 'snapshots/u.npy'}: expected {len(times)} rows of {config.cells} "
+                                f"values, found shape {u.shape}")
         # the first row's bytes, or none for a table without rows, whose hash then differs
-        if _hash_of(config, tables, tables["snapshots/u.npy"][:1]) != manifest["hash"]:
+        if _hash_of(config, tables, u[:1]) != manifest["hash"]:
             raise DiscFluxError(f"{manifest_path}: the config and tables do not hash to "
                                 f"the run's hash {manifest['hash']!r}")
         field = SolutionField(
             config=config,
             times=times,
-            v=tables["snapshots/v.npy"],
-            u=tables["snapshots/u.npy"],
-            mass=_numbers(manifest["mass"]),
+            u=u,
             boundary_flux=_numbers(manifest["boundary_flux"]),
             dt=math.inf if manifest["dt"] is None else float(manifest["dt"]),
             flux=flux,

@@ -8,9 +8,10 @@ scheme in u on its own flux branch (the scheme for discontinuous flux of
 Karlsen and Towers); the relabelled v is read only where admissibility at
 x = 0 is decided, in the two cells beside the interface face, by the
 pointwise inversions v = beta^{-1}(u) on the left and alpha^{-1}(u) on the
-right, and at the stored snapshots.  At the step ``_Stepper.suggest_dt``
-gives, the update is monotone and conservative in u, so it obeys a discrete
-maximum principle and contracts in L1 (Crandall and Tartar), and so the
+right; a ``SolutionField`` derives its v from its u in the same way
+(``_invert``).  At the step ``_Stepper.suggest_dt`` gives, the update is
+monotone and conservative in u, so it obeys a discrete maximum principle
+and contracts in L1 (Crandall and Tartar), and so the
 discrete entropy inequalities of monotone schemes hold (Crandall and
 Majda): the scheme's own dissipation is the vanishing viscosity.  The
 transform's slopes do not shrink the step.
@@ -34,14 +35,17 @@ _RANGE_SLACK = 1e-10
 _BLOCK_STEPS = 16
 
 
-def relabel_initial(u0: np.ndarray, x: np.ndarray, transform: TransformPair) -> np.ndarray:
-    """Relabel initial data side by side: beta^{-1} at x <= 0 and alpha^{-1} at x > 0.
+def _invert(m: np.ndarray, k: int, v: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """The states whose densities are m: beta^{-1} in the first k columns, alpha^{-1} past them.
 
-    A steady two-trace profile built from a connection becomes exactly
-    constant in the transformed variable.
+    ``(v, alpha, beta)`` is the pair's lattice table; np.interp clamps a
+    density outside a map's range to the end of the table.  One row or a
+    stack of rows, one state per column.
     """
-    u0 = np.asarray(u0, dtype=float)
-    return np.where(x <= 0.0, transform.beta.inverse(u0), transform.alpha.inverse(u0))
+    out = np.empty(np.shape(m))
+    out[..., :k] = np.interp(m[..., :k], beta, v)
+    out[..., k:] = np.interp(m[..., k:], alpha, v)
+    return out
 
 
 @dataclass(frozen=True)
@@ -98,31 +102,41 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolutionField:
-    """Snapshots of one solver run, in both the original and relabelled variables, on the
-    grid of ``config``, its only record: ``x`` and ``dx`` are what the config gives."""
+    """Snapshots of u, the density each cell conserves, from one solver run on the grid of ``config``.
+
+    The config is the grid's only record, and u the only state: ``x`` is
+    what the config gives, ``v`` the pair's inversion of u (``_invert``:
+    beta^{-1} at x <= 0, alpha^{-1} past it) and ``mass`` each row's sum
+    times dx, all derived here.
+    """
 
     config: SolverConfig
     times: np.ndarray
-    v: np.ndarray            # snapshots x cells, transformed variable
     u: np.ndarray            # snapshots x cells, each cell's conserved density
-    mass: np.ndarray         # conserved total per snapshot
     boundary_flux: np.ndarray  # cumulative (left, right) face-flux time integrals
     dt: float
     flux: FluxPair
     transform: TransformPair
     stats: dict = field(default_factory=dict)
     x: np.ndarray = field(init=False)
+    v: np.ndarray = field(init=False)       # snapshots x cells, transformed variable
+    mass: np.ndarray = field(init=False)    # conserved total per snapshot
 
     def __post_init__(self):
-        object.__setattr__(self, "x", self.config.centers())
-        for name in ("x", "times", "v", "u", "mass", "boundary_flux"):
-            arr = np.ascontiguousarray(getattr(self, name))
+        x = self.config.centers()
+        u = np.ascontiguousarray(self.u)
+        if u.shape != (len(self.times), self.config.cells):
+            raise ValueError("snapshot array shape mismatch")
+        v = _invert(u, int(np.searchsorted(x, 0.0, side="right")), *self.transform.table())
+        # each row sum is np.sum of that row alone (see _block_rates)
+        arrays = {"x": x, "times": self.times, "u": u, "v": v, "mass": u.sum(axis=1) * self.config.dx,
+                  "boundary_flux": self.boundary_flux}
+        for name, arr in arrays.items():
+            arr = np.ascontiguousarray(arr)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if not self.v.shape == self.u.shape == (len(self.times), self.config.cells):
-            raise ValueError("snapshot array shape mismatch")
-        if self.mass.shape != self.times.shape or self.boundary_flux.shape != (len(self.times), 2):
-            raise ValueError("need one mass and one (left, right) boundary-flux pair per stored time")
+        if self.times.ndim != 1 or self.boundary_flux.shape != (len(self.times), 2):
+            raise ValueError("need one time and one (left, right) boundary-flux pair per stored time")
 
     @property
     def dx(self) -> float:
@@ -155,7 +169,7 @@ class _Stepper:
 
     The state is u, the density each cell conserves; the relabelled v is
     read only where admissibility at x = 0 is decided, in the two cells
-    beside the interface face, and at the snapshots ``solve`` stores.
+    beside the interface face.
     """
 
     def __init__(self, flux: FluxPair, tables: tuple, transform: TransformPair, cfg: SolverConfig):
@@ -304,11 +318,7 @@ class _Stepper:
         slack outside [lo_val, hi_val] maps to the end of the table.
         """
         margin = self._range(m)[0]
-        k = self.k
-        v = np.empty(len(m))
-        v[:k] = np.interp(m[:k], self.beta_tab, self.ugrid)
-        v[k:] = np.interp(m[k:], self.alpha_tab, self.ugrid)
-        return v, margin
+        return _invert(m, self.k, self.ugrid, self.alpha_tab, self.beta_tab), margin
 
     def face_fluxes(self, u: np.ndarray) -> np.ndarray:
         """Lax-Friedrichs fluxes at every face, dissipating in the face's own density.
@@ -385,12 +395,15 @@ def solve(
     """Run the scheme and return the stored snapshot record.
 
     ``u0`` is either a vectorised callable of x or an array of cell-centre
-    values; it must take finite values in the flux interval [a, b].  The transform
-    pair is audited before use and rejected with a ValueError if it fails.
+    values; it must take finite values in the flux interval [a, b] that the
+    pair's densities cover.  The transform pair is audited before use and
+    rejected with a ValueError if it fails.
 
-    The scheme steps the densities u, starting from those of the relabelled
-    initial data.  ``cfg.snapshots`` evenly spaced steps are stored, rounded
-    to whole steps, each with the v its densities invert to; a request for
+    The scheme steps the densities u, starting from the initial data
+    themselves, clipped to [a, b]: that is ``u[0]``, so
+    ``solve(field.flux, field.u[0], field.transform, field.config)`` replays
+    a field.  ``cfg.snapshots`` evenly spaced steps are stored, rounded to
+    whole steps; the field derives v and the mass from them.  A request for
     more than the nsteps + 1 states of a solve stores every state once.
     ``stats`` records the largest L1 rate of change of u, ``c1``, over the
     steps: a monotone conservative scheme contracts in L1 in its conserved
@@ -412,11 +425,11 @@ def solve(
     span = flux.b - flux.a
     if np.any(u0_vals < flux.a - 1e-9 * span) or np.any(u0_vals > flux.b + 1e-9 * span):
         raise ValueError("initial data leaves the flux interval [a, b]")
-    u0_vals = np.clip(u0_vals, flux.a, flux.b)
+    u = np.clip(u0_vals, flux.a, flux.b)
 
     stepper = _Stepper(flux, tables, t, cfg)
-    v = relabel_initial(u0_vals, x, t)
-    u = stepper.conserved(v)
+    if np.any(u < stepper.lo_val - stepper.slack) or np.any(u > stepper.hi_val + stepper.slack):
+        raise ValueError("initial data leave the densities the transform pair maps onto")
 
     if cfg.t_end == 0:
         nsteps = 0
@@ -429,7 +442,6 @@ def solve(
     # hit every step when there are that many
     snap_at = set(np.round(np.linspace(0, nsteps, min(cfg.snapshots, nsteps + 1))).astype(int).tolist())
 
-    snaps_v = [v]
     snaps_u = [u]
     snap_times = [0.0]
     bflux = [(0.0, 0.0)]
@@ -451,18 +463,14 @@ def solve(
             states = [u]
         if n in snap_at:
             snaps_u.append(u)
-            snaps_v.append(stepper.invert_conserved(u)[0])
             snap_times.append(n * dt)
             bflux.append((cum_left, cum_right))
-    del states, block, u, v   # free the block before the snapshot arrays are built
+    del states, block, u   # free the block before the snapshot arrays are built
 
-    u = np.array(snaps_u)   # each row sum is np.sum of that row alone (see _block_rates)
     return SolutionField(
         config=cfg,
         times=np.array(snap_times),
-        v=np.array(snaps_v),
-        u=u,
-        mass=u.sum(axis=1) * cfg.dx,
+        u=np.array(snaps_u),
         boundary_flux=np.array(bflux),
         dt=dt,
         flux=flux,

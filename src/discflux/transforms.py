@@ -315,13 +315,13 @@ def build_translation_transform(flux: FluxPair) -> TransformPair:
     itself: one lookup of g, with no sort and no merge.  The union holds
     these nodes, and ``merge_close`` moves each, keeping their order, onto a
     kept node at most one gap of ``MERGE_REL`` times the span (at most
-    2(b - a)) per union node away; the union has fewer nodes than the two
-    zero-extended branches together.  The difference moves by at most that
-    distance times the branches' largest slopes; the margin is twice this,
-    which also covers the rounding of the lookups.  So a shift whose
-    violation on f's nodes exceeds ``TOL_CROSS`` by more than the margin
-    fails the exact check, and is rejected without it; only the survivors
-    are checked on the union.  Both checks ask whether a sample above the
+    2(b - a)) away, and the difference by at most that gap times the
+    branches' largest slopes.  The margin is twice this per node of the
+    union, which has fewer nodes than the two zero-extended branches
+    together: more than the move, and the factor two also covers the
+    rounding of the lookups.  So a shift whose violation on f's nodes
+    exceeds ``TOL_CROSS`` by more than the margin fails the exact check, and
+    is rejected without it; only the survivors are checked on the union.  Both checks ask whether a sample above the
     band precedes one below minus the band (``_crosses_back``).  When no
     shift passes, every shift is scanned exactly again for the best miss
     that ``ConstructionError`` reports: a failure costs one pruned and one

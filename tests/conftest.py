@@ -66,3 +66,28 @@ def random_step_profile(rng, lo=0.0, hi=1.0, span=2.0):
         return vals[np.searchsorted(edges, np.asarray(x))]
 
     return u0
+
+
+def sampled_fan_field(burgers, pair, cells):
+    """The exact fan of (0.8, 0.4) as cell averages at 33 times up to 0.5, stored under ``pair``.
+
+    On the sampled flux the fan is a staircase in x / t, so each average is
+    exact: the integral over the cell faces and the steps' positions, of a
+    profile that is constant between them.  The boundary fluxes are the
+    exact g(0.8) t and f(0.4) t the fan leaves at both ends, so the mass
+    balance holds to rounding; the field derives v and the mass from u.
+    """
+    cfg = dx.SolverConfig(cells=cells, t_end=0.5)
+    faces = cfg.faces()
+    times = np.linspace(0.0, 0.5, cfg.snapshots)
+    fan = dx.classical_riemann(burgers.f, 0.8, 0.4)
+    u = []
+    for t in times:
+        nodes = np.unique(np.concatenate((faces, np.clip(fan.speeds * t, faces[0], faces[-1]))))
+        area = np.concatenate(([0.0], np.cumsum(np.diff(nodes) * fan.profile(0.5 * (nodes[1:] + nodes[:-1]), t))))
+        u.append(np.diff(area[np.searchsorted(nodes, faces)]) / cfg.dx)
+    return dx.SolutionField(
+        config=cfg, times=times, u=np.array(u),
+        boundary_flux=np.column_stack((burgers.g(0.8) * times, burgers.f(0.4) * times)),
+        dt=float(times[1] - times[0]), flux=burgers, transform=pair,
+    )

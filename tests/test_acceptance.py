@@ -170,8 +170,7 @@ def test_10_inadmissible_shock_flagged(burgers):
     times = np.linspace(0.0, 0.5, 33)
     u = np.tile(np.where(x <= 0, 0.75, 0.25), (33, 1))
     frozen = dx.SolutionField(
-        config=cfg, times=times, v=u.copy(), u=u,
-        mass=np.zeros(33), boundary_flux=np.zeros((33, 2)),
+        config=cfg, times=times, u=u, boundary_flux=np.zeros((33, 2)),
         dt=float(times[1] - times[0]),
         flux=burgers, transform=dx.identity_transform(burgers),
     )

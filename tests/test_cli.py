@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import io
 import json
 import re
@@ -11,6 +12,8 @@ from click.testing import CliRunner
 import discflux as dx
 from discflux.cli import main
 from discflux.fluxes import read_csv, write_csv
+
+from conftest import sampled_fan_field
 
 
 def run_cli(*args, env=None):
@@ -94,26 +97,53 @@ def test_solve_writes_run_and_verify_passes(tmp_path):
     assert all(re.search(r"; hat \d+: t=\S+ r=\S+, x=\S+ r=\S+\)$", line) for line in residuals)
 
 
-def test_verify_fails_on_tampered_mass(tmp_path):
-    res = run_cli("solve", "--flux", "burgers-like", "--u0", "riemann:0.25:0.75",
-                  "--cells", "64", "--t-end", "0.05", "--out", str(tmp_path))
+def test_verify_fails_on_densities_that_break_the_mass_balance(tmp_path):
+    # a run stores no mass of its own: the balance reads the digest-checked
+    # u.  Every row after t = 0 set to 0.5, with the manifest's digest of
+    # u.npy rewritten: the run hash covers the first row alone, so read_run
+    # accepts the run, and only the mass balance can fail it
+    res = run_cli("solve", "--flux", "burgers-like", "--u0", "riemann:0.2:0.9",
+                  "--cells", "256", "--out", str(tmp_path))
     assert res.exit_code == 0, res.output
     run_dir = next(p for p in tmp_path.iterdir() if p.is_dir())
+    path = run_dir / "snapshots" / "u.npy"
+    u = np.load(path)
+    u[1:] = 0.5
+    np.save(path, u)
     manifest_path = run_dir / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    manifest["mass"][-1] += 1e-6
+    manifest["sha256"]["snapshots/u.npy"] = hashlib.sha256(path.read_bytes()).hexdigest()
     manifest_path.write_text(json.dumps(manifest))
+    assert np.array_equal(dx.read_run(run_dir)[0].u, u)
 
     ver = run_cli("verify", "--run", str(run_dir))
     assert ver.exit_code == 1, ver.output
-    assert "FAIL mass balance" in ver.output
+    assert [line.split(" (")[0] for line in ver.output.splitlines() if line.startswith("FAIL")] == [
+        "FAIL mass balance"]
+
+
+@pytest.mark.parametrize("pair_name, code", [("identity", 0), ("connection", 1)])
+def test_verify_judges_the_classical_fan_by_its_pair(tmp_path, burgers, demo_connection, pair_name, code):
+    # the exact fan of (0.8, 0.4) crosses u = 1/2 at x = 0: the entropy
+    # solution under the identity, but not under the connection 0.75|0.25,
+    # which lets at most f(0.25) = 0.1875 through x = 0.  Written as a run,
+    # verify must pass it under the one, and fail it under the other on the
+    # entropy residuals alone (the adapted one too), each at a hat centred
+    # on x = 0
+    pair = dx.identity_transform(burgers) if pair_name == "identity" else demo_connection[1]
+    ver = run_cli("verify", "--run", str(dx.write_run(sampled_fan_field(burgers, pair, 256), tmp_path)))
+    assert ver.exit_code == code, ver.output
+    failures = [line for line in ver.output.splitlines() if line.startswith("FAIL")]
+    assert any(line.startswith("FAIL entropy residual at xi=") for line in failures) == bool(code)
+    assert all(line.startswith(("FAIL entropy residual", "FAIL adapted residual")) for line in failures), failures
+    assert all(re.search(r", x=0 r=\S+\)$", line) for line in failures), failures
 
 
 def test_verify_rejects_edited_snapshot_table(tmp_path):
     res = run_cli("solve", "--flux", "burgers-like", "--u0", "riemann:0.25:0.75",
                   "--cells", "64", "--t-end", "0.05", "--out", str(tmp_path))
     assert res.exit_code == 0, res.output
-    path = next(p for p in tmp_path.iterdir() if p.is_dir()) / "snapshots" / "v.npy"
+    path = next(p for p in tmp_path.iterdir() if p.is_dir()) / "snapshots" / "u.npy"
     data = bytearray(path.read_bytes())
     data[-1] ^= 1   # in the last value, so the file still loads
     path.write_bytes(bytes(data))
@@ -122,7 +152,7 @@ def test_verify_rejects_edited_snapshot_table(tmp_path):
     ver = run_cli("verify", "--run", str(path.parent.parent))
     assert ver.exit_code == 1, ver.output
     assert "FAIL run integrity" in ver.output
-    assert "snapshots/v.npy" in ver.output
+    assert "snapshots/u.npy" in ver.output
     assert "sha256" in ver.output
 
 
@@ -138,7 +168,7 @@ def test_verify_judges_a_frozen_standing_jump(tmp_path, burgers, left, right, co
     times = np.linspace(0.0, cfg.t_end, cfg.snapshots)
     u = np.tile(np.where(cfg.centers() <= 0.0, left, right), (len(times), 1))
     field = dx.SolutionField(
-        config=cfg, times=times, v=u, u=u, mass=u.sum(axis=1) * cfg.dx,
+        config=cfg, times=times, u=u,
         boundary_flux=np.zeros((len(times), 2)), dt=float(times[1]),
         flux=burgers, transform=dx.identity_transform(burgers),
     )
@@ -415,10 +445,9 @@ def test_solve_names_a_config_file_it_cannot_read(tmp_path, raw):
 
 @pytest.mark.parametrize("snapshots, edit", [
     ("33", lambda m: m["config"].pop("cells")),   # the default 512 cells do not fit the tables
-    ("33", lambda m: m["mass"].pop()),
-    # with two stored times a one-entry mass list broadcasts against the
-    # boundary fluxes and the mass balance would pass
-    ("2", lambda m: m["mass"].pop()),
+    ("33", lambda m: m["times"].pop()),
+    # with two stored times, dropping one leaves u a row too many
+    ("2", lambda m: m["times"].pop()),
     ("2", lambda m: m["boundary_flux"].pop()),
     ("33", lambda m: m.update(sha256=list(m["sha256"].values()))),
     ("33", lambda m: m.update(transform=list(m["transform"].values()))),
@@ -426,7 +455,7 @@ def test_solve_names_a_config_file_it_cannot_read(tmp_path, raw):
     ("33", lambda m: m["transform"].update(shifts=0.5)),
     # numeric strings: the values are right, the types are not
     ("33", lambda m: m.update(times=[repr(t) for t in m["times"]])),
-], ids=["no-cells", "short-mass", "short-mass-two-snapshots", "short-boundary-flux",
+], ids=["no-cells", "short-times", "short-times-two-snapshots", "short-boundary-flux",
         "sha256-list", "transform-list", "connection-without-A", "shifts-number", "times-strings"])
 def test_verify_rejects_inconsistent_manifest(tmp_path, snapshots, edit):
     res = run_cli("solve", "--flux", "burgers-like", "--u0", "riemann:0.25:0.75",

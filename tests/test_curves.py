@@ -7,6 +7,7 @@ from hypothesis import strategies as st_
 from discflux import curves
 from discflux.curves import (
     CLAMP_SLACK,
+    MERGE_REL,
     MonotoneBijection,
     SampledCurve,
     lower_convex_envelope,
@@ -78,6 +79,42 @@ def test_bijection_roundtrip_random():
 def test_merge_close_keeps_both_ends(x, kept):
     out = merge_close(np.array(x, dtype=float))
     assert out.tolist() == kept
+
+def _merge_reference(x):
+    """merge_close one entry at a time: keep an entry beyond the tolerance of the last kept one."""
+    tol = MERGE_REL * max(x[-1] - x[0], 1.0)
+    out = [x[0]]
+    for value in x[1:].tolist():
+        if value - out[-1] > tol:
+            out.append(value)
+    if out[-1] != x[-1]:   # the last entry takes the place of the kept one it fell close to
+        out = out[:-1] + [x[-1]] if len(out) > 1 else [x[0], x[-1]]
+    return np.array(out)
+
+
+def test_merge_close_reads_a_chain_against_the_last_kept_entry():
+    # 2,000 entries 0.9e-12 apart: each lies within the tolerance 1e-12 of
+    # the one before it, but not the chain of them of the first; reading each
+    # against its neighbour kept 0.5 alone, 1.8e-9 from the last
+    x = np.concatenate(([0.0], 0.5 + 0.9e-12 * np.arange(2000), [1.0]))
+    out = merge_close(x)
+    tol = MERGE_REL
+    assert np.all(np.diff(out) > tol)
+    nearest = np.abs(x[:, None] - out[None, :]).min(axis=1)
+    assert nearest.max() <= tol
+    assert np.array_equal(out, _merge_reference(x))
+    assert out.size == 1002
+
+
+def test_merge_close_matches_the_one_at_a_time_reference():
+    # lattices with duplicates, pairs and chains of close entries, and close ends
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        gaps = rng.choice([0.0, 0.3e-12, 0.6e-12, 0.9e-12, 1.1e-12, 1e-3], size=int(rng.integers(1, 60)),
+                          p=[0.15, 0.2, 0.2, 0.15, 0.1, 0.2])
+        x = np.concatenate(([0.0], np.cumsum(gaps)))
+        assert np.array_equal(merge_close(x), _merge_reference(x)), x.tolist()
+
 
 def test_bijection_rejects_non_monotone():
     with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ import discflux.diagnostics as diagnostics
 from discflux.diagnostics import SIGN_BAND, _hat_columns, _hat_integrals
 from discflux.errors import CoverageError
 
-from conftest import random_step_profile
+from conftest import random_step_profile, sampled_fan_field
 
 
 def _frozen_field(burgers, u_profile, times=None, cells=256):
@@ -24,8 +24,7 @@ def _frozen_field(burgers, u_profile, times=None, cells=256):
     times = np.linspace(0.0, 0.5, 33) if times is None else times
     u = np.tile(np.asarray(u_profile(x), dtype=float), (len(times), 1))
     return dx.SolutionField(
-        config=cfg, times=times, v=u.copy(), u=u,
-        mass=np.zeros(len(times)), boundary_flux=np.zeros((len(times), 2)),
+        config=cfg, times=times, u=u, boundary_flux=np.zeros((len(times), 2)),
         dt=float(times[1] - times[0]),
         flux=burgers, transform=dx.identity_transform(burgers),
     )
@@ -157,26 +156,6 @@ def test_automatic_tolerance_flags_inadmissible_standing_jumps(burgers, left, ri
     assert any(not r.ok for r in reports) == fails
 
 
-def _sampled_fan_field(burgers, pair, cells):
-    """The exact fan of (0.8, 0.4) at the cell centres and 33 times up to 0.5, stored under ``pair``.
-
-    Each v row is each side's inverse map of its u row, the boundary fluxes
-    are the exact g(0.8) t and f(0.4) t the fan leaves at both ends, and the
-    mass is each row's sum times dx.
-    """
-    cfg = dx.SolverConfig(cells=cells, t_end=0.5)
-    x = cfg.centers()
-    times = np.linspace(0.0, 0.5, cfg.snapshots)
-    fan = dx.classical_riemann(burgers.f, 0.8, 0.4)
-    u = np.array([fan.profile(x, t) for t in times])
-    v = np.where(x > 0.0, pair.alpha.inverse(u), pair.beta.inverse(u))
-    return dx.SolutionField(
-        config=cfg, times=times, v=v, u=u, mass=u.sum(1) * cfg.dx,
-        boundary_flux=np.column_stack((burgers.g(0.8) * times, burgers.f(0.4) * times)),
-        dt=float(times[1] - times[0]), flux=burgers, transform=pair,
-    )
-
-
 def test_the_classical_fan_fails_under_a_connection(burgers, demo_connection):
     # the fan of (0.8, 0.4) crosses u = 1/2 at x = 0: the entropy solution
     # with the identity, but not under the connection 0.75|0.25, which lets
@@ -187,7 +166,7 @@ def test_the_classical_fan_fails_under_a_connection(burgers, demo_connection):
     worst = {}
     for name, t in (("identity", dx.identity_transform(burgers)), ("connection", pair)):
         for cells in (256, 1024):
-            field = _sampled_fan_field(burgers, t, cells)
+            field = sampled_fan_field(burgers, t, cells)
             reports = [dx.entropy_residual_pair(field, float(xi)) for xi in np.linspace(0.0, 1.0, 7)[1:-1]]
             worst[name, cells] = max(reports, key=lambda r: r.worst / r.tolerance)
     ratio = {key: r.worst / r.tolerance for key, r in worst.items()}

@@ -14,7 +14,7 @@ from discflux import runio
 from discflux.errors import DiscFluxError
 from discflux.fluxes import load_flux_csv, read_csv, write_csv
 
-RUN_FILES = {"manifest.json", "flux.npy", "transform.npy", "snapshots/u.npy", "snapshots/v.npy"}
+RUN_FILES = {"manifest.json", "flux.npy", "transform.npy", "snapshots/u.npy"}
 
 
 def _contents(root):
@@ -104,15 +104,59 @@ def test_run_roundtrip_exact(tmp_path, burgers, demo_connection):
     assert not {"cells", "dx", "eps"} & set(manifest)
     assert "eps" not in manifest["config"]
     assert sorted(manifest["sha256"]) == sorted(RUN_FILES - {"manifest.json"})
-    # one table per variable: one row per stored time, one column per cell
-    table = np.load(run_dir / "snapshots" / "v.npy", allow_pickle=False)
+    # the densities are the only state stored: one row per stored time, one
+    # column per cell; v and the mass are derived from them on reload
+    table = np.load(run_dir / "snapshots" / "u.npy", allow_pickle=False)
     assert table.dtype == np.dtype("<f8")
     assert table.shape == (len(field.times), 64)
-    assert np.array_equal(table, field.v)
+    assert np.array_equal(table, field.u)
+    assert "mass" not in manifest
 
     # entropy checks still work on the reloaded field
     rep = dx.entropy_residual_connection(back, conn)
     assert rep.ok
+
+
+def _replay_problems():
+    """(flux, pair builder): the identity on two fluxes, a translation and a connection."""
+    yield pytest.param("burgers-like", dx.identity_transform, id="burgers-identity")
+    yield pytest.param("demo-cross", dx.identity_transform, id="cross-identity")
+    yield pytest.param("demo-swapped", dx.build_translation_transform, id="swapped-translation")
+    yield pytest.param("burgers-like", lambda flux: dx.build_connection_transform(flux, dx.Connection(0.75, 0.25)),
+                       id="connection")
+
+
+def _replay_data(flux, rng):
+    """Riemann, random and bump data; the bump a + (b - a) exp(-2 x^2) falls to 3.4e-4 of b - a above a.
+
+    Starting from the densities of the relabelled bump, not from the bump, a
+    connection solve stored a first row that a second relabelling moves by
+    up to 2.6e-18 near a.
+    """
+    a, b = flux.a, flux.b
+    edges, vals = np.sort(rng.uniform(-2.0, 2.0, 9)), rng.uniform(a, b, 10)
+    yield _step(a + 0.8 * (b - a), a + 0.4 * (b - a))
+    yield lambda x: vals[np.searchsorted(edges, x)]
+    yield lambda x: a + (b - a) * np.exp(-np.asarray(x) ** 2 / 0.5)
+
+
+@pytest.mark.parametrize("cells", [128, 256, 1024])
+@pytest.mark.parametrize("flux_name, build", list(_replay_problems()))
+def test_a_run_replays_from_its_first_row(tmp_path, flux_name, build, cells):
+    # a field's first row is the initial data the solve started from, so
+    # solving from it again gives the field back bit for bit: as built, and
+    # as read_run reloads it
+    flux = dx.get_flux(flux_name)
+    pair = build(flux)
+    cfg = dx.SolverConfig(cells=cells, t_end=0.3)
+    for k, u0 in enumerate(_replay_data(flux, np.random.default_rng(cells))):
+        field = dx.solve(flux, u0, pair, cfg)
+        reloaded = dx.read_run(dx.write_run(field, tmp_path))[0]
+        for source in (field, reloaded):
+            again = dx.solve(source.flux, source.u[0], source.transform, source.config)
+            for key in ("times", "u", "v", "mass", "boundary_flux"):
+                assert getattr(again, key).tobytes() == getattr(field, key).tobytes(), (k, key)
+            assert (again.dt, again.stats) == (field.dt, field.stats), k
 
 
 def test_run_hash_depends_on_inputs(tmp_path, burgers):
@@ -129,21 +173,22 @@ def test_run_hash_depends_on_inputs(tmp_path, burgers):
 def test_read_rejects_wrong_format(tmp_path):
     bad = tmp_path / "r"
     bad.mkdir()
-    for version in (1, 2, 3, 4, 99):
+    for version in (1, 2, 3, 4, 5, 99):
         (bad / "manifest.json").write_text(json.dumps({"format": version}))
-        with pytest.raises(DiscFluxError, match=f"run format {version} is not supported; .* format 5 only"):
+        with pytest.raises(DiscFluxError, match=f"run format {version} is not supported; .* format 6 only"):
             dx.read_run(bad)
 
 
 def test_read_rejects_edited_table(tmp_path, burgers):
     # one byte of the data block changed, so the file still loads: only the digest catches it
     _, _, run_dir = _small_run(burgers, tmp_path)
-    path = run_dir / "snapshots" / "v.npy"
+    path = run_dir / "snapshots" / "u.npy"
+    shape = np.load(path, allow_pickle=False).shape
     data = bytearray(path.read_bytes())
     data[-3] ^= 1
     path.write_bytes(bytes(data))
-    assert np.load(path, allow_pickle=False).shape == np.load(run_dir / "snapshots" / "u.npy").shape
-    with pytest.raises(DiscFluxError, match="snapshots/v.npy: contents do not match the manifest's sha256"):
+    assert np.load(path, allow_pickle=False).shape == shape
+    with pytest.raises(DiscFluxError, match="snapshots/u.npy: contents do not match the manifest's sha256"):
         dx.read_run(run_dir)
 
 
@@ -177,16 +222,15 @@ def test_read_parses_the_bytes_it_checked(tmp_path, burgers, monkeypatch):
     assert np.array_equal(back.transform.table()[0], field.transform.table()[0])
 
 
-@pytest.mark.parametrize("var", ["u", "v"])
 @pytest.mark.parametrize("spoil", [
     lambda t, x: t[:-1],                 # last stored time dropped
     lambda t, x: t[:, 1:],               # first cell dropped
     lambda t, x: np.vstack([x, t]),      # the cell-centre row of format 3
-], ids=["short", "narrow", "centre-row"])
-def test_read_checks_snapshot_table_shape(tmp_path, burgers, var, spoil):
+], ids=["short-u", "narrow-u", "centre-row-u"])
+def test_read_checks_snapshot_table_shape(tmp_path, burgers, spoil):
     # re-signed, so the digest passes: the table must be len(times) x config.cells
     field, _, run_dir = _small_run(burgers, tmp_path)
-    path = run_dir / "snapshots" / f"{var}.npy"
+    path = run_dir / "snapshots" / "u.npy"
     np.save(path, spoil(np.load(path), field.x))
     _resign(run_dir)
     rows = len(field.times)
@@ -240,7 +284,7 @@ def test_read_checks_manifest_entries(tmp_path, burgers):
         "config must be a JSON object": lambda m: m.update(config=[64]),
         "unexpected keyword argument 'dx'": lambda m: m["config"].update(dx=m["config"]["half_width"] / 32),
         "need at least 8 cells": lambda m: m["config"].update(cells=0),
-        "need one mass": lambda m: m["mass"].pop(),
+        "need one time": lambda m: m.update(times=[[t] for t in m["times"]]),
         "per stored time": lambda m: m["boundary_flux"].append([0.0, 0.0]),
         "could not convert": lambda m: m.update(dt="wide"),
     }

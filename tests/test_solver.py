@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,7 @@ from hypothesis import strategies as st_
 
 import discflux as dx
 from discflux.errors import StabilityError
-from discflux.solver import _BLOCK_STEPS, _Stepper, relabel_initial
+from discflux.solver import _BLOCK_STEPS, _Stepper
 from discflux.transforms import _audit
 
 from conftest import random_step_profile
@@ -31,18 +31,16 @@ def _stepper(flux, transform, cfg):
 # ------------------------------------------------------------ relabelling
 
 def test_relabel_preserves_constants(burgers):
-    ident = dx.identity_transform(burgers)
-    x = np.linspace(-2, 2, 257)
-    v = relabel_initial(np.full(x.shape, 0.37), x, ident)
-    assert np.max(np.abs(v - 0.37)) < 1e-14
+    # a field derives its v from u: the identity pair relabels a constant as itself
+    field = dx.solve(burgers, np.full(257, 0.37), config=dx.SolverConfig(cells=257, t_end=0.0))
+    assert np.max(np.abs(field.v - 0.37)) < 1e-14
 
 
 def test_relabel_steady_connection_becomes_flat(burgers, demo_connection):
     conn, pair = demo_connection
-    x = -2 + (np.arange(256) + 0.5) * (4 / 256)
-    u0 = dx.steady_connection_state(burgers, conn, x)
-    v = relabel_initial(u0, x, pair)
-    assert np.max(np.abs(v - pair.c)) < 1e-13
+    cfg = dx.SolverConfig(cells=256, t_end=0.0)
+    field = dx.solve(burgers, dx.steady_connection_state(burgers, conn, cfg.centers()), pair, cfg)
+    assert np.max(np.abs(field.v - pair.c)) < 1e-13
 
 
 # ------------------------------------------------------------ configuration
@@ -133,11 +131,15 @@ def test_solution_field_checks_the_shape_of_u(burgers):
     for u in (field.u[:, :-1], field.u[:-1], field.u[-1]):
         with pytest.raises(ValueError, match="snapshot array shape mismatch"):
             replace(field, u=u)
-    # u and v must be config.cells wide, also when they agree with each other
-    for arrays in ({"v": field.v[:, :-1]}, {"u": field.u[:, :-1], "v": field.v[:, :-1]},
-                   {"config": replace(field.config, cells=128)}):
-        with pytest.raises(ValueError, match="snapshot array shape mismatch"):
-            replace(field, **arrays)
+    # u must be config.cells wide
+    with pytest.raises(ValueError, match="snapshot array shape mismatch"):
+        replace(field, config=replace(field.config, cells=128))
+    # v and the mass are u's: a field derives them and takes neither
+    assert [f.name for f in fields(dx.SolutionField) if f.init] == [
+        "config", "times", "u", "boundary_flux", "dt", "flux", "transform", "stats"]
+    for name in ("v", "mass"):
+        with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
+            replace(field, **{name: getattr(field, name)})
 
 def test_solve_gates_on_transform_audit(demo_swapped):
     # the raw swapped pair fails the crossing condition, so identity labels
@@ -145,6 +147,21 @@ def test_solve_gates_on_transform_audit(demo_swapped):
     with pytest.raises(ValueError, match="verification"):
         dx.solve(demo_swapped, lambda x: np.full(np.shape(x), 0.5),
                  config=dx.SolverConfig(cells=64, t_end=0.01))
+
+
+def test_solve_rejects_data_outside_the_densities_of_the_pair(burgers):
+    # a pair whose maps cover [0.1, 0.9] of the flux interval [0, 1] passes
+    # the audit, but no state of it has the density 0.05: the solve steps
+    # the data themselves, and refuses them rather than clamp them
+    squeeze = dx.MonotoneBijection(np.array([0.0, 1.0]), np.array([0.1, 0.9]))
+    pair = dx.TransformPair(squeeze, squeeze)
+    cfg = dx.SolverConfig(cells=64, t_end=0.01)
+    assert dx.verify_transform(burgers, pair).ok
+    dx.solve(burgers, np.full(64, 0.5), pair, cfg)
+    u0 = np.where(cfg.centers() <= 0.0, 0.5, 0.05)
+    for data in (u0, u0[::-1]):
+        with pytest.raises(ValueError, match="initial data leave the densities the transform pair maps onto"):
+            dx.solve(burgers, data, pair, cfg)
 
 
 # ------------------------------------------------------------------ scheme
@@ -578,7 +595,8 @@ def test_block_bookkeeping_matches_a_per_step_loop(small_problems, kind):
         field = dx.solve(flux, u0, transform, cfg)
         assert field.stats["steps"] == nsteps
         st = _stepper(flux, transform, cfg)
-        u = st.conserved(relabel_initial(u0, x, transform))
+        u = u0   # the solve starts from the data themselves
+        assert np.array_equal(field.u[0], u), (kind, nsteps)
         c1 = 0.0
         for _ in range(nsteps):
             u_new = st.step(u, field.dt)[0]
@@ -707,7 +725,7 @@ def test_per_step_l1_change_of_u_never_rises(small_problems, kind):
         rng = np.random.default_rng(seed)
         inner = random_step_profile(rng, flux.a, flux.b, span=0.5)
         u0 = np.where(np.abs(x) < 0.5, inner(x), rng.uniform(flux.a, flux.b))
-        u = first = st.conserved(relabel_initial(u0, x, transform))
+        u = first = u0
         v = st.invert_conserved(u)[0]
         du, dv = [], []
         for _ in range(150):
@@ -748,17 +766,16 @@ def test_conserved_uses_left_branch_at_interface(demo_swapped):
 
 @pytest.mark.parametrize("cells", [128, 1024])
 def test_stored_u_is_the_conserved_density(burgers, demo_connection, cells):
-    # the solve carries u: the first row is the density of the relabelled
-    # initial data, and every stored v row after it is, bit for bit, the
-    # inversion of its u row, whose density is that u to rounding; the
-    # stored mass is the sum of u
+    # the solve carries u: the first row is the initial data themselves, and
+    # every v row, the first included, is, bit for bit, the stepper's
+    # inversion of its u row, whose density is that u to rounding; the mass
+    # is the sum of u
     cfg = dx.SolverConfig(cells=cells, t_end=0.5)
     u0 = np.where(cfg.centers() <= 0, 0.8, 0.4)
     field = dx.solve(burgers, u0, demo_connection[1], cfg)
     st = _stepper(burgers, demo_connection[1], cfg)
-    assert np.array_equal(field.v[0], relabel_initial(u0, field.x, demo_connection[1]))
-    assert np.array_equal(field.u[0], st.conserved(field.v[0]))
-    for i in range(1, len(field.times)):
+    assert np.array_equal(field.u[0], u0)
+    for i in range(len(field.times)):
         assert np.array_equal(field.v[i], st.invert_conserved(field.u[i])[0]), i
         assert np.max(np.abs(st.conserved(field.v[i]) - field.u[i])) <= 4 * np.finfo(float).eps * st.scale, i
     assert np.array_equal(field.mass, field.u.sum(axis=1) * field.dx)
