@@ -5,13 +5,15 @@ past it.  A step moves the densities explicitly with Lax-Friedrichs fluxes,
 each face dissipating in its own density.  Off the interface face
 g∘beta(v) = g(u) and f∘alpha(v) = f(u), so each side runs the Lax-Friedrichs
 scheme in u on its own flux branch (the scheme for discontinuous flux of
-Karlsen and Towers); the relabelled v is read only where admissibility at
-x = 0 is decided, in the two cells beside the interface face, by the
-pointwise inversions v = beta^{-1}(u) on the left and alpha^{-1}(u) on the
-right; a ``SolutionField`` derives its v from its u in the same way
-(``_invert``).  At the step ``_Stepper.suggest_dt`` gives, the update is
-monotone and conservative in u, so it obeys a discrete maximum principle
-and contracts in L1 (Crandall and Tartar), and so the
+Karlsen and Towers).  Admissibility at x = 0 is decided at the interface
+face alone: it averages f∘alpha and g∘beta at the relabelled states
+v = beta^{-1}(u) of its left cell and alpha^{-1}(u) of its right one, and
+dissipates in (alpha + beta) / 2.  Both are piecewise linear in u, so the
+face reads them from one table built once per solve, in two lookups and
+with no inversion.  A ``SolutionField`` derives its v from its u by those
+inversions (``_invert``).  At the step ``_Stepper.suggest_dt`` gives, the
+update is monotone and conservative in u, so it obeys a discrete maximum
+principle and contracts in L1 (Crandall and Tartar), and so the
 discrete entropy inequalities of monotone schemes hold (Crandall and
 Majda): the scheme's own dissipation is the vanishing viscosity.  The
 transform's slopes do not shrink the step.
@@ -107,7 +109,8 @@ class SolutionField:
     The config is the grid's only record, and u the only state: ``x`` is
     what the config gives, ``v`` the pair's inversion of u (``_invert``:
     beta^{-1} at x <= 0, alpha^{-1} past it) and ``mass`` each row's sum
-    times dx, all derived here.
+    times dx, all derived here.  The field keeps read-only copies of the
+    ``times``, ``u`` and ``boundary_flux`` it is given, arrays or lists.
     """
 
     config: SolverConfig
@@ -123,20 +126,21 @@ class SolutionField:
     mass: np.ndarray = field(init=False)    # conserved total per snapshot
 
     def __post_init__(self):
+        # the field owns its arrays: copies, so the caller's stay as they were, writable too
+        times, u, bflux = (np.array(getattr(self, name), dtype=float)
+                           for name in ("times", "u", "boundary_flux"))
         x = self.config.centers()
-        u = np.ascontiguousarray(self.u)
-        if u.shape != (len(self.times), self.config.cells):
+        if u.shape != (len(times), self.config.cells):
             raise ValueError("snapshot array shape mismatch")
+        if times.ndim != 1 or bflux.shape != (len(times), 2):
+            raise ValueError("need one time and one (left, right) boundary-flux pair per stored time")
         v = _invert(u, int(np.searchsorted(x, 0.0, side="right")), *self.transform.table())
         # each row sum is np.sum of that row alone (see _block_rates)
-        arrays = {"x": x, "times": self.times, "u": u, "v": v, "mass": u.sum(axis=1) * self.config.dx,
-                  "boundary_flux": self.boundary_flux}
+        arrays = {"x": x, "times": times, "u": u, "v": v, "mass": u.sum(axis=1) * self.config.dx,
+                  "boundary_flux": bflux}
         for name, arr in arrays.items():
-            arr = np.ascontiguousarray(arr)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if self.times.ndim != 1 or self.boundary_flux.shape != (len(self.times), 2):
-            raise ValueError("need one time and one (left, right) boundary-flux pair per stored time")
 
     @property
     def dx(self) -> float:
@@ -167,9 +171,10 @@ class SolutionField:
 class _Stepper:
     """Precomputed tables and the update rule for one (flux, transform, grid).
 
-    The state is u, the density each cell conserves; the relabelled v is
-    read only where admissibility at x = 0 is decided, in the two cells
-    beside the interface face.
+    The state is u, the density each cell conserves.  The faces off the
+    interface face read the flux branches at u; the interface face reads
+    its one complex table ``z_tab``, in u, at each of its two cells (see
+    ``face_fluxes``).  A step makes four lookups, two of them there.
     """
 
     def __init__(self, flux: FluxPair, tables: tuple, transform: TransformPair, cfg: SolverConfig):
@@ -182,11 +187,21 @@ class _Stepper:
 
         # the pair's one lattice, for the densities: copies, being the pair's read-only arrays
         self.ugrid, self.alpha_tab, self.beta_tab = (np.array(a) for a in transform.table())
-        # the interface face's dissipation density (alpha + beta) / 2
-        self.mid_tab = 0.5 * (self.alpha_tab + self.beta_tab)
         # the branches (x, y) the faces off the interface read in u, those the pair composes: copies,
         # as np.interp copies a read-only table on every call
         self.f_tab, self.g_tab = ((np.array(br.x), np.array(br.y)) for br in _branches(flux, transform))
+        # The interface face's one table on the composed lattice w: z(w) = (f∘alpha + g∘beta)(w) / 4
+        # + i (alpha + beta)(w) / 2, each side's flux average and dissipation density.  Both parts
+        # are linear between nodes of w, where alpha and beta are too, so the left cell reads z in
+        # u at the abscissae beta(w), the right one at alpha(w).  Built in place, with no complex
+        # temporary
+        self.alpha_w = np.interp(self.vgrid, self.ugrid, self.alpha_tab)
+        self.beta_w = np.interp(self.vgrid, self.ugrid, self.beta_tab)
+        self.z_tab = z = np.empty(len(self.vgrid), dtype=complex)
+        np.add(self.fa_tab, self.gb_tab, out=z.real)
+        np.multiply(z.real, 0.25, out=z.real)
+        np.add(self.alpha_w, self.beta_w, out=z.imag)
+        np.multiply(z.imag, 0.5, out=z.imag)
 
         # cells 0 .. k - 1 lie at x <= 0 and conserve beta(v), the others
         # alpha(v); face k, between cells k - 1 and k, is the interface face
@@ -200,10 +215,8 @@ class _Stepper:
         self._sides = np.array([0, k])
         self._ends = (float(self.beta_tab[0]), float(self.alpha_tab[0]),
                       float(self.beta_tab[-1]), float(self.alpha_tab[-1]))
-        # face_fluxes' states with their zero-gradient ghosts, and the
-        # relabelled states of the two cells beside the interface face
+        # face_fluxes' states with their zero-gradient ghosts
         self._ghosts = np.empty(cfg.cells + 2)
-        self._band_v = np.empty(2)
 
         # Slopes per transform segment.  The composed fluxes bend inside a
         # transform segment, so each takes the extreme slope of the flux
@@ -273,6 +286,11 @@ class _Stepper:
         the two cells over all segments, and the step takes all of
         dx / band_rate.
 
+        The interface face reads F and M in u, from ``z_tab``: the same
+        piecewise-linear functions of its two cells' relabelled states,
+        tabulated on the composed lattice.  The table moves that face's flux
+        by rounding only, and leaves the bound as it is.
+
         A flux pair with no slope at all transports nothing, so any step is
         monotone; the step is then infinite and ``solve`` takes one step.
         """
@@ -326,47 +344,43 @@ class _Stepper:
         A face left of the interface face reads g, and one right of it f, at
         the densities beside it: the Lax-Friedrichs scheme in u on each side,
         since g∘beta(v) = g(u) and f∘alpha(v) = f(u) there.  The interface
-        face reads the relabelled states of its two cells,
-        v = beta^{-1}(u_{k-1}) and alpha^{-1}(u_k), averages f∘alpha and
-        g∘beta at both and dissipates in (alpha + beta) / 2.  The ghosts
-        repeat the end cells, so the two boundary faces dissipate nothing.
+        face averages f∘alpha and g∘beta at the relabelled states of its two
+        cells, v = beta^{-1}(u_{k-1}) and alpha^{-1}(u_k), and dissipates in
+        (alpha + beta) / 2.  Both are read in u, in two lookups of one
+        complex table (``z_tab``), whose real part holds a quarter of the flux
+        sum and whose imaginary part the density: at beta(w) for the left
+        cell and alpha(w) for the right one.  The ghosts repeat the end
+        cells, so the two boundary faces dissipate nothing.
         """
         k = self.k
         ux = self._ghosts
         ux[1:-1] = u
         ux[0], ux[-1] = u[0], u[-1]   # zero-gradient ghosts
-        g_u = np.interp(ux[:k + 1], *self.g_tab)    # states 0 .. k: faces 0 .. k - 1
-        f_u = np.interp(ux[k + 1:], *self.f_tab)    # states k + 1 .. the last: faces k + 1 .. the last
-        band = self._band_v
-        band[0] = np.interp(u[k - 1], self.beta_tab, self.ugrid)
-        band[1] = np.interp(u[k], self.alpha_tab, self.ugrid)
-        fa_v = np.interp(band, self.vgrid, self.fa_tab)
-        gb_v = np.interp(band, self.vgrid, self.gb_tab)
-        mid = np.interp(band, self.ugrid, self.mid_tab)
-        # each face's flux of the state on its left plus that on its right;
-        # at the interface face both sums are exact when the branches agree
-        total = np.empty(len(u) + 1)
-        np.add(g_u[:-1], g_u[1:], out=total[:k])
-        total[k] = 0.5 * ((fa_v[0] + gb_v[0]) + (fa_v[1] + gb_v[1]))
-        np.add(f_u[:-1], f_u[1:], out=total[k + 1:])
-        jump = np.zeros(len(u) + 1)
-        np.subtract(u[1:], u[:-1], out=jump[1:-1])
-        jump[k] = mid[1] - mid[0]
+        # g at states 0 .. k (faces 0 .. k - 1), f at states k + 1 .. the last (faces k + 1 .. the last)
+        b = np.concatenate((np.interp(ux[:k + 1], *self.g_tab), np.interp(ux[k + 1:], *self.f_tab)))
         # one dissipation speed for every face: a speed chosen per face from
         # the two states jumps when a state crosses a breakpoint, and the
         # update is then not monotone at any time step
-        return 0.5 * total - 0.5 * self.speed_max * jump
+        half_c = 0.5 * self.speed_max
+        phi = 0.5 * (b[:-1] + b[1:]) - half_c * (ux[1:] - ux[:-1])
+        u_l, u_r = u[k - 1:k + 1].tolist()
+        z_l = complex(np.interp(u_l, self.beta_w, self.z_tab))
+        z_r = complex(np.interp(u_r, self.alpha_w, self.z_tab))
+        phi[k] = (z_l.real + z_r.real) - half_c * (z_r.imag - z_l.imag)
+        return phi
 
-    def step(self, u: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, float]:
+    def step(self, u: np.ndarray, dt: float,
+             out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, float]:
         """Explicit Lax-Friedrichs transport of the densities.
 
-        Returns the new densities, the face fluxes and the margin of the new
-        densities inside [lo_val, hi_val] (see ``_range``).  A density
-        within the slack outside that range is clipped to it: the density of
-        the table end that the inversion would map it to.
+        Returns the new densities, written to ``out`` when it is given (it
+        must not be u), the face fluxes and the margin of the new densities
+        inside [lo_val, hi_val] (see ``_range``).  A density within the
+        slack outside that range is clipped to it: the density of the table
+        end that the inversion would map it to.
         """
         phi = self.face_fluxes(u)
-        u_new = u - (dt / self.dx) * (phi[1:] - phi[:-1])
+        u_new = np.subtract(u, (dt / self.dx) * (phi[1:] - phi[:-1]), out=out)
         margin, inside = self._range(u_new)
         if not inside:
             np.clip(u_new, self.lo_val, self.hi_val, out=u_new)
@@ -447,31 +461,35 @@ def solve(
     bflux = [(0.0, 0.0)]
     cum_left = cum_right = 0.0
     c1 = 0.0  # max L1 rate of change of u
-    # the current block of steps: the densities it starts from, then those
-    # after each of its steps, stacked into one buffer made once per solve
-    states = [u]
+    # the current block of steps, one row each: the densities it starts
+    # from, then those each of its steps writes, in one buffer made once per
+    # solve; only the stored snapshots are copied out of it
     block = np.empty((min(_BLOCK_STEPS, nsteps) + 1, cfg.cells))
+    block[0] = u
+    row = 0
     invert_margin = math.inf
     for n in range(1, nsteps + 1):
-        u, phi, margin = stepper.step(u, dt)
+        row += 1
+        u, phi, margin = stepper.step(u, dt, out=block[row])
         invert_margin = min(invert_margin, margin)
         cum_left += dt * float(phi[0])
         cum_right += dt * float(phi[-1])
-        states.append(u)
-        if len(states) > _BLOCK_STEPS or n == nsteps:
-            c1 = max(c1, *_block_rates(np.stack(states, out=block[:len(states)]), cfg.dx, dt))
-            states = [u]
         if n in snap_at:
-            snaps_u.append(u)
+            snaps_u.append(u.copy())
             snap_times.append(n * dt)
             bflux.append((cum_left, cum_right))
-    del states, block, u   # free the block before the snapshot arrays are built
+        if row == _BLOCK_STEPS or n == nsteps:
+            c1 = max(c1, *_block_rates(block[:row + 1], cfg.dx, dt))
+            block[0] = u
+            u, row = block[0], 0
+    del block, u   # free the block before the field stacks the snapshots
 
+    # the field makes its own arrays of these lists: the one copy of the snapshots
     return SolutionField(
         config=cfg,
-        times=np.array(snap_times),
-        u=np.array(snaps_u),
-        boundary_flux=np.array(bflux),
+        times=snap_times,
+        u=snaps_u,
+        boundary_flux=bflux,
         dt=dt,
         flux=flux,
         transform=t,

@@ -141,6 +141,20 @@ def test_solution_field_checks_the_shape_of_u(burgers):
         with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
             replace(field, **{name: getattr(field, name)})
 
+def test_solution_field_owns_its_arrays(burgers):
+    # a field copies what it is given and makes its copies read-only: the
+    # caller's arrays stay writable, and writing to them leaves the field as it was
+    field = dx.solve(burgers, np.full(64, 0.5), config=dx.SolverConfig(cells=64, t_end=0.01))
+    given = {name: getattr(field, name).copy() for name in ("times", "u", "boundary_flux")}
+    built = replace(field, **given)
+    for name, arr in given.items():
+        assert arr.flags.writeable, name
+        kept = getattr(built, name)
+        assert not kept.flags.writeable and not np.shares_memory(kept, arr), name
+        arr += 1.0
+        assert np.array_equal(kept, getattr(field, name)), name
+
+
 def test_solve_gates_on_transform_audit(demo_swapped):
     # the raw swapped pair fails the crossing condition, so identity labels
     # must be refused outright
@@ -174,6 +188,56 @@ def test_steady_connection_state_is_exact(burgers, demo_connection):
     assert np.max(np.abs(field.u_final - u0(field.x))) == 0.0
     tr = dx.extract_traces(field)
     assert tr.final_mismatch == 0.0
+
+
+@pytest.mark.parametrize("cells", [128, 1024])
+@pytest.mark.parametrize("data", ["riemann", "random"])
+def test_identity_pair_on_one_flux_is_plain_lax_friedrichs(burgers, cells, data):
+    # f = g and alpha = beta = the identity: the interface face's table then
+    # holds f / 2 and the state itself, and the solve must be the
+    # Lax-Friedrichs scheme on f at every face, the interface face included,
+    # to the bit: in u, in the boundary-flux integrals and in c1
+    assert np.array_equal(burgers.f.x, burgers.g.x) and np.array_equal(burgers.f.y, burgers.g.y)
+    cfg = dx.SolverConfig(cells=cells, t_end=0.5)
+    x = cfg.centers()
+    rng = np.random.default_rng(cells)
+    u0 = np.where(x <= 0.0, 0.8, 0.3) if data == "riemann" else rng.uniform(0.0, 1.0, cells)
+    field = dx.solve(burgers, u0, config=cfg)
+    assert field.transform.kind == "identity"
+    c, dt = field.stats["speed_max"], field.dt
+    u = u0
+    states, bflux, c1 = [u], [(0.0, 0.0)], 0.0
+    for _ in range(field.stats["steps"]):
+        ux = np.concatenate(([u[0]], u, [u[-1]]))
+        fx = burgers.f(ux)
+        phi = 0.5 * (fx[:-1] + fx[1:]) - 0.5 * c * (ux[1:] - ux[:-1])
+        u_new = u - (dt / cfg.dx) * (phi[1:] - phi[:-1])
+        c1 = max(c1, float(np.sum(np.abs(u_new - u))) * cfg.dx / dt)
+        left, right = bflux[-1]
+        bflux.append((left + dt * float(phi[0]), right + dt * float(phi[-1])))
+        states.append(u_new)
+        u = u_new
+    stored = [int(round(t / dt)) for t in field.times]
+    assert np.array_equal(field.times, [n * dt for n in stored])
+    assert np.array_equal(field.u, np.array([states[n] for n in stored]))
+    assert np.array_equal(field.boundary_flux, np.array([bflux[n] for n in stored]))
+    assert field.stats["c1"] == c1
+
+
+@pytest.mark.parametrize("cells", [128, 1024])
+@pytest.mark.parametrize("A, B", [(0.75, 0.25), (0.65, 0.35), (0.9, 0.1), (0.6, 0.4)])
+def test_steady_connection_states_stay_exact_through_the_table(burgers, A, B, cells):
+    # the connection's pair maps its c to (A, B) on a node of the composed
+    # lattice, so both cells beside the interface face read the same table
+    # entry, whose flux is g(A) = f(B): every stored row is the data, to the bit
+    conn = dx.Connection(A, B)
+    pair = dx.build_connection_transform(burgers, conn)
+    cfg = dx.SolverConfig(cells=cells, t_end=0.5)
+    u0 = dx.steady_connection_state(burgers, conn, cfg.centers())
+    field = dx.solve(burgers, u0, pair, cfg)
+    assert field.stats["steps"] > 0
+    for i, row in enumerate(field.u):
+        assert np.array_equal(row, u0), (A, B, cells, i)
 
 
 @pytest.mark.parametrize("left, right, table", [(0.2, 0.9, 2.6909e-3), (0.9, 0.2, 8.4053e-3)],
@@ -605,6 +669,23 @@ def test_block_bookkeeping_matches_a_per_step_loop(small_problems, kind):
         assert field.stats["c1"] == c1, (kind, nsteps)
         assert np.array_equal(field.u[-1], u), (kind, nsteps)
         assert (c1 > 0.0) == (nsteps > 0)
+
+
+@pytest.mark.parametrize("kind", ["identity", "translation", "connection"])
+def test_step_writes_into_out(small_problems, kind):
+    # solve steps into the rows of its block buffer: a step given a row
+    # returns that row, holding the bits of the step that makes its own array
+    flux, transform = small_problems[kind]
+    st = _stepper(flux, transform, dx.SolverConfig(cells=128, t_end=0.0))
+    u = st.conserved(_clustered_state(np.random.default_rng(3), st.ugrid[0], st.ugrid[-1], 128))
+    dt = st.suggest_dt()
+    block = np.full((2, 128), np.nan)
+    row = block[1]
+    new, phi, margin = st.step(u, dt)
+    got = st.step(u, dt, out=row)
+    assert got[0] is row
+    assert np.array_equal(row, new) and np.array_equal(got[1], phi) and got[2] == margin
+    assert np.all(np.isnan(block[0]))
 
 
 def test_tracer_wraps_methods_the_stepper_has():
